@@ -1094,6 +1094,25 @@ func E15Serving(w io.Writer) error {
 	return nil
 }
 
+// quiesce returns once the cluster's counters have stood still for a
+// quiet interval longer than any delivery delay or retransmission gap
+// the E16 cells configure (the chaos cell's BackoffCap is 80 ms), or
+// after five seconds.
+func quiesce(c *core.Cluster) {
+	const quiet = 100 * time.Millisecond
+	deadline := time.Now().Add(5 * time.Second)
+	prev := c.TotalStats()
+	for time.Now().Before(deadline) {
+		time.Sleep(quiet)
+		cur := c.TotalStats()
+		prev.Lat, cur.Lat = nil, nil // counters only: Lat is a fresh pointer per snapshot
+		if cur == prev {
+			return
+		}
+		prev = cur
+	}
+}
+
 // E16Metrics is the observation-only acceptance gate for the metrics
 // pipeline: the kv serving workload runs with the sampler on — on the
 // simulator (fault-free and under chaos) and on real TCP loopback —
@@ -1144,6 +1163,13 @@ func E16Metrics(w io.Writer) error {
 		}
 		if sum, err = store.Checksum(c.Node(0)); err != nil {
 			return 0, nil, stats.Snapshot{}, err
+		}
+		if sampled {
+			// lrc's one-way traffic (diff pushes, the acks after
+			// Checksum's release) is still being received when the app
+			// returns; the sampler's last sample and the final snapshot
+			// must both be taken after it has landed.
+			quiesce(c)
 		}
 		smp.Stop() // nil-safe; final sample at the quiesced counters
 		return sum, smp, c.TotalStats(), nil

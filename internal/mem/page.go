@@ -8,6 +8,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -227,9 +228,7 @@ func (p *Page) LatchRelease() {
 // Caller must hold Lock and have checked protection.
 func (p *Page) ReadInto(buf []byte, off int) {
 	if p.data == nil {
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		return
 	}
 	copy(buf, p.data[off:off+len(buf)])
@@ -239,5 +238,22 @@ func (p *Page) ReadInto(buf []byte, off int) {
 // Caller must hold Lock and have checked protection.
 func (p *Page) WriteFrom(buf []byte, off int) {
 	copy(p.Data()[off:off+len(buf)], buf)
+	p.dirty = true
+}
+
+// Uint64 loads the 8-byte little-endian word at off: ReadInto for one
+// word with no buffer in between, as PutUint64 is WriteFrom. A
+// never-written page reads 0 without allocating its frame. Caller
+// must hold Lock and have checked protection.
+func (p *Page) Uint64(off int) uint64 {
+	if p.data == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(p.data[off:])
+}
+
+// PutUint64 stores the 8-byte word v at off and marks the page dirty.
+func (p *Page) PutUint64(off int, v uint64) {
+	binary.LittleEndian.PutUint64(p.Data()[off:], v)
 	p.dirty = true
 }

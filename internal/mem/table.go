@@ -1,11 +1,15 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Table is one node's page table for the shared address space:
 // HeapBytes of address space split into fixed-size pages.
 type Table struct {
 	pageSize int
+	shift    uint // log2(pageSize)
 	heap     int64
 	pages    []Page
 }
@@ -23,6 +27,7 @@ func NewTable(heapBytes int64, pageSize int) (*Table, error) {
 	n := int((heapBytes + int64(pageSize) - 1) / int64(pageSize))
 	t := &Table{
 		pageSize: pageSize,
+		shift:    uint(bits.TrailingZeros(uint(pageSize))),
 		heap:     int64(n) * int64(pageSize),
 		pages:    make([]Page, n),
 	}
@@ -54,7 +59,25 @@ func (t *Table) PageOf(addr int64) (PageID, int) {
 	if addr < 0 || addr >= t.heap {
 		panic(fmt.Sprintf("mem: address %#x outside heap [0,%#x)", addr, t.heap))
 	}
-	return PageID(addr / int64(t.pageSize)), int(addr % int64(t.pageSize))
+	return PageID(addr >> t.shift), int(addr) & (t.pageSize - 1)
+}
+
+// Within returns the page holding [addr, addr+n) and addr's offset in
+// it; ok is false if the range leaves the heap or crosses a page
+// boundary. It is the whole address check of a local word access.
+func (t *Table) Within(addr int64, n int) (p *Page, off int, ok bool) {
+	off = int(addr) & (t.pageSize - 1)
+	if addr < 0 || addr > t.heap-int64(n) || off+n > t.pageSize {
+		return nil, 0, false
+	}
+	return &t.pages[addr>>t.shift], off, true
+}
+
+// CheckRange panics unless [addr, addr+n) lies inside the heap.
+func (t *Table) CheckRange(addr int64, n int) {
+	if addr < 0 || addr+int64(n) > t.heap {
+		panic(fmt.Sprintf("mem: range [%#x,%#x) outside heap [0,%#x)", addr, addr+int64(n), t.heap))
+	}
 }
 
 // Chunk describes the intersection of an address range with one page.
@@ -70,9 +93,7 @@ func (t *Table) Split(addr int64, n int) []Chunk {
 	if n < 0 {
 		panic(fmt.Sprintf("mem: Split: negative length %d", n))
 	}
-	if addr < 0 || addr+int64(n) > t.heap {
-		panic(fmt.Sprintf("mem: range [%#x,%#x) outside heap [0,%#x)", addr, addr+int64(n), t.heap))
-	}
+	t.CheckRange(addr, n)
 	var chunks []Chunk
 	pos := 0
 	for n > 0 {

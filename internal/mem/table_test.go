@@ -315,3 +315,59 @@ func TestLatchMisusePanics(t *testing.T) {
 	}()
 	p.LatchRelease()
 }
+
+// TestWithin: the local-hit address check accepts exactly the ranges
+// that lie inside the heap and inside one page, for every page size.
+func TestWithin(t *testing.T) {
+	for _, ps := range []int{8, 64, 4096} {
+		tbl, _ := NewTable(int64(4*ps), ps)
+		heap := tbl.HeapBytes()
+		for _, c := range []struct {
+			addr int64
+			n    int
+			ok   bool
+		}{
+			{0, 8, true}, {heap - 8, 8, true}, {int64(ps) - 4, 4, true}, {int64(2*ps) + 1, 4, true},
+			{int64(ps) - 4, 8, false}, {int64(ps) - 1, 4, false}, {heap - 4, 8, false},
+			{heap, 4, false}, {-8, 8, false}, {-1, 4, false}, {1<<63 - 4, 8, false},
+		} {
+			p, off, ok := tbl.Within(c.addr, c.n)
+			if ok != c.ok {
+				t.Errorf("page %d: Within(%#x, %d) ok = %v, want %v", ps, c.addr, c.n, ok, c.ok)
+				continue
+			}
+			if !ok {
+				continue
+			}
+			if pg, o := tbl.PageOf(c.addr); p != tbl.Page(pg) || off != o {
+				t.Errorf("page %d: Within(%#x, %d) = page %d off %d, PageOf says %d off %d", ps, c.addr, c.n, p.ID(), off, pg, o)
+			}
+		}
+	}
+}
+
+// TestPageWords: the word helpers agree with ReadInto/WriteFrom, a
+// store marks the page dirty, and a never-written page reads 0
+// without allocating its frame.
+func TestPageWords(t *testing.T) {
+	tbl, _ := NewTable(1024, 256)
+	p := tbl.Page(1)
+	p.Lock()
+	defer p.Unlock()
+	if p.Uint64(8) != 0 || p.Uint64(248) != 0 || p.data != nil {
+		t.Fatalf("never-written page: words %d %d, frame allocated: %v", p.Uint64(8), p.Uint64(248), p.data != nil)
+	}
+	p.PutUint64(9, 0x0807060504030201)
+	if !p.Dirty() {
+		t.Fatal("PutUint64 did not set dirty")
+	}
+	got := make([]byte, 10)
+	p.ReadInto(got, 8)
+	if want := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 0}; !bytes.Equal(got, want) {
+		t.Fatalf("frame holds %x, want %x", got, want)
+	}
+	p.WriteFrom([]byte{9, 9, 9, 9, 9, 9, 9, 9}, 248)
+	if p.Uint64(248) != 0x0909090909090909 || p.Uint64(9) != 0x0807060504030201 {
+		t.Fatalf("words read %#x %#x", p.Uint64(248), p.Uint64(9))
+	}
+}

@@ -16,53 +16,97 @@ import (
 // a load instruction sequence on hardware DSM.
 func (r *Runtime) ReadAt(addr int64, buf []byte) error {
 	r.st.Reads.Add(1)
+	return r.access(addr, buf, false)
+}
+
+// WriteAt copies buf into shared memory starting at addr, faulting
+// pages to writable state as needed.
+func (r *Runtime) WriteAt(addr int64, buf []byte) error {
+	r.st.Writes.Add(1)
+	return r.access(addr, buf, true)
+}
+
+// access is the general path: it walks [addr, addr+len(buf)) one page
+// at a time. An engine that handles the access remotely leaves only
+// the collector to see the pages.
+func (r *Runtime) access(addr int64, buf []byte, write bool) error {
 	if len(buf) == 0 {
 		return nil
 	}
-	if r.collector != nil {
-		for _, c := range r.tbl.Split(addr, len(buf)) {
-			r.collector.Observe(int(r.id), c.Page, false)
-		}
-	}
+	r.tbl.CheckRange(addr, len(buf))
+	handled, derr := false, error(nil)
 	if r.direct != nil {
-		if handled, err := r.direct.DirectRead(addr, buf); handled {
-			return err
+		if write {
+			handled, derr = r.direct.DirectWrite(addr, buf)
+		} else {
+			handled, derr = r.direct.DirectRead(addr, buf)
+		}
+		if handled && r.collector == nil {
+			return derr
 		}
 	}
-	for _, c := range r.tbl.Split(addr, len(buf)) {
-		if err := r.readChunk(c, buf); err != nil {
-			return err
+	for pos := 0; pos < len(buf); {
+		page, off := r.tbl.PageOf(addr + int64(pos))
+		n := min(len(buf)-pos, r.tbl.PageSize()-off)
+		if r.collector != nil {
+			r.collector.Observe(int(r.id), page, write)
 		}
+		if !handled {
+			if err := r.chunk(page, off, buf[pos:pos+n], write); err != nil {
+				return err
+			}
+		}
+		pos += n
+	}
+	return derr
+}
+
+// chunk moves b to or from one page at off.
+func (r *Runtime) chunk(page mem.PageID, off int, b []byte, write bool) error {
+	p := r.tbl.Page(page)
+	p.Lock()
+	defer p.Unlock()
+	if err := r.ensure(p, write); err != nil {
+		return err
+	}
+	typ := trace.EvRead
+	if write {
+		typ = trace.EvWrite
+		p.WriteFrom(b, off)
+	} else {
+		p.ReadInto(b, off)
+	}
+	if r.atrace != nil {
+		// Still under the page lock, so the hash is of the bytes this
+		// access actually moved and the emission is ordered with any
+		// concurrent local access to the same page.
+		r.atrace.Emit(typ, -1, trace.HashBytes(b), page, -1, trace.AccessArg(off, len(b)), 0)
 	}
 	return nil
 }
 
-func (r *Runtime) readChunk(c mem.Chunk, buf []byte) error {
-	p := r.tbl.Page(c.Page)
-	p.Lock()
-	defer p.Unlock()
-	for p.Prot() < mem.ReadOnly {
+// ensure makes p readable, or writable, by running the engine's fault
+// handler under the page's fault latch. The caller holds p's lock,
+// which is dropped around the handler.
+func (r *Runtime) ensure(p *mem.Page, write bool) error {
+	want, kind, faults := mem.ReadOnly, "read", &r.st.ReadFaults
+	if write {
+		want, kind, faults = mem.ReadWrite, "write", &r.st.WriteFaults
+	}
+	for p.Prot() < want {
 		if p.LatchBusy() {
 			p.LatchWait()
 			continue
 		}
 		p.LatchAcquire()
 		p.Unlock()
-		r.st.ReadFaults.Add(1)
-		err := r.servedFault(c.Page, false)
+		faults.Add(1)
+		err := r.servedFault(p.ID(), write)
 		p.Lock()
 		p.LatchRelease()
 		if err != nil {
-			return fmt.Errorf("node %d: read fault page %d: %w", r.id, c.Page, err)
+			return fmt.Errorf("node %d: %s fault page %d: %w", r.id, kind, p.ID(), err)
 		}
-	}
-	p.ReadInto(buf[c.Pos:c.Pos+c.Len], c.Off)
-	if r.atrace != nil {
-		// Still under the page lock, so the hash is of the bytes this
-		// read actually returned and the emission is ordered with any
-		// concurrent local write to the same page.
-		b := buf[c.Pos : c.Pos+c.Len]
-		r.atrace.Emit(trace.EvRead, -1, trace.HashBytes(b), c.Page, -1, trace.AccessArg(c.Off, c.Len), 0)
 	}
 	return nil
 }
@@ -98,63 +142,35 @@ func (r *Runtime) servedFault(page mem.PageID, write bool) error {
 	return err
 }
 
-// WriteAt copies buf into shared memory starting at addr, faulting
-// pages to writable state as needed.
-func (r *Runtime) WriteAt(addr int64, buf []byte) error {
-	r.st.Writes.Add(1)
-	if len(buf) == 0 {
-		return nil
-	}
-	if r.collector != nil {
-		for _, c := range r.tbl.Split(addr, len(buf)) {
-			r.collector.Observe(int(r.id), c.Page, true)
-		}
-	}
-	if r.direct != nil {
-		if handled, err := r.direct.DirectWrite(addr, buf); handled {
-			return err
-		}
-	}
-	for _, c := range r.tbl.Split(addr, len(buf)) {
-		if err := r.writeChunk(c, buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *Runtime) writeChunk(c mem.Chunk, buf []byte) error {
-	p := r.tbl.Page(c.Page)
-	p.Lock()
-	defer p.Unlock()
-	for p.Prot() < mem.ReadWrite {
-		if p.LatchBusy() {
-			p.LatchWait()
-			continue
-		}
-		p.LatchAcquire()
-		p.Unlock()
-		r.st.WriteFaults.Add(1)
-		err := r.servedFault(c.Page, true)
-		p.Lock()
-		p.LatchRelease()
-		if err != nil {
-			return fmt.Errorf("node %d: write fault page %d: %w", r.id, c.Page, err)
-		}
-	}
-	p.WriteFrom(buf[c.Pos:c.Pos+c.Len], c.Off)
-	if r.atrace != nil {
-		b := buf[c.Pos : c.Pos+c.Len]
-		r.atrace.Emit(trace.EvWrite, -1, trace.HashBytes(b), c.Page, -1, trace.AccessArg(c.Off, c.Len), 0)
-	}
-	return nil
-}
-
 // Typed accessors. Values are stored little-endian. An aligned value
 // never spans pages because page sizes are powers of two >= 8.
 
+// hit returns the page holding the n-byte word at addr, locked, and
+// the word's offset in it, if this is a local hit: no observer
+// (hooked), the word inside one page, protection at least want.
+// Otherwise p is nil and the caller takes the general path, the only
+// place the hooks are tested.
+func (r *Runtime) hit(addr int64, n int, want mem.Prot) (p *mem.Page, off int) {
+	p, off, ok := r.tbl.Within(addr, n)
+	if r.hooked || !ok {
+		return nil, 0
+	}
+	p.Lock()
+	if p.Prot() < want {
+		p.Unlock()
+		return nil, 0
+	}
+	return p, off
+}
+
 // ReadUint64 loads the 8-byte value at addr.
 func (r *Runtime) ReadUint64(addr int64) (uint64, error) {
+	if p, off := r.hit(addr, 8, mem.ReadOnly); p != nil {
+		v := p.Uint64(off)
+		p.Unlock()
+		r.st.Reads.Add(1)
+		return v, nil
+	}
 	var b [8]byte
 	if err := r.ReadAt(addr, b[:]); err != nil {
 		return 0, err
@@ -164,6 +180,12 @@ func (r *Runtime) ReadUint64(addr int64) (uint64, error) {
 
 // WriteUint64 stores an 8-byte value at addr.
 func (r *Runtime) WriteUint64(addr int64, v uint64) error {
+	if p, off := r.hit(addr, 8, mem.ReadWrite); p != nil {
+		p.PutUint64(off, v)
+		p.Unlock()
+		r.st.Writes.Add(1)
+		return nil
+	}
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	return r.WriteAt(addr, b[:])
@@ -193,6 +215,13 @@ func (r *Runtime) WriteFloat64(addr int64, v float64) error {
 
 // ReadUint32 loads a 4-byte value at addr.
 func (r *Runtime) ReadUint32(addr int64) (uint32, error) {
+	if p, off := r.hit(addr, 4, mem.ReadOnly); p != nil {
+		var w [4]byte // not b, which escapes through ReadAt
+		p.ReadInto(w[:], off)
+		p.Unlock()
+		r.st.Reads.Add(1)
+		return binary.LittleEndian.Uint32(w[:]), nil
+	}
 	var b [4]byte
 	if err := r.ReadAt(addr, b[:]); err != nil {
 		return 0, err
@@ -202,6 +231,14 @@ func (r *Runtime) ReadUint32(addr int64) (uint32, error) {
 
 // WriteUint32 stores a 4-byte value at addr.
 func (r *Runtime) WriteUint32(addr int64, v uint32) error {
+	if p, off := r.hit(addr, 4, mem.ReadWrite); p != nil {
+		var w [4]byte
+		binary.LittleEndian.PutUint32(w[:], v)
+		p.WriteFrom(w[:], off)
+		p.Unlock()
+		r.st.Writes.Add(1)
+		return nil
+	}
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
 	return r.WriteAt(addr, b[:])

@@ -76,8 +76,13 @@ type Runtime struct {
 	engine    Engine
 	direct    DirectEngine // non-nil iff engine implements DirectEngine
 	collector *advisor.Collector
-	handlers  []func(*wire.Msg)
-	inline    []bool // kinds handled on the dispatch goroutine itself
+	// hooked is true iff collector, atrace or direct is set: something
+	// must see every access, so the typed accessors' local-hit path
+	// (access.go) is off. Kept by rehook from the three setters, all of
+	// which run before Start.
+	hooked   bool
+	handlers []func(*wire.Msg)
+	inline   []bool // kinds handled on the dispatch goroutine itself
 
 	pendMu  sync.Mutex
 	pending map[uint64]*pendingCall
@@ -231,7 +236,14 @@ func (r *Runtime) SetCallTimeout(d time.Duration) { r.callTimeout = d }
 
 // SetAccessCollector attaches a sharing-pattern collector; every
 // shared-memory access is then recorded per (page, node).
-func (r *Runtime) SetAccessCollector(c *advisor.Collector) { r.collector = c }
+func (r *Runtime) SetAccessCollector(c *advisor.Collector) {
+	r.collector = c
+	r.rehook()
+}
+
+func (r *Runtime) rehook() {
+	r.hooked = r.collector != nil || r.atrace != nil || r.direct != nil
+}
 
 // SetTracer attaches an event tracer. Must be called before Start.
 func (r *Runtime) SetTracer(t *trace.Tracer) { r.tracer = t }
@@ -241,7 +253,10 @@ func (r *Runtime) Tracer() *trace.Tracer { return r.tracer }
 
 // EnableAccessTrace turns on per-access EvRead/EvWrite emission into
 // the attached tracer. Must be called after SetTracer, before Start.
-func (r *Runtime) EnableAccessTrace() { r.atrace = r.tracer }
+func (r *Runtime) EnableAccessTrace() {
+	r.atrace = r.tracer
+	r.rehook()
+}
 
 // emitMsg records an RPC event for m. Callers guard r.tracer != nil.
 func (r *Runtime) emitMsg(typ trace.Type, peer int32, m *wire.Msg) {
@@ -251,9 +266,8 @@ func (r *Runtime) emitMsg(typ trace.Type, peer int32, m *wire.Msg) {
 // SetEngine attaches the protocol engine and installs its handlers.
 func (r *Runtime) SetEngine(e Engine) {
 	r.engine = e
-	if de, ok := e.(DirectEngine); ok {
-		r.direct = de
-	}
+	r.direct, _ = e.(DirectEngine)
+	r.rehook()
 	e.Register(r)
 }
 
