@@ -9,22 +9,24 @@ all: build test
 build:
 	$(GO) build ./...
 
-# Default test gate: vet, the full suite, the chaos/reliability and
-# transport packages and the access path (nodecore, core) again under
-# the race detector (their concurrency is the most delicate), the
-# allocation-regression gate, the multi-process TCP smoke run, the
-# tracing smoke run, and the race-checker smoke run.
+# Default test gate: vet, the full suite, the chaos/reliability, sync
+# and transport packages, the access path (nodecore, core) and the
+# trace ring again under the race detector (their concurrency is the
+# most delicate), the allocation-regression gate, the multi-process
+# TCP smoke run, the tracing smoke run, and the race-checker smoke run.
 test: vet tcp-smoke trace-smoke race-smoke kv-smoke metrics-smoke bench-alloc
 	$(GO) test ./... -timeout 1200s
-	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/core ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace
+	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/dsync ./internal/core ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace
 
 # Allocation regression gate. The thresholds are checked into the
 # tests themselves: the ZeroAlloc tests assert 0 allocs/op in steady
 # state for the pooled encode/frame/diff paths (testing.AllocsPerRun
 # with GC parked) and for the tracing layer both disabled (nil tracer,
 # nil histograms — the default hot path) and enabled (ring emit,
-# histogram observe), and for the shared-memory local hit (a typed
-# access or single-page ReadAt/WriteAt on a valid page). The
+# histogram observe), for the shared-memory local hit (a typed
+# access or single-page ReadAt/WriteAt on a valid page), and for what
+# the retransmission timer adds to a reliable call (timeout + jitter
+# draw, RTT sample). The
 # benchmarks print current numbers for the paths that clone by design
 # (receive-side decode).
 bench-alloc:

@@ -15,6 +15,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"net"
@@ -219,6 +220,11 @@ func RunNode(o NodeOpts) (_ *Result, retErr error) {
 			Extra: map[string]http.Handler{
 				"/metrics":      smp.PromHandler(),
 				"/metrics.json": smp.JSONHandler(),
+				// Per-peer round-trip estimates behind the retransmission timer.
+				"/rtt": http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+					w.Header().Set("Content-Type", "application/json")
+					json.NewEncoder(w).Encode(c.Node(o.Self).Runtime().PeerRTTs())
+				}),
 			},
 		})
 		if err != nil {

@@ -210,7 +210,10 @@ type Config struct {
 	// suppression) so the protocols survive the faults.
 	Faults *simnet.FaultPlan
 	// Retry overrides the reliability layer's retransmission policy;
-	// setting it enables the layer even with Faults nil.
+	// setting it enables the layer even with Faults nil. The first
+	// reply wait tracks each peer's measured round trip (never under
+	// 1ms); Retry.AttemptTimeout is that wait before the peer's round
+	// trip is known, and its ceiling afterwards.
 	Retry *nodecore.RetryPolicy
 	// WatchdogTimeout arms a cluster-wide stall detector during Run:
 	// if no node dispatches any message for this long while requests

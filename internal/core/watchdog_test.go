@@ -1,6 +1,8 @@
 package core
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +80,19 @@ func TestWatchdogSeesThroughDuplicateChatter(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q missing %q", err, want)
 		}
+	}
+	// The report says why the call is slow: it has been retransmitted
+	// (so the network was given its chances — the peer is not answering)
+	// and names the timeout those retransmissions started from.
+	m := regexp.MustCompile(`\[lock-req to 0 req=[0-9a-f]+ age=\S+ attempt=(\d+) rto=(\S+)\]`).FindStringSubmatch(err.Error())
+	if m == nil {
+		t.Fatalf("stall report %q does not give the stuck call's attempt and rto", err)
+	}
+	if attempt, _ := strconv.Atoi(m[1]); attempt < 2 {
+		t.Fatalf("stuck call reported at attempt %d after 400ms of 25-50ms waits", attempt)
+	}
+	if rto, perr := time.ParseDuration(m[2]); perr != nil || rto < time.Millisecond || rto > 25*time.Millisecond {
+		t.Fatalf("stuck call's rto = %q, want between the 1ms floor and AttemptTimeout (25ms)", m[2])
 	}
 	// The chatter really happened: the manager must have suppressed
 	// retransmitted requests as duplicates while the watchdog counted

@@ -173,10 +173,10 @@ func New(rt *nodecore.Runtime, hooks Hooks, cfg Config) *Service {
 		bars:   make(map[int32]*barState),
 		events: make(map[int32]*evtState),
 	}
-	rt.Handle(wire.KLockReq, s.handleLockReq)
+	rt.HandleBlocking(wire.KLockReq, s.handleLockReq)
 	rt.Handle(wire.KLockRel, s.handleLockRel)
-	rt.Handle(wire.KBarArrive, s.handleBarArrive)
-	rt.Handle(wire.KEvtWait, s.handleEvtWait)
+	rt.HandleBlocking(wire.KBarArrive, s.handleBarArrive)
+	rt.HandleBlocking(wire.KEvtWait, s.handleEvtWait)
 	rt.Handle(wire.KEvtSet, s.handleEvtSet)
 	return s
 }

@@ -30,6 +30,13 @@ type fixture struct {
 
 func newFixture(t *testing.T, n int, cfg Config, hooks func(i int) Hooks) *fixture {
 	t.Helper()
+	return newFixtureWith(t, n, cfg, hooks, nil)
+}
+
+// newFixtureWith is newFixture with a hook that sees each runtime
+// before it starts (to enable reliability, say).
+func newFixtureWith(t *testing.T, n int, cfg Config, hooks func(i int) Hooks, prep func(*nodecore.Runtime)) *fixture {
+	t.Helper()
 	net, err := simnet.New(simnet.Config{Nodes: n})
 	if err != nil {
 		t.Fatal(err)
@@ -44,6 +51,9 @@ func newFixture(t *testing.T, n int, cfg Config, hooks func(i int) Hooks) *fixtu
 		var h Hooks
 		if hooks != nil {
 			h = hooks(i)
+		}
+		if prep != nil {
+			prep(rt)
 		}
 		svc := New(rt, h, cfg)
 		rt.SetEngine(nopEngine{})
@@ -415,4 +425,79 @@ func TestManyLocksManyNodes(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestQueuedWaiterSurvivesDedupEviction: a waiter queued on a held lock
+// keeps retransmitting its request while more than a dedup table's
+// worth of other requests pass through the same manager. Every
+// retransmission must still be recognized as a duplicate — a forgotten
+// request would be queued a second time, granted a second time to a
+// node that is no longer asking, and the lock would never be free
+// again.
+func TestQueuedWaiterSurvivesDedupEviction(t *testing.T) {
+	f := newFixtureWith(t, 3, Config{}, nil, func(rt *nodecore.Runtime) {
+		// Retransmit every <= 4ms for as long as the test takes.
+		rt.EnableReliability(nodecore.RetryPolicy{BackoffCap: 4 * time.Millisecond, MaxAttempts: 1 << 20}, 1)
+	})
+	const held, busy = 0, 3 // both managed by node 0
+	mgr := f.rts[0].Stats()
+	if err := f.svcs[1].Acquire(held); err != nil {
+		t.Fatal(err)
+	}
+	granted := make(chan error, 1)
+	go func() { granted <- f.svcs[2].Acquire(held) }()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitFor("the waiter's first retransmission", func() bool { return mgr.DupRequests.Load() > 0 })
+	// 2 x 2200 acquire/release requests through node 0: more than the
+	// 4096 its dedup table holds.
+	for i := 0; i < 2200; i++ {
+		if err := f.svcs[1].Acquire(busy); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.svcs[1].Release(busy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dups := mgr.DupRequests.Load()
+	waitFor("a retransmission after the table turned over", func() bool { return mgr.DupRequests.Load() >= dups+2 })
+	select {
+	case err := <-granted:
+		t.Fatalf("waiter returned while the lock was held: %v", err)
+	default:
+	}
+	if err := f.svcs[1].Release(held); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-granted; err != nil {
+		t.Fatal(err)
+	}
+	if err := f.svcs[2].Release(held); err != nil {
+		t.Fatal(err)
+	}
+	ls := f.svcs[0].lockState(held)
+	ls.mu.Lock()
+	stillHeld, queued := ls.held, len(ls.queue)
+	ls.mu.Unlock()
+	if stillHeld || queued != 0 {
+		t.Fatalf("after the waiter's release the lock is held=%v with %d queued: it was granted twice", stillHeld, queued)
+	}
+	if got := f.rts[2].Stats().LockAcquires.Load(); got != 1 {
+		t.Fatalf("waiter counted %d grants, want 1", got)
+	}
+	// And the lock still works.
+	if err := f.svcs[1].Acquire(held); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.svcs[1].Release(held); err != nil {
+		t.Fatal(err)
+	}
 }

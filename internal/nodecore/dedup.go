@@ -2,6 +2,7 @@ package nodecore
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -23,18 +24,29 @@ import (
 //   - moves to done when the node sends a reply carrying the request
 //     id — the reply is cached and re-sent verbatim for duplicates.
 //
-// The table is bounded: entries are evicted FIFO by insertion order
-// once the table exceeds its capacity, so memory does not grow with
-// message count. Eviction can in principle forget a transaction
-// whose duplicate arrives later than capacity-many newer requests,
-// which is harmless for this repository's scale (the retry window is
-// seconds; the capacity covers minutes of traffic).
+// The table is bounded: once it exceeds its capacity, entries are
+// evicted oldest first, so memory does not grow with message count.
+// An answered or relayed transaction whose duplicate arrives later
+// than capacity-many newer requests can be forgotten; its caller has
+// its reply (or another copy on the way) and stops retransmitting.
+// An inflight entry is different: its caller — a lock, barrier or
+// event waiter queued at this manager — retransmits for as long as it
+// waits, and forgetting it would admit the next retransmission as a
+// new request: a second queue entry, a second grant, a lock nobody
+// releases. So eviction passes over inflight entries younger than
+// dedupInflightKeep, and the table may exceed its capacity by the
+// number of requests genuinely waiting here.
 type dedupTable struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[dedupKey]*dedupEntry
-	order   []dedupKey // insertion order, for FIFO eviction
+	order   []dedupKey // eviction order: insertion, except passed-over inflight keys requeue
 }
+
+// dedupInflightKeep outlasts every caller in the tree: the longest
+// call timeout is dsync's 2-minute AcquireTimeout, and the entry is
+// younger than the call it serves.
+const dedupInflightKeep = 2 * time.Minute
 
 type dedupKey struct {
 	from int32
@@ -49,6 +61,7 @@ const (
 
 type dedupEntry struct {
 	state int
+	at    time.Time // first sighting
 	fwd   *wire.Msg // the relayed copy, valid when state == dedupForwarded
 	reply *wire.Msg // valid when state == dedupDone
 }
@@ -74,11 +87,17 @@ func (t *dedupTable) admit(from int32, req uint64) (dup bool, state int, fwd, re
 	if e, ok := t.entries[k]; ok {
 		return true, e.state, e.fwd, e.reply
 	}
-	t.entries[k] = &dedupEntry{state: dedupInflight}
+	now := time.Now()
+	t.entries[k] = &dedupEntry{state: dedupInflight, at: now}
 	t.order = append(t.order, k)
-	for len(t.entries) > t.cap {
+	// One lap at most: if everything is young and inflight, stay over.
+	for lap := len(t.order); len(t.entries) > t.cap && lap > 0; lap-- {
 		evict := t.order[0]
 		t.order = t.order[1:]
+		if e := t.entries[evict]; e.state == dedupInflight && now.Sub(e.at) < dedupInflightKeep {
+			t.order = append(t.order, evict)
+			continue
+		}
 		delete(t.entries, evict)
 	}
 	return false, dedupInflight, nil, nil
@@ -117,44 +136,4 @@ func (t *dedupTable) size() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.entries)
-}
-
-// completedRing remembers the most recent completed (replied or
-// abandoned) outbound request ids so that a reply arriving after its
-// call finished can be classified as a late duplicate — expected
-// under retransmission — rather than a genuinely stray reply, which
-// would indicate a protocol bug. Bounded FIFO like the dedup table.
-type completedRing struct {
-	mu    sync.Mutex
-	cap   int
-	seen  map[uint64]struct{}
-	order []uint64
-}
-
-func newCompletedRing(capacity int) *completedRing {
-	if capacity <= 0 {
-		capacity = defaultDedupCap
-	}
-	return &completedRing{cap: capacity, seen: make(map[uint64]struct{})}
-}
-
-func (r *completedRing) add(req uint64) {
-	r.mu.Lock()
-	if _, ok := r.seen[req]; !ok {
-		r.seen[req] = struct{}{}
-		r.order = append(r.order, req)
-		for len(r.seen) > r.cap {
-			evict := r.order[0]
-			r.order = r.order[1:]
-			delete(r.seen, evict)
-		}
-	}
-	r.mu.Unlock()
-}
-
-func (r *completedRing) has(req uint64) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.seen[req]
-	return ok
 }

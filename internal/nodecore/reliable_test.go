@@ -2,7 +2,10 @@ package nodecore
 
 import (
 	"fmt"
+	"runtime/debug"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,7 +20,15 @@ import (
 // and the reliability layer enabled on both runtimes.
 func reliablePair(t *testing.T, fp *simnet.FaultPlan, policy RetryPolicy) (*Runtime, *Runtime) {
 	t.Helper()
-	net, err := simnet.New(simnet.Config{Nodes: 2, Seed: 7, Faults: fp})
+	return reliablePairOn(t, simnet.Config{Faults: fp}, policy)
+}
+
+// reliablePairOn is reliablePair on a network the caller shapes
+// (latency model, faults); Nodes and Seed are filled in.
+func reliablePairOn(t *testing.T, cfg simnet.Config, policy RetryPolicy) (*Runtime, *Runtime) {
+	t.Helper()
+	cfg.Nodes, cfg.Seed = 2, 7
+	net, err := simnet.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,15 +186,103 @@ func TestDedupTableBounded(t *testing.T) {
 	if dup, _, _, _ := d.admit(1, 0); dup {
 		t.Fatal("oldest entry not evicted")
 	}
-	r := newCompletedRing(64)
-	for i := 0; i < 10_000; i++ {
-		r.add(uint64(i))
+}
+
+// TestDedupKeepsInflight: eviction never forgets a request that has
+// not been answered or relayed — its caller is still retransmitting,
+// and a forgotten key would be admitted as a second request — while
+// done and forwarded entries still leave oldest first, the table stays
+// bounded, and an inflight entry older than any caller's patience is
+// let go.
+func TestDedupKeepsInflight(t *testing.T) {
+	const cap = 64
+	d := newDedupTable(cap)
+	d.admit(2, 1) // a lock waiter queued at this manager: never answered
+	for i := 0; i < cap+10; i++ {
+		req := uint64(100 + i)
+		if dup, _, _, _ := d.admit(1, req); dup {
+			t.Fatalf("fresh request %d reported duplicate", req)
+		}
+		if i%2 == 0 {
+			d.completed(1, req, &wire.Msg{Kind: wire.KAck})
+		} else {
+			d.forwarded(1, req, &wire.Msg{Kind: wire.KLockReq})
+		}
 	}
-	if len(r.seen) > 64 || len(r.order) > 64 {
-		t.Fatalf("completed ring grew to %d/%d (cap 64)", len(r.seen), len(r.order))
+	if dup, state, _, _ := d.admit(2, 1); !dup || state != dedupInflight {
+		t.Fatalf("inflight request forgotten after %d newer ones (dup=%v state=%d)", cap+10, dup, state)
 	}
-	if !r.has(9_999) || r.has(0) {
-		t.Fatal("completed ring eviction order wrong")
+	if got := d.size(); got > cap {
+		t.Fatalf("table holds %d entries, cap %d", got, cap)
+	}
+	// cap-1 answered entries fit beside the inflight one: the 11 oldest
+	// are gone, the 12th and everything newer remain.
+	for i := 0; i < cap+10; i++ {
+		d.mu.Lock()
+		_, present := d.entries[dedupKey{1, uint64(100 + i)}]
+		d.mu.Unlock()
+		if want := i >= 11; present != want {
+			t.Fatalf("answered entry %d present=%v, want %v (oldest-first eviction)", i, present, want)
+		}
+	}
+	// All inflight: nothing may go, and one lap of the queue is enough
+	// to find that out.
+	all := newDedupTable(8)
+	for i := 0; i < 20; i++ {
+		all.admit(1, uint64(i))
+	}
+	if got := all.size(); got != 20 {
+		t.Fatalf("table of unanswered requests holds %d of 20", got)
+	}
+	// ...until they outlive every caller.
+	all.mu.Lock()
+	for _, e := range all.entries {
+		e.at = e.at.Add(-dedupInflightKeep - time.Second)
+	}
+	all.mu.Unlock()
+	all.admit(1, 99)
+	if got := all.size(); got != 8 {
+		t.Fatalf("table holds %d entries after its inflight ones expired, cap 8", got)
+	}
+}
+
+// TestLateReplyAnyAge: a reply is late, not stray, however many calls
+// the node has made since the one it answers.
+func TestLateReplyAnyAge(t *testing.T) {
+	a, b, _, _ := pair(t)
+	release := make(chan struct{})
+	b.Handle(wire.KDiffReq, func(m *wire.Msg) {
+		<-release
+		_ = b.Reply(m, &wire.Msg{Kind: wire.KDiffReply})
+	})
+	if _, err := a.CallT(&wire.Msg{Kind: wire.KDiffReq, To: 1}, 5*time.Millisecond); err == nil {
+		t.Fatal("no timeout")
+	}
+	for i := 0; i < 3*defaultDedupCap; i++ {
+		if _, err := a.Call(&wire.Msg{Kind: wire.KPageReq, To: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	deadline := time.Now().Add(time.Second)
+	for a.LateReplies() == 0 && a.StrayReplies() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("reply never classified")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if a.LateReplies() != 1 || a.StrayReplies() != 0 {
+		t.Fatalf("late=%d stray=%d, want 1 0", a.LateReplies(), a.StrayReplies())
+	}
+	// An id from this node's range that it has not issued yet is stray.
+	if err := b.Send(&wire.Msg{Kind: wire.KAck, To: 0, Req: uint64(0+1)<<reqSeqBits | 1<<30}); err != nil {
+		t.Fatal(err)
+	}
+	for a.StrayReplies() == 0 {
+		if time.Now().After(deadline.Add(time.Second)) {
+			t.Fatal("unissued id not counted stray")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -214,4 +313,222 @@ func TestPendingCallsDump(t *testing.T) {
 	if got := a.DumpPending(); !strings.Contains(got, "no pending") {
 		t.Fatalf("dump after completion = %q", got)
 	}
+}
+
+// constLatency is a switchable one-way latency for simnet.
+type constLatency struct{ ns atomic.Int64 }
+
+func (l *constLatency) set(d time.Duration) { l.ns.Store(int64(d)) }
+func (l *constLatency) model() simnet.Latency {
+	return func(_, _ simnet.NodeID, _ int) time.Duration { return time.Duration(l.ns.Load()) }
+}
+
+// TestRetransmitAtRTTScale: on a 4ms round trip with 20% loss and the
+// default policy (AttemptTimeout 50ms), once the peer's round trip is
+// known a lost request is retransmitted after a few milliseconds, not
+// fifty; and a call that was retransmitted gives the estimator no
+// sample (Karn's rule).
+func TestRetransmitAtRTTScale(t *testing.T) {
+	var lat constLatency
+	lat.set(2 * ms)
+	a, b := reliablePairOn(t, simnet.Config{Latency: lat.model(), Faults: &simnet.FaultPlan{DropProb: 0.2}}, RetryPolicy{})
+	var started [200]atomic.Int64 // call start, UnixNano, by Arg
+	var mu sync.Mutex
+	var retx []time.Duration // call start -> arrival of a first copy that is a retransmission
+	b.Handle(wire.KDiffReq, func(m *wire.Msg) {
+		if m.Attempt == 1 { // attempt 0 was dropped: this is its retransmission
+			d := time.Duration(time.Now().UnixNano() - started[m.Arg].Load())
+			mu.Lock()
+			retx = append(retx, d)
+			mu.Unlock()
+		}
+		_ = b.Reply(m, &wire.Msg{Kind: wire.KDiffReply})
+	})
+	call := func(i int) {
+		started[i].Store(time.Now().UnixNano())
+		if _, err := a.Call(&wire.Msg{Kind: wire.KDiffReq, To: 1, Arg: uint64(i)}); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	const warm = 40
+	for i := 0; i < warm; i++ {
+		call(i)
+	}
+	// (RTO is not checked here: if the last warm-up call was retransmitted
+	// it holds that call's backed-off wait until the next sample.)
+	if e := a.PeerRTTs()[1]; e.SRTT < 4*ms || e.SRTT > 12*ms {
+		t.Fatalf("after warm-up: %+v, want srtt near the 4ms round trip", e)
+	}
+	mu.Lock()
+	retx = retx[:0]
+	mu.Unlock()
+	karn := 0
+	for i := warm; i < len(started); i++ {
+		before, retries := a.PeerRTTs()[1], a.Stats().Retries.Load()
+		call(i)
+		if a.Stats().Retries.Load() > retries {
+			karn++
+			if after := a.PeerRTTs()[1]; after.SRTT != before.SRTT || after.RTTVar != before.RTTVar {
+				t.Fatalf("call %d was retransmitted yet moved the estimate: %+v -> %+v", i, before, after)
+			}
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if karn < 20 || len(retx) < 10 {
+		t.Fatalf("only %d retransmitted calls, %d lost first copies: scenario broken", karn, len(retx))
+	}
+	sort.Slice(retx, func(i, j int) bool { return retx[i] < retx[j] })
+	// start -> arrival includes the 2ms flight of the retransmission.
+	if med := retx[len(retx)/2] - 2*ms; med >= 15*ms {
+		t.Fatalf("median retransmission came %v after the call started, want < 15ms (retx %v)", med, retx)
+	}
+}
+
+// TestNoSpuriousRetransmit: without loss the estimator must not invent
+// retransmissions — not on a steady 10ms round trip (well above the
+// floor), and no more than a handful when the round trip jumps tenfold.
+// "Not" is a rate, because the host is not quiet: one call in a few
+// hundred takes 4-90ms longer than its neighbours here whatever the
+// timeout policy (scheduling hiccups; measured 1-23 per 2000 calls),
+// and each of those is legitimately retransmitted once. A timeout
+// that undercuts the round trip fails this test by an order of
+// magnitude: srtt + 4*rttvar under the +/-25% jitter, without the 4/3,
+// retransmitted 754 of 2010 calls.
+func TestNoSpuriousRetransmit(t *testing.T) {
+	var lat constLatency
+	lat.set(5 * ms)
+	a, _ := reliablePairOn(t, simnet.Config{Latency: lat.model()}, RetryPolicy{})
+	calls := func(workers, each int) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					if _, err := a.Call(&wire.Msg{Kind: wire.KPageReq, To: 1}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	calls(1, 10) // learn the round trip before going wide
+	calls(10, 200)
+	if got := a.Stats().Retries.Load(); got > 60 {
+		t.Fatalf("%d retransmissions in 2010 loss-free calls on a steady 10ms round trip, want <= 60 (3%%) (%+v)", got, a.PeerRTTs()[1])
+	}
+	lat.set(1 * ms)
+	calls(1, 100)
+	base := a.Stats().Retries.Load()
+	lat.set(10 * ms)
+	calls(1, 100)
+	// The first call after the jump retransmits while its wait doubles
+	// from ~4.5ms past 20ms (3 copies) and leaves the backed-off wait
+	// with the estimator; the next call starts from it, its jitter may
+	// still undercut 20ms once, and its reply is then a valid sample:
+	// srtt + 4*rttvar covers the new round trip from there on. Without
+	// the kept back-off no call after the jump would ever yield a
+	// sample, and all 100 would be retransmitted (measured: 200).
+	const bound = 12 // 5 by the argument above, the rest is host noise
+	if got := a.Stats().Retries.Load() - base; got > bound {
+		t.Fatalf("%d retransmissions after the round trip went 2ms -> 20ms, want <= %d (%+v)", got, bound, a.PeerRTTs()[1])
+	}
+}
+
+// TestBlockingCallUsesButDoesNotTrain: a request whose reply waits 30ms
+// on the peer (a held lock) starts retransmitting at the peer's
+// timeout and backs off from there, every copy is suppressed as a
+// duplicate, and the 30ms reply is not taken for a round trip.
+func TestBlockingCallUsesButDoesNotTrain(t *testing.T) {
+	a, b := reliablePair(t, nil, RetryPolicy{})
+	a.HandleBlocking(wire.KLockReq, func(*wire.Msg) {}) // the caller consults its own table
+	b.HandleBlocking(wire.KLockReq, func(m *wire.Msg) {
+		time.Sleep(30 * ms)
+		_ = b.Reply(m, &wire.Msg{Kind: wire.KLockGrant})
+	})
+	for i := 0; i < 20; i++ {
+		if _, err := a.Call(&wire.Msg{Kind: wire.KPageReq, To: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := a.PeerRTTs()[1]
+	if before.RTO < rtoFloor || before.RTO > 2*rtoFloor {
+		t.Fatalf("rto on the zero-latency simulator = %v, want within 2x of the floor", before.RTO)
+	}
+	if _, err := a.Call(&wire.Msg{Kind: wire.KLockReq, To: 1}); err != nil {
+		t.Fatal(err)
+	}
+	retries := a.Stats().Retries.Load()
+	// Waits of 1.35, 2.7, 5.4, 10.8, 21.6ms (each +/-25%) span the 30ms hold.
+	if retries < 2 || retries > 6 {
+		t.Fatalf("%d retransmissions over a 30ms hold, want 2..6 (backoff from the floor)", retries)
+	}
+	deadline := time.Now().Add(time.Second)
+	for b.Stats().DupRequests.Load() < retries && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond) // the last copy may still be in flight
+	}
+	if dups := b.Stats().DupRequests.Load(); dups != retries || b.Stats().CachedReplies.Load() > retries {
+		t.Fatalf("retransmissions %d, suppressed as duplicates %d", retries, dups)
+	}
+	if after := a.PeerRTTs()[1]; after != before {
+		t.Fatalf("the blocked call moved the estimate: %+v -> %+v", before, after)
+	}
+}
+
+// TestZeroAllocReliableCall: what the estimator adds to a reliable
+// call — the timeout-and-jitter draw before the wait and the sample
+// after the reply, exactly the two sections retryLoop runs — allocates
+// nothing.
+func TestZeroAllocReliableCall(t *testing.T) {
+	old := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(old) })
+	a, _ := reliablePair(t, nil, RetryPolicy{})
+	m := &wire.Msg{Kind: wire.KPageReq, To: 1}
+	var sink time.Duration
+	if n := testing.AllocsPerRun(1000, func() {
+		base, w := a.attemptWait(m, 0, 0)
+		_, w2 := a.attemptWait(m, 1, base)
+		a.observeRTT(1, 20*time.Microsecond)
+		sink += w + w2
+	}); n != 0 {
+		t.Fatalf("estimator bookkeeping allocates %.1f objects per call, want 0", n)
+	}
+}
+
+// TestPendingCallSaysWhy: a stuck reliable call's dump names how many
+// times it was retransmitted and the peer's current timeout.
+func TestPendingCallSaysWhy(t *testing.T) {
+	a, b := reliablePair(t, nil, RetryPolicy{AttemptTimeout: 5 * ms, BackoffCap: 10 * ms})
+	stuck := make(chan struct{})
+	b.Handle(wire.KDiffReq, func(m *wire.Msg) {
+		<-stuck
+		_ = b.Reply(m, &wire.Msg{Kind: wire.KDiffReply})
+	})
+	done := make(chan struct{})
+	go func() {
+		_, _ = a.CallT(&wire.Msg{Kind: wire.KDiffReq, To: 1}, 10*time.Second)
+		close(done)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if pc := a.PendingCalls(); len(pc) == 1 && pc[0].Attempt >= 3 {
+			if pc[0].RTO != 5*ms {
+				t.Fatalf("pending call rto = %v, want AttemptTimeout (no sample yet)", pc[0].RTO)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("call never reached attempt 3: %s", a.DumpPending())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if dump := a.DumpPending(); !strings.Contains(dump, " attempt=") || !strings.Contains(dump, " rto=5ms]") {
+		t.Fatalf("dump = %q", dump)
+	}
+	close(stuck)
+	<-done
 }

@@ -83,6 +83,7 @@ type Runtime struct {
 	hooked   bool
 	handlers []func(*wire.Msg)
 	inline   []bool // kinds handled on the dispatch goroutine itself
+	blocking []bool // kinds whose reply waits on other nodes (HandleBlocking)
 
 	pendMu  sync.Mutex
 	pending map[uint64]*pendingCall
@@ -96,12 +97,12 @@ type Runtime struct {
 
 	// Reliability layer (inactive — and pay-for-what-you-use free —
 	// unless EnableReliability was called).
-	reliable  bool
-	retry     RetryPolicy
-	retryMu   sync.Mutex
-	retryRng  uint64
-	dedup     *dedupTable
-	completed *completedRing
+	reliable bool
+	retry    RetryPolicy
+	retryMu  sync.Mutex     // guards retryRng and rtt
+	retryRng uint64         // jitter stream, one seeded sequence per node
+	rtt      []rttEstimator // per destination
+	dedup    *dedupTable
 
 	// Batching layer (inactive unless EnableBatching was called).
 	batcher *batcher
@@ -124,27 +125,37 @@ type Runtime struct {
 // pendingCall is one outstanding request awaiting its reply, with
 // enough metadata for the watchdog's in-flight dump.
 type pendingCall struct {
-	ch    chan *wire.Msg
-	kind  wire.Kind
-	to    transport.NodeID
-	since time.Time
+	ch      chan *wire.Msg
+	kind    wire.Kind
+	to      transport.NodeID
+	since   time.Time
+	attempt atomic.Int32 // retransmissions so far (retryLoop)
 }
 
 // PendingCall describes one in-flight request, for diagnostics.
+// Attempt counts retransmissions so far; RTO is the destination's
+// current first-attempt reply wait (zero with reliability off and for
+// tokens) — together they say whether a slow call is waiting on the
+// network or on the peer.
 type PendingCall struct {
-	Req   uint64
-	Kind  wire.Kind
-	To    transport.NodeID
-	Since time.Time
+	Req     uint64
+	Kind    wire.Kind
+	To      transport.NodeID
+	Since   time.Time
+	Attempt int
+	RTO     time.Duration
 }
 
 // RetryPolicy tunes CallT's retransmission behaviour once
-// EnableReliability is active. The per-attempt reply wait starts at
-// AttemptTimeout and doubles per retry up to BackoffCap, with a
+// EnableReliability is active. The first reply wait follows the
+// destination's measured round trip (rtt.go): srtt + 4*rttvar with a
+// margin, no shorter than 1ms and no longer than AttemptTimeout, and
+// AttemptTimeout itself until the peer has answered a first
+// transmission. The wait doubles per retry up to BackoffCap, with a
 // deterministic +/-25% jitter; MaxAttempts bounds transmissions.
 type RetryPolicy struct {
 	MaxAttempts    int           // total transmissions per call (default 64)
-	AttemptTimeout time.Duration // first attempt's reply wait (default 50ms)
+	AttemptTimeout time.Duration // first reply wait before the peer's RTT is known, and its ceiling afterwards (default 50ms)
 	BackoffCap     time.Duration // upper bound on per-attempt wait (default 1s)
 }
 
@@ -172,10 +183,10 @@ func New(id transport.NodeID, n int, ep transport.Endpoint, tbl *mem.Table, st *
 		st:          st,
 		handlers:    make([]func(*wire.Msg), wire.NumKinds()),
 		inline:      make([]bool, wire.NumKinds()),
+		blocking:    make([]bool, wire.NumKinds()),
 		pending:     make(map[uint64]*pendingCall),
 		callTimeout: 30 * time.Second,
 		done:        make(chan struct{}),
-		completed:   newCompletedRing(0),
 	}
 }
 
@@ -194,6 +205,7 @@ func (r *Runtime) EnableReliability(p RetryPolicy, seed int64) {
 	r.reliable = true
 	r.retry = p.withDefaults()
 	r.retryRng = uint64(seed)*0x9e3779b97f4a7c15 + uint64(r.id)*2654435761 + 1
+	r.rtt = make([]rttEstimator, r.n)
 	r.dedup = newDedupTable(0)
 	r.Handle(wire.KConfirm, r.handleConfirm)
 }
@@ -207,16 +219,20 @@ func (r *Runtime) Reliable() bool { return r.reliable }
 // an already-released or timed-out token just acks.
 func (r *Runtime) handleConfirm(m *wire.Msg) {
 	tok := m.Arg
-	r.pendMu.Lock()
-	pc, ok := r.pending[tok]
-	if ok {
-		delete(r.pending, tok)
-	}
-	r.pendMu.Unlock()
-	if ok {
+	if pc := r.takePending(tok); pc != nil {
 		pc.ch <- &wire.Msg{Kind: wire.KAck, From: m.From, To: r.id, Req: tok}
 	}
 	_ = r.Ack(m)
+}
+
+// takePending removes and returns the reply slot of req, nil if there
+// is none (the call completed or gave up, or never existed).
+func (r *Runtime) takePending(req uint64) *pendingCall {
+	r.pendMu.Lock()
+	pc := r.pending[req]
+	delete(r.pending, req)
+	r.pendMu.Unlock()
+	return pc
 }
 
 // ID returns this node's id.
@@ -296,6 +312,16 @@ func (r *Runtime) HandleInline(k wire.Kind, fn func(*wire.Msg)) {
 	r.inline[k] = true
 }
 
+// HandleBlocking installs fn like Handle and marks k as a kind whose
+// reply waits on other nodes' actions — a lock's holder, a barrier's
+// last arrival, an event's setter. Calls of such a kind are timed by
+// the destination's round-trip estimate but never train it: their
+// reply time is queue wait, not network time.
+func (r *Runtime) HandleBlocking(k wire.Kind, fn func(*wire.Msg)) {
+	r.Handle(k, fn)
+	r.blocking[k] = true
+}
+
 // Start launches the dispatch loop.
 func (r *Runtime) Start() {
 	r.dispatchWG.Add(1)
@@ -343,19 +369,9 @@ func (r *Runtime) deliver(m *wire.Msg) {
 		r.emitMsg(trace.EvRecv, m.From, m)
 	}
 	if m.Kind.IsReply() {
-		r.pendMu.Lock()
-		pc, ok := r.pending[m.Req]
-		if ok {
-			delete(r.pending, m.Req)
-		}
-		r.pendMu.Unlock()
-		if ok {
-			// Record completion here, on the dispatch goroutine,
-			// so a duplicate of this reply arriving next is
-			// already classifiable as a late duplicate.
-			r.completed.add(m.Req)
+		if pc := r.takePending(m.Req); pc != nil {
 			pc.ch <- m // buffered, never blocks
-		} else if r.completed.has(m.Req) {
+		} else if r.issued(m.Req) {
 			r.st.LateReplies.Add(1)
 		} else {
 			r.st.StrayReplies.Add(1)
@@ -430,9 +446,16 @@ func (r *Runtime) PendingCalls() []PendingCall {
 	r.pendMu.Lock()
 	out := make([]PendingCall, 0, len(r.pending))
 	for req, pc := range r.pending {
-		out = append(out, PendingCall{Req: req, Kind: pc.kind, To: pc.to, Since: pc.since})
+		out = append(out, PendingCall{Req: req, Kind: pc.kind, To: pc.to, Since: pc.since, Attempt: int(pc.attempt.Load())})
 	}
 	r.pendMu.Unlock()
+	if rtts := r.PeerRTTs(); rtts != nil {
+		for i := range out {
+			if to := out[i].To; to >= 0 {
+				out[i].RTO = rtts[to].RTO
+			}
+		}
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Since.Before(out[j].Since) })
 	return out
 }
@@ -446,41 +469,54 @@ func (r *Runtime) DumpPending() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "node %d: %d pending:", r.id, len(calls))
 	for _, c := range calls {
-		if c.To < 0 {
-			fmt.Fprintf(&b, " [token %x age=%v]", c.Req, time.Since(c.Since).Round(time.Millisecond))
-		} else {
-			fmt.Fprintf(&b, " [%v to %d req=%x age=%v]", c.Kind, c.To, c.Req, time.Since(c.Since).Round(time.Millisecond))
+		age := time.Since(c.Since).Round(time.Millisecond)
+		switch {
+		case c.To < 0:
+			fmt.Fprintf(&b, " [token %x age=%v]", c.Req, age)
+		case c.RTO > 0:
+			fmt.Fprintf(&b, " [%v to %d req=%x age=%v attempt=%d rto=%v]", c.Kind, c.To, c.Req, age, c.Attempt, c.RTO.Round(time.Microsecond))
+		default:
+			fmt.Fprintf(&b, " [%v to %d req=%x age=%v]", c.Kind, c.To, c.Req, age)
 		}
 	}
 	return b.String()
 }
 
-// NewReq allocates a globally unique request id.
+// NewReq allocates a globally unique request id: the node in the high
+// bits, a per-node sequence number below.
 func (r *Runtime) NewReq() uint64 {
 	r.pendMu.Lock()
 	r.reqSeq++
-	id := uint64(r.id+1)<<40 | r.reqSeq
+	id := uint64(r.id+1)<<reqSeqBits | r.reqSeq
 	r.pendMu.Unlock()
 	return id
 }
 
-// register creates the reply slot for req.
-func (r *Runtime) register(req uint64, kind wire.Kind, to transport.NodeID) chan *wire.Msg {
-	ch := make(chan *wire.Msg, 1)
+const reqSeqBits = 40
+
+// issued reports whether req is an id this node has handed out. A
+// reply carrying such an id with no call waiting for it is late — its
+// call completed or gave up, expected under retransmission — while
+// any other unmatched reply is a stray, a protocol bug. Exact at any
+// call rate and any lateness, with nothing to remember or evict.
+func (r *Runtime) issued(req uint64) bool {
 	r.pendMu.Lock()
-	r.pending[req] = &pendingCall{ch: ch, kind: kind, to: to, since: time.Now()}
+	defer r.pendMu.Unlock()
+	return req>>reqSeqBits == uint64(r.id+1) && req&(1<<reqSeqBits-1) <= r.reqSeq
+}
+
+// register creates the reply slot for req.
+func (r *Runtime) register(req uint64, kind wire.Kind, to transport.NodeID) *pendingCall {
+	pc := &pendingCall{ch: make(chan *wire.Msg, 1), kind: kind, to: to, since: time.Now()}
+	r.pendMu.Lock()
+	r.pending[req] = pc
 	r.pendMu.Unlock()
-	return ch
+	return pc
 }
 
 // unregister abandons a pending call; replies that turn up later are
-// classified as late duplicates rather than strays.
-func (r *Runtime) unregister(req uint64) {
-	r.pendMu.Lock()
-	delete(r.pending, req)
-	r.pendMu.Unlock()
-	r.completed.add(req)
-}
+// classified as late (issued) rather than stray.
+func (r *Runtime) unregister(req uint64) { r.takePending(req) }
 
 // Send stamps the message with this node as origin and transmits it.
 // Under reliability, outgoing replies are recorded in the dedup
@@ -595,12 +631,12 @@ func (r *Runtime) callT(m *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
 		return r.callRetry(m, timeout)
 	}
 	m.Req = r.NewReq()
-	ch := r.register(m.Req, m.Kind, m.To)
+	pc := r.register(m.Req, m.Kind, m.To)
 	if err := r.Send(m); err != nil {
 		r.unregister(m.Req)
 		return nil, err
 	}
-	return r.awaitReply(m, ch, timeout)
+	return r.awaitReply(m, pc.ch, timeout)
 }
 
 // awaitReply waits out a single-transmission call.
@@ -638,12 +674,12 @@ func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 		}
 		return []*wire.Msg{reply}, nil
 	}
-	chs := make([]chan *wire.Msg, len(msgs))
+	pcs := make([]*pendingCall, len(msgs))
 	for i, m := range msgs {
 		m.From = r.id
 		m.Attempt = 0
 		m.Req = r.NewReq()
-		chs[i] = r.register(m.Req, m.Kind, m.To)
+		pcs[i] = r.register(m.Req, m.Kind, m.To)
 	}
 	// First transmission: group remote same-destination requests into
 	// one frame each. Reply slots are already registered, so a reply
@@ -689,7 +725,7 @@ func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 		go func(i int, m *wire.Msg) {
 			defer wg.Done()
 			if r.reliable {
-				replies[i], errs[i] = r.retryLoop(m, chs[i], r.callTimeout, preSent[i])
+				replies[i], errs[i] = r.retryLoop(m, pcs[i], r.callTimeout, preSent[i])
 			} else {
 				if !preSent[i] {
 					if err := r.Send(m); err != nil {
@@ -698,7 +734,7 @@ func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 						return
 					}
 				}
-				replies[i], errs[i] = r.awaitReply(m, chs[i], r.callTimeout)
+				replies[i], errs[i] = r.awaitReply(m, pcs[i].ch, r.callTimeout)
 			}
 			if errs[i] == nil && !start.IsZero() {
 				r.st.Lat.RPC.Observe(time.Since(start).Nanoseconds())
@@ -725,19 +761,23 @@ func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 // suppressed as duplicates in the meantime).
 func (r *Runtime) callRetry(m *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
 	m.Req = r.NewReq()
-	ch := r.register(m.Req, m.Kind, m.To)
-	return r.retryLoop(m, ch, timeout, false)
+	return r.retryLoop(m, r.register(m.Req, m.Kind, m.To), timeout, false)
 }
 
 // retryLoop runs the transmit/wait/retransmit cycle for an
 // already-registered reliable call. With preSent, the first
 // transmission already happened (as a member of a batch frame) and
-// the loop starts by waiting. One timer is reused across attempts; it
-// needs no draining because the loop only comes around after the
-// timer has fired.
-func (r *Runtime) retryLoop(m *wire.Msg, ch chan *wire.Msg, timeout time.Duration, preSent bool) (*wire.Msg, error) {
-	deadline := time.Now().Add(timeout)
-	wait := r.retry.AttemptTimeout
+// the loop starts by waiting. The first wait is the destination's
+// retransmission timeout (rtt.go); a reply to the first transmission
+// is that estimator's next sample — a reply after a retransmission is
+// not (Karn's rule: it could answer either copy), nor is the reply to
+// a blocking kind (queue wait, not network time). One timer is reused
+// across attempts; it needs no draining because the loop only comes
+// around after the timer has fired.
+func (r *Runtime) retryLoop(m *wire.Msg, pc *pendingCall, timeout time.Duration, preSent bool) (*wire.Msg, error) {
+	start := time.Now()
+	deadline := start.Add(timeout)
+	var wait time.Duration
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
@@ -750,11 +790,10 @@ func (r *Runtime) retryLoop(m *wire.Msg, ch chan *wire.Msg, timeout time.Duratio
 			// attempt's timer ran; give up here rather than pay for
 			// one more pointless retransmission and timer cycle.
 			if !time.Now().Before(deadline) {
-				r.unregister(m.Req)
-				return nil, fmt.Errorf("nodecore: node %d: %v to %d (page %d, lock %d) timed out after %v and %d attempts",
-					r.id, m.Kind, m.To, m.Page, m.Lock, timeout, attempt)
+				return nil, r.giveUp(m, timeout, attempt)
 			}
 			r.st.Retries.Add(1)
+			pc.attempt.Store(int32(attempt))
 		}
 		a := attempt
 		if a > 255 {
@@ -775,17 +814,13 @@ func (r *Runtime) retryLoop(m *wire.Msg, ch chan *wire.Msg, timeout time.Duratio
 			// Last transmission: wait out the rest of the deadline.
 			w = time.Until(deadline)
 		} else {
-			// Deterministic +/-25% jitter desynchronizes retry storms.
-			r.retryMu.Lock()
-			jit := time.Duration(int64(xorshift64(&r.retryRng) % uint64(wait/2+1)))
-			r.retryMu.Unlock()
-			w = wait - wait/4 + jit
+			wait, w = r.attemptWait(m, attempt, wait)
 			if rem := time.Until(deadline); w > rem {
 				w = rem
 			}
 		}
-		if w < time.Millisecond {
-			w = time.Millisecond
+		if w < rtoFloor {
+			w = rtoFloor
 		}
 		if timer == nil {
 			timer = time.NewTimer(w)
@@ -793,7 +828,10 @@ func (r *Runtime) retryLoop(m *wire.Msg, ch chan *wire.Msg, timeout time.Duratio
 			timer.Reset(w)
 		}
 		select {
-		case reply := <-ch:
+		case reply := <-pc.ch:
+			if attempt == 0 && !r.blocking[m.Kind] {
+				r.observeRTT(m.To, time.Since(start))
+			}
 			return reply, nil
 		case <-r.done:
 			r.unregister(m.Req)
@@ -801,15 +839,48 @@ func (r *Runtime) retryLoop(m *wire.Msg, ch chan *wire.Msg, timeout time.Duratio
 		case <-timer.C:
 		}
 		if attempt+1 >= r.retry.MaxAttempts {
-			r.unregister(m.Req)
-			return nil, fmt.Errorf("nodecore: node %d: %v to %d (page %d, lock %d) timed out after %v and %d attempts",
-				r.id, m.Kind, m.To, m.Page, m.Lock, timeout, attempt+1)
-		}
-		wait *= 2
-		if wait > r.retry.BackoffCap {
-			wait = r.retry.BackoffCap
+			return nil, r.giveUp(m, timeout, attempt+1)
 		}
 	}
+}
+
+// attemptWait returns the base reply wait of this attempt and the
+// wait to sleep: the base with the node's deterministic +/-25% jitter,
+// which desynchronizes retry storms. Attempt 0 takes its base from the
+// destination's estimator; later attempts double the previous one up
+// to BackoffCap and leave it with the estimator for the next call —
+// unless the kind is blocking, whose timeouts say nothing about the
+// network. One critical section covers the estimator and the jitter
+// stream.
+func (r *Runtime) attemptWait(m *wire.Msg, attempt int, prev time.Duration) (base, w time.Duration) {
+	r.retryMu.Lock()
+	defer r.retryMu.Unlock()
+	e := &r.rtt[m.To]
+	if attempt == 0 {
+		base = e.rto(r.retry.AttemptTimeout)
+	} else {
+		base = min(2*prev, r.retry.BackoffCap)
+		if !r.blocking[m.Kind] {
+			e.backed = max(e.backed, base)
+		}
+	}
+	jit := time.Duration(xorshift64(&r.retryRng) % uint64(base/2+1))
+	return base, base - base/4 + jit
+}
+
+// observeRTT feeds one first-transmission round trip to the
+// destination's estimator.
+func (r *Runtime) observeRTT(to transport.NodeID, rtt time.Duration) {
+	r.retryMu.Lock()
+	r.rtt[to].sample(rtt)
+	r.retryMu.Unlock()
+}
+
+// giveUp abandons a reliable call whose deadline or attempts ran out.
+func (r *Runtime) giveUp(m *wire.Msg, timeout time.Duration, attempts int) error {
+	r.unregister(m.Req)
+	return fmt.Errorf("nodecore: node %d: %v to %d (page %d, lock %d) timed out after %v and %d attempts",
+		r.id, m.Kind, m.To, m.Page, m.Lock, timeout, attempts)
 }
 
 func xorshift64(s *uint64) uint64 {
@@ -844,7 +915,7 @@ func (r *Runtime) Ack(req *wire.Msg) error {
 // requester-confirmation step that ends page transactions.
 func (r *Runtime) NewToken() (uint64, chan *wire.Msg) {
 	tok := r.NewReq()
-	return tok, r.register(tok, wire.KAck, -1)
+	return tok, r.register(tok, wire.KAck, -1).ch
 }
 
 // AwaitToken blocks until the token is released or timeout.

@@ -12,8 +12,8 @@
 // a nil *Tracer and returns immediately, so instrumentation sites
 // guard with one nil check and the disabled hot path performs zero
 // allocations and zero atomic traffic (enforced by alloc_test.go).
-// When enabled, Emit is lock-light (one short mutex section for the
-// vector clock, one atomic fetch-add for the slot index) and
+// When enabled, Emit is one short mutex section (vector-clock tick and
+// slot write together, so ring order is clock order) and
 // allocation-free; a full ring overwrites oldest events and counts
 // them as dropped rather than blocking or growing.
 package trace
@@ -243,20 +243,11 @@ type Tracer struct {
 	epoch     time.Time // monotonic base for Event.TS
 	epochUnix int64     // wall-clock UnixNano of epoch, for cross-node alignment
 	mask      uint64
-	next      atomic.Uint64
-	slots     []slot
+	next      atomic.Uint64 // events ever emitted; written under mu
 
-	mu sync.Mutex
-	vc vclock.VC
-}
-
-// slot pairs an event with a commit word: a reader observing
-// commit == index+1 before and after copying the event knows the copy
-// is untorn; any other value means the slot was mid-write or already
-// overwritten by a lap of the ring.
-type slot struct {
-	commit atomic.Uint64
-	ev     Event
+	mu    sync.Mutex // guards vc and slots
+	vc    vclock.VC
+	slots []Event
 }
 
 // New builds a tracer for node of an n-node cluster. capacity is the
@@ -275,7 +266,7 @@ func New(node int32, n, capacity int) *Tracer {
 		epoch:     time.Now(),
 		epochUnix: time.Now().UnixNano(),
 		mask:      uint64(c - 1),
-		slots:     make([]slot, c),
+		slots:     make([]Event, c),
 		vc:        vclock.New(n),
 	}
 }
@@ -301,15 +292,10 @@ func (t *Tracer) Emit(typ Type, peer int32, req uint64, page, lock int32, arg ui
 		return
 	}
 	ts := time.Since(t.epoch).Nanoseconds()
-	var vc [ClockWidth]uint32
 	t.mu.Lock()
 	t.vc.Tick(int(t.node))
-	copy(vc[:], t.vc)
-	t.mu.Unlock()
-	idx := t.next.Add(1) - 1
-	s := &t.slots[idx&t.mask]
-	s.commit.Store(0) // mark in-progress so concurrent readers skip a torn copy
-	s.ev = Event{
+	s := &t.slots[t.next.Load()&t.mask]
+	*s = Event{
 		TS:   ts,
 		Dur:  int64(dur),
 		Req:  req,
@@ -319,9 +305,10 @@ func (t *Tracer) Emit(typ Type, peer int32, req uint64, page, lock int32, arg ui
 		Page: page,
 		Lock: lock,
 		Type: typ,
-		VC:   vc,
 	}
-	s.commit.Store(idx + 1)
+	copy(s.VC[:], t.vc)
+	t.next.Add(1)
+	t.mu.Unlock()
 }
 
 // MergeClock folds a protocol-level vector clock (e.g. the clock a
@@ -373,12 +360,14 @@ func (t *Tracer) Len() int {
 	return int(n)
 }
 
-// Events returns the retained events, oldest first. Events being
-// written or overwritten concurrently are skipped, not torn.
+// Events returns the retained events, oldest first, copied under the
+// emit lock: a consistent snapshot, never a torn event.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	n := t.next.Load()
 	start := uint64(0)
 	if c := uint64(len(t.slots)); n > c {
@@ -386,15 +375,7 @@ func (t *Tracer) Events() []Event {
 	}
 	out := make([]Event, 0, n-start)
 	for i := start; i < n; i++ {
-		s := &t.slots[i&t.mask]
-		if s.commit.Load() != i+1 {
-			continue
-		}
-		ev := s.ev
-		if s.commit.Load() != i+1 {
-			continue
-		}
-		out = append(out, ev)
+		out = append(out, t.slots[i&t.mask])
 	}
 	return out
 }
