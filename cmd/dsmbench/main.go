@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e2..e11) or all")
+	exp := flag.String("exp", "all", "experiment id (e2..e16) or all")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 

@@ -14,6 +14,7 @@
 //	dsmrun -transport tcp -nodes 3 -app sor -debug-addr 127.0.0.1:0
 //	dsmrun -app kvstore -qps 2000 -sample                 # metrics sampler + windowed summary
 //	dsmrun -transport tcp -nodes 3 -app kvstore -watch    # live per-node dashboard over the demo
+//	dsmrun -watch 127.0.0.1:7070 127.0.0.1:7071          # full-screen dashboard over running nodes' debug endpoints
 //	dsmrun -app sor -chaos -flight-dir /tmp/flight        # stall evidence bundles (dsmtrace -flight)
 //	dsmrun -list
 //
@@ -82,45 +83,116 @@ func fatal(format string, args ...any) {
 	os.Exit(1)
 }
 
+// options holds the parsed command line.
+type options struct {
+	app, proto       string
+	nodes, page      int
+	latency, perByte time.Duration
+	advise, medium   bool
+	chaos            bool
+	seed             int64
+	transport        string
+	node             int
+	peers            string
+	listenFD         uint
+	traceFile        string
+	statsFmt         string
+	debugAddr        string
+	flightDir        string
+	sample, watch    bool
+	slo              time.Duration
+	qps              float64
+	mix              string
+	zipf             float64
+	keys, ops        int
+	list             bool
+}
+
+// validate rejects flag combinations that would otherwise be ignored
+// silently: each transport's knobs are refused on the other.
+func (o *options) validate() error {
+	if o.statsFmt != "table" && o.statsFmt != "json" {
+		return fmt.Errorf("-stats must be table or json, got %q", o.statsFmt)
+	}
+	switch o.transport {
+	case "sim":
+		if o.debugAddr != "" {
+			return fmt.Errorf("-debug-addr is for -transport tcp; the simulator exposes everything in-process")
+		}
+	case "tcp":
+		if o.chaos {
+			return fmt.Errorf("-chaos is simulator-only (a real network brings its own faults)")
+		}
+		if o.latency != 0 || o.perByte != 0 {
+			return fmt.Errorf("-latency/-perbyte model the simulator; the real network has real latency")
+		}
+		if o.advise {
+			return fmt.Errorf("-advise is simulator-only (each tcp process would classify only its own node's accesses)")
+		}
+	default:
+		return fmt.Errorf("unknown transport %q (sim or tcp)", o.transport)
+	}
+	return nil
+}
+
+// observe maps the observability flags onto the run's observers.
+func (o *options) observe() cluster.Observe {
+	return cluster.Observe{
+		Sample:          o.sample || o.watch,
+		TargetOpsPerSec: o.qps,
+		SLOTarget:       o.slo,
+		FlightDir:       o.flightDir,
+	}
+}
+
 func main() {
-	appName := flag.String("app", "sor", "workload (see -list)")
-	protoName := flag.String("proto", "lrc", "protocol (see -list)")
-	nodes := flag.Int("nodes", 4, "cluster size")
-	page := flag.Int("page", 1024, "page size in bytes")
-	latency := flag.Duration("latency", 0, "per-message network latency (simulator only)")
-	perByte := flag.Duration("perbyte", 0, "per-byte network cost (simulator only)")
-	advise := flag.Bool("advise", false, "classify per-page sharing patterns (Munin-style)")
-	medium := flag.Bool("medium", false, "use benchmark-scale workload sizes")
-	chaosOn := flag.Bool("chaos", false, "inject network faults (drops, duplicates, partitions, stalls; simulator only)")
-	seed := flag.Int64("seed", 1, "seed for jitter and fault injection")
-	transportName := flag.String("transport", "sim", "message transport: sim (in-process simulator) or tcp (one OS process per node)")
-	nodeID := flag.Int("node", -1, "with -transport tcp: this process's node id; -1 spawns the whole cluster on loopback")
-	peers := flag.String("peers", "", "with -transport tcp: comma-separated host:port of every node, in id order")
-	listenFD := flag.Uint("listen-fd", 0, "inherited listener file descriptor (set by the loopback demo for its children)")
-	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file (enables event tracing; tcp nodes write FILE.node<id>)")
-	statsFmt := flag.String("stats", "table", "stats output format: table or json")
-	debugAddr := flag.String("debug-addr", "", "with -transport tcp: serve the HTTP debug endpoint (stats, trace, histograms, pprof) on this address")
-	sample := flag.Bool("sample", false, "run the metrics sampler (time-series ring; adds /metrics and /metrics.json to the debug endpoint)")
-	flightDir := flag.String("flight-dir", "", "arm the flight recorder: dump a JSON bundle (samples, trace window, goroutines) here on a watchdog stall or abnormal exit")
-	watch := flag.Bool("watch", false, "render a refreshing per-node metrics dashboard during the run (implies -sample)")
-	slo := flag.Duration("slo", 10*time.Millisecond, "op-latency SLO target for the attainment gauge")
-	qps := flag.Float64("qps", 0, "with -app kvstore: per-node open-loop target rate (0 = unpaced closed loop)")
-	mixName := flag.String("mix", "", "with -app kvstore: op profile (read-heavy | write-heavy | mixed)")
-	zipf := flag.Float64("zipf", -1, "with -app kvstore: Zipfian skew theta in (0,1); 0 selects the uniform distribution")
-	keys := flag.Int("keys", 0, "with -app kvstore: key-space size (power of two; 0 = scale default)")
-	ops := flag.Int("ops", 0, "with -app kvstore: per-node operation count (0 = scale default)")
-	list := flag.Bool("list", false, "list workloads and protocols")
+	var o options
+	flag.StringVar(&o.app, "app", "sor", "workload (see -list)")
+	flag.StringVar(&o.proto, "proto", "lrc", "protocol (see -list)")
+	flag.IntVar(&o.nodes, "nodes", 4, "cluster size")
+	flag.IntVar(&o.page, "page", 1024, "page size in bytes")
+	flag.DurationVar(&o.latency, "latency", 0, "per-message network latency (simulator only)")
+	flag.DurationVar(&o.perByte, "perbyte", 0, "per-byte network cost (simulator only)")
+	flag.BoolVar(&o.advise, "advise", false, "classify per-page sharing patterns (Munin-style; simulator only)")
+	flag.BoolVar(&o.medium, "medium", false, "use benchmark-scale workload sizes")
+	flag.BoolVar(&o.chaos, "chaos", false, "inject network faults (drops, duplicates, partitions, stalls; simulator only)")
+	flag.Int64Var(&o.seed, "seed", 1, "seed for jitter and fault injection")
+	flag.StringVar(&o.transport, "transport", "sim", "message transport: sim (in-process simulator) or tcp (one OS process per node)")
+	flag.IntVar(&o.node, "node", -1, "with -transport tcp: this process's node id; -1 spawns the whole cluster on loopback")
+	flag.StringVar(&o.peers, "peers", "", "with -transport tcp: comma-separated host:port of every node, in id order")
+	flag.UintVar(&o.listenFD, "listen-fd", 0, "inherited listener file descriptor (set by the loopback demo for its children)")
+	flag.StringVar(&o.traceFile, "trace", "", "write a Chrome trace-event JSON file (enables event tracing; tcp nodes write FILE.node<id>)")
+	flag.StringVar(&o.statsFmt, "stats", "table", "stats output format: table or json")
+	flag.StringVar(&o.debugAddr, "debug-addr", "", "with -transport tcp: serve the HTTP debug endpoint (stats, trace, histograms, pprof) on this address")
+	flag.BoolVar(&o.sample, "sample", false, "run the metrics sampler (time-series ring; adds /metrics and /metrics.json to the debug endpoint)")
+	flag.StringVar(&o.flightDir, "flight-dir", "", "arm the flight recorder: dump a JSON bundle (samples, trace window, goroutines) here on a watchdog stall or abnormal exit")
+	flag.BoolVar(&o.watch, "watch", false, "render a refreshing per-node metrics dashboard during the run (implies -sample); with host:port arguments, watch those debug endpoints full-screen and run nothing")
+	flag.DurationVar(&o.slo, "slo", 10*time.Millisecond, "op-latency SLO target for the attainment gauge")
+	flag.Float64Var(&o.qps, "qps", 0, "with -app kvstore: per-node open-loop target rate (0 = unpaced closed loop)")
+	flag.StringVar(&o.mix, "mix", "", "with -app kvstore: op profile (read-heavy | write-heavy | mixed)")
+	flag.Float64Var(&o.zipf, "zipf", -1, "with -app kvstore: Zipfian skew theta in (0,1); 0 selects the uniform distribution")
+	flag.IntVar(&o.keys, "keys", 0, "with -app kvstore: key-space size (power of two; 0 = scale default)")
+	flag.IntVar(&o.ops, "ops", 0, "with -app kvstore: per-node operation count (0 = scale default)")
+	flag.BoolVar(&o.list, "list", false, "list workloads and protocols")
 	flag.Parse()
 
-	if *statsFmt != "table" && *statsFmt != "json" {
-		fatal("-stats must be table or json, got %q", *statsFmt)
+	if o.watch && flag.NArg() > 0 {
+		// Attach to a running cluster's debug endpoints; a node that
+		// stops answering renders as an error row.
+		if err := metrics.Watch(os.Stdout, flag.Args(), metrics.WatchOpts{ClearScreen: true}); err != nil {
+			fatal("%v", err)
+		}
+		return
+	}
+	if err := o.validate(); err != nil {
+		fatal("%v", err)
 	}
 
 	scale := apps.Small
-	if *medium {
+	if o.medium {
 		scale = apps.Medium
 	}
-	if *list {
+	if o.list {
 		fmt.Print("workloads: ")
 		for name := range workloads(scale) {
 			fmt.Printf("%s ", name)
@@ -132,14 +204,12 @@ func main() {
 		fmt.Println("\ntransports: sim tcp")
 		return
 	}
-	app, ok := workloads(scale)[*appName]
+	app, ok := workloads(scale)[o.app]
 	if !ok {
-		fatal("unknown app %q (try -list)", *appName)
+		fatal("unknown app %q (try -list)", o.app)
 	}
-	var kvs *kv.Store
-	if *appName == "kvstore" {
-		kvs = kvFromFlags(scale, *seed, *qps, *mixName, *zipf, *keys, *ops)
-		app = kvs
+	if o.app == "kvstore" {
+		app = kvFromFlags(scale, o.seed, o.qps, o.mix, o.zipf, o.keys, o.ops)
 	} else {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
@@ -148,51 +218,33 @@ func main() {
 			}
 		})
 	}
-	proto, ok := protocols()[*protoName]
+	proto, ok := protocols()[o.proto]
 	if !ok {
-		fatal("unknown protocol %q (try -list)", *protoName)
+		fatal("unknown protocol %q (try -list)", o.proto)
 	}
 	if (proto == core.EC || proto == core.ECDiff) && !app.LocksOnly() {
 		fatal("%s is not lock-only; entry consistency requires bound data", app.Name())
 	}
 
-	obs := obsOpts{
-		sample:    *sample || *watch,
-		flightDir: *flightDir,
-		watch:     *watch,
-		slo:       *slo,
-		qps:       *qps,
+	// What every run mode builds its cluster from. The serving workload
+	// always records op latencies: SLO quantiles are its whole point;
+	// the sampler wants them too.
+	cfg := core.Config{
+		Nodes:      o.nodes,
+		Protocol:   proto,
+		PageSize:   o.page,
+		HeapBytes:  1 << 22,
+		Seed:       o.seed,
+		EventTrace: o.traceFile != "" || o.app == "kvstore" || o.sample || o.watch,
 	}
-	switch *transportName {
-	case "sim":
-		if *debugAddr != "" {
-			fatal("-debug-addr is for -transport tcp; the simulator exposes everything in-process")
-		}
-		runSim(app, kvs, proto, *nodes, *page, *latency, *perByte, *advise, *chaosOn, *seed, *traceFile, *statsFmt, obs)
-	case "tcp":
-		if *chaosOn {
-			fatal("-chaos is simulator-only (a real network brings its own faults)")
-		}
-		if *latency != 0 || *perByte != 0 {
-			fatal("-latency/-perbyte model the simulator; the real network has real latency")
-		}
-		if *nodeID >= 0 {
-			runTCPNode(app, kvs, proto, *page, *advise, *seed, *nodeID, *peers, *listenFD, *traceFile, *statsFmt, *debugAddr, obs)
-		} else {
-			runTCPDemo(*nodes, *peers, obs)
-		}
+	switch {
+	case o.transport == "sim":
+		runSim(&o, cfg, app)
+	case o.node >= 0:
+		runTCPNode(&o, cfg, app)
 	default:
-		fatal("unknown transport %q (sim or tcp)", *transportName)
+		runTCPDemo(&o)
 	}
-}
-
-// obsOpts carries the observability flags into the run modes.
-type obsOpts struct {
-	sample    bool
-	flightDir string
-	watch     bool
-	slo       time.Duration
-	qps       float64
 }
 
 // kvFromFlags builds the kvstore app from the serving flags, starting
@@ -227,10 +279,15 @@ func kvFromFlags(scale apps.Scale, seed int64, qps float64, mixName string, zipf
 	return kv.New(p)
 }
 
-// servingReport renders the kvstore per-node open-loop summaries:
-// achieved rate against the target, and the backlog/late-op evidence
-// of whether the node kept up with the schedule.
-func servingReport(w io.Writer, kvs *kv.Store) {
+// servingReport renders, when the app is the kvstore, its per-node
+// open-loop summaries: achieved rate against the target, and the
+// backlog/late-op evidence of whether the node kept up with the
+// schedule.
+func servingReport(w io.Writer, app apps.App) {
+	kvs, ok := app.(*kv.Store)
+	if !ok {
+		return
+	}
 	reports := kvs.Reports()
 	if len(reports) == 0 {
 		return
@@ -277,12 +334,12 @@ func nodeEntry(id int, s stats.Snapshot) nodeJSON {
 	return n
 }
 
-func printJSON(w io.Writer, app apps.App, proto core.Protocol, nodes, page int, elapsed time.Duration, verdict string, snaps []stats.Snapshot, firstNode int) error {
+func printJSON(w io.Writer, app apps.App, cfg core.Config, elapsed time.Duration, verdict string, snaps []stats.Snapshot, firstNode int) error {
 	rep := reportJSON{
 		App:       app.Name(),
-		Protocol:  proto.String(),
-		Nodes:     nodes,
-		Page:      page,
+		Protocol:  cfg.Protocol.String(),
+		Nodes:     cfg.Nodes,
+		Page:      cfg.PageSize,
 		ElapsedMs: float64(elapsed.Microseconds()) / 1000,
 		Verify:    verdict,
 		Total:     nodeEntry(-1, stats.Sum(snaps)),
@@ -313,132 +370,49 @@ func writeChromeFile(path string, streams []trace.Stream) {
 
 // runSim is the classic mode: the whole cluster in this process over
 // the simulated network.
-func runSim(app apps.App, kvs *kv.Store, proto core.Protocol, nodes, page int, latency, perByte time.Duration, advise, chaosOn bool, seed int64, traceFile, statsFmt string, obs obsOpts) {
-	cfg := core.Config{
-		Nodes:     nodes,
-		Protocol:  proto,
-		PageSize:  page,
-		HeapBytes: 1 << 22,
-		Latency:   latency,
-		PerByte:   perByte,
-		Advise:    advise,
-		Seed:      seed,
-		// The serving workload always records op latencies: SLO
-		// quantiles are its whole point; the sampler wants them too.
-		EventTrace: traceFile != "" || kvs != nil || obs.sample,
+func runSim(o *options, cfg core.Config, app apps.App) {
+	cfg.Latency, cfg.PerByte, cfg.Advise = o.latency, o.perByte, o.advise
+	spec := cluster.Spec{Cfg: cfg, App: func() apps.App { return app }, Observe: o.observe()}
+	if o.chaos {
+		plan := chaos.DefaultPlan(o.nodes, o.seed)
+		spec.Chaos = &plan
 	}
-	var plan chaos.Plan
-	if chaosOn {
-		plan = chaos.DefaultPlan(nodes, seed)
-		faults := plan.Faults
-		cfg.Faults = &faults
-		cfg.Retry = chaos.Retry()
-		cfg.WatchdogTimeout = 30 * time.Second
+	if o.watch {
+		spec.Watch = os.Stderr
 	}
-	// Arm the flight recorder before the cluster exists so the
-	// watchdog hook lands in the Config (Dump is nil-safe until rec is
-	// filled in below).
-	var rec *metrics.Recorder
-	if obs.flightDir != "" {
-		cfg.OnStall = func(report string) { rec.Dump(report) }
-	}
-	c, err := core.NewCluster(cfg)
-	if err != nil {
-		fatal("%v", err)
-	}
-	defer c.Close()
-	var smp *metrics.Sampler
-	if obs.sample {
-		smp = metrics.Start(metrics.Config{
-			Node:   -1, // whole-cluster aggregate
-			Source: c.TotalStats,
-			// obs.qps is per node; the aggregate source drains nodes×qps.
-			TargetOpsPerSec: obs.qps * float64(nodes),
-			SLOTarget:       obs.slo,
-		})
-		defer smp.Stop()
-	}
-	if obs.flightDir != "" {
-		rec = &metrics.Recorder{
-			Dir:    obs.flightDir,
-			Node:   -1,
-			Digest: cfg.Digest(),
-			Meta: map[string]string{
-				"app":       app.Name(),
-				"protocol":  proto.String(),
-				"transport": "sim",
-			},
-			Sampler: smp,
-			Streams: c.TraceStreams,
-		}
-	}
-	stopWatch := make(chan struct{})
-	if obs.watch {
-		go func() {
-			tick := time.NewTicker(time.Second)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopWatch:
-					return
-				case <-tick.C:
-					metrics.RenderLocal(os.Stderr, smp.Window())
-				}
-			}
-		}()
-	}
-	if err := app.Setup(c); err != nil {
-		fatal("setup: %v", err)
-	}
-	var inj *chaos.Injector
-	if chaosOn {
-		inj = plan.Start(c)
-	}
-	start := time.Now()
-	err = c.Run(app.Run)
-	if inj != nil {
-		inj.Stop()
-	}
-	close(stopWatch)
-	if err != nil {
-		if path, derr := rec.Dump("run: " + err.Error()); derr == nil && path != "" {
-			fmt.Fprintf(os.Stderr, "dsmrun: flight bundle: %s (replay with dsmtrace -flight)\n", path)
-		}
-		fatal("run: %v", err)
-	}
-	elapsed := time.Since(start)
+	res, err := cluster.Run(spec)
 	verdict := "ok"
-	if err := app.Verify(c); err != nil {
-		verdict = err.Error()
+	if err != nil {
+		if res == nil {
+			fatal("%v", err)
+		}
+		verdict = err.Error() // ran to completion, result differs from the reference
 	}
-	if traceFile != "" {
-		writeChromeFile(traceFile, c.TraceStreams())
+	if o.traceFile != "" {
+		writeChromeFile(o.traceFile, res.Traces)
 	}
-	if statsFmt == "json" {
-		if err := printJSON(os.Stdout, app, proto, nodes, page, elapsed, verdict, c.Stats(), 0); err != nil {
+	if o.statsFmt == "json" {
+		if err := printJSON(os.Stdout, app, cfg, res.Elapsed, verdict, res.Nodes, 0); err != nil {
 			fatal("encode stats: %v", err)
 		}
 	} else {
 		fmt.Printf("app=%s protocol=%s nodes=%d page=%d elapsed=%v verify=%s\n",
-			app.Name(), proto, nodes, page, elapsed.Round(time.Microsecond), verdict)
-		fmt.Printf("transport=%s %v\n\n", c.TransportName(), c.TransportCounters())
-		fmt.Print(stats.PerNodeReport(c.Stats()))
-		if kvs != nil {
-			servingReport(os.Stdout, kvs)
-		}
-		if smp != nil {
-			smp.Stop()
+			app.Name(), cfg.Protocol, cfg.Nodes, cfg.PageSize, res.Elapsed.Round(time.Microsecond), verdict)
+		fmt.Printf("transport=sim %v\n\n", res.Net)
+		fmt.Print(stats.PerNodeReport(res.Nodes))
+		servingReport(os.Stdout, app)
+		for _, smp := range res.Samplers {
 			fmt.Printf("\nmetrics window (cluster aggregate):\n")
 			metrics.RenderLocal(os.Stdout, smp.Window())
-			if bad := smp.Reconcile(c.TotalStats()); len(bad) != 0 {
+			if bad := smp.Reconcile(res.Total()); len(bad) != 0 {
 				fmt.Printf("metrics reconcile mismatches: %v\n", bad)
 			}
 		}
-		if chaosOn {
-			fmt.Printf("\nfaults injected: %v\n", c.FaultStats())
+		if o.chaos {
+			fmt.Printf("\nfaults injected: %v\n", res.Faults)
 		}
-		if adv := c.Advisor(); adv != nil {
-			fmt.Printf("\nsharing-pattern classification (Munin-style):\n%s", adv.Report())
+		if res.Advisor != nil {
+			fmt.Printf("\nsharing-pattern classification (Munin-style):\n%s", res.Advisor.Report())
 		}
 	}
 	if verdict != "ok" {
@@ -447,31 +421,25 @@ func runSim(app apps.App, kvs *kv.Store, proto core.Protocol, nodes, page int, l
 }
 
 // runTCPNode hosts one node of a multi-process cluster.
-func runTCPNode(app apps.App, kvs *kv.Store, proto core.Protocol, page int, advise bool, seed int64, self int, peers string, listenFD uint, traceFile, statsFmt, debugAddr string, obs obsOpts) {
-	if peers == "" {
+func runTCPNode(o *options, cfg core.Config, app apps.App) {
+	self := o.node
+	if o.peers == "" {
 		fatal("-transport tcp -node %d needs -peers host:port,... for every node", self)
 	}
-	addrs := strings.Split(peers, ",")
+	addrs := strings.Split(o.peers, ",")
 	if self >= len(addrs) {
 		fatal("-node %d out of range: %d peers listed", self, len(addrs))
 	}
 	var ln net.Listener
-	if listenFD > 0 {
+	if o.listenFD > 0 {
 		var err error
-		if ln, err = cluster.FileListener(uintptr(listenFD), "dsmrun-listener"); err != nil {
+		if ln, err = cluster.FileListener(uintptr(o.listenFD), "dsmrun-listener"); err != nil {
 			fatal("inherited listener: %v", err)
 		}
 	}
-	cfg := core.Config{
-		Nodes:           len(addrs),
-		Protocol:        proto,
-		PageSize:        page,
-		HeapBytes:       1 << 22,
-		Advise:          advise,
-		Seed:            seed,
-		EventTrace:      traceFile != "" || debugAddr != "" || kvs != nil || obs.sample,
-		WatchdogTimeout: 30 * time.Second,
-	}
+	cfg.Nodes = len(addrs)
+	cfg.EventTrace = cfg.EventTrace || o.debugAddr != ""
+	cfg.WatchdogTimeout = 30 * time.Second
 	start := time.Now()
 	res, err := cluster.RunNode(cluster.NodeOpts{
 		Cfg:       cfg,
@@ -479,40 +447,34 @@ func runTCPNode(app apps.App, kvs *kv.Store, proto core.Protocol, page int, advi
 		Self:      self,
 		Addrs:     addrs,
 		Listener:  ln,
-		Verify:    self == 0, // node 0 checks against the sequential reference
-		DebugAddr: debugAddr,
+		DebugAddr: o.debugAddr,
 		OnDebug: func(addr string) {
 			fmt.Printf("node %d: debug endpoint http://%s\n", self, addr)
 		},
-		Sample:          obs.sample,
-		TargetOpsPerSec: obs.qps,
-		SLOTarget:       obs.slo,
-		FlightDir:       obs.flightDir,
+		Observe: o.observe(),
 	})
 	if err != nil {
 		fatal("node %d: %v", self, err)
 	}
-	if traceFile != "" && res.Trace != nil {
-		writeChromeFile(fmt.Sprintf("%s.node%d", traceFile, self), []trace.Stream{*res.Trace})
+	if o.traceFile != "" && len(res.Traces) > 0 {
+		writeChromeFile(fmt.Sprintf("%s.node%d", o.traceFile, self), res.Traces)
 	}
-	if statsFmt == "json" {
-		if err := printJSON(os.Stdout, app, proto, len(addrs), page, res.Elapsed, "ok", []stats.Snapshot{res.Stats}, self); err != nil {
+	if o.statsFmt == "json" {
+		if err := printJSON(os.Stdout, app, cfg, res.Elapsed, "ok", res.Nodes, self); err != nil {
 			fatal("encode stats: %v", err)
 		}
 		return
 	}
 	if self == 0 {
 		fmt.Printf("app=%s protocol=%s nodes=%d page=%d elapsed=%v verify=ok\n",
-			app.Name(), proto, len(addrs), page, res.Elapsed.Round(time.Microsecond))
+			app.Name(), cfg.Protocol, cfg.Nodes, cfg.PageSize, res.Elapsed.Round(time.Microsecond))
 		if res.HasChecksum {
 			fmt.Printf("checksum=%016x\n", res.Checksum)
 		}
 	}
 	fmt.Printf("node %d: transport=tcp %v total=%v\n", self, res.Net, time.Since(start).Round(time.Millisecond))
-	fmt.Print(stats.PerNodeReport([]stats.Snapshot{res.Stats}))
-	if kvs != nil {
-		servingReport(os.Stdout, kvs)
-	}
+	fmt.Print(stats.PerNodeReport(res.Nodes))
+	servingReport(os.Stdout, app)
 }
 
 // prefixWriter labels each child's output lines with its node id so
@@ -544,8 +506,9 @@ func (w *prefixWriter) Write(p []byte) (int, error) {
 // -watch it also reserves one debug port per child, passes it as that
 // child's -debug-addr, and polls every endpoint into a live dashboard
 // while the cluster runs.
-func runTCPDemo(nodes int, peers string, obs obsOpts) {
-	if peers != "" {
+func runTCPDemo(o *options) {
+	nodes := o.nodes
+	if o.peers != "" {
 		fatal("either -node i -peers ... (join a cluster) or neither (spawn one locally)")
 	}
 	exe, err := os.Executable()
@@ -565,7 +528,7 @@ func runTCPDemo(nodes int, peers string, obs obsOpts) {
 	// pass the exact address. (The tiny rebind window is fine for a
 	// demo; the DSM ports themselves use inherited fds.)
 	var debugAddrs []string
-	if obs.watch {
+	if o.watch {
 		for i := 0; i < nodes; i++ {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -588,7 +551,7 @@ func runTCPDemo(nodes int, peers string, obs obsOpts) {
 			"-node", strconv.Itoa(i),
 			"-peers", strings.Join(addrs, ","),
 			"-listen-fd", "3")
-		if obs.watch {
+		if o.watch {
 			// Appended last so it wins over any user-supplied :0 value.
 			childArgs = append(childArgs, "-debug-addr", debugAddrs[i], "-sample")
 		}
@@ -606,12 +569,12 @@ func runTCPDemo(nodes int, peers string, obs obsOpts) {
 	}
 	stopWatch := make(chan struct{})
 	watchDone := make(chan struct{})
-	if obs.watch {
+	if o.watch {
 		go func() {
 			defer close(watchDone)
 			// Plain append mode: the dashboard interleaves with the
-			// children's prefixed output. cmd/dsmtop gives the
-			// full-screen view.
+			// children's prefixed output. `dsmrun -watch host:port ...`
+			// gives the full-screen view.
 			metrics.Watch(os.Stdout, debugAddrs, metrics.WatchOpts{Stop: stopWatch})
 		}()
 	}
@@ -622,7 +585,7 @@ func runTCPDemo(nodes int, peers string, obs obsOpts) {
 			failed = true
 		}
 	}
-	if obs.watch {
+	if o.watch {
 		close(stopWatch)
 		<-watchDone
 	}

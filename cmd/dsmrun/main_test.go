@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/kv"
 	"repro/internal/loadgen"
@@ -20,18 +22,13 @@ import (
 func TestStatsJSONShape(t *testing.T) {
 	s := kv.New(kv.Params{Keys: 64, Ops: 120, Dist: loadgen.Zipfian, Theta: 0.9, Mix: loadgen.Mixed, Seed: 7})
 	cfg := core.Config{Nodes: 2, Protocol: core.LRC, PageSize: 512, EventTrace: true}
-	c, err := core.NewCluster(cfg)
+	res, err := cluster.Run(cluster.Spec{Cfg: cfg, App: func() apps.App { return s }})
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	start := time.Now()
-	if err := apps.RunAndVerify(c, s); err != nil {
 		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
-	if err := printJSON(&buf, s, core.LRC, cfg.Nodes, cfg.PageSize, time.Since(start), "ok", c.Stats(), 0); err != nil {
+	if err := printJSON(&buf, s, cfg, res.Elapsed, "ok", res.Nodes, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -115,5 +112,37 @@ func TestKVFromFlags(t *testing.T) {
 	def := kv.NewMedium().Params()
 	if p.Dist != loadgen.Uniform || p.Keys != def.Keys || p.Ops != def.Ops || p.Mix != def.Mix {
 		t.Fatalf("defaults wrong: %+v (medium base %+v)", p, def)
+	}
+}
+
+// TestValidateFlags pins the transport/flag checks: a knob that only
+// one transport honours is refused on the other instead of being
+// silently ignored (-transport tcp -advise used to change the
+// handshake digest and print nothing).
+func TestValidateFlags(t *testing.T) {
+	cases := []struct {
+		name string
+		o    options
+		want string // substring of the error; "" = accepted
+	}{
+		{"sim defaults", options{transport: "sim", statsFmt: "table"}, ""},
+		{"sim chaos advise latency", options{transport: "sim", statsFmt: "json", chaos: true, advise: true, latency: time.Millisecond}, ""},
+		{"tcp defaults", options{transport: "tcp", statsFmt: "table", debugAddr: "127.0.0.1:0"}, ""},
+		{"sim debug-addr", options{transport: "sim", statsFmt: "table", debugAddr: "127.0.0.1:0"}, "-debug-addr"},
+		{"tcp chaos", options{transport: "tcp", statsFmt: "table", chaos: true}, "-chaos"},
+		{"tcp latency", options{transport: "tcp", statsFmt: "table", latency: time.Millisecond}, "-latency"},
+		{"tcp perbyte", options{transport: "tcp", statsFmt: "table", perByte: time.Nanosecond}, "-latency/-perbyte"},
+		{"tcp advise", options{transport: "tcp", statsFmt: "table", advise: true}, "-advise"},
+		{"unknown transport", options{transport: "udp", statsFmt: "table"}, "unknown transport"},
+		{"bad stats format", options{transport: "sim", statsFmt: "xml"}, "-stats"},
+	}
+	for _, c := range cases {
+		err := c.o.validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }

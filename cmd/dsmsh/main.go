@@ -1,6 +1,6 @@
 // dsmsh is an interactive shell over a live DSM cluster — the
 // tutorial companion: issue reads, writes, locks, events and
-// barriers from chosen nodes, watch the protocol messages they
+// barriers from chosen nodes, watch the protocol events they
 // generate, and inspect page tables as protections change.
 //
 //	dsmsh -proto sc-dynamic -nodes 3
@@ -21,19 +21,18 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/stats"
-	"repro/internal/wire"
+	"repro/internal/trace"
 )
 
 type shell struct {
 	c       *core.Cluster
-	tracing atomic.Bool
-	mu      sync.Mutex
+	tracing bool
+	shown   int64 // unix ns: events up to here are printed already, or predate `trace on`
 	out     *os.File
 }
 
@@ -56,17 +55,11 @@ func main() {
 	}
 	sh := &shell{out: os.Stdout}
 	cluster, err := core.NewCluster(core.Config{
-		Nodes:     *nodes,
-		Protocol:  proto,
-		PageSize:  *page,
-		HeapBytes: 1 << 20,
-		Trace: func(m *wire.Msg) {
-			if sh.tracing.Load() {
-				sh.mu.Lock()
-				fmt.Fprintf(sh.out, "  ~ %s\n", m)
-				sh.mu.Unlock()
-			}
-		},
+		Nodes:      *nodes,
+		Protocol:   proto,
+		PageSize:   *page,
+		HeapBytes:  1 << 20,
+		EventTrace: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -117,7 +110,29 @@ func parseAddr(arg string) (int64, error) {
 	return v, nil
 }
 
+// exec runs one command and, while tracing is on, prints the slice
+// of the causally merged timeline newer than what was last printed.
 func (sh *shell) exec(line string) error {
+	err := sh.run(line)
+	if !sh.tracing {
+		return err
+	}
+	var fresh []trace.MergedEvent
+	last := sh.shown
+	for _, e := range trace.Merge(sh.c.TraceStreams()) {
+		if e.AbsTS > sh.shown {
+			fresh = append(fresh, e)
+			last = max(last, e.AbsTS)
+		}
+	}
+	sh.shown = last
+	if len(fresh) > 0 {
+		trace.WriteTimeline(sh.out, fresh)
+	}
+	return err
+}
+
+func (sh *shell) run(line string) error {
 	if line == "" || strings.HasPrefix(line, "#") {
 		return nil
 	}
@@ -135,7 +150,7 @@ func (sh *shell) exec(line string) error {
   barrier                       all nodes meet at barrier 0
   pages <node>                  page-table protections
   stats                         per-node protocol counters
-  trace on|off                  print protocol messages live
+  trace on|off                  print each command's event timeline
   quit
 `)
 	case "read":
@@ -238,7 +253,8 @@ func (sh *shell) exec(line string) error {
 		if len(f) != 2 || (f[1] != "on" && f[1] != "off") {
 			return fmt.Errorf("usage: trace on|off")
 		}
-		sh.tracing.Store(f[1] == "on")
+		sh.tracing = f[1] == "on"
+		sh.shown = time.Now().UnixNano()
 	default:
 		return fmt.Errorf("unknown command %q (try help)", f[0])
 	}

@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/chaos"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/kv"
 	"repro/internal/loadgen"
@@ -95,9 +96,8 @@ func main() {
 	}
 	if *withChaos {
 		plan := chaos.DefaultPlan(cfg.Nodes, 7)
-		cfg = plan.Config(cfg.Nodes, proto, 7)
-		cfg.PageSize = 256
-		cfg.EventTrace = true
+		cfg = plan.Arm(cfg)
+		cfg.Seed = 7
 	}
 	if *races {
 		cfg.AccessTrace = true
@@ -106,20 +106,83 @@ func main() {
 	if *scenario == "broken" {
 		cfg.BreakCoherence = true
 	}
-	c, err := core.NewCluster(cfg)
+
+	fmt.Printf("=== scenario %q under %s (3 nodes) ===\n", *scenario, proto)
+
+	var res *cluster.Result
+	var err error
+	switch *scenario {
+	case "sor", "kvstore":
+		// Whole workloads go through the one run lifecycle. Under -races
+		// the kvstore sweep must come back clean on any protocol: every
+		// slot access sits inside its stripe's critical section.
+		var app apps.App = apps.NewSOR(24, 16, 4)
+		if *scenario == "kvstore" {
+			app = kv.New(kv.Params{
+				Keys: 128, Ops: 120, Dist: loadgen.Zipfian, Theta: 0.9, Mix: loadgen.Mixed, Seed: 11,
+			})
+		}
+		res, err = cluster.Run(cluster.Spec{Cfg: cfg, App: func() apps.App { return app }})
+	default:
+		res, err = episode(cfg, *scenario)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
+	streams, s := res.Traces, res.Total()
+	merged := trace.Merge(streams)
+	if err := trace.CheckCausal(merged); err != nil {
+		fmt.Fprintf(os.Stderr, "warning: timeline violates causality: %v\n", err)
+	}
+	if *races {
+		rep := racecheck.Check(streams, racecheck.Options{
+			PageGranularity: proto == core.EC || proto == core.ECDiff,
+			ValueCheck:      !proto.ReleaseConsistent(),
+		})
+		report(rep, *expect)
+		return
+	}
+	if err := trace.WriteTimeline(os.Stdout, merged); err != nil {
+		log.Fatal(err)
+	}
+	if *jsonFile != "" {
+		f, err := os.Create(*jsonFile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := trace.WriteChrome(f, streams); err != nil {
+			f.Close()
+			log.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s (load at ui.perfetto.dev or chrome://tracing)\n", *jsonFile)
+	}
+	fmt.Printf("=== done: %d events, %d messages, %d bytes, %d faults ===\n", len(merged), s.MsgsSent, s.BytesSent, s.Faults())
+	if s.Lat != nil {
+		for _, h := range trace.HistogramSummaries(*s.Lat) {
+			fmt.Printf("    %-12s n=%-4d p50=%.1fus p99=%.1fus max=%.1fus\n", h.Class, h.Count, h.P50Us, h.P99Us, h.MaxUs)
+		}
+	}
+}
+
+// episode hand-drives one of the tiny tutorial scenarios on a fresh
+// simulator cluster and returns its trace streams and counters.
+func episode(cfg core.Config, scenario string) (*cluster.Result, error) {
+	c, err := core.NewCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
 	defer c.Close()
+	proto := cfg.Protocol
 
 	data := c.MustAlloc(64)
 	flagAddr := c.MustAlloc(8)
 	counter := c.MustAlloc(8)
 	c.Bind(1, counter, 8)
 
-	fmt.Printf("=== scenario %q under %s (3 nodes) ===\n", *scenario, proto)
-
-	switch *scenario {
+	switch scenario {
 	case "producer":
 		if proto.ReleaseConsistent() {
 			fmt.Fprintln(os.Stderr, "note: flag spinning is only legal under the SC protocols; using barrier handoff")
@@ -222,15 +285,6 @@ func main() {
 		if err = app.Setup(c); err == nil {
 			err = c.Run(app.Run)
 		}
-	case "sor":
-		err = apps.RunAndVerify(c, apps.NewSOR(24, 16, 4))
-	case "kvstore":
-		// The serving workload: lock-striped Get/Put/Delete traffic.
-		// Under -races the sweep must come back clean on any protocol
-		// (every slot access sits inside its stripe's critical section).
-		err = apps.RunAndVerify(c, kv.New(kv.Params{
-			Keys: 128, Ops: 120, Dist: loadgen.Zipfian, Theta: 0.9, Mix: loadgen.Mixed, Seed: 11,
-		}))
 	case "broken":
 		// Single-writer rounds, barrier-separated: coherent under any
 		// correct SC engine. BreakCoherence (set above) skips one
@@ -257,46 +311,7 @@ func main() {
 			return nil
 		})
 	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	streams := c.TraceStreams()
-	merged := trace.Merge(streams)
-	if err := trace.CheckCausal(merged); err != nil {
-		fmt.Fprintf(os.Stderr, "warning: timeline violates causality: %v\n", err)
-	}
-	if *races {
-		rep := racecheck.Check(streams, racecheck.Options{
-			PageGranularity: proto == core.EC || proto == core.ECDiff,
-			ValueCheck:      !proto.ReleaseConsistent(),
-		})
-		report(rep, *expect)
-		return
-	}
-	if err := trace.WriteTimeline(os.Stdout, merged); err != nil {
-		log.Fatal(err)
-	}
-	if *jsonFile != "" {
-		f, err := os.Create(*jsonFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := trace.WriteChrome(f, streams); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (load at ui.perfetto.dev or chrome://tracing)\n", *jsonFile)
-	}
-	s := c.TotalStats()
-	fmt.Printf("=== done: %d events, %d messages, %d bytes, %d faults ===\n", len(merged), s.MsgsSent, s.BytesSent, s.Faults())
-	if s.Lat != nil {
-		for _, h := range trace.HistogramSummaries(*s.Lat) {
-			fmt.Printf("    %-12s n=%-4d p50=%.1fus p99=%.1fus max=%.1fus\n", h.Class, h.Count, h.P50Us, h.P99Us, h.MaxUs)
-		}
-	}
+	return &cluster.Result{Nodes: c.Stats(), Traces: c.TraceStreams()}, err
 }
 
 // report prints the checker's findings and exits nonzero when the

@@ -10,7 +10,9 @@
 // lock and barrier service with consistency-payload piggybacking.
 //
 // The public API lives in internal/core (Cluster, Node, Config); the
-// workload suite in internal/apps; the experiment harness in
+// workload suite in internal/apps; the one run lifecycle —
+// cluster.Run(Spec), on the simulator or real TCP — in
+// internal/cluster; the experiments, as tables over it, in
 // internal/bench, driven by cmd/dsmbench. See README.md for a tour,
 // DESIGN.md for the architecture, and EXPERIMENTS.md for the
 // reproduced results.

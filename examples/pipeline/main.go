@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
@@ -26,31 +27,21 @@ func main() {
 	fmt.Printf("event pipeline: %d stages x %d words\n\n", *stages, *words)
 	fmt.Printf("%-16s %12s %8s %10s %14s\n", "protocol", "time", "msgs", "bytes", "grant_payload")
 	for _, proto := range []core.Protocol{core.SCFixed, core.ERCUpdate, core.LRC, core.EC, core.ECDiff} {
-		app := apps.NewPipeline(*words)
-		c, err := core.NewCluster(core.Config{
-			Nodes:     *stages,
-			Protocol:  proto,
-			PageSize:  512,
-			HeapBytes: 1 << 22,
+		res, err := cluster.Run(cluster.Spec{
+			Cfg: core.Config{
+				Nodes:     *stages,
+				Protocol:  proto,
+				PageSize:  512,
+				HeapBytes: 1 << 22,
+			},
+			App: func() apps.App { return apps.NewPipeline(*words) },
 		})
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("%s: %v", proto, err)
 		}
-		if err := app.Setup(c); err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		if err := c.Run(app.Run); err != nil {
-			log.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		if err := app.Verify(c); err != nil {
-			log.Fatalf("%s: verification failed: %v", proto, err)
-		}
-		s := c.TotalStats()
+		s := res.Total()
 		fmt.Printf("%-16s %12v %8d %10d %14d\n",
-			proto, elapsed.Round(time.Microsecond), s.MsgsSent, s.BytesSent, s.GrantPayloadBytes)
-		c.Close()
+			proto, res.Elapsed.Round(time.Microsecond), s.MsgsSent, s.BytesSent, s.GrantPayloadBytes)
 	}
 	fmt.Println("\nfinal stage output matched the sequential chain (verified)")
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
@@ -34,32 +35,22 @@ func main() {
 		core.SCCentral, core.SCFixed, core.SCDynamic,
 		core.ERCInvalidate, core.ERCUpdate, core.HLRC, core.LRC,
 	} {
-		app := apps.NewSOR(*rows, *cols, *iters)
-		c, err := core.NewCluster(core.Config{
-			Nodes:     *nodes,
-			Protocol:  proto,
-			PageSize:  *page,
-			HeapBytes: int64(*rows**cols*8) + 1<<20,
-			Latency:   *latency,
+		res, err := cluster.Run(cluster.Spec{
+			Cfg: core.Config{
+				Nodes:     *nodes,
+				Protocol:  proto,
+				PageSize:  *page,
+				HeapBytes: int64(*rows**cols*8) + 1<<20,
+				Latency:   *latency,
+			},
+			App: func() apps.App { return apps.NewSOR(*rows, *cols, *iters) },
 		})
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("%s: %v", proto, err)
 		}
-		if err := app.Setup(c); err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		if err := c.Run(app.Run); err != nil {
-			log.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		if err := app.Verify(c); err != nil {
-			log.Fatalf("%s: verification failed: %v", proto, err)
-		}
-		s := c.TotalStats()
+		s := res.Total()
 		fmt.Printf("%-16s %12v %10d %10d %12d %10d\n",
-			proto, elapsed.Round(time.Millisecond), s.Faults(), s.MsgsSent, s.BytesSent, s.DiffsCreated)
-		c.Close()
+			proto, res.Elapsed.Round(time.Millisecond), s.Faults(), s.MsgsSent, s.BytesSent, s.DiffsCreated)
 	}
 	fmt.Println("\nall protocols produced the sequential-reference grid (verified)")
 }

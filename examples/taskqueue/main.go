@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
@@ -28,32 +29,22 @@ func main() {
 		"protocol", "time", "locks", "msgs", "bytes", "grant_payload")
 
 	for _, proto := range []core.Protocol{core.SCFixed, core.LRC, core.EC} {
-		app := apps.NewTaskQueue(*tasks, *work)
-		c, err := core.NewCluster(core.Config{
-			Nodes:     *nodes,
-			Protocol:  proto,
-			PageSize:  512,
-			HeapBytes: 1 << 22,
-			Latency:   *latency,
+		res, err := cluster.Run(cluster.Spec{
+			Cfg: core.Config{
+				Nodes:     *nodes,
+				Protocol:  proto,
+				PageSize:  512,
+				HeapBytes: 1 << 22,
+				Latency:   *latency,
+			},
+			App: func() apps.App { return apps.NewTaskQueue(*tasks, *work) },
 		})
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("%s: %v", proto, err)
 		}
-		if err := app.Setup(c); err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		if err := c.Run(app.Run); err != nil {
-			log.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		if err := app.Verify(c); err != nil {
-			log.Fatalf("%s: verification failed: %v", proto, err)
-		}
-		s := c.TotalStats()
+		s := res.Total()
 		fmt.Printf("%-10s %12v %10d %10d %12d %14d\n",
-			proto, elapsed.Round(time.Millisecond), s.LockAcquires, s.MsgsSent, s.BytesSent, s.GrantPayloadBytes)
-		c.Close()
+			proto, res.Elapsed.Round(time.Millisecond), s.LockAcquires, s.MsgsSent, s.BytesSent, s.GrantPayloadBytes)
 	}
 	fmt.Println("\nevery task result matched the reference computation (verified)")
 }

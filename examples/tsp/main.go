@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
@@ -38,31 +39,21 @@ func main() {
 	fmt.Printf("branch-and-bound TSP, %d cities, %d nodes\n\n", *cities, *nodes)
 	fmt.Printf("%-16s %12s %10s %10s %12s\n", "protocol", "time", "locks", "msgs", "bytes")
 	for _, proto := range protos {
-		app := apps.NewTSP(*cities)
-		c, err := core.NewCluster(core.Config{
-			Nodes:     *nodes,
-			Protocol:  proto,
-			PageSize:  512,
-			HeapBytes: 1 << 21,
+		res, err := cluster.Run(cluster.Spec{
+			Cfg: core.Config{
+				Nodes:     *nodes,
+				Protocol:  proto,
+				PageSize:  512,
+				HeapBytes: 1 << 21,
+			},
+			App: func() apps.App { return apps.NewTSP(*cities) },
 		})
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("%s: %v", proto, err)
 		}
-		if err := app.Setup(c); err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		if err := c.Run(app.Run); err != nil {
-			log.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		if err := app.Verify(c); err != nil {
-			log.Fatalf("%s: verification failed: %v", proto, err)
-		}
-		s := c.TotalStats()
+		s := res.Total()
 		fmt.Printf("%-16s %12v %10d %10d %12d\n",
-			proto, elapsed.Round(time.Millisecond), s.LockAcquires, s.MsgsSent, s.BytesSent)
-		c.Close()
+			proto, res.Elapsed.Round(time.Millisecond), s.LockAcquires, s.MsgsSent, s.BytesSent)
 	}
 	fmt.Println("\noptimal tour cost matched the sequential branch-and-bound (verified)")
 }

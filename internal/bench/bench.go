@@ -1,60 +1,15 @@
-// Package bench is the experiment harness: it runs workloads on
-// configured clusters, collects wall time and protocol counters, and
-// formats the tables and curve series that regenerate every
-// experiment in EXPERIMENTS.md (E2..E11). cmd/dsmbench is the CLI
-// front end; bench_test.go wires the same experiments into
-// testing.B.
+// Package bench is the experiment harness: tables over cluster.Run.
+// Each experiment runs workloads on configured clusters, reads wall
+// time and protocol counters off the results, and formats the tables
+// and curve series that regenerate every experiment in EXPERIMENTS.md
+// (E2..E16). cmd/dsmbench is the CLI front end.
 package bench
 
 import (
 	"fmt"
 	"io"
 	"time"
-
-	"repro/internal/apps"
-	"repro/internal/core"
-	"repro/internal/stats"
 )
-
-// Result is one measured run.
-type Result struct {
-	Protocol core.Protocol
-	App      string
-	Nodes    int
-	PageSize int
-	Elapsed  time.Duration
-	Stats    stats.Snapshot
-}
-
-// Run executes (and verifies) one workload on a fresh cluster built
-// from cfg, returning the measured result. Setup time is excluded;
-// verification time is excluded but failures are returned.
-func Run(cfg core.Config, app apps.App) (Result, error) {
-	c, err := core.NewCluster(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	defer c.Close()
-	if err := app.Setup(c); err != nil {
-		return Result{}, fmt.Errorf("%s setup: %w", app.Name(), err)
-	}
-	start := time.Now()
-	if err := c.Run(app.Run); err != nil {
-		return Result{}, fmt.Errorf("%s run: %w", app.Name(), err)
-	}
-	elapsed := time.Since(start)
-	if err := app.Verify(c); err != nil {
-		return Result{}, fmt.Errorf("%s verify: %w", app.Name(), err)
-	}
-	return Result{
-		Protocol: cfg.Protocol,
-		App:      app.Name(),
-		Nodes:    cfg.Nodes,
-		PageSize: cfg.PageSize,
-		Elapsed:  elapsed,
-		Stats:    c.TotalStats(),
-	}, nil
-}
 
 // Experiment is a named, runnable experiment.
 type Experiment struct {
@@ -69,12 +24,12 @@ type Experiment struct {
 func All() []Experiment {
 	return []Experiment{
 		{"e2", "Speedup curves under network latency", "Li & Hudak, TOCS 1989 (IVY speedups)", E2Speedup},
-		{"e3", "Manager algorithms: central / fixed / dynamic / broadcast", "Li & Hudak, TOCS 1989 §4", E3Managers},
-		{"e4", "Algorithm classes: central-server / migration / read-replication / full-replication", "Stumm & Zhou, IEEE Computer 1990", E4Classes},
-		{"e5", "Page size and false sharing", "IVY / Munin false-sharing studies", E5PageSize},
-		{"e6", "Invalidate vs update propagation (eager RC)", "Munin, ASPLOS 1991", E6UpdateInv},
-		{"e7", "Eager vs lazy release consistency", "Keleher et al., ISCA 1992", E7LazyEager},
-		{"e8", "Entry consistency: data piggybacked on locks", "Midway, CMU-CS-91-170", E8Entry},
+		{"e3", "Manager algorithms: central / fixed / dynamic / broadcast", "Li & Hudak, TOCS 1989 §4", sweeps["e3"].run},
+		{"e4", "Algorithm classes: central-server / migration / read-replication / full-replication", "Stumm & Zhou, IEEE Computer 1990", sweeps["e4"].run},
+		{"e5", "Page size and false sharing", "IVY / Munin false-sharing studies", sweeps["e5"].run},
+		{"e6", "Invalidate vs update propagation (eager RC)", "Munin, ASPLOS 1991", sweeps["e6"].run},
+		{"e7", "Eager vs lazy release consistency", "Keleher et al., ISCA 1992", sweeps["e7"].run},
+		{"e8", "Entry consistency: data piggybacked on locks", "Midway, CMU-CS-91-170", sweeps["e8"].run},
 		{"e9", "Synchronization service: locks and barriers", "queue-lock / barrier literature", E9Sync},
 		{"e10", "Twin/diff ablation vs whole-page transfer", "TreadMarks diff studies", E10Diff},
 		{"e11", "Simulator vs real TCP loopback: identical results, measured wire overhead", "transport-independence check", E11Transport},
@@ -102,6 +57,9 @@ func header(w io.Writer, e string) {
 
 // ms renders a duration in milliseconds with two decimals.
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// us renders nanoseconds in microseconds.
+func us(ns int64) float64 { return float64(ns) / 1e3 }
 
 // perNode divides a total by the node count for per-node averages.
 func perNode(v int64, nodes int) float64 { return float64(v) / float64(nodes) }

@@ -4,9 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/apps"
-	"repro/internal/core"
 )
 
 func TestRegistry(t *testing.T) {
@@ -30,41 +27,6 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, ok := Find("nope"); ok {
 		t.Error("Find accepted unknown id")
-	}
-}
-
-func TestRunCollectsStats(t *testing.T) {
-	res, err := Run(core.Config{
-		Nodes:     3,
-		Protocol:  core.LRC,
-		PageSize:  256,
-		HeapBytes: 1 << 18,
-	}, apps.NewHistogram(1<<10, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Nodes != 3 || res.Protocol != core.LRC {
-		t.Fatalf("result metadata %+v", res)
-	}
-	if res.Stats.MsgsSent == 0 {
-		t.Fatal("no messages recorded")
-	}
-	if res.Elapsed <= 0 {
-		t.Fatal("no elapsed time")
-	}
-}
-
-func TestRunPropagatesVerifyFailure(t *testing.T) {
-	// A cluster too small for the heap the app wants must error out
-	// of Setup, not panic.
-	_, err := Run(core.Config{
-		Nodes:     2,
-		Protocol:  core.SCFixed,
-		PageSize:  256,
-		HeapBytes: 512, // too small for the histogram bins
-	}, apps.NewHistogram(1<<10, 512))
-	if err == nil {
-		t.Fatal("impossible setup succeeded")
 	}
 }
 

@@ -13,19 +13,11 @@ import (
 // result checksum).
 func runSOR(t *testing.T, cfg core.Config, app apps.App) (int64, uint64) {
 	t.Helper()
-	c, err := core.NewCluster(cfg)
+	res, err := sim(cfg, app)
 	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	defer c.Close()
-	if err := apps.RunAndVerify(c, app); err != nil {
 		t.Fatalf("batch=%v: %v", cfg.Batch, err)
 	}
-	sum, err := app.(apps.Checker).Checksum(c.Node(0))
-	if err != nil {
-		t.Fatalf("checksum: %v", err)
-	}
-	return c.TransportCounters().MsgsSent, sum
+	return res.Net.MsgsSent, res.Checksum
 }
 
 // TestBatchingReducesMessages pins the E12 acceptance bar: SOR over
@@ -73,14 +65,14 @@ func TestBatchedTCPChecksumIdentity(t *testing.T) {
 	mk := func() apps.App { return apps.NewSOR(24, 16, 6) }
 	_, simSum := runSOR(t, cfg, mk())
 
-	results, err := cluster.Loopback(cfg, mk, true)
+	res, err := cluster.Run(cluster.Spec{Cfg: cfg, App: mk, TCP: true})
 	if err != nil {
 		t.Fatalf("tcp loopback: %v", err)
 	}
-	if !results[0].HasChecksum {
+	if !res.HasChecksum {
 		t.Fatal("tcp loopback returned no checksum")
 	}
-	if results[0].Checksum != simSum {
-		t.Fatalf("tcp checksum %016x differs from simulator %016x", results[0].Checksum, simSum)
+	if res.Checksum != simSum {
+		t.Fatalf("tcp checksum %016x differs from simulator %016x", res.Checksum, simSum)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -19,8 +20,66 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/transport"
 )
+
+// sim runs one verified workload on a fresh simulator cluster.
+func sim(cfg core.Config, app apps.App) (*cluster.Result, error) {
+	return cluster.Run(cluster.Spec{Cfg: cfg, App: func() apps.App { return app }})
+}
+
+// kernel adapts a bare per-node function to apps.App, for cells that
+// exercise a primitive rather than a workload; it has no result to
+// verify.
+type kernel struct {
+	name  string
+	setup func(c *core.Cluster) // may be nil
+	run   func(n *core.Node) error
+}
+
+func (k kernel) Name() string { return k.name }
+func (k kernel) Setup(c *core.Cluster) error {
+	if k.setup != nil {
+		k.setup(c)
+	}
+	return nil
+}
+func (k kernel) Run(n *core.Node) error   { return k.run(n) }
+func (kernel) Verify(*core.Cluster) error { return nil }
+func (kernel) LocksOnly() bool            { return false }
+
+// unverified runs a workload whose Verify legitimately fails under
+// the cell's protocol.
+type unverified struct{ apps.App }
+
+func (unverified) Verify(*core.Cluster) error { return nil }
+
+// underChaos returns cfg on the lossy network E13, E15 and E16 share:
+// 2% drops, 1% duplicates, 2% 2ms latency spikes, recovered by a 10ms
+// first retransmission backing off to 80ms, with the watchdog armed.
+func underChaos(cfg core.Config) core.Config {
+	cfg.Faults = &simnet.FaultPlan{DropProb: 0.02, DupProb: 0.01, SpikeProb: 0.02, Spike: 2 * time.Millisecond}
+	cfg.Retry = &nodecore.RetryPolicy{AttemptTimeout: 10 * time.Millisecond, BackoffCap: 80 * time.Millisecond}
+	cfg.WatchdogTimeout = 30 * time.Second
+	return cfg
+}
+
+// tracedCfg is the cell E13, E15 and E16 run: event tracing on (for
+// the latency histograms), 512-byte pages, and under network "chaos"
+// the lossy plan.
+func tracedCfg(nodes int, proto core.Protocol, seed int64, network string) core.Config {
+	cfg := core.Config{Nodes: nodes, Protocol: proto, PageSize: 512, Seed: seed, EventTrace: true}
+	if network == "chaos" {
+		cfg = underChaos(cfg)
+	}
+	return cfg
+}
+
+func onOff(v bool) string {
+	if v {
+		return "on"
+	}
+	return "off"
+}
 
 // E2Speedup reproduces the IVY-style speedup curves as *modeled*
 // speedup, the standard methodology of the era's simulation studies
@@ -78,32 +137,16 @@ func E2Speedup(w io.Writer) error {
 			var accessCost time.Duration
 			for _, n := range nodeCounts {
 				app := wl.mk()
-				c, err := core.NewCluster(core.Config{
+				res, err := sim(core.Config{
 					Nodes:     n,
 					Protocol:  proto,
 					PageSize:  wl.page,
 					HeapBytes: 1 << 22,
-				})
+				}, app)
 				if err != nil {
 					return err
 				}
-				if err := app.Setup(c); err != nil {
-					c.Close()
-					return err
-				}
-				start := time.Now()
-				if err := c.Run(app.Run); err != nil {
-					c.Close()
-					return err
-				}
-				wall := time.Since(start)
-				if err := app.Verify(c); err != nil {
-					c.Close()
-					return err
-				}
-				perNode := c.Stats()
-				total := stats.Sum(perNode)
-				c.Close()
+				total := res.Total()
 
 				if n == 1 {
 					// Calibrate: single-node wall time is pure local
@@ -112,10 +155,10 @@ func E2Speedup(w io.Writer) error {
 					if acc == 0 {
 						acc = 1
 					}
-					accessCost = wall / time.Duration(acc)
+					accessCost = res.Elapsed / time.Duration(acc)
 				}
 				var worst time.Duration
-				for _, s := range perNode {
+				for _, s := range res.Nodes {
 					ti := time.Duration(s.Reads+s.Writes)*accessCost +
 						time.Duration(s.MsgsSent+s.MsgsRecv)/2*lat +
 						time.Duration(s.BytesSent+s.BytesRecv)/2*perByte
@@ -140,218 +183,213 @@ func E2Speedup(w io.Writer) error {
 	return nil
 }
 
-// E3Managers compares Li & Hudak's four page-locating strategies on
-// identical workloads with a zero-latency network, counting the
-// protocol's intrinsic message costs. Expected shape: broadcast
-// floods requests, central doubles per-fault messages versus fixed
-// (every transaction detours through node 0 and confirms), dynamic
-// pays occasional forwarding hops but no manager detour.
-func E3Managers(w io.Writer) error {
-	header(w, "E3: manager algorithms (zero latency, message counts)")
-	protos := []core.Protocol{core.SCCentral, core.SCFixed, core.SCDynamic, core.SCBroadcast}
-	suite := func() []apps.App {
-		return []apps.App{apps.NewSOR(48, 32, 6), apps.NewTaskQueue(64, 300)}
-	}
-	for ai := range suite() {
-		t := stats.NewTable("app", "locator", "faults", "msgs", "kbytes", "forwards", "page_xfers")
-		for _, proto := range protos {
-			app := suite()[ai]
-			res, err := Run(core.Config{
-				Nodes:     6,
-				Protocol:  proto,
-				PageSize:  512,
-				HeapBytes: 1 << 20,
-			}, app)
-			if err != nil {
-				return err
-			}
-			t.AddRow(res.App, proto.String(), res.Stats.Faults(), res.Stats.MsgsSent,
-				float64(res.Stats.BytesSent)/1024, res.Stats.Forwards, res.Stats.PageTransfers)
-		}
-		fmt.Fprintln(w, t)
-	}
-	return nil
+// col is one reported column of a sweep: its name and how to read it
+// off a run.
+type col struct {
+	name string
+	val  func(r *cluster.Result) any
 }
 
-// E4Classes reproduces the Stumm & Zhou algorithm-class comparison:
-// central-server vs migration vs read-replication vs full-replication
-// across a read-heavy, a write-heavy, and a mixed workload. Expected
-// shape: central-server's message count tracks every access;
-// migration thrashes when two nodes interleave on one page;
-// read-replication wins read sharing; full-replication makes reads
-// free and writes globally expensive.
-func E4Classes(w io.Writer) error {
-	header(w, "E4: algorithm classes (message/byte costs)")
-	protos := []core.Protocol{core.CentralServer, core.Migrate, core.SCFixed, core.FullReplication}
-	suite := func() []apps.App {
-		return []apps.App{
-			apps.NewMatMul(48),         // read-heavy
-			apps.NewFalseShare(12, 32), // write-heavy
-			apps.NewSOR(48, 32, 6),     // mixed
-		}
-	}
-	for ai := range suite() {
-		t := stats.NewTable("app", "class", "time_ms", "msgs", "kbytes", "remote_reads", "remote_writes", "page_xfers")
-		for _, proto := range protos {
-			app := suite()[ai]
-			res, err := Run(core.Config{
-				Nodes:     5,
-				Protocol:  proto,
-				PageSize:  512,
-				HeapBytes: 1 << 20,
-			}, app)
-			if err != nil {
-				return err
-			}
-			t.AddRow(res.App, proto.String(), ms(res.Elapsed), res.Stats.MsgsSent,
-				float64(res.Stats.BytesSent)/1024, res.Stats.DirectReads, res.Stats.DirectWrites,
-				res.Stats.PageTransfers)
-		}
-		fmt.Fprintln(w, t)
-	}
-	return nil
+// count is a column over the cluster-wide protocol counters.
+func count(name string, f func(stats.Snapshot) int64) col {
+	return col{name, func(r *cluster.Result) any { return f(r.Total()) }}
 }
 
-// E5PageSize sweeps the page size for a boundary-sharing stencil and
-// the false-sharing microkernel. Expected shape: single-writer SC
-// degrades as pages grow (false sharing induces ping-ponging), while
-// the multiple-writer protocols stay flat in faults and only grow in
-// bytes.
-func E5PageSize(w io.Writer) error {
-	header(w, "E5: page size and false sharing")
-	protos := []core.Protocol{core.SCFixed, core.ERCInvalidate, core.LRC}
-	suite := func() []apps.App {
-		return []apps.App{apps.NewSOR(48, 32, 6), apps.NewFalseShare(12, 32)}
+var (
+	colTime   = col{"time_ms", func(r *cluster.Result) any { return ms(r.Elapsed) }}
+	colFaults = count("faults", stats.Snapshot.Faults)
+	colMsgs   = count("msgs", func(s stats.Snapshot) int64 { return s.MsgsSent })
+	colKB     = col{"kbytes", func(r *cluster.Result) any { return float64(r.Total().BytesSent) / 1024 }}
+)
+
+// sweep is one apps × protocols (× page sizes) experiment: every cell
+// runs one workload on a fresh simulator cluster built from cfg and
+// reports the selected columns.
+type sweep struct {
+	header string
+	// cfg is every cell's configuration; the cell fills in Protocol
+	// and, when pages is set, PageSize.
+	cfg    core.Config
+	label  string // what the protocol column is called
+	protos []core.Protocol
+	suite  []func() apps.App // constructors: an instance holds one run's state
+	pages  []int             // page sizes to sweep, adding a "page" column
+	cols   []col
+	perApp bool // one table per app rather than one for the sweep
+	// chart, if set, titles a figure under each table: the last column
+	// (a float64 one) against page size, one series per protocol.
+	chart string
+}
+
+// The sweeps' workloads, sized so a cell takes milliseconds.
+func sor() apps.App        { return apps.NewSOR(48, 32, 6) }       // mixed reads and writes
+func matMul() apps.App     { return apps.NewMatMul(48) }           // read-heavy
+func falseShare() apps.App { return apps.NewFalseShare(12, 32) }   // write-heavy
+func taskQueue() apps.App  { return apps.NewTaskQueue(64, 300) }   // lock-migratory
+func histogram() apps.App  { return apps.NewHistogram(1<<13, 32) } // lock-migratory
+func tsp() apps.App        { return apps.NewTSP(8) }               // lock-migratory
+
+var sweeps = map[string]sweep{
+	// E3 compares Li & Hudak's four page-locating strategies on
+	// identical workloads with a zero-latency network, counting the
+	// protocol's intrinsic message costs. Expected shape: broadcast
+	// floods requests, central doubles per-fault messages versus fixed
+	// (every transaction detours through node 0 and confirms), dynamic
+	// pays occasional forwarding hops but no manager detour.
+	"e3": {
+		header: "E3: manager algorithms (zero latency, message counts)",
+		cfg:    core.Config{Nodes: 6, PageSize: 512, HeapBytes: 1 << 20},
+		label:  "locator",
+		protos: []core.Protocol{core.SCCentral, core.SCFixed, core.SCDynamic, core.SCBroadcast},
+		suite:  []func() apps.App{sor, taskQueue},
+		cols: []col{colFaults, colMsgs, colKB,
+			count("forwards", func(s stats.Snapshot) int64 { return s.Forwards }),
+			count("page_xfers", func(s stats.Snapshot) int64 { return s.PageTransfers })},
+		perApp: true,
+	},
+	// E4 reproduces the Stumm & Zhou algorithm-class comparison:
+	// central-server vs migration vs read-replication vs full-replication
+	// across a read-heavy, a write-heavy, and a mixed workload. Expected
+	// shape: central-server's message count tracks every access;
+	// migration thrashes when two nodes interleave on one page;
+	// read-replication wins read sharing; full-replication makes reads
+	// free and writes globally expensive.
+	"e4": {
+		header: "E4: algorithm classes (message/byte costs)",
+		cfg:    core.Config{Nodes: 5, PageSize: 512, HeapBytes: 1 << 20},
+		label:  "class",
+		protos: []core.Protocol{core.CentralServer, core.Migrate, core.SCFixed, core.FullReplication},
+		suite:  []func() apps.App{matMul, falseShare, sor},
+		cols: []col{colTime, colMsgs, colKB,
+			count("remote_reads", func(s stats.Snapshot) int64 { return s.DirectReads }),
+			count("remote_writes", func(s stats.Snapshot) int64 { return s.DirectWrites }),
+			count("page_xfers", func(s stats.Snapshot) int64 { return s.PageTransfers })},
+		perApp: true,
+	},
+	// E5 sweeps the page size for a boundary-sharing stencil and the
+	// false-sharing microkernel. Expected shape: single-writer SC
+	// degrades as pages grow (false sharing induces ping-ponging), while
+	// the multiple-writer protocols stay flat in faults and only grow in
+	// bytes.
+	"e5": {
+		header: "E5: page size and false sharing",
+		cfg:    core.Config{Nodes: 5, HeapBytes: 1 << 21},
+		label:  "protocol",
+		protos: []core.Protocol{core.SCFixed, core.ERCInvalidate, core.LRC},
+		suite:  []func() apps.App{sor, falseShare},
+		pages:  []int{128, 512, 2048},
+		cols:   []col{colTime, colFaults, colMsgs, colKB},
+		perApp: true,
+		chart:  "figure: traffic vs page size",
+	},
+	// E6 compares eager-RC propagation flavors against SC. Expected
+	// shape: update propagation trades bytes for faults — consumers
+	// never refetch (few faults, more update traffic); invalidation
+	// refetches whole pages on demand.
+	"e6": {
+		header: "E6: invalidate vs update propagation",
+		cfg:    core.Config{Nodes: 5, PageSize: 512, HeapBytes: 1 << 20},
+		label:  "protocol",
+		protos: []core.Protocol{core.SCFixed, core.ERCInvalidate, core.ERCUpdate},
+		suite:  []func() apps.App{sor, falseShare, histogram},
+		cols: []col{colFaults, colMsgs, colKB,
+			count("invalidations", func(s stats.Snapshot) int64 { return s.Invalidations }),
+			count("updates", func(s stats.Snapshot) int64 { return s.UpdatesApplied })},
+		perApp: true,
+	},
+	// E7 reproduces the eager-vs-lazy RC comparison, extended with
+	// home-based LRC: eager RC propagates everything at release;
+	// homeless LRC moves consistency information on sync edges and data
+	// only on demand; HLRC flushes diffs to homes at release but
+	// validates with one page fetch. Expected shape: LRC sends the
+	// fewest messages and bytes; HLRC sits between (flush traffic at
+	// release, whole pages on faults, but no diff retention); eager RC
+	// pays the most.
+	"e7": {
+		header: "E7: eager vs lazy vs home-based release consistency",
+		cfg:    core.Config{Nodes: 5, PageSize: 512, HeapBytes: 1 << 20},
+		label:  "protocol",
+		protos: []core.Protocol{core.ERCInvalidate, core.HLRC, core.LRC},
+		suite:  []func() apps.App{sor, falseShare, taskQueue, histogram},
+		cols: []col{colTime, colMsgs, colKB, colFaults,
+			count("diffs", func(s stats.Snapshot) int64 { return s.DiffsCreated }),
+			count("diff_fetches", func(s stats.Snapshot) int64 { return s.DiffFetches }),
+			count("notices", func(s stats.Snapshot) int64 { return s.WriteNotices })},
+	},
+	// E8 reproduces Midway's claim: binding data to locks makes a
+	// contended handoff a single message carrying both permission and
+	// data. Expected shape: EC has the lowest message count on
+	// lock-migratory workloads; its grant-payload bytes replace the
+	// faults and page transfers the paged protocols pay.
+	"e8": {
+		header: "E8: entry consistency vs paged protocols (lock-only apps)",
+		cfg:    core.Config{Nodes: 5, PageSize: 512, HeapBytes: 1 << 20},
+		label:  "protocol",
+		protos: []core.Protocol{core.SCFixed, core.LRC, core.EC, core.ECDiff},
+		suite:  []func() apps.App{taskQueue, tsp, histogram},
+		cols: []col{colTime, colMsgs, colKB, colFaults,
+			{"grant_kb", func(r *cluster.Result) any { return float64(r.Total().GrantPayloadBytes) / 1024 }},
+			count("locks", func(s stats.Snapshot) int64 { return s.LockAcquires })},
+	},
+}
+
+func (s sweep) run(w io.Writer) error {
+	header(w, s.header)
+	names := []string{"app", s.label}
+	pages := s.pages
+	if pages != nil {
+		names = append(names, "page")
+	} else {
+		pages = []int{s.cfg.PageSize}
 	}
-	for ai := range suite() {
-		t := stats.NewTable("app", "protocol", "page", "time_ms", "faults", "msgs", "kbytes")
-		var chart *stats.Chart
-		for _, proto := range protos {
-			for _, ps := range []int{128, 512, 2048} {
-				app := suite()[ai]
-				res, err := Run(core.Config{
-					Nodes:     5,
-					Protocol:  proto,
-					PageSize:  ps,
-					HeapBytes: 1 << 21,
-				}, app)
+	for _, c := range s.cols {
+		names = append(names, c.name)
+	}
+	var t *stats.Table
+	var chart *stats.Chart
+	flush := func() {
+		fmt.Fprintln(w, t)
+		if chart != nil {
+			fmt.Fprintln(w, chart)
+		}
+		t, chart = nil, nil
+	}
+	for _, mk := range s.suite {
+		if t == nil {
+			t = stats.NewTable(names...)
+		}
+		for _, proto := range s.protos {
+			for _, ps := range pages {
+				app := mk()
+				cfg := s.cfg
+				cfg.Protocol, cfg.PageSize = proto, ps
+				res, err := sim(cfg, app)
 				if err != nil {
 					return err
 				}
-				if chart == nil {
-					chart = stats.NewChart("figure: traffic vs page size — "+res.App, "page_B", "kbytes")
+				row := []any{app.Name(), proto.String()}
+				if s.pages != nil {
+					row = append(row, ps)
 				}
-				chart.Add(proto.String(), float64(ps), float64(res.Stats.BytesSent)/1024)
-				t.AddRow(res.App, proto.String(), ps, ms(res.Elapsed), res.Stats.Faults(),
-					res.Stats.MsgsSent, float64(res.Stats.BytesSent)/1024)
+				for _, c := range s.cols {
+					row = append(row, c.val(res))
+				}
+				t.AddRow(row...)
+				if s.chart != "" {
+					if chart == nil {
+						chart = stats.NewChart(s.chart+" — "+app.Name(), "page_B", names[len(names)-1])
+					}
+					chart.Add(proto.String(), float64(ps), row[len(row)-1].(float64))
+				}
 			}
 		}
-		fmt.Fprintln(w, t)
-		fmt.Fprintln(w, chart)
-	}
-	return nil
-}
-
-// E6UpdateInv compares eager-RC propagation flavors against SC.
-// Expected shape: update propagation trades bytes for faults —
-// consumers never refetch (few faults, more update traffic);
-// invalidation refetches whole pages on demand.
-func E6UpdateInv(w io.Writer) error {
-	header(w, "E6: invalidate vs update propagation")
-	protos := []core.Protocol{core.SCFixed, core.ERCInvalidate, core.ERCUpdate}
-	suite := func() []apps.App {
-		return []apps.App{apps.NewSOR(48, 32, 6), apps.NewFalseShare(12, 32), apps.NewHistogram(1<<13, 32)}
-	}
-	for ai := range suite() {
-		t := stats.NewTable("app", "protocol", "faults", "msgs", "kbytes", "invalidations", "updates")
-		for _, proto := range protos {
-			app := suite()[ai]
-			res, err := Run(core.Config{
-				Nodes:     5,
-				PageSize:  512,
-				HeapBytes: 1 << 20,
-				Protocol:  proto,
-			}, app)
-			if err != nil {
-				return err
-			}
-			t.AddRow(res.App, proto.String(), res.Stats.Faults(), res.Stats.MsgsSent,
-				float64(res.Stats.BytesSent)/1024, res.Stats.Invalidations, res.Stats.UpdatesApplied)
-		}
-		fmt.Fprintln(w, t)
-	}
-	return nil
-}
-
-// E7LazyEager reproduces the eager-vs-lazy RC comparison, extended
-// with home-based LRC: eager RC propagates everything at release;
-// homeless LRC moves consistency information on sync edges and data
-// only on demand; HLRC flushes diffs to homes at release but
-// validates with one page fetch. Expected shape: LRC sends the
-// fewest messages and bytes; HLRC sits between (flush traffic at
-// release, whole pages on faults, but no diff retention); eager RC
-// pays the most.
-func E7LazyEager(w io.Writer) error {
-	header(w, "E7: eager vs lazy vs home-based release consistency")
-	t := stats.NewTable("app", "protocol", "time_ms", "msgs", "kbytes", "faults", "diffs", "diff_fetches", "notices")
-	suite := func() []apps.App {
-		return []apps.App{
-			apps.NewSOR(48, 32, 6),
-			apps.NewFalseShare(12, 32),
-			apps.NewTaskQueue(64, 300),
-			apps.NewHistogram(1<<13, 32),
+		if s.perApp {
+			flush()
 		}
 	}
-	for ai := range suite() {
-		for _, proto := range []core.Protocol{core.ERCInvalidate, core.HLRC, core.LRC} {
-			app := suite()[ai]
-			res, err := Run(core.Config{
-				Nodes:     5,
-				PageSize:  512,
-				HeapBytes: 1 << 20,
-				Protocol:  proto,
-			}, app)
-			if err != nil {
-				return err
-			}
-			t.AddRow(res.App, proto.String(), ms(res.Elapsed), res.Stats.MsgsSent,
-				float64(res.Stats.BytesSent)/1024, res.Stats.Faults(), res.Stats.DiffsCreated,
-				res.Stats.DiffFetches, res.Stats.WriteNotices)
-		}
+	if t != nil {
+		flush()
 	}
-	fmt.Fprintln(w, t)
-	return nil
-}
-
-// E8Entry reproduces Midway's claim: binding data to locks makes a
-// contended handoff a single message carrying both permission and
-// data. Expected shape: EC has the lowest message count on
-// lock-migratory workloads; its grant-payload bytes replace the
-// faults and page transfers the paged protocols pay.
-func E8Entry(w io.Writer) error {
-	header(w, "E8: entry consistency vs paged protocols (lock-only apps)")
-	t := stats.NewTable("app", "protocol", "time_ms", "msgs", "kbytes", "faults", "grant_kb", "locks")
-	suite := func() []apps.App {
-		return []apps.App{apps.NewTaskQueue(64, 300), apps.NewTSP(8), apps.NewHistogram(1<<13, 32)}
-	}
-	for ai := range suite() {
-		for _, proto := range []core.Protocol{core.SCFixed, core.LRC, core.EC, core.ECDiff} {
-			app := suite()[ai]
-			res, err := Run(core.Config{
-				Nodes:     5,
-				PageSize:  512,
-				HeapBytes: 1 << 20,
-				Protocol:  proto,
-			}, app)
-			if err != nil {
-				return err
-			}
-			t.AddRow(res.App, proto.String(), ms(res.Elapsed), res.Stats.MsgsSent,
-				float64(res.Stats.BytesSent)/1024, res.Stats.Faults(),
-				float64(res.Stats.GrantPayloadBytes)/1024, res.Stats.LockAcquires)
-		}
-	}
-	fmt.Fprintln(w, t)
 	return nil
 }
 
@@ -371,14 +409,31 @@ func E8Entry(w io.Writer) error {
 func E9Sync(w io.Writer) error {
 	header(w, "E9: lock and barrier service")
 	t := stats.NewTable("benchmark", "nodes", "ops", "total_ms", "us_per_op", "msgs", "hub_msgs_per_op")
-	lockBench := func(nodes, perNode int, contended bool) error {
-		c, err := core.NewCluster(core.Config{Nodes: nodes, PageSize: 256, HeapBytes: 1 << 16, Protocol: core.SCFixed})
+	// bench runs one kernel on a fresh cluster and adds its row; ops is
+	// the operation count the per-op columns divide by.
+	bench := func(name string, cfg core.Config, ops int, run func(n *core.Node) error) error {
+		res, err := sim(cfg, kernel{name: name, run: run})
 		if err != nil {
 			return err
 		}
-		defer c.Close()
-		start := time.Now()
-		err = c.Run(func(n *core.Node) error {
+		hub := int64(0)
+		for _, s := range res.Nodes {
+			if s.MsgsRecv > hub {
+				hub = s.MsgsRecv
+			}
+		}
+		t.AddRow(name, cfg.Nodes, ops, ms(res.Elapsed),
+			float64(res.Elapsed.Microseconds())/float64(ops), res.Total().MsgsSent,
+			float64(hub)/float64(ops))
+		return nil
+	}
+	lockBench := func(nodes, perNode int, contended bool) error {
+		name := "lock-uncontended"
+		if contended {
+			name = "lock-contended"
+		}
+		cfg := core.Config{Nodes: nodes, PageSize: 256, HeapBytes: 1 << 16, Protocol: core.SCFixed}
+		return bench(name, cfg, nodes*perNode, func(n *core.Node) error {
 			lock := int32(1)
 			if !contended {
 				lock = int32(10 + n.ID()) // one private lock per node
@@ -393,37 +448,17 @@ func E9Sync(w io.Writer) error {
 			}
 			return nil
 		})
-		if err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		ops := nodes * perNode
-		name := "lock-uncontended"
-		if contended {
-			name = "lock-contended"
-		}
-		hub := int64(0)
-		for _, s := range c.Stats() {
-			if s.MsgsRecv > hub {
-				hub = s.MsgsRecv
-			}
-		}
-		t.AddRow(name, nodes, ops, ms(elapsed),
-			float64(elapsed.Microseconds())/float64(ops), c.TotalStats().MsgsSent,
-			float64(hub)/float64(ops))
-		return nil
 	}
 	barBench := func(nodes, rounds int, tree bool) error {
-		c, err := core.NewCluster(core.Config{
+		name := "barrier-central"
+		if tree {
+			name = "barrier-tree-f4"
+		}
+		cfg := core.Config{
 			Nodes: nodes, PageSize: 256, HeapBytes: 1 << 16,
 			Protocol: core.SCFixed, TreeBarrier: tree, TreeFanout: 4,
-		})
-		if err != nil {
-			return err
 		}
-		defer c.Close()
-		start := time.Now()
-		err = c.Run(func(n *core.Node) error {
+		return bench(name, cfg, rounds, func(n *core.Node) error {
 			for i := 0; i < rounds; i++ {
 				if err := n.Barrier(0); err != nil {
 					return err
@@ -431,39 +466,19 @@ func E9Sync(w io.Writer) error {
 			}
 			return nil
 		})
-		if err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		name := "barrier-central"
-		if tree {
-			name = "barrier-tree-f4"
-		}
-		hub := int64(0)
-		for _, s := range c.Stats() {
-			if s.MsgsRecv > hub {
-				hub = s.MsgsRecv
-			}
-		}
-		t.AddRow(name, nodes, rounds, ms(elapsed),
-			float64(elapsed.Microseconds())/float64(rounds), c.TotalStats().MsgsSent,
-			float64(hub)/float64(rounds))
-		return nil
 	}
 	for _, nodes := range []int{4, 16} {
-		if err := lockBench(nodes, 200, false); err != nil {
-			return err
-		}
-		if err := lockBench(nodes, 200, true); err != nil {
-			return err
+		for _, contended := range []bool{false, true} {
+			if err := lockBench(nodes, 200, contended); err != nil {
+				return err
+			}
 		}
 	}
 	for _, nodes := range []int{16, 48} {
-		if err := barBench(nodes, 100, false); err != nil {
-			return err
-		}
-		if err := barBench(nodes, 100, true); err != nil {
-			return err
+		for _, tree := range []bool{false, true} {
+			if err := barBench(nodes, 100, tree); err != nil {
+				return err
+			}
 		}
 	}
 	fmt.Fprintln(w, t)
@@ -537,60 +552,19 @@ func E11Transport(w io.Writer) error {
 	cfg := core.Config{Nodes: 3, Protocol: core.LRC, CallTimeout: 30 * time.Second}
 	t := stats.NewTable("app", "transport", "elapsed_ms", "proto_msgs", "wire_msgs", "wire_bytes", "checksum")
 	for _, wl := range workloads {
-		// Simulator run.
-		simApp := wl.mk()
-		c, err := core.NewCluster(cfg)
-		if err != nil {
-			return err
-		}
-		if err := simApp.Setup(c); err != nil {
-			c.Close()
-			return err
-		}
-		simStart := time.Now()
-		if err := c.Run(simApp.Run); err != nil {
-			c.Close()
-			return err
-		}
-		simElapsed := time.Since(simStart)
-		if err := simApp.Verify(c); err != nil {
-			c.Close()
-			return err
-		}
-		simSum, err := simApp.(apps.Checker).Checksum(c.Node(0))
-		if err != nil {
-			c.Close()
-			return err
-		}
-		simNet := c.TransportCounters()
-		simProto := c.TotalStats().MsgsSent
-		c.Close()
-		t.AddRow(wl.name, "sim", ms(simElapsed), simProto, simNet.MsgsSent, simNet.BytesSent,
-			fmt.Sprintf("%016x", simSum))
-
-		// Real TCP loopback run.
-		results, err := cluster.Loopback(cfg, wl.mk, true)
-		if err != nil {
-			return fmt.Errorf("%s over tcp: %w", wl.name, err)
-		}
-		var tcpElapsed time.Duration
-		var tcpNet transport.CountersSnapshot
-		var tcpProto int64
-		for _, r := range results {
-			if r.Elapsed > tcpElapsed {
-				tcpElapsed = r.Elapsed
+		var simSum uint64
+		for _, tr := range []string{"sim", "tcp"} {
+			res, err := cluster.Run(cluster.Spec{Cfg: cfg, App: wl.mk, TCP: tr == "tcp"})
+			if err != nil {
+				return fmt.Errorf("%s over %s: %w", wl.name, tr, err)
 			}
-			tcpNet = tcpNet.Add(r.Net)
-			tcpProto += r.Stats.MsgsSent
-		}
-		if !results[0].HasChecksum {
-			return fmt.Errorf("%s over tcp: no checksum", wl.name)
-		}
-		t.AddRow(wl.name, "tcp", ms(tcpElapsed), tcpProto, tcpNet.MsgsSent, tcpNet.BytesSent,
-			fmt.Sprintf("%016x", results[0].Checksum))
-		if results[0].Checksum != simSum {
-			return fmt.Errorf("%s: tcp result %016x differs from simulator %016x",
-				wl.name, results[0].Checksum, simSum)
+			t.AddRow(wl.name, tr, ms(res.Elapsed), res.Total().MsgsSent, res.Net.MsgsSent, res.Net.BytesSent,
+				fmt.Sprintf("%016x", res.Checksum))
+			if tr == "sim" {
+				simSum = res.Checksum
+			} else if res.Checksum != simSum {
+				return fmt.Errorf("%s: tcp result %016x differs from simulator %016x", wl.name, res.Checksum, simSum)
+			}
 		}
 	}
 	fmt.Fprintln(w, t)
@@ -616,128 +590,64 @@ func E12Batching(w io.Writer) error {
 	header(w, "E12: message batching, diff pushes, and piggybacking")
 	mk := func() apps.App { return apps.NewSOR(48, 32, 6) }
 	t := stats.NewTable("app", "protocol", "batch", "transport", "elapsed_ms", "msgs", "kbytes", "batched", "frames", "pushes", "checksum")
-	var lrcOff, lrcOn int64
-	var simSum uint64
+	row := func(name, tr string, cfg core.Config, res *cluster.Result) {
+		st := res.Total()
+		t.AddRow(name, cfg.Protocol.String(), onOff(cfg.Batch), tr, ms(res.Elapsed), res.Net.MsgsSent,
+			float64(res.Net.BytesSent)/1024, st.BatchedMsgs, st.FlushedBatches, st.DiffPushes,
+			fmt.Sprintf("%016x", res.Checksum))
+	}
+	var lrcMsgs [2]int64 // batching off, on
 	for _, proto := range []core.Protocol{core.LRC, core.HLRC, core.ERCInvalidate} {
-		for _, batch := range []bool{false, true} {
-			app := mk()
-			c, err := core.NewCluster(core.Config{
+		for i, batch := range []bool{false, true} {
+			cfg := core.Config{
 				Nodes:     5,
 				PageSize:  512,
 				HeapBytes: 1 << 20,
 				Protocol:  proto,
 				Batch:     batch,
-			})
+			}
+			app := mk()
+			res, err := sim(cfg, app)
 			if err != nil {
 				return err
 			}
-			if err := app.Setup(c); err != nil {
-				c.Close()
-				return err
-			}
-			start := time.Now()
-			if err := c.Run(app.Run); err != nil {
-				c.Close()
-				return err
-			}
-			elapsed := time.Since(start)
-			if err := app.Verify(c); err != nil {
-				c.Close()
-				return err
-			}
-			sum, err := app.(apps.Checker).Checksum(c.Node(0))
-			if err != nil {
-				c.Close()
-				return err
-			}
-			st := c.TotalStats()
-			net := c.TransportCounters()
-			c.Close()
-			onOff := "off"
-			if batch {
-				onOff = "on"
-			}
-			t.AddRow(app.Name(), proto.String(), onOff, "sim", ms(elapsed), net.MsgsSent,
-				float64(net.BytesSent)/1024, st.BatchedMsgs, st.FlushedBatches, st.DiffPushes,
-				fmt.Sprintf("%016x", sum))
+			row(app.Name(), "sim", cfg, res)
 			if proto == core.LRC {
-				if batch {
-					lrcOn = net.MsgsSent
-				} else {
-					lrcOff = net.MsgsSent
-					simSum = sum
-				}
+				lrcMsgs[i] = res.Net.MsgsSent
 			}
 		}
 	}
 
 	// The same batched protocol over real TCP sockets (3-process-shaped
 	// loopback cluster, smaller grid as in E11): identical results.
-	tcpCfg := core.Config{Nodes: 3, Protocol: core.LRC, CallTimeout: 30 * time.Second}
 	tcpMk := func() apps.App { return apps.NewSOR(24, 16, 6) }
-	tcpSims := make(map[bool]uint64)
-	for _, batch := range []bool{false, true} {
-		cfg := tcpCfg
-		cfg.Batch = batch
-		simApp := tcpMk()
-		c, err := core.NewCluster(cfg)
+	var simSums [2]uint64 // batching off, on
+	for i, batch := range []bool{false, true} {
+		cfg := core.Config{Nodes: 3, Protocol: core.LRC, CallTimeout: 30 * time.Second, Batch: batch}
+		simRes, err := cluster.Run(cluster.Spec{Cfg: cfg, App: tcpMk})
 		if err != nil {
 			return err
 		}
-		if err := simApp.Setup(c); err != nil {
-			c.Close()
-			return err
-		}
-		if err := c.Run(simApp.Run); err != nil {
-			c.Close()
-			return err
-		}
-		sum, err := simApp.(apps.Checker).Checksum(c.Node(0))
-		if err != nil {
-			c.Close()
-			return err
-		}
-		c.Close()
-		tcpSims[batch] = sum
-
-		results, err := cluster.Loopback(cfg, tcpMk, true)
+		simSums[i] = simRes.Checksum
+		res, err := cluster.Run(cluster.Spec{Cfg: cfg, App: tcpMk, TCP: true})
 		if err != nil {
 			return fmt.Errorf("sor over tcp (batch=%v): %w", batch, err)
 		}
-		var tcpElapsed time.Duration
-		var tcpNet transport.CountersSnapshot
-		var st stats.Snapshot
-		for _, r := range results {
-			if r.Elapsed > tcpElapsed {
-				tcpElapsed = r.Elapsed
-			}
-			tcpNet = tcpNet.Add(r.Net)
-			st = stats.Sum([]stats.Snapshot{st, r.Stats})
-		}
-		if !results[0].HasChecksum {
-			return fmt.Errorf("sor over tcp (batch=%v): no checksum", batch)
-		}
-		if results[0].Checksum != sum {
+		if res.Checksum != simRes.Checksum {
 			return fmt.Errorf("sor over tcp (batch=%v): tcp result %016x differs from simulator %016x",
-				batch, results[0].Checksum, sum)
+				batch, res.Checksum, simRes.Checksum)
 		}
-		onOff := "off"
-		if batch {
-			onOff = "on"
-		}
-		t.AddRow("sor-24", tcpCfg.Protocol.String(), onOff, "tcp", ms(tcpElapsed), tcpNet.MsgsSent,
-			float64(tcpNet.BytesSent)/1024, st.BatchedMsgs, st.FlushedBatches, st.DiffPushes,
-			fmt.Sprintf("%016x", results[0].Checksum))
+		row("sor-24", "tcp", cfg, res)
 	}
-	if tcpSims[false] != tcpSims[true] {
-		return fmt.Errorf("batching changed the simulator result: %016x vs %016x", tcpSims[false], tcpSims[true])
+	if simSums[0] != simSums[1] {
+		return fmt.Errorf("batching changed the simulator result: %016x vs %016x", simSums[0], simSums[1])
 	}
 	fmt.Fprintln(w, t)
+	lrcOff, lrcOn := lrcMsgs[0], lrcMsgs[1]
 	reduction := 100 * (1 - float64(lrcOn)/float64(lrcOff))
 	fmt.Fprintf(w, "sor+lrc on the simulator: %d -> %d transport messages with batching on (%.1f%% fewer).\n", lrcOff, lrcOn, reduction)
 	fmt.Fprintln(w, "Diff pushes replace fetch round trips once interest is known; checksums are identical in")
 	fmt.Fprintln(w, "every row — batching and pushing change framing and timing, never results.")
-	_ = simSum
 	return nil
 }
 
@@ -754,44 +664,19 @@ func E12Batching(w io.Writer) error {
 // from a trace whose ordering is provably coherent.
 func E13Latency(w io.Writer) error {
 	header(w, "E13: latency histograms per protocol phase")
-	plan := simnet.FaultPlan{DropProb: 0.02, DupProb: 0.01, SpikeProb: 0.02, Spike: 2 * time.Millisecond}
 	t := stats.NewTable("protocol", "network", "class", "count", "p50_us", "p90_us", "p99_us", "max_us", "mean_us")
-	us := func(ns int64) float64 { return float64(ns) / 1e3 }
 	var notes []string
 	for _, proto := range []core.Protocol{core.SCFixed, core.ERCInvalidate, core.LRC} {
-		for _, faulty := range []bool{false, true} {
-			cfg := core.Config{
-				Nodes:      4,
-				Protocol:   proto,
-				PageSize:   512,
-				HeapBytes:  1 << 20,
-				Seed:       7,
-				EventTrace: true,
-			}
-			network := "fault-free"
-			if faulty {
-				network = "chaos"
-				f := plan
-				cfg.Faults = &f
-				cfg.Retry = &nodecore.RetryPolicy{AttemptTimeout: 10 * time.Millisecond, BackoffCap: 80 * time.Millisecond}
-				cfg.WatchdogTimeout = 30 * time.Second
-			}
-			c, err := core.NewCluster(cfg)
+		for _, network := range []string{"fault-free", "chaos"} {
+			res, err := sim(tracedCfg(4, proto, 7, network), apps.NewSOR(32, 24, 4))
 			if err != nil {
-				return err
-			}
-			if err := apps.RunAndVerify(c, apps.NewSOR(32, 24, 4)); err != nil {
-				c.Close()
 				return fmt.Errorf("%s/%s: %w", proto, network, err)
 			}
-			streams := c.TraceStreams()
-			merged := trace.Merge(streams)
+			merged := trace.Merge(res.Traces)
 			if err := trace.CheckCausal(merged); err != nil {
-				c.Close()
 				return fmt.Errorf("%s/%s: merged trace violates causality: %w", proto, network, err)
 			}
-			st := c.TotalStats()
-			c.Close()
+			st := res.Total()
 			if st.Lat == nil {
 				return fmt.Errorf("%s/%s: traced run carries no latency histograms", proto, network)
 			}
@@ -804,7 +689,7 @@ func E13Latency(w io.Writer) error {
 					us(cl.MaxNs), us(cl.MeanNs()))
 			}
 			notes = append(notes, fmt.Sprintf("%s/%s: %d events from %d nodes, causally ordered",
-				proto, network, len(merged), len(streams)))
+				proto, network, len(merged), len(res.Traces)))
 		}
 	}
 	fmt.Fprintln(w, t)
@@ -834,26 +719,51 @@ func E13Latency(w io.Writer) error {
 func E14RaceCheck(w io.Writer) error {
 	header(w, "E14: trace-powered data-race and SC-violation detection")
 	t := stats.NewTable("workload", "protocol", "seeded_bug", "events", "accesses", "races", "sharing", "violations", "verdict")
+	// Barrier-separated single-writer rounds: coherent under any
+	// correct SC engine, so every finding is the seeded bug.
+	var x int64
+	singleWriter := kernel{
+		name:  "single-writer",
+		setup: func(c *core.Cluster) { x = c.MustAlloc(8) },
+		run: func(n *core.Node) error {
+			for r := 0; r < 4; r++ {
+				if n.ID() == 0 {
+					if err := n.WriteUint64(x, uint64(100+r)); err != nil {
+						return err
+					}
+				}
+				if err := n.Barrier(0); err != nil {
+					return err
+				}
+				if _, err := n.ReadUint64(x); err != nil {
+					return err
+				}
+				if err := n.Barrier(1); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
 	type spec struct {
 		workload string
 		proto    core.Protocol
 		app      apps.App
-		verify   bool
 		broken   bool
 		want     string // clean | sharing | race | violation
 	}
 	specs := []spec{
-		{"sor", core.SCFixed, apps.NewSOR(24, 16, 4), true, false, "clean"},
-		{"sor", core.LRC, apps.NewSOR(24, 16, 4), true, false, "clean"},
-		{"falseshare", core.SCFixed, apps.NewFalseShare(8, 4), true, false, "sharing"},
-		{"falseshare", core.LRC, apps.NewFalseShare(8, 4), true, false, "sharing"},
-		// Setup+Run only: Verify legitimately fails under EC, where
-		// barriers carry no coherence for unbound data.
-		{"falseshare", core.EC, apps.NewFalseShare(8, 4), false, false, "race"},
-		{"single-writer", core.SCFixed, nil, false, true, "violation"},
+		{"sor", core.SCFixed, apps.NewSOR(24, 16, 4), false, "clean"},
+		{"sor", core.LRC, apps.NewSOR(24, 16, 4), false, "clean"},
+		{"falseshare", core.SCFixed, apps.NewFalseShare(8, 4), false, "sharing"},
+		{"falseshare", core.LRC, apps.NewFalseShare(8, 4), false, "sharing"},
+		// Verify legitimately fails under EC, where barriers carry no
+		// coherence for unbound data.
+		{"falseshare", core.EC, unverified{apps.NewFalseShare(8, 4)}, false, "race"},
+		{"single-writer", core.SCFixed, singleWriter, true, "violation"},
 	}
 	for _, s := range specs {
-		c, err := core.NewCluster(core.Config{
+		res, err := sim(core.Config{
 			Nodes:          3,
 			Protocol:       s.proto,
 			PageSize:       256,
@@ -861,51 +771,14 @@ func E14RaceCheck(w io.Writer) error {
 			AccessTrace:    true,
 			TraceCapacity:  1 << 17,
 			BreakCoherence: s.broken,
-		})
+		}, s.app)
 		if err != nil {
-			return err
-		}
-		if s.app != nil {
-			err = s.app.Setup(c)
-			if err == nil {
-				err = c.Run(s.app.Run)
-			}
-			if err == nil && s.verify {
-				err = s.app.Verify(c)
-			}
-		} else {
-			// Barrier-separated single-writer rounds: coherent under any
-			// correct SC engine, so every finding is the seeded bug.
-			x := c.MustAlloc(8)
-			err = c.Run(func(n *core.Node) error {
-				for r := 0; r < 4; r++ {
-					if n.ID() == 0 {
-						if err := n.WriteUint64(x, uint64(100+r)); err != nil {
-							return err
-						}
-					}
-					if err := n.Barrier(0); err != nil {
-						return err
-					}
-					if _, err := n.ReadUint64(x); err != nil {
-						return err
-					}
-					if err := n.Barrier(1); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		}
-		if err != nil {
-			c.Close()
 			return fmt.Errorf("%s/%s: %w", s.workload, s.proto, err)
 		}
-		rep := racecheck.Check(c.TraceStreams(), racecheck.Options{
+		rep := racecheck.Check(res.Traces, racecheck.Options{
 			PageGranularity: s.proto == core.EC || s.proto == core.ECDiff,
 			ValueCheck:      !s.proto.ReleaseConsistent(),
 		})
-		c.Close()
 		if rep.Truncated {
 			return fmt.Errorf("%s/%s: trace ring overflowed", s.workload, s.proto)
 		}
@@ -964,123 +837,49 @@ func E15Serving(w io.Writer) error {
 		Keys: 256, Ops: 400, QPS: 4000,
 		Dist: loadgen.Zipfian, Theta: 0.99, Mix: loadgen.ReadHeavy, Seed: 15,
 	}
-	plan := simnet.FaultPlan{DropProb: 0.02, DupProb: 0.01, SpikeProb: 0.02, Spike: 2 * time.Millisecond}
 	protos := []core.Protocol{core.SCFixed, core.ERCInvalidate, core.LRC, core.EC}
 	t := stats.NewTable("protocol", "transport", "network", "achieved_qps", "op_p50_us", "op_p99_us", "op_p999_us", "late_ops", "proto_msgs", "checksum")
-	us := func(ns int64) float64 { return float64(ns) / 1e3 }
 
-	type cell struct {
-		lat     stats.LatSnapshot
-		elapsed time.Duration
-		msgs    int64
-		sum     uint64
-		late    int
-	}
-	addRow := func(proto core.Protocol, transportName, network string, c cell) {
-		qps := float64(c.lat.Op.Count) / c.elapsed.Seconds()
-		t.AddRow(proto.String(), transportName, network, qps,
-			us(c.lat.Op.Quantile(0.5)), us(c.lat.Op.Quantile(0.99)), us(c.lat.Op.Quantile(0.999)),
-			c.late, c.msgs, fmt.Sprintf("%016x", c.sum))
-	}
-
-	runSimCell := func(proto core.Protocol, faulty bool) (cell, error) {
-		cfg := core.Config{
-			Nodes:      3,
-			Protocol:   proto,
-			PageSize:   512,
-			HeapBytes:  1 << 20,
-			Seed:       15,
-			EventTrace: true,
-		}
-		if faulty {
-			f := plan
-			cfg.Faults = &f
-			cfg.Retry = &nodecore.RetryPolicy{AttemptTimeout: 10 * time.Millisecond, BackoffCap: 80 * time.Millisecond}
-			cfg.WatchdogTimeout = 30 * time.Second
-		}
-		store := kv.New(params)
-		c, err := core.NewCluster(cfg)
+	// cell runs the store once, adds its row and returns its checksum.
+	cell := func(proto core.Protocol, transport, network string) (uint64, error) {
+		var store *kv.Store // the simulator's one instance
+		res, err := cluster.Run(cluster.Spec{Cfg: tracedCfg(3, proto, 15, network), TCP: transport == "tcp", App: func() apps.App {
+			store = kv.New(params)
+			return store
+		}})
 		if err != nil {
-			return cell{}, err
+			return 0, fmt.Errorf("%s/%s/%s: %w", proto, transport, network, err)
 		}
-		defer c.Close()
-		start := time.Now()
-		if err := apps.RunAndVerify(c, store); err != nil {
-			return cell{}, err
-		}
-		elapsed := time.Since(start)
-		sum, err := store.Checksum(c.Node(0))
-		if err != nil {
-			return cell{}, err
-		}
-		st := c.TotalStats()
+		st := res.Total()
 		if st.Lat == nil {
-			return cell{}, fmt.Errorf("traced run carries no latency histograms")
+			return 0, fmt.Errorf("%s/%s/%s: traced run carries no latency histograms", proto, transport, network)
 		}
-		late := 0
-		for _, r := range store.Reports() {
-			late += r.LateOps
-		}
-		return cell{lat: *st.Lat, elapsed: elapsed, msgs: st.MsgsSent, sum: sum, late: late}, nil
-	}
-
-	runTCPCell := func(proto core.Protocol) (cell, error) {
-		cfg := core.Config{
-			Nodes:       3,
-			Protocol:    proto,
-			PageSize:    512,
-			Seed:        15,
-			EventTrace:  true,
-			CallTimeout: 30 * time.Second,
-		}
-		results, err := cluster.Loopback(cfg, func() apps.App { return kv.New(params) }, true)
-		if err != nil {
-			return cell{}, err
-		}
-		if !results[0].HasChecksum {
-			return cell{}, fmt.Errorf("no checksum")
-		}
-		var out cell
-		out.sum = results[0].Checksum
-		lat := stats.LatSnapshot{}
-		for _, r := range results {
-			if r.Elapsed > out.elapsed {
-				out.elapsed = r.Elapsed
+		late := -1 // over tcp every node has its own instance; -1 marks "not collected"
+		if transport == "sim" {
+			late = 0
+			for _, r := range store.Reports() {
+				late += r.LateOps
 			}
-			out.msgs += r.Stats.MsgsSent
-			if r.Stats.Lat == nil {
-				return cell{}, fmt.Errorf("tcp node carries no latency histograms")
-			}
-			lat = lat.Add(*r.Stats.Lat)
 		}
-		out.late = -1 // per-node reports live in the node processes; -1 marks "not collected"
-		out.lat = lat
-		return out, nil
+		op := st.Lat.Op
+		t.AddRow(proto.String(), transport, network, float64(op.Count)/res.Elapsed.Seconds(),
+			us(op.Quantile(0.5)), us(op.Quantile(0.99)), us(op.Quantile(0.999)),
+			late, st.MsgsSent, fmt.Sprintf("%016x", res.Checksum))
+		return res.Checksum, nil
 	}
 
 	for _, proto := range protos {
-		free, err := runSimCell(proto, false)
-		if err != nil {
-			return fmt.Errorf("%s/sim/fault-free: %w", proto, err)
-		}
-		addRow(proto, "sim", "fault-free", free)
-
-		tcp, err := runTCPCell(proto)
-		if err != nil {
-			return fmt.Errorf("%s/tcp: %w", proto, err)
-		}
-		addRow(proto, "tcp", "fault-free", tcp)
-		if tcp.sum != free.sum {
-			return fmt.Errorf("%s: tcp checksum %016x differs from simulator %016x", proto, tcp.sum, free.sum)
-		}
-
-		chaos, err := runSimCell(proto, true)
-		if err != nil {
-			return fmt.Errorf("%s/sim/chaos: %w", proto, err)
-		}
-		addRow(proto, "sim", "chaos", chaos)
-		if chaos.sum != free.sum {
-			return fmt.Errorf("%s: chaos checksum %016x differs from fault-free %016x", proto, chaos.sum, free.sum)
+		var free uint64 // sim/fault-free: the other two cells must reproduce it
+		for i, c := range [][2]string{{"sim", "fault-free"}, {"tcp", "fault-free"}, {"sim", "chaos"}} {
+			sum, err := cell(proto, c[0], c[1])
+			if err != nil {
+				return err
+			}
+			if i == 0 {
+				free = sum
+			} else if sum != free {
+				return fmt.Errorf("%s: %s/%s checksum %016x differs from sim/fault-free %016x", proto, c[0], c[1], sum, free)
+			}
 		}
 	}
 	fmt.Fprintln(w, t)
@@ -1092,25 +891,6 @@ func E15Serving(w io.Writer) error {
 	fmt.Fprintln(w, "flattered mean; late_ops counts arrivals that found the node already behind")
 	fmt.Fprintln(w, "schedule (-1: not collected from tcp node processes).")
 	return nil
-}
-
-// quiesce returns once the cluster's counters have stood still for a
-// quiet interval longer than any delivery delay or retransmission gap
-// the E16 cells configure (the chaos cell's BackoffCap is 80 ms), or
-// after five seconds.
-func quiesce(c *core.Cluster) {
-	const quiet = 100 * time.Millisecond
-	deadline := time.Now().Add(5 * time.Second)
-	prev := c.TotalStats()
-	for time.Now().Before(deadline) {
-		time.Sleep(quiet)
-		cur := c.TotalStats()
-		prev.Lat, cur.Lat = nil, nil // counters only: Lat is a fresh pointer per snapshot
-		if cur == prev {
-			return
-		}
-		prev = cur
-	}
 }
 
 // E16Metrics is the observation-only acceptance gate for the metrics
@@ -1130,74 +910,21 @@ func E16Metrics(w io.Writer) error {
 		Keys: 256, Ops: 300, QPS: 3000,
 		Dist: loadgen.Zipfian, Theta: 0.99, Mix: loadgen.ReadHeavy, Seed: 16,
 	}
-	plan := simnet.FaultPlan{DropProb: 0.02, DupProb: 0.01, SpikeProb: 0.02, Spike: 2 * time.Millisecond}
 	const proto = core.LRC
 	t := stats.NewTable("cell", "sampler", "checksum", "samples", "ops_per_sec", "prom_families", "reconcile")
 
-	simCell := func(faulty, sampled bool) (sum uint64, smp *metrics.Sampler, total stats.Snapshot, err error) {
-		cfg := core.Config{
-			Nodes: 3, Protocol: proto, PageSize: 512, HeapBytes: 1 << 20,
-			Seed: 16, EventTrace: true,
-		}
-		if faulty {
-			f := plan
-			cfg.Faults = &f
-			cfg.Retry = &nodecore.RetryPolicy{AttemptTimeout: 10 * time.Millisecond, BackoffCap: 80 * time.Millisecond}
-			cfg.WatchdogTimeout = 30 * time.Second
-		}
-		store := kv.New(params)
-		c, err := core.NewCluster(cfg)
+	// cell runs the workload once; a sampled run returns its samplers
+	// stopped at the quiesced counters.
+	cell := func(transport, network string, sampled bool) (*cluster.Result, error) {
+		res, err := cluster.Run(cluster.Spec{
+			Cfg: tracedCfg(3, proto, 16, network), TCP: transport == "tcp",
+			App:     func() apps.App { return kv.New(params) },
+			Observe: cluster.Observe{Sample: sampled, SampleInterval: 10 * time.Millisecond, TargetOpsPerSec: params.QPS},
+		})
 		if err != nil {
-			return 0, nil, stats.Snapshot{}, err
+			return nil, fmt.Errorf("%s/%s/%s: %w", transport, network, onOff(sampled), err)
 		}
-		defer c.Close()
-		if sampled {
-			smp = metrics.Start(metrics.Config{
-				Node: -1, Interval: 10 * time.Millisecond,
-				Source:          c.TotalStats,
-				TargetOpsPerSec: params.QPS * float64(cfg.Nodes),
-			})
-		}
-		if err := apps.RunAndVerify(c, store); err != nil {
-			return 0, nil, stats.Snapshot{}, err
-		}
-		if sum, err = store.Checksum(c.Node(0)); err != nil {
-			return 0, nil, stats.Snapshot{}, err
-		}
-		if sampled {
-			// lrc's one-way traffic (diff pushes, the acks after
-			// Checksum's release) is still being received when the app
-			// returns; the sampler's last sample and the final snapshot
-			// must both be taken after it has landed.
-			quiesce(c)
-		}
-		smp.Stop() // nil-safe; final sample at the quiesced counters
-		return sum, smp, c.TotalStats(), nil
-	}
-
-	tcpCell := func(sampled bool) (sum uint64, samplers []*metrics.Sampler, finals []stats.Snapshot, err error) {
-		cfg := core.Config{
-			Nodes: 3, Protocol: proto, PageSize: 512,
-			Seed: 16, EventTrace: true, CallTimeout: 30 * time.Second,
-		}
-		results, err := cluster.LoopbackWith(cfg,
-			func() apps.App { return kv.New(params) }, true,
-			func(o *cluster.NodeOpts) {
-				o.Sample = sampled
-				o.SampleInterval = 10 * time.Millisecond
-				o.TargetOpsPerSec = params.QPS
-			})
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		if !results[0].HasChecksum {
-			return 0, nil, nil, fmt.Errorf("no checksum")
-		}
-		for _, r := range results {
-			samplers = append(samplers, r.Sampler)
-			finals = append(finals, r.Stats)
-		}
-		return results[0].Checksum, samplers, finals, nil
+		return res, nil
 	}
 
 	// check runs the three acceptance assertions on one sampled cell
@@ -1222,55 +949,44 @@ func E16Metrics(w io.Writer) error {
 		return nil
 	}
 
-	// Simulator, fault-free: sampler-off baseline, then sampled.
-	base, _, _, err := simCell(false, false)
-	if err != nil {
-		return fmt.Errorf("sim/fault-free/off: %w", err)
-	}
-	t.AddRow("sim fault-free", "off", fmt.Sprintf("%016x", base), 0, "", "", "baseline")
-	sum, smp, final, err := simCell(false, true)
-	if err != nil {
-		return fmt.Errorf("sim/fault-free/on: %w", err)
-	}
-	if err := check("sim fault-free", sum, base, smp, final); err != nil {
-		return err
-	}
-
-	// Simulator, chaos: drops and duplicates sampled mid-flight.
-	chaosBase, _, _, err := simCell(true, false)
-	if err != nil {
-		return fmt.Errorf("sim/chaos/off: %w", err)
-	}
-	if chaosBase != base {
-		return fmt.Errorf("chaos baseline checksum %016x differs from fault-free %016x", chaosBase, base)
-	}
-	sum, smp, final, err = simCell(true, true)
-	if err != nil {
-		return fmt.Errorf("sim/chaos/on: %w", err)
-	}
-	if err := check("sim chaos", sum, chaosBase, smp, final); err != nil {
-		return err
-	}
-
-	// TCP loopback: one sampler per node process-equivalent.
-	tcpBase, _, _, err := tcpCell(false)
-	if err != nil {
-		return fmt.Errorf("tcp/off: %w", err)
-	}
-	if tcpBase != base {
-		return fmt.Errorf("tcp baseline checksum %016x differs from simulator %016x", tcpBase, base)
-	}
-	sum, samplers, finals, err := tcpCell(true)
-	if err != nil {
-		return fmt.Errorf("tcp/on: %w", err)
-	}
-	for i, s := range samplers {
-		if s == nil {
-			return fmt.Errorf("tcp node %d: no sampler", i)
-		}
-		name := fmt.Sprintf("tcp node %d", i)
-		if err := check(name, sum, tcpBase, s, finals[i]); err != nil {
+	// Per cell: the sampler-off baseline (which must reproduce the first
+	// cell's checksum), then the sampled run, checked against it.
+	var base uint64
+	for i, c := range []struct{ transport, network string }{
+		{"sim", "fault-free"},
+		{"sim", "chaos"}, // drops and duplicates sampled mid-flight
+		{"tcp", "fault-free"},
+	} {
+		name := c.transport + " " + c.network
+		off, err := cell(c.transport, c.network, false)
+		if err != nil {
 			return err
+		}
+		if i == 0 {
+			base = off.Checksum
+			t.AddRow(name, "off", fmt.Sprintf("%016x", base), 0, "", "", "baseline")
+		} else if off.Checksum != base {
+			return fmt.Errorf("%s baseline checksum %016x differs from sim fault-free %016x", name, off.Checksum, base)
+		}
+		on, err := cell(c.transport, c.network, true)
+		if err != nil {
+			return err
+		}
+		// One whole-cluster sampler on the simulator, one per node over tcp.
+		finals := []stats.Snapshot{on.Total()}
+		if c.transport == "tcp" {
+			finals = on.Nodes
+		}
+		if len(on.Samplers) != len(finals) {
+			return fmt.Errorf("%s: %d samplers, want %d", name, len(on.Samplers), len(finals))
+		}
+		for k, smp := range on.Samplers {
+			if c.transport == "tcp" {
+				name = fmt.Sprintf("tcp node %d", k)
+			}
+			if err := check(name, on.Checksum, off.Checksum, smp, finals[k]); err != nil {
+				return err
+			}
 		}
 	}
 	fmt.Fprintln(w, t)
@@ -1281,40 +997,31 @@ func E16Metrics(w io.Writer) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	var rec *metrics.Recorder
-	stallCfg := core.Config{
-		Nodes: 2, EventTrace: true,
-		WatchdogTimeout: 300 * time.Millisecond,
-		OnStall:         func(report string) { rec.Dump(report) },
-	}
-	c, err := core.NewCluster(stallCfg)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	stallSmp := metrics.Start(metrics.Config{Node: -1, Interval: 20 * time.Millisecond, Source: c.TotalStats})
-	defer stallSmp.Stop()
-	rec = &metrics.Recorder{
-		Dir: dir, Node: -1, Digest: stallCfg.Digest(),
-		Meta:    map[string]string{"app": "e16-stall", "transport": "sim"},
-		Sampler: stallSmp,
-		Streams: c.TraceStreams,
-	}
-	runErr := c.Run(func(n *core.Node) error {
-		if n.ID() == 0 {
-			if err := n.Acquire(2); err != nil {
-				return err
-			}
-			<-n.Runtime().Done()
-			return nil
-		}
-		time.Sleep(50 * time.Millisecond)
-		return n.Acquire(2)
+	_, runErr := cluster.Run(cluster.Spec{
+		Cfg: core.Config{Nodes: 2, EventTrace: true, WatchdogTimeout: 300 * time.Millisecond},
+		App: func() apps.App {
+			return kernel{name: "e16-stall", run: func(n *core.Node) error {
+				if n.ID() == 0 {
+					if err := n.Acquire(2); err != nil {
+						return err
+					}
+					<-n.Runtime().Done()
+					return nil
+				}
+				time.Sleep(50 * time.Millisecond)
+				return n.Acquire(2)
+			}}
+		},
+		Observe: cluster.Observe{Sample: true, SampleInterval: 20 * time.Millisecond, FlightDir: dir},
 	})
 	if runErr == nil {
 		return fmt.Errorf("stall cell: run did not stall")
 	}
-	b, err := metrics.LoadBundle(rec.Path())
+	bundles, _ := filepath.Glob(filepath.Join(dir, "flight-*.json"))
+	if len(bundles) != 1 {
+		return fmt.Errorf("stall cell: %d flight bundles in %s after: %v", len(bundles), dir, runErr)
+	}
+	b, err := metrics.LoadBundle(bundles[0])
 	if err != nil {
 		return fmt.Errorf("stall cell: no flight bundle: %w", err)
 	}

@@ -93,19 +93,19 @@ func Retry() *nodecore.RetryPolicy {
 	}
 }
 
-// Config builds a cluster configuration running protocol proto under
-// this plan: fault injection on, reliability layer on, watchdog
-// armed.
-func (p *Plan) Config(n int, proto core.Protocol, seed int64) core.Config {
+// Arm returns cfg running under this plan: fault injection on, the
+// matched reliability policy, and the watchdog armed (a Retry or
+// WatchdogTimeout the caller already set is kept).
+func (p *Plan) Arm(cfg core.Config) core.Config {
 	faults := p.Faults
-	return core.Config{
-		Nodes:           n,
-		Protocol:        proto,
-		Seed:            seed,
-		Faults:          &faults,
-		Retry:           Retry(),
-		WatchdogTimeout: 30 * time.Second,
+	cfg.Faults = &faults
+	if cfg.Retry == nil {
+		cfg.Retry = Retry()
 	}
+	if cfg.WatchdogTimeout == 0 {
+		cfg.WatchdogTimeout = 30 * time.Second
+	}
+	return cfg
 }
 
 // Injector drives a plan's event schedule against a cluster.

@@ -52,7 +52,7 @@ func TestChaosMatrix(t *testing.T) {
 					t.Parallel()
 					seed := int64(len(name))*7919 + 17
 					plan := DefaultPlan(nodes, seed)
-					cfg := plan.Config(nodes, proto, seed)
+					cfg := plan.Arm(core.Config{Nodes: nodes, Protocol: proto, Seed: seed})
 					cfg.Batch = batch
 					c, err := core.NewCluster(cfg)
 					if err != nil {

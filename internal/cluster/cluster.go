@@ -1,10 +1,16 @@
-// Package cluster runs DSM nodes as members of a multi-process
-// cluster over a real transport. Each OS process hosts one node:
-// it builds a tcp.Transport from the shared address list, joins the
-// cluster through the transport handshake (which rejects peers built
-// with a different protocol, page size, or workload), runs the
-// workload, and coordinates shutdown so no process exits while its
-// pages or locks are still needed.
+// Package cluster owns the lifecycle of a workload run: Run(Spec)
+// builds a whole cluster on either transport, arms the observers,
+// sets the workload up, times its Run phase, verifies, checksums,
+// collects one Result and tears everything down — the one path every
+// experiment, tool and test takes.
+//
+// RunNode is the one-process half of the TCP branch (and all of
+// `dsmrun -node`). Each OS process hosts one node: it builds a
+// tcp.Transport from the shared address list, joins the cluster
+// through the transport handshake (which rejects peers built with a
+// different protocol, page size, or workload), runs the workload, and
+// coordinates shutdown so no process exits while its pages or locks
+// are still needed.
 //
 // The same deterministic bump allocator that lays out shared memory
 // in the single-process simulator makes multi-process startup
@@ -18,15 +24,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"sync"
 	"time"
 
+	"repro/internal/advisor"
 	"repro/internal/apps"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -55,12 +65,6 @@ type NodeOpts struct {
 	// Addrs[Self] — used when a parent process binds all ports up
 	// front and passes them to children, eliminating bind races.
 	Listener net.Listener
-	// ExtraDigest folds additional identity (e.g. a workload
-	// parameterization) into the handshake digest.
-	ExtraDigest uint64
-	// Verify makes node 0 check the result against the workload's
-	// sequential reference after the run.
-	Verify bool
 	// DialWindow bounds how long this node waits for peers to come up
 	// (default 15s).
 	DialWindow time.Duration
@@ -73,70 +77,238 @@ type NodeOpts struct {
 	// OnDebug, if set, receives the bound debug address once the
 	// endpoint is listening (before the workload starts).
 	OnDebug func(addr string)
-	// Sample starts the metrics sampler for this node: a time-series
-	// ring over the node's counters, served as /metrics (Prometheus
-	// text format) and /metrics.json (dsmtop) on the debug endpoint
-	// and captured by the flight recorder. Needs Cfg.EventTrace for
-	// latency quantiles; counters sample regardless.
+	// Observe arms this node's sampler and flight recorder.
+	Observe
+}
+
+// Observe selects the observers armed around a run. The sampler is
+// served as /metrics (Prometheus text format) and /metrics.json on a
+// TCP node's debug endpoint, captured by the flight recorder, and
+// returned stopped in the Result.
+type Observe struct {
+	// Sample starts the metrics sampler: a time-series ring over the
+	// counters — one per node over TCP, one whole-cluster aggregate on
+	// the simulator. Needs Cfg.EventTrace for latency quantiles;
+	// counters sample regardless.
 	Sample bool
 	// SampleInterval overrides the sampling period (default
 	// metrics.DefaultInterval).
 	SampleInterval time.Duration
-	// TargetOpsPerSec is the node's open-loop serving target, enabling
+	// TargetOpsPerSec is each node's open-loop serving target, enabling
 	// the derived backlog gauge.
 	TargetOpsPerSec float64
 	// SLOTarget is the op-latency SLO threshold for the attainment
 	// gauge (default metrics.DefaultSLOTarget).
 	SLOTarget time.Duration
 	// FlightDir arms the flight recorder: a watchdog stall or an
-	// abnormal node exit dumps a JSON bundle (samples, trace window,
+	// abnormal exit dumps a JSON bundle (samples, trace window,
 	// goroutine profile, config digest) there, replayable with
-	// `dsmtrace -flight FILE`.
+	// `dsmtrace -flight FILE`; the returned error names the file.
 	FlightDir string
 }
 
-// Result is one node's view of a completed run.
+// Result is what a completed run leaves behind: a whole cluster's
+// view from Run, one node's from RunNode — the same shape either way.
 type Result struct {
-	// Elapsed covers the workload's Run phase only.
+	// Elapsed covers the workload's Run phase only; for a whole
+	// cluster, the slowest node's.
 	Elapsed time.Duration
-	// Stats are this node's protocol counters.
-	Stats stats.Snapshot
-	// Net is this node's transport traffic.
+	// Nodes holds the protocol counters of every node the run hosted,
+	// in node-id order.
+	Nodes []stats.Snapshot
+	// Net is the transport traffic, summed over those nodes.
 	Net transport.CountersSnapshot
-	// Checksum is the shared result's hash; only node 0 computes it,
-	// and only for workloads implementing apps.Checker.
+	// Checksum is the shared result's hash, computed by node 0 for
+	// workloads implementing apps.Checker.
 	Checksum    uint64
 	HasChecksum bool
-	// Trace is this node's event stream, non-nil when Cfg.EventTrace
-	// was set (each process traces only its own node).
-	Trace *trace.Stream
-	// Sampler is the node's stopped metrics sampler, non-nil when
-	// NodeOpts.Sample was set — its last sample matches Stats, which
-	// callers can assert with Sampler.Reconcile.
-	Sampler *metrics.Sampler
+	// Traces are the nodes' event streams, empty unless Cfg.EventTrace
+	// was set.
+	Traces []trace.Stream
+	// Samplers are the stopped metrics samplers, empty unless
+	// Observe.Sample was set: one per entry of Nodes over TCP, a single
+	// whole-cluster aggregate on the simulator. Each one's last sample
+	// matches the final counters (Sampler.Reconcile against Nodes[i],
+	// or against Total() for the aggregate).
+	Samplers []*metrics.Sampler
+	// Faults are the simulator's fault-injection counters and Advisor
+	// the sharing-pattern collector (Cfg.Advise); nil over TCP.
+	Faults  *simnet.FaultStats
+	Advisor *advisor.Collector
 }
 
+// Total sums the per-node counters.
+func (r *Result) Total() stats.Snapshot { return stats.Sum(r.Nodes) }
+
 // digestFor fingerprints everything the processes must agree on:
-// cluster config, workload identity, and any caller extra.
-func digestFor(cfg core.Config, app apps.App, extra uint64) uint64 {
+// cluster config and workload identity.
+func digestFor(cfg core.Config, app apps.App) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	for i, v := 0, cfg.Digest(); i < 8; i++ {
 		b[i] = byte(v >> (8 * i))
 	}
 	h.Write(b[:])
-	for i := 0; i < 8; i++ {
-		b[i] = byte(extra >> (8 * i))
-	}
-	h.Write(b[:])
 	h.Write([]byte(app.Name()))
 	return h.Sum64()
 }
 
+// observers is the sampler + flight-recorder pair both run paths arm.
+type observers struct {
+	smp *metrics.Sampler
+	rec *metrics.Recorder
+}
+
+// hookStall routes the watchdog's stall report into the flight
+// recorder. It must run before the cluster is built (OnStall is a
+// Config field); arm fills the recorder in afterwards, and Dump is
+// nil-safe until then.
+func (ob *observers) hookStall(o Observe, cfg *core.Config) {
+	if o.FlightDir == "" {
+		return
+	}
+	prev := cfg.OnStall
+	cfg.OnStall = func(report string) {
+		ob.rec.Dump(report)
+		if prev != nil {
+			prev(report)
+		}
+	}
+}
+
+// arm starts the sampler and fills in the recorder over the built
+// cluster c: per node over TCP, one whole-cluster aggregate (node -1,
+// serving target every node's) on the simulator.
+func (ob *observers) arm(o Observe, c *core.Cluster, digest uint64, app string) {
+	node, target := c.Self(), o.TargetOpsPerSec
+	if node < 0 {
+		target *= float64(c.N())
+	}
+	if o.Sample {
+		ob.smp = metrics.Start(metrics.Config{
+			Node:            int32(node),
+			Interval:        o.SampleInterval,
+			Source:          c.TotalStats,
+			TargetOpsPerSec: target,
+			SLOTarget:       o.SLOTarget,
+		})
+	}
+	if o.FlightDir != "" {
+		ob.rec = &metrics.Recorder{
+			Dir:    o.FlightDir,
+			Node:   int32(node),
+			Digest: digest,
+			Meta: map[string]string{
+				"app":       app,
+				"protocol":  c.Config().Protocol.String(),
+				"transport": c.TransportName(),
+			},
+			Sampler: ob.smp,
+			Streams: c.TraceStreams,
+		}
+	}
+}
+
+// abnormal, deferred, dumps a flight bundle when the run is ending in
+// *err (unless the watchdog already did) and names the file in it.
+func (ob *observers) abnormal(err *error) {
+	if *err == nil {
+		return
+	}
+	if path, derr := ob.rec.Dump("cluster: run exiting abnormally: " + (*err).Error()); derr == nil && path != "" {
+		*err = fmt.Errorf("%w (flight bundle: %s)", *err, path)
+	}
+}
+
+// drive takes the built cluster c — every node on the simulator, this
+// process's one over TCP — through the lifecycle all runs share:
+// Setup, the timed Run phase (under plan's schedule, if any), checksum
+// and verification through node 0, and collection once the counters
+// stand still. When only the verification fails, the collected Result
+// comes back alongside the error.
+func drive(c *core.Cluster, app apps.App, plan *chaos.Plan, ob *observers) (*Result, error) {
+	if err := app.Setup(c); err != nil {
+		return nil, fmt.Errorf("cluster: %s setup: %w", app.Name(), err)
+	}
+	var inj *chaos.Injector
+	if plan != nil {
+		inj = plan.Start(c)
+	}
+	start := time.Now()
+	err := c.Run(app.Run)
+	res := &Result{Elapsed: time.Since(start), Faults: c.FaultStats(), Advisor: c.Advisor()}
+	if inj != nil {
+		inj.Stop()
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Over TCP all nodes arrive before node 0 touches the result (its
+	// reads may fault pages in from any peer), and again after, so no
+	// process exits while another still needs it.
+	self := c.Self()
+	if self >= 0 {
+		if err := c.Node(self).Barrier(ShutdownBarrier); err != nil {
+			return nil, fmt.Errorf("cluster: pre-verify barrier: %w", err)
+		}
+	}
+	var verifyErr error
+	if c.Local(0) {
+		if ck, ok := app.(apps.Checker); ok {
+			if res.Checksum, err = ck.Checksum(c.Node(0)); err != nil {
+				return nil, fmt.Errorf("cluster: %s checksum: %w", app.Name(), err)
+			}
+			res.HasChecksum = true
+		}
+		verifyErr = app.Verify(c)
+	}
+	if self >= 0 {
+		if err := c.Node(self).Barrier(ShutdownBarrier); err != nil {
+			return nil, fmt.Errorf("cluster: post-verify barrier: %w", err)
+		}
+	} else if ob.smp != nil {
+		quiesce(c)
+	}
+	// The counters are quiesced: the sampler's final sample equals the
+	// snapshot taken next (Sampler.Reconcile's contract).
+	ob.smp.Stop()
+	if ob.smp != nil {
+		res.Samplers = []*metrics.Sampler{ob.smp}
+	}
+	res.Nodes = c.Stats()
+	res.Net = c.TransportCounters()
+	res.Traces = c.TraceStreams()
+	if verifyErr != nil {
+		return res, fmt.Errorf("cluster: %s verify: %w", app.Name(), verifyErr)
+	}
+	return res, nil
+}
+
+// quiesce returns once the simulated cluster's counters have stood
+// still for 100ms, or after five seconds. One-way traffic (lrc's diff
+// pushes, the acks after Checksum's release, a spiked or duplicated
+// message) is still being received when the app returns. 100ms is
+// longer than any delivery delay the fault plans in this tree inject;
+// 20ms was measured too short (one miss in 400 runs).
+func quiesce(c *core.Cluster) {
+	const quiet = 100 * time.Millisecond
+	deadline := time.Now().Add(5 * time.Second)
+	prev := c.TotalStats()
+	for time.Now().Before(deadline) {
+		time.Sleep(quiet)
+		cur := c.TotalStats()
+		prev.Lat, cur.Lat = nil, nil // counters only: Lat is a fresh pointer per snapshot
+		if cur == prev {
+			return
+		}
+		prev = cur
+	}
+}
+
 // RunNode hosts node o.Self for one full workload run and blocks
 // until the cluster-wide shutdown handshake completes. It is the
-// common engine behind `dsmrun -transport tcp` and the multi-process
-// tests.
+// one-process building block of Run's TCP branch, of `dsmrun
+// -transport tcp -node`, and of the multi-process tests.
 func RunNode(o NodeOpts) (_ *Result, retErr error) {
 	if o.App == nil {
 		return nil, fmt.Errorf("cluster: no workload")
@@ -144,29 +316,10 @@ func RunNode(o NodeOpts) (_ *Result, retErr error) {
 	if len(o.Addrs) != o.Cfg.Nodes {
 		return nil, fmt.Errorf("cluster: %d peer addresses for %d nodes", len(o.Addrs), o.Cfg.Nodes)
 	}
-	digest := digestFor(o.Cfg, o.App, o.ExtraDigest)
-	// Arm the flight recorder before the cluster exists: the watchdog
-	// hook must be in the Config. rec is filled in below (Dump is
-	// nil-safe until then), and the deferred dump catches abnormal
-	// exits the watchdog didn't cause.
-	var rec *metrics.Recorder
-	if o.FlightDir != "" {
-		prev := o.Cfg.OnStall
-		o.Cfg.OnStall = func(report string) {
-			rec.Dump(report)
-			if prev != nil {
-				prev(report)
-			}
-		}
-		defer func() {
-			if retErr == nil {
-				return
-			}
-			if path, err := rec.Dump("cluster: node exiting abnormally: " + retErr.Error()); err == nil && path != "" {
-				retErr = fmt.Errorf("%w (flight bundle: %s)", retErr, path)
-			}
-		}()
-	}
+	digest := digestFor(o.Cfg, o.App)
+	var ob observers
+	ob.hookStall(o.Observe, &o.Cfg)
+	defer ob.abnormal(&retErr)
 	tr, err := tcp.New(tcp.Config{
 		Self:         transport.NodeID(o.Self),
 		Addrs:        o.Addrs,
@@ -183,43 +336,16 @@ func RunNode(o NodeOpts) (_ *Result, retErr error) {
 		return nil, err
 	}
 	defer c.Close()
-	var smp *metrics.Sampler
-	if o.Sample {
-		smp = metrics.Start(metrics.Config{
-			Node:            int32(o.Self),
-			Interval:        o.SampleInterval,
-			Source:          func() stats.Snapshot { return c.Stats()[0] },
-			TargetOpsPerSec: o.TargetOpsPerSec,
-			SLOTarget:       o.SLOTarget,
-		})
-		defer smp.Stop()
-	}
-	if o.FlightDir != "" {
-		rec = &metrics.Recorder{
-			Dir:    o.FlightDir,
-			Node:   int32(o.Self),
-			Digest: digest,
-			Meta: map[string]string{
-				"app":       o.App.Name(),
-				"transport": "tcp",
-			},
-			Sampler: smp,
-			Streams: func() []trace.Stream {
-				if t := c.Tracer(o.Self); t != nil {
-					return []trace.Stream{t.Stream()}
-				}
-				return nil
-			},
-		}
-	}
+	ob.arm(o.Observe, c, digest, o.App.Name())
+	defer ob.smp.Stop()
 	if o.DebugAddr != "" {
 		ds, err := trace.ServeDebug(o.DebugAddr, trace.DebugConfig{
 			Node:   int32(o.Self),
-			Stats:  func() stats.Snapshot { return c.Stats()[0] },
+			Stats:  c.TotalStats,
 			Tracer: c.Tracer(o.Self),
 			Extra: map[string]http.Handler{
-				"/metrics":      smp.PromHandler(),
-				"/metrics.json": smp.JSONHandler(),
+				"/metrics":      ob.smp.PromHandler(),
+				"/metrics.json": ob.smp.JSONHandler(),
 				// Per-peer round-trip estimates behind the retransmission timer.
 				"/rtt": http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 					w.Header().Set("Content-Type", "application/json")
@@ -235,72 +361,95 @@ func RunNode(o NodeOpts) (_ *Result, retErr error) {
 			o.OnDebug(ds.Addr())
 		}
 	}
-	if err := o.App.Setup(c); err != nil {
-		return nil, fmt.Errorf("cluster: %s setup: %w", o.App.Name(), err)
+	res, err := drive(c, o.App, nil, &ob)
+	if te := tr.Err(); err != nil && te != nil {
+		err = fmt.Errorf("%w (transport: %v)", err, te)
 	}
-	start := time.Now()
-	if err := c.Run(o.App.Run); err != nil {
-		if te := tr.Err(); te != nil {
-			return nil, fmt.Errorf("%w (transport: %v)", err, te)
-		}
+	return res, err
+}
+
+// Spec describes one run of one workload on a whole cluster.
+type Spec struct {
+	// Cfg is the cluster configuration.
+	Cfg core.Config
+	// App returns the workload. It is called once on the simulator and
+	// once per node over TCP, where it must return a fresh,
+	// identically parameterized instance each time (instances hold
+	// per-node allocation state).
+	App func() apps.App
+	// TCP runs the cluster as Cfg.Nodes RunNodes inside this process —
+	// one goroutine, transport, heap and workload instance per node,
+	// talking through real loopback sockets — instead of one
+	// core.Cluster over the simulated network.
+	TCP bool
+	// Chaos, if set, runs the workload under the plan: its faults,
+	// retry policy and watchdog armed in Cfg, its partition/stall
+	// schedule running for the timed phase. Simulator-only.
+	Chaos *chaos.Plan
+	// Observe arms the sampler and flight recorder.
+	Observe
+	// Watch, if set with Sample, receives the sampler's windowed
+	// summary once a second during the run. Simulator-only; a TCP
+	// cluster is watched through its debug endpoints (metrics.Watch).
+	Watch io.Writer
+	// OnDebug, if set, makes every TCP node serve its HTTP debug
+	// endpoint on a free loopback port and receives each bound address
+	// before that node's workload starts.
+	OnDebug func(node int, addr string)
+}
+
+// Run executes the workload once on a fresh cluster and tears the
+// cluster down: build, arm the observers, then drive. When only the
+// verification against the sequential reference fails, the collected
+// Result is returned alongside the error.
+func Run(s Spec) (*Result, error) {
+	if s.TCP {
+		return runTCP(s)
+	}
+	return runSim(s)
+}
+
+func runSim(s Spec) (_ *Result, retErr error) {
+	cfg, app := s.Cfg, s.App()
+	if s.Chaos != nil {
+		cfg = s.Chaos.Arm(cfg)
+	}
+	var ob observers
+	ob.hookStall(s.Observe, &cfg)
+	defer ob.abnormal(&retErr)
+	c, err := core.NewCluster(cfg)
+	if err != nil {
 		return nil, err
 	}
-	res := &Result{Elapsed: time.Since(start)}
-	n := c.Node(o.Self)
-	// Quiesce: all nodes arrive before node 0 touches the result (its
-	// reads may fault pages in from any peer), and again after, so no
-	// process exits while another still needs it.
-	if err := n.Barrier(ShutdownBarrier); err != nil {
-		return nil, fmt.Errorf("cluster: pre-verify barrier: %w", err)
-	}
-	if o.Self == 0 {
-		if ck, ok := o.App.(apps.Checker); ok {
-			sum, err := ck.Checksum(n)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: %s checksum: %w", o.App.Name(), err)
+	defer c.Close()
+	ob.arm(s.Observe, c, cfg.Digest(), app.Name())
+	defer ob.smp.Stop()
+	if s.Watch != nil && ob.smp != nil {
+		stop := make(chan struct{})
+		defer close(stop)
+		go func() {
+			tick := time.NewTicker(time.Second)
+			defer tick.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+					metrics.RenderLocal(s.Watch, ob.smp.Window())
+				}
 			}
-			res.Checksum, res.HasChecksum = sum, true
-		}
-		if o.Verify {
-			if err := o.App.Verify(c); err != nil {
-				return nil, fmt.Errorf("cluster: %s verify: %w", o.App.Name(), err)
-			}
-		}
+		}()
 	}
-	if err := n.Barrier(ShutdownBarrier); err != nil {
-		return nil, fmt.Errorf("cluster: post-verify barrier: %w", err)
-	}
-	// Stop the sampler at the quiesce point so its final sample equals
-	// the final counters read just below (Sampler.Reconcile's
-	// contract).
-	smp.Stop()
-	res.Sampler = smp
-	res.Stats = c.Stats()[0]
-	res.Net = c.TransportCounters()
-	if tr := c.Tracer(o.Self); tr != nil {
-		s := tr.Stream()
-		res.Trace = &s
-	}
-	return res, nil
+	return drive(c, app, s.Chaos, &ob)
 }
 
-// Loopback runs a full cfg.Nodes-process-shaped cluster inside this
-// process: one goroutine per node, each with its own transport,
-// heap, and workload instance, all talking through real TCP loopback
-// sockets. newApp must return a fresh identically-parameterized
-// workload per call (instances hold per-node allocation state).
-// Results are indexed by node; index 0 carries the checksum.
-func Loopback(cfg core.Config, newApp func() apps.App, verify bool) ([]*Result, error) {
-	return LoopbackWith(cfg, newApp, verify, nil)
-}
-
-// LoopbackWith is Loopback with a per-node options hook: mod (may be
-// nil) runs on each node's NodeOpts before it starts — how the E16
-// experiment turns on sampling and debug endpoints for every member
-// of an in-process TCP cluster.
-func LoopbackWith(cfg core.Config, newApp func() apps.App, verify bool, mod func(o *NodeOpts)) ([]*Result, error) {
-	lns := make([]net.Listener, cfg.Nodes)
-	addrs := make([]string, cfg.Nodes)
+func runTCP(s Spec) (*Result, error) {
+	if s.Chaos != nil {
+		return nil, fmt.Errorf("cluster: chaos is simulator-only (a real network brings its own faults)")
+	}
+	n := s.Cfg.Nodes
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -312,34 +461,47 @@ func LoopbackWith(cfg core.Config, newApp func() apps.App, verify bool, mod func
 		lns[i] = ln
 		addrs[i] = ln.Addr().String()
 	}
-	results := make([]*Result, cfg.Nodes)
-	errs := make([]error, cfg.Nodes)
+	results := make([]*Result, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.Nodes; i++ {
+	for i := 0; i < n; i++ {
+		o := NodeOpts{
+			Cfg:      s.Cfg,
+			App:      s.App(),
+			Self:     i,
+			Addrs:    addrs,
+			Listener: lns[i],
+			Observe:  s.Observe,
+		}
+		if s.OnDebug != nil {
+			o.DebugAddr = "127.0.0.1:0"
+			o.OnDebug = func(addr string) { s.OnDebug(o.Self, addr) }
+		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			o := NodeOpts{
-				Cfg:      cfg,
-				App:      newApp(),
-				Self:     i,
-				Addrs:    addrs,
-				Listener: lns[i],
-				Verify:   verify,
-			}
-			if mod != nil {
-				mod(&o)
-			}
-			results[i], errs[i] = RunNode(o)
-		}(i)
+			results[o.Self], errs[o.Self] = RunNode(o)
+		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
+	// Node 0's result carries the checksum; fold the others into it.
+	res := results[0]
+	for i, r := range results {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("cluster: node %d: %w", i, errs[i])
 		}
+		if i == 0 {
+			continue
+		}
+		if r.Elapsed > res.Elapsed {
+			res.Elapsed = r.Elapsed
+		}
+		res.Nodes = append(res.Nodes, r.Nodes...)
+		res.Net = res.Net.Add(r.Net)
+		res.Traces = append(res.Traces, r.Traces...)
+		res.Samplers = append(res.Samplers, r.Samplers...)
 	}
-	return results, nil
+	return res, nil
 }
 
 // ListenerFile dups a TCP listener into an *os.File suitable for

@@ -16,7 +16,11 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/kv"
+	"repro/internal/loadgen"
+	"repro/internal/stats"
 )
 
 // ---------------------------------------------------------------
@@ -91,7 +95,6 @@ func runChild() {
 		Self:       self,
 		Addrs:      addrs,
 		Listener:   ln,
-		Verify:     true,
 		DialWindow: 20 * time.Second,
 	})
 	if err != nil {
@@ -107,31 +110,60 @@ func runChild() {
 // Parent-side tests
 // ---------------------------------------------------------------
 
+// transports names Run's two branches for table-driven tests.
+var transports = []struct {
+	name string
+	tcp  bool
+}{{"sim", false}, {"tcp", true}}
+
+// checkShape asserts what every Result carries whatever carried the
+// messages: one snapshot per node, a Total that is their sum, a timed
+// Run phase, and traffic.
+func checkShape(t *testing.T, transport string, res *Result, nodes int) {
+	t.Helper()
+	if len(res.Nodes) != nodes {
+		t.Fatalf("%s: %d per-node snapshots, want %d", transport, len(res.Nodes), nodes)
+	}
+	total := res.Total().Fields()
+	for i, f := range total {
+		var sum int64
+		for _, n := range res.Nodes {
+			sum += n.Fields()[i].Value
+		}
+		if sum != f.Value {
+			t.Fatalf("%s: Total().%s = %d, per-node snapshots sum to %d", transport, f.Name, f.Value, sum)
+		}
+	}
+	if res.Total().MsgsSent == 0 || res.Net.MsgsSent == 0 {
+		t.Fatalf("%s: a %d-node run recorded no messages (protocol %d, transport %d)",
+			transport, nodes, res.Total().MsgsSent, res.Net.MsgsSent)
+	}
+	if res.Elapsed <= 0 {
+		t.Fatalf("%s: no elapsed time", transport)
+	}
+}
+
 // simChecksum runs the workload on the in-process simulator and
 // returns node 0's result hash — the reference the TCP runs must
 // match byte for byte.
 func simChecksum(t *testing.T, cfg core.Config, newApp func() apps.App) uint64 {
 	t.Helper()
-	c, err := core.NewCluster(cfg)
+	res, err := Run(Spec{Cfg: cfg, App: newApp})
 	if err != nil {
-		t.Fatalf("simnet cluster: %v", err)
-	}
-	defer c.Close()
-	app := newApp()
-	if err := apps.RunAndVerify(c, app); err != nil {
 		t.Fatalf("simnet run: %v", err)
 	}
-	sum, err := app.(apps.Checker).Checksum(c.Node(0))
-	if err != nil {
-		t.Fatalf("simnet checksum: %v", err)
+	checkShape(t, "sim", res, cfg.Nodes)
+	if !res.HasChecksum {
+		t.Fatalf("simnet run produced no checksum")
 	}
-	return sum
+	return res.Checksum
 }
 
 // TestLoopbackMatchesSimnet is the byte-identity matrix: SOR, matrix
 // multiply, and the task farm under sequential consistency, eager
 // release consistency, and lazy release consistency each produce the
-// same result hash on a real TCP cluster as on the simulator.
+// same result hash, in the same Result shape, on a real TCP cluster
+// as on the simulator.
 func TestLoopbackMatchesSimnet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket matrix in -short mode")
@@ -153,25 +185,139 @@ func TestLoopbackMatchesSimnet(t *testing.T) {
 					WatchdogTimeout: 60 * time.Second,
 				}
 				want := simChecksum(t, cfg, newApp)
-				results, err := Loopback(cfg, newApp, true)
+				res, err := Run(Spec{Cfg: cfg, App: newApp, TCP: true})
 				if err != nil {
 					t.Fatalf("tcp loopback: %v", err)
 				}
-				if !results[0].HasChecksum {
+				checkShape(t, "tcp", res, cfg.Nodes)
+				if !res.HasChecksum {
 					t.Fatalf("node 0 produced no checksum")
 				}
-				if got := results[0].Checksum; got != want {
-					t.Fatalf("tcp result differs from simnet: %016x != %016x", got, want)
-				}
-				var msgs int64
-				for _, r := range results {
-					msgs += r.Net.MsgsSent
-				}
-				if msgs == 0 {
-					t.Fatalf("a 3-node TCP run sent no messages")
+				if res.Checksum != want {
+					t.Fatalf("tcp result differs from simnet: %016x != %016x", res.Checksum, want)
 				}
 			})
 		}
+	}
+}
+
+// TestRunCollectsStats: a traced, sampled run returns one stream and
+// its counters per node on either transport, and each sampler's last
+// sample equals the counters it is returned with.
+func TestRunCollectsStats(t *testing.T) {
+	for _, tr := range transports {
+		cfg := core.Config{Nodes: 3, Protocol: core.LRC, PageSize: 256, HeapBytes: 1 << 18, EventTrace: true}
+		res, err := Run(Spec{
+			Cfg: cfg, TCP: tr.tcp,
+			App:     func() apps.App { return apps.NewHistogram(1<<10, 8) },
+			Observe: Observe{Sample: true, SampleInterval: 5 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tr.name, err)
+		}
+		checkShape(t, tr.name, res, cfg.Nodes)
+		if len(res.Traces) != cfg.Nodes {
+			t.Fatalf("%s: %d trace streams, want %d", tr.name, len(res.Traces), cfg.Nodes)
+		}
+		finals := []stats.Snapshot{res.Total()} // simulator: one aggregate sampler
+		if tr.tcp {
+			finals = res.Nodes
+		}
+		if len(res.Samplers) != len(finals) {
+			t.Fatalf("%s: %d samplers, want %d", tr.name, len(res.Samplers), len(finals))
+		}
+		for i, smp := range res.Samplers {
+			if bad := smp.Reconcile(finals[i]); len(bad) != 0 {
+				t.Fatalf("%s: sampler %d does not reconcile: %v", tr.name, i, bad)
+			}
+		}
+	}
+}
+
+func TestRunPropagatesVerifyFailure(t *testing.T) {
+	// A cluster too small for the heap the app wants must error out
+	// of Setup, not panic.
+	for _, tr := range transports {
+		_, err := Run(Spec{
+			Cfg: core.Config{
+				Nodes:       2,
+				Protocol:    core.SCFixed,
+				PageSize:    256,
+				HeapBytes:   512, // too small for the histogram bins
+				CallTimeout: 5 * time.Second,
+			},
+			App: func() apps.App { return apps.NewHistogram(1<<10, 512) },
+			TCP: tr.tcp,
+		})
+		if err == nil {
+			t.Fatalf("%s: impossible setup succeeded", tr.name)
+		}
+	}
+}
+
+// corrupt is a workload whose result never matches its reference.
+type corrupt struct{ apps.App }
+
+func (corrupt) Verify(*core.Cluster) error { return fmt.Errorf("result differs from reference") }
+
+// TestRunReturnsResultOnVerifyFailure: a run that completes but fails
+// verification hands back what it collected next to the error, so a
+// tool can still print the counters of the run that went wrong.
+func TestRunReturnsResultOnVerifyFailure(t *testing.T) {
+	res, err := Run(Spec{
+		Cfg: core.Config{Nodes: 2, Protocol: core.SCFixed},
+		App: func() apps.App { return corrupt{apps.NewSOR(24, 16, 2)} },
+	})
+	if err == nil || !strings.Contains(err.Error(), "result differs from reference") {
+		t.Fatalf("verify failure not reported: %v", err)
+	}
+	if res == nil || len(res.Nodes) != 2 || res.Total().MsgsSent == 0 {
+		t.Fatalf("no result collected beside the verify error: %+v", res)
+	}
+}
+
+// TestSampleReconciles is the property `dsmrun -sample` relies on: on
+// the simulator, under lrc (whose diff pushes and acks are still
+// landing when the app returns), fault-free and under a chaos plan,
+// the sampler's final sample equals the final counters. Run quiesces
+// before the last sample; without that this failed 3 runs in 15.
+func TestSampleReconciles(t *testing.T) {
+	params := kv.Params{Keys: 256, Ops: 200, Dist: loadgen.Zipfian, Theta: 0.99, Mix: loadgen.ReadHeavy, Seed: 16}
+	plan := chaos.DefaultPlan(3, 16)
+	for name, p := range map[string]*chaos.Plan{"fault-free": nil, "chaos": &plan} {
+		res, err := Run(Spec{
+			Cfg:     core.Config{Nodes: 3, Protocol: core.LRC, PageSize: 512, Seed: 16, EventTrace: true},
+			App:     func() apps.App { return kv.New(params) },
+			Chaos:   p,
+			Observe: Observe{Sample: true, SampleInterval: 10 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Samplers) != 1 {
+			t.Fatalf("%s: %d samplers, want the one aggregate", name, len(res.Samplers))
+		}
+		if bad := res.Samplers[0].Reconcile(res.Total()); len(bad) != 0 {
+			t.Fatalf("%s: sampler does not reconcile with the final counters: %v", name, bad)
+		}
+		if (res.Faults.Dropped.Load() > 0) != (p != nil) {
+			t.Fatalf("%s: faults injected: %v", name, res.Faults)
+		}
+	}
+}
+
+// TestChaosIsSimulatorOnly: the TCP branch refuses a chaos plan
+// instead of silently running fault-free.
+func TestChaosIsSimulatorOnly(t *testing.T) {
+	plan := chaos.DefaultPlan(2, 1)
+	_, err := Run(Spec{
+		Cfg:   core.Config{Nodes: 2},
+		App:   func() apps.App { return apps.NewSOR(24, 16, 2) },
+		TCP:   true,
+		Chaos: &plan,
+	})
+	if err == nil || !strings.Contains(err.Error(), "simulator-only") {
+		t.Fatalf("tcp + chaos: %v", err)
 	}
 }
 

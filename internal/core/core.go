@@ -33,7 +33,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/vclock"
-	"repro/internal/wire"
 )
 
 // Protocol selects the coherence/consistency engine.
@@ -175,8 +174,6 @@ type Config struct {
 
 	// CallTimeout bounds internal RPCs (default 30s).
 	CallTimeout time.Duration
-	// Trace, if set, observes every delivered message.
-	Trace func(*wire.Msg)
 
 	// EventTrace enables the causal event tracer (internal/trace):
 	// each node records protocol events (faults, RPCs, sync, diffs,
@@ -337,7 +334,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		RecvOccupancy: cfg.RecvOccupancy,
 		Jitter:        cfg.Jitter,
 		Seed:          cfg.Seed,
-		Trace:         cfg.Trace,
 		Faults:        cfg.Faults,
 	})
 	if err != nil {
@@ -391,8 +387,6 @@ func NewDistributedNode(cfg Config, tr transport.Transport, self int) (*Cluster,
 	switch {
 	case cfg.Faults != nil:
 		return nil, fmt.Errorf("core: NewDistributedNode: fault injection is simulator-only")
-	case cfg.Trace != nil:
-		return nil, fmt.Errorf("core: NewDistributedNode: message tracing is simulator-only")
 	case cfg.Latency != 0 || cfg.PerByte != 0 || cfg.RecvOccupancy != 0 || cfg.Jitter != 0:
 		return nil, fmt.Errorf("core: NewDistributedNode: latency modelling is simulator-only")
 	case cfg.BreakCoherence:

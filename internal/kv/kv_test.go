@@ -15,23 +15,15 @@ import (
 // cluster checksum and the aggregated op-latency p99 (ns).
 func runSim(t *testing.T, cfg core.Config, s *kv.Store) (uint64, int64) {
 	t.Helper()
-	c, err := core.NewCluster(cfg)
+	res, err := cluster.Run(cluster.Spec{Cfg: cfg, App: func() apps.App { return s }})
 	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	defer c.Close()
-	if err := apps.RunAndVerify(c, s); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := s.Checksum(c.Node(0))
-	if err != nil {
-		t.Fatalf("checksum: %v", err)
-	}
 	var p99 int64
-	if lat := c.TotalStats().Lat; lat != nil {
+	if lat := res.Total().Lat; lat != nil {
 		p99 = lat.Op.Quantile(0.99)
 	}
-	return sum, p99
+	return res.Checksum, p99
 }
 
 // TestKVSmoke is the serving regression gate: the same kvstore
@@ -54,24 +46,24 @@ func TestKVSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP loopback cluster is slow")
 	}
-	results, err := cluster.Loopback(cfg, func() apps.App { return kv.New(p) }, true)
+	res, err := cluster.Run(cluster.Spec{Cfg: cfg, App: func() apps.App { return kv.New(p) }, TCP: true})
 	if err != nil {
 		t.Fatalf("tcp loopback: %v", err)
 	}
-	if !results[0].HasChecksum {
+	if !res.HasChecksum {
 		t.Fatal("tcp loopback returned no checksum")
 	}
-	if results[0].Checksum != simSum {
-		t.Fatalf("tcp checksum %016x differs from simulator %016x", results[0].Checksum, simSum)
+	if res.Checksum != simSum {
+		t.Fatalf("tcp checksum %016x differs from simulator %016x", res.Checksum, simSum)
 	}
 	tcpOps := int64(0)
-	for i, r := range results {
-		if r.Stats.Lat == nil {
+	for i, st := range res.Nodes {
+		if st.Lat == nil {
 			t.Fatalf("tcp node %d carries no latency histograms", i)
 		}
-		tcpOps += r.Stats.Lat.Op.Count
-		if p99 := r.Stats.Lat.Op.Quantile(0.99); p99 == 0 {
-			t.Fatalf("tcp node %d op p99 is zero over %d ops", i, r.Stats.Lat.Op.Count)
+		tcpOps += st.Lat.Op.Count
+		if p99 := st.Lat.Op.Quantile(0.99); p99 == 0 {
+			t.Fatalf("tcp node %d op p99 is zero over %d ops", i, st.Lat.Op.Count)
 		}
 	}
 	if want := int64(cfg.Nodes * p.Ops); tcpOps != want {

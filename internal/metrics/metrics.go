@@ -5,7 +5,7 @@
 // a schedule-backlog gauge, and SLO attainment from the deltas
 // between samples. The ring feeds three consumers: the Prometheus
 // text exposition (prom.go) served as /metrics on the debug
-// endpoint, the JSON window served as /metrics.json for dsmtop
+// endpoint, the JSON window served as /metrics.json for dsmrun -watch
 // (watch.go), and the flight recorder's post-mortem bundle
 // (flight.go).
 //

@@ -102,8 +102,8 @@ func (s *Sampler) PromHandler() http.Handler {
 	})
 }
 
-// JSONHandler serves the derived Window as JSON — the dsmtop poll
-// target (/metrics.json).
+// JSONHandler serves the derived Window as JSON — the dsmrun -watch
+// poll target (/metrics.json).
 func (s *Sampler) JSONHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

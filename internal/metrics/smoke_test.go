@@ -62,24 +62,20 @@ func TestMetricsSmoke(t *testing.T) {
 	addrs := make(map[int]string)
 	cfg := core.Config{Nodes: nodes, PageSize: 256, EventTrace: true}
 	done := make(chan struct{})
-	var results []*cluster.Result
+	var res *cluster.Result
 	var runErr error
 	go func() {
 		defer close(done)
-		results, runErr = cluster.LoopbackWith(cfg,
-			func() apps.App { return &holdApp{App: apps.NewSOR(16, 12, 4), ready: ready, release: release} },
-			false,
-			func(o *cluster.NodeOpts) {
-				self := o.Self
-				o.Sample = true
-				o.SampleInterval = 20 * time.Millisecond
-				o.DebugAddr = "127.0.0.1:0"
-				o.OnDebug = func(addr string) {
-					mu.Lock()
-					addrs[self] = addr
-					mu.Unlock()
-				}
-			})
+		res, runErr = cluster.Run(cluster.Spec{
+			Cfg: cfg, TCP: true,
+			App:     func() apps.App { return &holdApp{App: apps.NewSOR(16, 12, 4), ready: ready, release: release} },
+			Observe: cluster.Observe{Sample: true, SampleInterval: 20 * time.Millisecond},
+			OnDebug: func(node int, addr string) {
+				mu.Lock()
+				addrs[node] = addr
+				mu.Unlock()
+			},
+		})
 	}()
 	for i := 0; i < nodes; i++ {
 		select {
@@ -174,11 +170,11 @@ func TestMetricsSmoke(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	for i, res := range results {
-		if res.Sampler == nil {
-			t.Fatalf("node %d: no sampler in result", i)
-		}
-		if bad := res.Sampler.Reconcile(res.Stats); len(bad) != 0 {
+	if len(res.Samplers) != nodes {
+		t.Fatalf("%d samplers in the result, want one per node", len(res.Samplers))
+	}
+	for i, smp := range res.Samplers {
+		if bad := smp.Reconcile(res.Nodes[i]); len(bad) != 0 {
 			t.Fatalf("node %d: sampler does not reconcile with final counters: %v", i, bad)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 	"repro/internal/stats"
 )
 
-// The live dashboard engine behind `dsmrun -watch` and cmd/dsmtop:
+// The live dashboard engine behind `dsmrun -watch`:
 // poll every node's /metrics.json, render one per-node row plus a
 // cluster-aggregate row, repeat. Rendering goes through an io.Writer
 // so tests can drive it against httptest endpoints.
@@ -67,9 +67,9 @@ type WatchOpts struct {
 	Rounds int
 	// Stop, when closed, ends the loop after the current round.
 	Stop <-chan struct{}
-	// ClearScreen redraws in place with ANSI clear codes (dsmtop's
-	// default); off, rounds append (dsmrun -watch interleaved with
-	// node output).
+	// ClearScreen redraws in place with ANSI clear codes (dsmrun -watch
+	// host:port ...); off, rounds append (dsmrun -watch over its own
+	// tcp demo, interleaved with node output).
 	ClearScreen bool
 }
 

@@ -297,7 +297,7 @@ func TestBrokenCoherenceCaught(t *testing.T) {
 			cfg := traceCfg(core.SCFixed, 3)
 			if chaosRun {
 				plan := chaos.DefaultPlan(3, 7)
-				cfg = plan.Config(3, core.SCFixed, 7)
+				cfg = plan.Arm(core.Config{Nodes: 3, Protocol: core.SCFixed, Seed: 7})
 				cfg.PageSize = 256
 				cfg.AccessTrace = true
 				cfg.TraceCapacity = 1 << 17

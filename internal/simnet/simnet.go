@@ -72,8 +72,6 @@ type Config struct {
 	// Net.Partition and Net.StallNode. Self-addressed messages are
 	// never faulted.
 	Faults *FaultPlan
-	// Trace, if non-nil, is invoked synchronously at each delivery.
-	Trace func(m *wire.Msg)
 }
 
 // FaultPlan describes the probabilistic faults applied to each
@@ -202,7 +200,7 @@ func New(cfg Config) (*Net, error) {
 			inbox: make(chan *wire.Msg, cfg.InboxDepth),
 		}
 		net.eps[i] = ep
-		q := newDQueue(ep, cfg.Trace)
+		q := newDQueue(ep)
 		net.queues[i] = q
 		go q.run()
 	}
@@ -435,8 +433,7 @@ func xorshift(s *uint64) uint64 {
 // drained by one goroutine that sleeps until each message is due,
 // decodes it, and hands it to the endpoint inbox.
 type dqueue struct {
-	ep    *Endpoint
-	trace func(*wire.Msg)
+	ep *Endpoint
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -455,8 +452,8 @@ type item struct {
 	self bool
 }
 
-func newDQueue(ep *Endpoint, trace func(*wire.Msg)) *dqueue {
-	q := &dqueue{ep: ep, trace: trace}
+func newDQueue(ep *Endpoint) *dqueue {
+	q := &dqueue{ep: ep}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -548,9 +545,6 @@ func (q *dqueue) run() {
 		// Decode copied the payloads, so the wire buffer can go back
 		// to the pool before the message is even delivered.
 		wire.PutBuf(it.buf)
-		if q.trace != nil {
-			q.trace(m)
-		}
 		select {
 		case q.ep.inbox <- m:
 		case <-q.ep.net.closed:

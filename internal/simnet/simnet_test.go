@@ -155,25 +155,6 @@ func TestTrafficAccounting(t *testing.T) {
 	}
 }
 
-func TestTraceHook(t *testing.T) {
-	var mu sync.Mutex
-	var seen []wire.Kind
-	n := newNet(t, Config{Nodes: 2, Trace: func(m *wire.Msg) {
-		mu.Lock()
-		seen = append(seen, m.Kind)
-		mu.Unlock()
-	}})
-	if err := n.Endpoint(0).Send(&wire.Msg{Kind: wire.KInval, From: 0, To: 1}); err != nil {
-		t.Fatal(err)
-	}
-	<-n.Endpoint(1).Recv()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 1 || seen[0] != wire.KInval {
-		t.Fatalf("trace saw %v", seen)
-	}
-}
-
 func TestCloseStopsDelivery(t *testing.T) {
 	n := newNet(t, Config{Nodes: 2})
 	n.Close()
