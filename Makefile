@@ -14,10 +14,13 @@ build:
 # chaos/reliability, sync and transport packages, the access path
 # (nodecore, core), the run lifecycle (cluster) and the trace ring
 # again under the race detector (their concurrency is the most
-# delicate).
+# delicate), and a short stress of the message path's ordering and
+# hand-off tests (direct vs queued simnet delivery, self-delivery,
+# inline handlers), whose failures would be scheduling-dependent.
 test: vet smoke bench-alloc
 	$(GO) test ./... -timeout 1200s
 	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/dsync ./internal/core ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace
+	$(GO) test -race -count=20 -run 'FIFO|SelfDeliver|Inline' ./internal/simnet ./internal/nodecore ./internal/dsync
 
 # Allocation regression gate. The thresholds are checked into the
 # tests themselves: the ZeroAlloc tests assert 0 allocs/op in steady
@@ -27,13 +30,15 @@ test: vet smoke bench-alloc
 # histogram observe), for the shared-memory local hit (a typed
 # access or single-page ReadAt/WriteAt on a valid page), and for what
 # the retransmission timer adds to a reliable call (timeout + jitter
-# draw, RTT sample). The
+# draw, RTT sample); the AllocBudget test holds an uncontended
+# self-managed lock pair at its current count. The
 # benchmarks print current numbers for the paths that clone by design
-# (receive-side decode).
+# (receive-side decode) and for a lock round trip (manager = self /
+# = the peer).
 bench-alloc:
-	$(GO) test -run ZeroAlloc -count=1 ./internal/wire/ ./internal/mem/ ./internal/nodecore/ ./internal/trace/ ./internal/kv/ ./internal/metrics/
-	$(GO) test -run '^$$' -bench 'Encode|DecodeInto|PackBatch|AppendDiff|ApplyDiff|FrameRoundTrip|ReadHit|WriteHit|EmitDisabled|EmitEnabled|AccessEmit|HistObserve|KVOpRecord|SampleOnce|PromWrite' \
-		-benchtime 1000x -benchmem -timeout 300s ./internal/wire/ ./internal/mem/ ./internal/nodecore/ ./internal/transport/tcp/ ./internal/trace/ ./internal/kv/ ./internal/metrics/
+	$(GO) test -run 'ZeroAlloc|AllocBudget' -count=1 ./internal/wire/ ./internal/mem/ ./internal/nodecore/ ./internal/trace/ ./internal/kv/ ./internal/metrics/ ./internal/dsync/
+	$(GO) test -run '^$$' -bench 'Encode|DecodeInto|PackBatch|AppendDiff|ApplyDiff|FrameRoundTrip|ReadHit|WriteHit|EmitDisabled|EmitEnabled|AccessEmit|HistObserve|KVOpRecord|SampleOnce|PromWrite|LockLocal|LockRemoteSim' \
+		-benchtime 1000x -benchmem -timeout 300s ./internal/wire/ ./internal/mem/ ./internal/nodecore/ ./internal/transport/tcp/ ./internal/trace/ ./internal/kv/ ./internal/metrics/ ./internal/dsync/
 
 short:
 	$(GO) test ./... -short -timeout 600s

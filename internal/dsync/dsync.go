@@ -173,11 +173,16 @@ func New(rt *nodecore.Runtime, hooks Hooks, cfg Config) *Service {
 		bars:   make(map[int32]*barState),
 		events: make(map[int32]*evtState),
 	}
-	rt.HandleBlocking(wire.KLockReq, s.handleLockReq)
-	rt.Handle(wire.KLockRel, s.handleLockRel)
-	rt.HandleBlocking(wire.KBarArrive, s.handleBarArrive)
-	rt.HandleBlocking(wire.KEvtWait, s.handleEvtWait)
-	rt.Handle(wire.KEvtSet, s.handleEvtSet)
+	// Lock and event handlers only take their state's mutex, call the
+	// local GrantPayload hook and Send/Forward: HandleInline's rule holds
+	// (a request's *reply* is what waits, hence blocking). The barrier
+	// handler's tree variant calls its parent, so it keeps a goroutine.
+	rt.HandleInline(wire.KLockReq, s.handleLockReq)
+	rt.HandleInline(wire.KLockRel, s.handleLockRel)
+	rt.Handle(wire.KBarArrive, s.handleBarArrive)
+	rt.HandleInline(wire.KEvtWait, s.handleEvtWait)
+	rt.HandleInline(wire.KEvtSet, s.handleEvtSet)
+	rt.MarkBlocking(wire.KLockReq, wire.KBarArrive, wire.KEvtWait)
 	return s
 }
 

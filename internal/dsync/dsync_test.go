@@ -28,18 +28,24 @@ type fixture struct {
 	svcs []*Service
 }
 
-func newFixture(t *testing.T, n int, cfg Config, hooks func(i int) Hooks) *fixture {
+func newFixture(t testing.TB, n int, cfg Config, hooks func(i int) Hooks) *fixture {
 	t.Helper()
 	return newFixtureWith(t, n, cfg, hooks, nil)
 }
 
 // newFixtureWith is newFixture with a hook that sees each runtime
 // before it starts (to enable reliability, say).
-func newFixtureWith(t *testing.T, n int, cfg Config, hooks func(i int) Hooks, prep func(*nodecore.Runtime)) *fixture {
+func newFixtureWith(t testing.TB, n int, cfg Config, hooks func(i int) Hooks, prep func(*nodecore.Runtime)) *fixture {
 	t.Helper()
 	net, err := simnet.New(simnet.Config{Nodes: n})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A wedged lock or barrier (a handler that blocks the dispatch
+	// loop, say) should fail its test in seconds with the call named,
+	// not hang until go test's own timeout.
+	if cfg.AcquireTimeout == 0 {
+		cfg.AcquireTimeout = 5 * time.Second
 	}
 	f := &fixture{net: net}
 	for i := 0; i < n; i++ {
@@ -52,6 +58,7 @@ func newFixtureWith(t *testing.T, n int, cfg Config, hooks func(i int) Hooks, pr
 		if hooks != nil {
 			h = hooks(i)
 		}
+		rt.SetCallTimeout(5 * time.Second)
 		if prep != nil {
 			prep(rt)
 		}
@@ -435,7 +442,9 @@ func TestManyLocksManyNodes(t *testing.T) {
 // node that is no longer asking, and the lock would never be free
 // again.
 func TestQueuedWaiterSurvivesDedupEviction(t *testing.T) {
-	f := newFixtureWith(t, 3, Config{}, nil, func(rt *nodecore.Runtime) {
+	// The waiter waits out ~4400 other lock operations: well past the
+	// fixture's default under the race detector.
+	f := newFixtureWith(t, 3, Config{AcquireTimeout: time.Minute}, nil, func(rt *nodecore.Runtime) {
 		// Retransmit every <= 4ms for as long as the test takes.
 		rt.EnableReliability(nodecore.RetryPolicy{BackoffCap: 4 * time.Millisecond, MaxAttempts: 1 << 20}, 1)
 	})

@@ -123,7 +123,7 @@ func (b *batcher) sendWithPending(m *wire.Msg) error {
 	b.mu.Lock()
 	if len(b.q[m.To]) == 0 {
 		b.mu.Unlock()
-		return b.r.ep.Send(m)
+		return b.r.xmit(m)
 	}
 	defer b.mu.Unlock()
 	b.q[m.To] = append(b.q[m.To], m)
@@ -173,7 +173,7 @@ func (b *batcher) flushDestLocked(to transport.NodeID) error {
 // a KBatch frame built in a pooled buffer.
 func (b *batcher) sendLocked(to transport.NodeID, members []*wire.Msg) error {
 	if len(members) == 1 {
-		return b.r.ep.Send(members[0])
+		return b.r.xmit(members[0])
 	}
 	if b.r.tracer != nil {
 		b.r.tracer.Emit(trace.EvBatchFlush, to, 0, -1, -1, uint64(len(members)), 0)
@@ -181,7 +181,7 @@ func (b *batcher) sendLocked(to transport.NodeID, members []*wire.Msg) error {
 	bp := wire.GetBuf()
 	batch := &wire.Msg{Kind: wire.KBatch, From: b.r.id, To: to}
 	batch.Data = wire.PackBatch(*bp, members)
-	err := b.r.ep.Send(batch)
+	err := b.r.xmit(batch)
 	*bp = batch.Data
 	wire.PutBuf(bp)
 	b.r.st.BatchedMsgs.Add(int64(len(members)))

@@ -41,6 +41,7 @@ func reliablePairOn(t *testing.T, cfg simnet.Config, policy RetryPolicy) (*Runti
 		rts[i] = New(simnet.NodeID(i), 2, net.Endpoint(simnet.NodeID(i)), tbl, &stats.Node{})
 		rts[i].EnableReliability(policy, 7)
 		rts[i].SetEngine(&echoEngine{})
+		rts[i].SetCallTimeout(5 * time.Second)
 		rts[i].Start()
 	}
 	t.Cleanup(func() {
@@ -445,8 +446,8 @@ func TestNoSpuriousRetransmit(t *testing.T) {
 // duplicate, and the 30ms reply is not taken for a round trip.
 func TestBlockingCallUsesButDoesNotTrain(t *testing.T) {
 	a, b := reliablePair(t, nil, RetryPolicy{})
-	a.HandleBlocking(wire.KLockReq, func(*wire.Msg) {}) // the caller consults its own table
-	b.HandleBlocking(wire.KLockReq, func(m *wire.Msg) {
+	a.MarkBlocking(wire.KLockReq) // the caller consults its own table
+	b.Handle(wire.KLockReq, func(m *wire.Msg) {
 		time.Sleep(30 * ms)
 		_ = b.Reply(m, &wire.Msg{Kind: wire.KLockGrant})
 	})

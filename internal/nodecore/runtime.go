@@ -6,10 +6,14 @@
 // Concurrency architecture (see DESIGN.md §4.2):
 //
 //   - One dispatch goroutine per node reads the endpoint. Replies are
-//     routed synchronously to waiting callers; requests are handled
-//     each on their own goroutine, so a handler that performs nested
-//     RPC (a manager forwarding, a home node propagating) never
-//     blocks the dispatch loop.
+//     routed synchronously to waiting callers; a request kind installed
+//     with Handle gets a goroutine per message, so a handler that
+//     performs nested RPC (a manager forwarding, a home node
+//     propagating) never blocks the dispatch loop; a kind installed
+//     with HandleInline (a pure state-machine step, like a lock
+//     manager's queue/grant decision) runs on the delivering goroutine.
+//   - A message a node addresses to itself never reaches the endpoint:
+//     the sending goroutine delivers it (see xmit).
 //   - Fault transactions hold a per-page latch (local accesses wait)
 //     but not the page mutex, so remote invalidations stay servable.
 //   - Engines serialize conflicting transactions per page at the
@@ -20,6 +24,7 @@
 package nodecore
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -82,8 +87,8 @@ type Runtime struct {
 	// which run before Start.
 	hooked   bool
 	handlers []func(*wire.Msg)
-	inline   []bool // kinds handled on the dispatch goroutine itself
-	blocking []bool // kinds whose reply waits on other nodes (HandleBlocking)
+	inline   []bool // kinds handled on the delivering goroutine itself (HandleInline)
+	blocking []bool // kinds whose reply waits on other nodes (MarkBlocking)
 
 	pendMu  sync.Mutex
 	pending map[uint64]*pendingCall
@@ -93,7 +98,11 @@ type Runtime struct {
 	done        chan struct{}
 	closeOnce   sync.Once
 	dispatchWG  sync.WaitGroup
-	handlerWG   sync.WaitGroup
+	// closeMu orders close(done) against handlerWG.Add: self-sent
+	// requests spawn handlers from any goroutine, so an Add could
+	// otherwise start from zero while Close is already in Wait.
+	closeMu   sync.Mutex
+	handlerWG sync.WaitGroup
 
 	// Reliability layer (inactive — and pay-for-what-you-use free —
 	// unless EnableReliability was called).
@@ -119,7 +128,7 @@ type Runtime struct {
 	// ReadAt/WriteAt hot path.
 	atrace *trace.Tracer
 
-	dispatched atomic.Int64 // messages processed by the dispatch loop
+	dispatched atomic.Int64 // messages delivered (off the endpoint or self-addressed)
 }
 
 // pendingCall is one outstanding request awaiting its reply, with
@@ -290,8 +299,9 @@ func (r *Runtime) SetEngine(e Engine) {
 // Engine returns the attached engine.
 func (r *Runtime) Engine() Engine { return r.engine }
 
-// Handle installs fn as the handler for request kind k. Handlers run
-// on their own goroutines and may perform nested Calls.
+// Handle installs fn as the handler for request kind k. Each message
+// of the kind gets its own goroutine, so fn may block: perform nested
+// Calls, await tokens, take any lock.
 func (r *Runtime) Handle(k wire.Kind, fn func(*wire.Msg)) {
 	if k.IsReply() {
 		panic(fmt.Sprintf("nodecore: Handle(%v): reply kinds are routed, not handled", k))
@@ -302,24 +312,32 @@ func (r *Runtime) Handle(k wire.Kind, fn func(*wire.Msg)) {
 	r.handlers[k] = fn
 }
 
-// HandleInline installs fn like Handle but runs it synchronously on
-// the dispatch goroutine, so the handler's effect is ordered before
-// every later-delivered message. Only for handlers that never block
-// and never perform nested RPC — one-way notifications like diff
-// pushes, where ordering relative to a following release matters.
+// HandleInline installs fn like Handle but runs it to completion on
+// the goroutine that delivers the message: the dispatch goroutine for
+// a message off the wire (so fn's effect is ordered before every
+// later-delivered message, and no goroutine is spawned or woken), the
+// sender's own, inside Send, for a self-addressed one. fn holds up the
+// dispatch loop, through which every reply to this node arrives, so:
+// it may Send, Forward and Reply; it must never Call, CallBatched or
+// AwaitToken, nor take a mutex that any goroutine holds across one of
+// those. (Breaking the rule surfaces as that call's named timeout
+// error.) Handlers of one inline kind can run concurrently — dispatch
+// goroutine plus self-senders — and must lock their own state.
 func (r *Runtime) HandleInline(k wire.Kind, fn func(*wire.Msg)) {
 	r.Handle(k, fn)
 	r.inline[k] = true
 }
 
-// HandleBlocking installs fn like Handle and marks k as a kind whose
-// reply waits on other nodes' actions — a lock's holder, a barrier's
-// last arrival, an event's setter. Calls of such a kind are timed by
-// the destination's round-trip estimate but never train it: their
-// reply time is queue wait, not network time.
-func (r *Runtime) HandleBlocking(k wire.Kind, fn func(*wire.Msg)) {
-	r.Handle(k, fn)
-	r.blocking[k] = true
+// MarkBlocking marks kinds whose reply waits on other nodes' actions —
+// a lock's holder, a barrier's last arrival, an event's setter. Calls
+// of such a kind are timed by the destination's round-trip estimate
+// but never train it: their reply time is queue wait, not network
+// time. Where the handler runs is a separate choice (Handle or
+// HandleInline): a lock request's handler only queues it and returns.
+func (r *Runtime) MarkBlocking(kinds ...wire.Kind) {
+	for _, k := range kinds {
+		r.blocking[k] = true
+	}
 }
 
 // Start launches the dispatch loop.
@@ -331,7 +349,11 @@ func (r *Runtime) Start() {
 // Close cancels pending calls and waits for the dispatch loop (the
 // network must be closed first so the receive channel ends).
 func (r *Runtime) Close() {
-	r.closeOnce.Do(func() { close(r.done) })
+	r.closeOnce.Do(func() {
+		r.closeMu.Lock()
+		close(r.done)
+		r.closeMu.Unlock()
+	})
 	if r.batcher != nil {
 		r.batcher.stop()
 	}
@@ -395,7 +417,7 @@ func (r *Runtime) deliver(m *wire.Msg) {
 				if r.tracer != nil && cp.To != r.id {
 					r.emitMsg(trace.EvSend, cp.To, &cp)
 				}
-				_ = r.ep.Send(&cp)
+				_ = r.xmit(&cp)
 			}
 			// Inflight: the first copy's handler will reply.
 			return
@@ -409,11 +431,45 @@ func (r *Runtime) deliver(m *wire.Msg) {
 		h(m)
 		return
 	}
+	r.closeMu.Lock()
+	select {
+	case <-r.done:
+		// Closing: the handler could only fail its sends and calls.
+		r.closeMu.Unlock()
+		return
+	default:
+	}
 	r.handlerWG.Add(1)
+	r.closeMu.Unlock()
 	go func(m *wire.Msg) {
 		defer r.handlerWG.Done()
 		h(m)
 	}(m)
+}
+
+// xmit is the one place a message leaves the runtime: for a peer, to
+// the endpoint; for this node itself, into deliver on the calling
+// goroutine — same reply routing, duplicate suppression and handler
+// table as a message off the wire, and an inline handler has run when
+// xmit returns. The receiver gets a private copy, the isolation the
+// wire round trip gave: the sender may reuse m and its buffers, a
+// handler may scribble on its own. Self traffic was never counted or
+// traced and still is not. (The transports still deliver self-sends —
+// the Endpoint contract and its conformance tests require it; the
+// runtime merely stops using that.)
+func (r *Runtime) xmit(m *wire.Msg) error {
+	if m.To != r.id {
+		return r.ep.Send(m)
+	}
+	select {
+	case <-r.done:
+		return fmt.Errorf("nodecore: node %d: %v to self after shutdown", r.id, m.Kind)
+	default:
+	}
+	cp := *m
+	cp.Data, cp.Aux = bytes.Clone(m.Data), bytes.Clone(m.Aux)
+	r.deliver(&cp)
+	return nil
 }
 
 // StrayReplies reports replies that matched no call this node ever
@@ -426,8 +482,8 @@ func (r *Runtime) StrayReplies() int64 { return r.st.StrayReplies.Load() }
 // for calls this node did make.
 func (r *Runtime) LateReplies() int64 { return r.st.LateReplies.Load() }
 
-// Dispatched reports how many messages this node's dispatch loop has
-// processed; the cluster watchdog uses it as a progress signal.
+// Dispatched reports how many messages this node has delivered (off the
+// endpoint or self-addressed); the watchdog's progress signal.
 func (r *Runtime) Dispatched() int64 { return r.dispatched.Load() }
 
 // UsefulDispatched is Dispatched minus messages that advanced
@@ -522,7 +578,8 @@ func (r *Runtime) unregister(req uint64) { r.takePending(req) }
 // Under reliability, outgoing replies are recorded in the dedup
 // table so a retransmitted request can be answered from cache. With
 // batching enabled, any messages queued for the same destination
-// piggyback on this send's frame.
+// piggyback on this send's frame. A message addressed to this node
+// itself is delivered before Send returns (see xmit).
 func (r *Runtime) Send(m *wire.Msg) error {
 	m.From = r.id
 	if r.reliable && m.Req != 0 && m.Kind.IsReply() {
@@ -541,7 +598,7 @@ func (r *Runtime) Send(m *wire.Msg) error {
 	if r.batcher != nil && m.To != r.id {
 		return r.batcher.sendWithPending(m)
 	}
-	return r.ep.Send(m)
+	return r.xmit(m)
 }
 
 // EnableBatching installs the message-batching layer (see batch.go):
@@ -590,7 +647,8 @@ func (r *Runtime) FlushBatches() {
 // original From and Req so the eventual replier answers the origin
 // directly. Used by manager relays and probable-owner chains. Under
 // reliability the relay is recorded so a duplicate of the original
-// request is re-relayed instead of dropped.
+// request is re-relayed instead of dropped. Forwarding to this node
+// itself delivers on the calling goroutine, like Send.
 func (r *Runtime) Forward(m *wire.Msg, to transport.NodeID) error {
 	fwd := *m
 	fwd.To = to
@@ -602,7 +660,7 @@ func (r *Runtime) Forward(m *wire.Msg, to transport.NodeID) error {
 	if r.tracer != nil && fwd.To != r.id {
 		r.emitMsg(trace.EvSend, fwd.To, &fwd)
 	}
-	return r.ep.Send(&fwd)
+	return r.xmit(&fwd)
 }
 
 // Call sends a request and waits for its reply (or timeout/shutdown).
@@ -639,8 +697,14 @@ func (r *Runtime) callT(m *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
 	return r.awaitReply(m, pc.ch, timeout)
 }
 
-// awaitReply waits out a single-transmission call.
+// awaitReply waits out a single-transmission call; a reply already
+// there (always, for a self-addressed call) costs no timer.
 func (r *Runtime) awaitReply(m *wire.Msg, ch chan *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
+	select {
+	case reply := <-ch:
+		return reply, nil
+	default:
+	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
@@ -809,6 +873,12 @@ func (r *Runtime) retryLoop(m *wire.Msg, pc *pendingCall, timeout time.Duration,
 				return nil, err
 			}
 		}
+		select {
+		case reply := <-pc.ch: // already answered: no timer to arm
+			r.sampleReply(m, attempt, start)
+			return reply, nil
+		default:
+		}
 		var w time.Duration
 		if attempt+1 >= r.retry.MaxAttempts {
 			// Last transmission: wait out the rest of the deadline.
@@ -829,9 +899,7 @@ func (r *Runtime) retryLoop(m *wire.Msg, pc *pendingCall, timeout time.Duration,
 		}
 		select {
 		case reply := <-pc.ch:
-			if attempt == 0 && !r.blocking[m.Kind] {
-				r.observeRTT(m.To, time.Since(start))
-			}
+			r.sampleReply(m, attempt, start)
 			return reply, nil
 		case <-r.done:
 			r.unregister(m.Req)
@@ -866,6 +934,14 @@ func (r *Runtime) attemptWait(m *wire.Msg, attempt int, prev time.Duration) (bas
 	}
 	jit := time.Duration(xorshift64(&r.retryRng) % uint64(base/2+1))
 	return base, base - base/4 + jit
+}
+
+// sampleReply feeds a call's round trip to the destination's estimator
+// if its reply qualifies (see retryLoop).
+func (r *Runtime) sampleReply(m *wire.Msg, attempt int, start time.Time) {
+	if attempt == 0 && !r.blocking[m.Kind] {
+		r.observeRTT(m.To, time.Since(start))
+	}
 }
 
 // observeRTT feeds one first-transmission round trip to the

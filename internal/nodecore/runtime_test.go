@@ -58,6 +58,13 @@ func (e *echoEngine) WriteFault(pg mem.PageID) error {
 
 func pair(t *testing.T) (*Runtime, *Runtime, *echoEngine, *echoEngine) {
 	t.Helper()
+	_, a, b, ea, eb := pairNet(t)
+	return a, b, ea, eb
+}
+
+// pairNet is pair for tests that close the network themselves.
+func pairNet(t *testing.T) (*simnet.Net, *Runtime, *Runtime, *echoEngine, *echoEngine) {
+	t.Helper()
 	net, err := simnet.New(simnet.Config{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +79,8 @@ func pair(t *testing.T) (*Runtime, *Runtime, *echoEngine, *echoEngine) {
 		rts[i] = New(simnet.NodeID(i), 2, net.Endpoint(simnet.NodeID(i)), tbl, &stats.Node{})
 		engs[i] = &echoEngine{}
 		rts[i].SetEngine(engs[i])
+		// A wedged call should fail the test in seconds, by name.
+		rts[i].SetCallTimeout(5 * time.Second)
 		rts[i].Start()
 	}
 	t.Cleanup(func() {
@@ -79,7 +88,7 @@ func pair(t *testing.T) (*Runtime, *Runtime, *echoEngine, *echoEngine) {
 		rts[0].Close()
 		rts[1].Close()
 	})
-	return rts[0], rts[1], engs[0], engs[1]
+	return net, rts[0], rts[1], engs[0], engs[1]
 }
 
 func TestCallReply(t *testing.T) {

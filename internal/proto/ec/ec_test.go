@@ -324,7 +324,12 @@ func TestDiffGrantsCorrectness(t *testing.T) {
 
 // TestDiffGrantsShipFewerBytes: with a large bound region and tiny
 // writes, diff-mode grants must move far fewer payload bytes than
-// full-copy grants on the same access pattern.
+// full-copy grants on the same access pattern. A barrier ends each
+// round so the three nodes take turns: left to the scheduler, one node
+// can run all its rounds first, the others then fall further behind
+// than the retained log reaches, and diff mode rightly ships them full
+// copies — which is TestDiffGrantsLaggardGetsFullCopy's subject, not
+// this test's.
 func TestDiffGrantsShipFewerBytes(t *testing.T) {
 	run := func(proto core.Protocol) int64 {
 		c, err := core.NewCluster(core.Config{
@@ -345,6 +350,9 @@ func TestDiffGrantsShipFewerBytes(t *testing.T) {
 					return err
 				}
 				if err := n.Release(1); err != nil {
+					return err
+				}
+				if err := n.Barrier(0); err != nil {
 					return err
 				}
 			}

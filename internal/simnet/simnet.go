@@ -5,10 +5,13 @@
 // delivery jitter for stress testing, and traffic accounting. Every
 // message crosses the wire encoding even though delivery is
 // in-process, so message and byte counts are faithful to a real
-// deployment. Net implements transport.Transport, making the
-// simulator one backend among several (see internal/transport and
-// internal/transport/tcp); it remains the default and the only
-// backend with latency/fault modeling.
+// deployment. A receiver's delivery-queue goroutine is for messages
+// that must wait — for latency, jitter, a spike, occupancy, a stall or
+// an earlier message; one due at once at an idle receiver is put in
+// its inbox by the sender (dqueue.push). Net implements
+// transport.Transport, making the simulator one backend among several
+// (see internal/transport and internal/transport/tcp); it remains the
+// default and the only backend with latency/fault modeling.
 package simnet
 
 import (
@@ -62,8 +65,9 @@ type Config struct {
 	// centralized barriers) saturate in real systems; zero disables
 	// the model.
 	RecvOccupancy time.Duration
-	// InboxDepth bounds each node's incoming queue; senders block
-	// (backpressure) when a receiver falls behind. Default 4096.
+	// InboxDepth bounds each node's incoming queue; when a receiver
+	// falls behind, further messages wait in its delivery queue (senders
+	// never block). Default 4096.
 	InboxDepth int
 	// Faults, if non-nil, enables probabilistic fault injection on
 	// every directed pair: message drops, duplication, and latency
@@ -319,7 +323,8 @@ func (e *Endpoint) Recv() <-chan *wire.Msg { return e.inbox }
 // forwarding (From already set to a valid node and Kind unchanged) —
 // senders that forward set From deliberately. Self-addressed
 // messages are delivered through the same path with zero latency and
-// are not counted as network traffic.
+// are not counted as network traffic (nodecore delivers its own
+// itself; the Endpoint contract keeps them).
 func (e *Endpoint) Send(m *wire.Msg) error {
 	if e.net.isClosed() {
 		return fmt.Errorf("simnet: network closed")
@@ -401,7 +406,7 @@ func (e *Endpoint) Send(m *wire.Msg) error {
 		dupBp = wire.GetBuf()
 		*dupBp = append(*dupBp, raw...)
 	}
-	e.net.queues[to].push(at, raw, bp, to == e.id)
+	e.net.queues[to].push(now, at, raw, bp, to == e.id)
 	if duplicate {
 		// The copy arrives immediately after the original (same due
 		// time, later heap sequence), preserving per-pair FIFO order.
@@ -410,7 +415,7 @@ func (e *Endpoint) Send(m *wire.Msg) error {
 			e.st.MsgsDuplicated.Add(1)
 		}
 		e.tr.Emit(trace.EvChaos, int32(to), 0, -1, -1, trace.ChaosDup, 0)
-		e.net.queues[to].push(at, *dupBp, dupBp, false)
+		e.net.queues[to].push(now, at, *dupBp, dupBp, false)
 	}
 	return nil
 }
@@ -430,16 +435,20 @@ func xorshift(s *uint64) uint64 {
 }
 
 // dqueue is a per-receiver delivery queue: a time-ordered heap
-// drained by one goroutine that sleeps until each message is due,
-// decodes it, and hands it to the endpoint inbox.
+// drained by one goroutine that waits until each message is due,
+// decodes it, and hands it to the endpoint inbox. Messages with
+// nothing to wait for bypass both (push).
 type dqueue struct {
 	ep *Endpoint
+	// wake interrupts run's wait when the heap gets a new head or the
+	// queue stops. Capacity one: a pending wake-up says "look again".
+	wake chan struct{}
 
 	mu         sync.Mutex
-	cond       *sync.Cond
 	items      itemHeap
 	seq        uint64
 	stopped    bool
+	delivering bool      // run has popped a message it has not yet put in the inbox
 	freeAt     time.Time // receiver occupancy: next instant a message may complete
 	stallUntil time.Time // endpoint stall: nothing delivers before this instant
 }
@@ -453,29 +462,75 @@ type item struct {
 }
 
 func newDQueue(ep *Endpoint) *dqueue {
-	q := &dqueue{ep: ep}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+	return &dqueue{ep: ep, wake: make(chan struct{}, 1)}
 }
 
-func (q *dqueue) push(at time.Time, raw []byte, buf *[]byte, self bool) {
+// push queues a message sent at now and due at at. If nothing stands
+// between it and the receiver — it is due, no earlier message is
+// queued or in run's hands, the endpoint is neither stalled nor
+// modelling occupancy, the inbox has room — the sender delivers it
+// itself, saving the hand-off to the queue goroutine. Pushes to one
+// receiver serialise on q.mu and a direct delivery needs everything
+// before it to be in the inbox, so per-pair FIFO holds; a full inbox
+// falls back to the heap, so senders still never block.
+func (q *dqueue) push(now, at time.Time, raw []byte, buf *[]byte, self bool) {
+	it := item{at: at, raw: raw, buf: buf, self: self}
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.stopped {
-		q.mu.Unlock()
 		wire.PutBuf(buf)
 		return
 	}
+	if len(q.items) == 0 && !q.delivering && !at.After(now) && !now.Before(q.stallUntil) &&
+		q.ep.net.cfg.RecvOccupancy == 0 && len(q.ep.inbox) < cap(q.ep.inbox) {
+		// Only push (serialised here) and run (idle, as just checked)
+		// send to the inbox, so the room seen stays: this cannot block.
+		// Nor is the inbox closed: run does that after seeing stopped.
+		q.ep.inbox <- q.receive(it)
+		return
+	}
 	q.seq++
-	heap.Push(&q.items, item{at: at, seq: q.seq, raw: raw, buf: buf, self: self})
-	q.cond.Signal()
-	q.mu.Unlock()
+	it.seq = q.seq
+	heap.Push(&q.items, it)
+	if q.items[0].seq == it.seq { // new head: run may be waiting for a later one
+		q.poke()
+	}
+}
+
+// poke makes run look at the queue again.
+func (q *dqueue) poke() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// receive turns a due item into the endpoint's message: decode,
+// account, recycle the wire buffer (Decode copied the payloads).
+func (q *dqueue) receive(it item) *wire.Msg {
+	m, err := wire.Decode(it.raw)
+	if err != nil {
+		// A decode failure is a bug in this repository, not a
+		// runtime condition: the bytes never left the process.
+		panic(fmt.Sprintf("simnet: decode at node %d: %v", q.ep.id, err))
+	}
+	if !it.self {
+		q.ep.net.ctr.MsgsRecv.Add(1)
+		q.ep.net.ctr.BytesRecv.Add(int64(len(it.raw)))
+		if q.ep.st != nil {
+			q.ep.st.MsgsRecv.Add(1)
+			q.ep.st.BytesRecv.Add(int64(len(it.raw)))
+		}
+	}
+	wire.PutBuf(it.buf)
+	return m
 }
 
 func (q *dqueue) stop() {
 	q.mu.Lock()
 	q.stopped = true
-	q.cond.Signal()
 	q.mu.Unlock()
+	q.poke()
 }
 
 func (q *dqueue) stall(until time.Time) {
@@ -489,13 +544,16 @@ func (q *dqueue) stall(until time.Time) {
 func (q *dqueue) run() {
 	for {
 		q.mu.Lock()
-		for !q.stopped && q.items.Len() == 0 {
-			q.cond.Wait()
-		}
+		q.delivering = false
 		if q.stopped {
 			q.mu.Unlock()
 			close(q.ep.inbox)
 			return
+		}
+		if len(q.items) == 0 {
+			q.mu.Unlock()
+			<-q.wake
+			continue
 		}
 		it := q.items[0]
 		due := it.at
@@ -512,41 +570,28 @@ func (q *dqueue) run() {
 			}
 			due = due.Add(occ)
 		}
-		now := time.Now()
-		if due.After(now) {
-			// Sleep outside the lock; new earlier items cannot appear
-			// for this pair (per-pair times are monotonic) but can for
-			// other pairs, so re-check after waking.
-			wait := due.Sub(now)
+		if wait := time.Until(due); wait > 0 {
+			// Wait outside the lock. An earlier-due message cannot
+			// appear for this pair (per-pair times are monotonic) but
+			// can for another: its push (a new head) ends the wait.
 			q.mu.Unlock()
-			time.Sleep(wait)
+			timer := time.NewTimer(wait)
+			select {
+			case <-timer.C:
+			case <-q.wake:
+				timer.Stop()
+			}
 			continue
 		}
 		heap.Pop(&q.items)
 		if q.ep.net.cfg.RecvOccupancy > 0 && !it.self {
 			q.freeAt = due
 		}
+		q.delivering = true
 		q.mu.Unlock()
 
-		m, err := wire.Decode(it.raw)
-		if err != nil {
-			// A decode failure is a bug in this repository, not a
-			// runtime condition: the bytes never left the process.
-			panic(fmt.Sprintf("simnet: decode at node %d: %v", q.ep.id, err))
-		}
-		if !it.self {
-			q.ep.net.ctr.MsgsRecv.Add(1)
-			q.ep.net.ctr.BytesRecv.Add(int64(len(it.raw)))
-			if q.ep.st != nil {
-				q.ep.st.MsgsRecv.Add(1)
-				q.ep.st.BytesRecv.Add(int64(len(it.raw)))
-			}
-		}
-		// Decode copied the payloads, so the wire buffer can go back
-		// to the pool before the message is even delivered.
-		wire.PutBuf(it.buf)
 		select {
-		case q.ep.inbox <- m:
+		case q.ep.inbox <- q.receive(it):
 		case <-q.ep.net.closed:
 			// Receiver gone during shutdown; drop. The queue will
 			// observe stopped on the next iteration.
