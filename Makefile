@@ -12,14 +12,15 @@ build:
 # Default test gate: vet, the binaries' smoke runs, the
 # allocation-regression gate, the full suite, then the
 # chaos/reliability, sync and transport packages, the access path
-# (nodecore, core), the run lifecycle (cluster) and the trace ring
-# again under the race detector (their concurrency is the most
-# delicate), and a short stress of the message path's ordering and
+# (nodecore, core), the run lifecycle (cluster), the trace ring and
+# the written list with the engines that take it (mem, lrc, erc) again
+# under the race detector (their concurrency is the most delicate),
+# and a short stress of the message path's ordering and
 # hand-off tests (direct vs queued simnet delivery, self-delivery,
 # inline handlers), whose failures would be scheduling-dependent.
 test: vet smoke bench-alloc
 	$(GO) test ./... -timeout 1200s
-	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/dsync ./internal/core ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace
+	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/dsync ./internal/core ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace ./internal/mem ./internal/proto/lrc ./internal/proto/erc
 	$(GO) test -race -count=20 -run 'FIFO|SelfDeliver|Inline' ./internal/simnet ./internal/nodecore ./internal/dsync
 
 # Allocation regression gate. The thresholds are checked into the
@@ -28,17 +29,18 @@ test: vet smoke bench-alloc
 # with GC parked) and for the tracing layer both disabled (nil tracer,
 # nil histograms — the default hot path) and enabled (ring emit,
 # histogram observe), for the shared-memory local hit (a typed
-# access or single-page ReadAt/WriteAt on a valid page), and for what
+# access or single-page ReadAt/WriteAt on a valid page), for what
 # the retransmission timer adds to a reliable call (timeout + jitter
-# draw, RTT sample); the AllocBudget test holds an uncontended
-# self-managed lock pair at its current count. The
+# draw, RTT sample), and for refreshing a twin in place; the
+# AllocBudget tests hold an uncontended self-managed lock pair, and an
+# lrc release of one dirty page, at their current counts. The
 # benchmarks print current numbers for the paths that clone by design
-# (receive-side decode) and for a lock round trip (manager = self /
-# = the peer).
+# (receive-side decode), for a lock round trip (manager = self / = the
+# peer) and for that release on a 1 MiB and a 64 MiB heap.
 bench-alloc:
-	$(GO) test -run 'ZeroAlloc|AllocBudget' -count=1 ./internal/wire/ ./internal/mem/ ./internal/nodecore/ ./internal/trace/ ./internal/kv/ ./internal/metrics/ ./internal/dsync/
-	$(GO) test -run '^$$' -bench 'Encode|DecodeInto|PackBatch|AppendDiff|ApplyDiff|FrameRoundTrip|ReadHit|WriteHit|EmitDisabled|EmitEnabled|AccessEmit|HistObserve|KVOpRecord|SampleOnce|PromWrite|LockLocal|LockRemoteSim' \
-		-benchtime 1000x -benchmem -timeout 300s ./internal/wire/ ./internal/mem/ ./internal/nodecore/ ./internal/transport/tcp/ ./internal/trace/ ./internal/kv/ ./internal/metrics/ ./internal/dsync/
+	$(GO) test -run 'ZeroAlloc|AllocBudget' -count=1 ./internal/wire/ ./internal/mem/ ./internal/nodecore/ ./internal/trace/ ./internal/kv/ ./internal/metrics/ ./internal/dsync/ ./internal/proto/lrc/
+	$(GO) test -run '^$$' -bench 'Encode|DecodeInto|PackBatch|AppendDiff|ApplyDiff|FrameRoundTrip|ReadHit|WriteHit|EmitDisabled|EmitEnabled|AccessEmit|HistObserve|KVOpRecord|SampleOnce|PromWrite|LockLocal|LockRemoteSim|ReleaseOneDirtyPage' \
+		-benchtime 1000x -benchmem -timeout 300s ./internal/wire/ ./internal/mem/ ./internal/nodecore/ ./internal/transport/tcp/ ./internal/trace/ ./internal/kv/ ./internal/metrics/ ./internal/dsync/ ./internal/proto/lrc/
 
 short:
 	$(GO) test ./... -short -timeout 600s

@@ -5,6 +5,18 @@
 // handlers; Go's runtime owns SIGSEGV, so accesses are checked in
 // software by the node runtime, which produces the identical
 // fault-driven protocol event stream (see DESIGN.md, Substitutions).
+//
+// Written list. A page goes on its Table's written list when its dirty
+// flag goes false -> true (MakeTwin, WriteFrom, PutUint64,
+// SetDirty(true), all under the page lock), so an engine closing an
+// interval visits Table.TakeWritten() instead of every page. The
+// invariant: with no take in flight, every page with Dirty() &&
+// HasTwin() is listed, once. A take delists the pages it returns, and
+// its caller refreshes or drops the twin of each dirty twinned one. A
+// page returned dirty without a twin stays dirty and unlisted, which
+// is why MakeTwin lists unconditionally. Engines that never take (sc,
+// classic, ec) never clear a dirty flag: each page is listed at most
+// once.
 package mem
 
 import (
@@ -50,14 +62,15 @@ type Page struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	id   PageID
-	size int
+	id  PageID
+	tbl *Table // page size, and the written list
 
-	prot  Prot
-	data  []byte // lazily allocated; nil means all-zero
-	twin  []byte // snapshot for diffing; nil when no twin
-	dirty bool   // written since last twin/flush
-	busy  bool   // a fault transaction is in progress on this node
+	prot   Prot
+	data   []byte // lazily allocated; nil means all-zero
+	twin   []byte // snapshot for diffing; nil when no twin
+	dirty  bool   // written since last twin/flush
+	listed bool   // on tbl's written list; guarded by tbl.wmu, not mu
+	busy   bool   // a fault transaction is in progress on this node
 
 	// Owner is the owner or probable owner of the page, depending on
 	// the engine's locator; -1 means unknown.
@@ -69,9 +82,9 @@ type Page struct {
 	Seq uint64
 }
 
-func (p *Page) init(id PageID, size int) {
+func (p *Page) init(t *Table, id PageID) {
+	p.tbl = t
 	p.id = id
-	p.size = size
 	p.cond = sync.NewCond(&p.mu)
 	p.Owner = -1
 }
@@ -80,7 +93,7 @@ func (p *Page) init(id PageID, size int) {
 func (p *Page) ID() PageID { return p.id }
 
 // Size returns the page size in bytes.
-func (p *Page) Size() int { return p.size }
+func (p *Page) Size() int { return p.tbl.pageSize }
 
 // Lock acquires the page's mutex.
 func (p *Page) Lock() { p.mu.Lock() }
@@ -99,13 +112,40 @@ func (p *Page) SetProt(prot Prot) { p.prot = prot }
 func (p *Page) Dirty() bool { return p.dirty }
 
 // SetDirty marks or clears the dirty flag. Caller must hold Lock.
-func (p *Page) SetDirty(d bool) { p.dirty = d }
+func (p *Page) SetDirty(d bool) {
+	if d {
+		p.markDirty()
+	} else {
+		p.dirty = false
+	}
+}
+
+// markDirty is how every store sets the dirty flag: a clean page goes
+// on the written list. Caller must hold Lock.
+func (p *Page) markDirty() {
+	if !p.dirty {
+		p.wrote()
+	}
+}
+
+// wrote sets the dirty flag and lists the page unless it already is.
+// Out of line so markDirty stays one inlined branch on the hit path.
+func (p *Page) wrote() {
+	p.dirty = true
+	t := p.tbl
+	t.wmu.Lock()
+	if !p.listed {
+		p.listed = true
+		t.written = append(t.written, p.id)
+	}
+	t.wmu.Unlock()
+}
 
 // Data returns the page frame, allocating a zeroed frame on first
 // use. Caller must hold Lock.
 func (p *Page) Data() []byte {
 	if p.data == nil {
-		p.data = make([]byte, p.size)
+		p.data = make([]byte, p.Size())
 	}
 	return p.data
 }
@@ -113,7 +153,7 @@ func (p *Page) Data() []byte {
 // Snapshot returns a copy of the page contents (zeros if untouched).
 // Caller must hold Lock.
 func (p *Page) Snapshot() []byte {
-	out := make([]byte, p.size)
+	out := make([]byte, p.Size())
 	copy(out, p.data) // copy from nil copies nothing: stays zero
 	return out
 }
@@ -123,8 +163,8 @@ func (p *Page) Snapshot() []byte {
 // frame. Caller must hold Lock.
 func (p *Page) Install(data []byte, prot Prot) {
 	if data != nil {
-		if len(data) != p.size {
-			panic(fmt.Sprintf("mem: Install page %d: payload %d bytes, page size %d", p.id, len(data), p.size))
+		if len(data) != p.Size() {
+			panic(fmt.Sprintf("mem: Install page %d: payload %d bytes, page size %d", p.id, len(data), p.Size()))
 		}
 		copy(p.Data(), data)
 	}
@@ -136,11 +176,11 @@ func (p *Page) Install(data []byte, prot Prot) {
 // true if a new twin was created. Caller must hold Lock.
 func (p *Page) MakeTwin() bool {
 	if p.twin != nil {
-		p.dirty = true
+		p.markDirty()
 		return false
 	}
 	p.twin = p.Snapshot()
-	p.dirty = true
+	p.wrote() // not markDirty: a take may have delisted the page while dirty
 	return true
 }
 
@@ -168,9 +208,14 @@ func (p *Page) DropTwin() {
 
 // RefreshTwin re-snapshots the current contents as the new diff base
 // without clearing ReadWrite protection, used at interval boundaries
-// when a page stays writable. Caller must hold Lock.
+// when a page stays writable. An existing twin is overwritten in
+// place: hold no Twin() across it. Caller must hold Lock.
 func (p *Page) RefreshTwin() {
-	p.twin = p.Snapshot()
+	if p.twin == nil {
+		p.twin = p.Snapshot()
+	} else {
+		clear(p.twin[copy(p.twin, p.data):]) // a nil frame is all zeros
+	}
 	p.dirty = false
 }
 
@@ -238,7 +283,7 @@ func (p *Page) ReadInto(buf []byte, off int) {
 // Caller must hold Lock and have checked protection.
 func (p *Page) WriteFrom(buf []byte, off int) {
 	copy(p.Data()[off:off+len(buf)], buf)
-	p.dirty = true
+	p.markDirty()
 }
 
 // Uint64 loads the 8-byte little-endian word at off: ReadInto for one
@@ -255,5 +300,5 @@ func (p *Page) Uint64(off int) uint64 {
 // PutUint64 stores the 8-byte word v at off and marks the page dirty.
 func (p *Page) PutUint64(off int, v uint64) {
 	binary.LittleEndian.PutUint64(p.Data()[off:], v)
-	p.dirty = true
+	p.markDirty()
 }

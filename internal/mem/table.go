@@ -3,6 +3,8 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"slices"
+	"sync"
 )
 
 // Table is one node's page table for the shared address space:
@@ -12,6 +14,11 @@ type Table struct {
 	shift    uint // log2(pageSize)
 	heap     int64
 	pages    []Page
+
+	// The written list (see the package comment). wmu is a leaf lock,
+	// taken with a page lock held and never the other way round.
+	wmu     sync.Mutex
+	written []PageID
 }
 
 // NewTable builds a page table for a heap of heapBytes bytes with the
@@ -32,7 +39,7 @@ func NewTable(heapBytes int64, pageSize int) (*Table, error) {
 		pages:    make([]Page, n),
 	}
 	for i := range t.pages {
-		t.pages[i].init(PageID(i), pageSize)
+		t.pages[i].init(t, PageID(i))
 	}
 	return t, nil
 }
@@ -52,6 +59,23 @@ func (t *Table) Page(id PageID) *Page {
 		panic(fmt.Sprintf("mem: page %d out of range [0,%d)", id, len(t.pages)))
 	}
 	return &t.pages[id]
+}
+
+// TakeWritten returns the pages that went clean -> dirty since the last
+// take and empties the list. The result is ascending, so an interval's
+// page order does not depend on the order of the writes. Each returned
+// page that is still Dirty() && HasTwin() must have its twin refreshed
+// or dropped by the caller, or it stays dirty and unlisted.
+func (t *Table) TakeWritten() []PageID {
+	t.wmu.Lock()
+	ids := t.written
+	t.written = nil
+	for _, id := range ids {
+		t.pages[id].listed = false
+	}
+	t.wmu.Unlock()
+	slices.Sort(ids)
+	return ids
 }
 
 // PageOf returns the page id and intra-page offset for an address.

@@ -157,8 +157,9 @@ func (e *Engine) BarrierArrive(int32) []byte {
 	return nil
 }
 
-// flushAll pushes a diff of every locally dirty page to its home and
-// waits until every home has propagated it — the "eager" in eager RC.
+// flushAll pushes a diff of every locally dirty page — the table's
+// written list, in page order — to its home and waits until every home
+// has propagated it: the "eager" in eager RC.
 func (e *Engine) flushAll() {
 	tbl := e.rt.Table()
 	type flush struct {
@@ -166,8 +167,7 @@ func (e *Engine) flushAll() {
 		diff []byte
 	}
 	var flushes []flush
-	for i := 0; i < tbl.NumPages(); i++ {
-		pg := mem.PageID(i)
+	for _, pg := range tbl.TakeWritten() {
 		p := tbl.Page(pg)
 		p.Lock()
 		if p.Dirty() && p.HasTwin() {

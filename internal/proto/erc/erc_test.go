@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 )
 
 func newCluster(t *testing.T, proto core.Protocol, nodes int) *core.Cluster {
@@ -264,5 +265,80 @@ func TestInvalFlavorInvalidatesSharers(t *testing.T) {
 	}
 	if c.Node(1).Runtime().Stats().ReadFaults.Load() == faultsBefore {
 		t.Fatal("sharer read stale copy without refaulting")
+	}
+}
+
+// dirtyTwinned is the full page-table scan flushAll used to be, kept
+// as the oracle for the written list: the pages a flush must visit.
+func dirtyTwinned(n *core.Node) []mem.PageID {
+	var out []mem.PageID
+	tbl := n.Runtime().Table()
+	for i := 0; i < tbl.NumPages(); i++ {
+		p := tbl.Page(mem.PageID(i))
+		p.Lock()
+		if p.Dirty() && p.HasTwin() {
+			out = append(out, p.ID())
+		}
+		p.Unlock()
+	}
+	return out
+}
+
+// TestFlushFindsRewrittenPages: flushAll visits the written list, not
+// the page table, so a page must get back on the list every way it
+// gets dirty again: by a hit on a page the last flush left writable,
+// and by the twin a write fault makes after an invalidation dropped
+// the old one while the page was still listed (once, not twice).
+func TestFlushFindsRewrittenPages(t *testing.T) {
+	for _, proto := range []core.Protocol{core.ERCInvalidate, core.ERCUpdate} {
+		t.Run(proto.String(), func(t *testing.T) {
+			c := newCluster(t, proto, 3)
+			addr := c.MustAlloc(16) // one page, homed at node 0
+			n1, n2 := c.Node(1), c.Node(2)
+			st := n1.Runtime().Stats()
+			locked := func(n *core.Node, f func()) {
+				t.Helper()
+				if err := n.Acquire(1); err != nil {
+					t.Fatal(err)
+				}
+				f()
+				want := len(dirtyTwinned(n))
+				before := n.Runtime().Stats().DiffsCreated.Load()
+				if err := n.Release(1); err != nil {
+					t.Fatal(err)
+				}
+				if got := n.Runtime().Stats().DiffsCreated.Load() - before; got != int64(want) {
+					t.Fatalf("node %d: release flushed %d pages, the scan found %d", n.ID(), got, want)
+				}
+				if left := dirtyTwinned(n); len(left) != 0 {
+					t.Fatalf("node %d: release left pages %v dirty with a twin", n.ID(), left)
+				}
+			}
+			write := func(n *core.Node, a int64, v uint64) {
+				t.Helper()
+				if err := n.WriteUint64(a, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			locked(n1, func() { write(n1, addr, 1) }) // fault, twin, flush
+			faults := st.WriteFaults.Load()
+			locked(n1, func() { write(n1, addr, 2) }) // hit
+			if st.WriteFaults.Load() != faults {
+				t.Fatal("second write faulted: the page did not stay writable")
+			}
+			// n1 dirties the page outside any lock; n2's flush of the
+			// other word reaches it: dropped twin (invalidate) or patched
+			// twin (update), the page listed all along.
+			write(n1, addr, 3)
+			locked(n2, func() { write(n2, addr+8, 4) })
+			locked(n1, func() { write(n1, addr, 5) })
+			locked(n2, func() {
+				for i, want := range []uint64{5, 4} {
+					if got, err := n2.ReadUint64(addr + int64(i)*8); err != nil || got != want {
+						t.Fatalf("word %d = %d (%v), want %d", i, got, err, want)
+					}
+				}
+			})
+		})
 	}
 }

@@ -3,13 +3,17 @@
 //
 //   - Each node keeps a vector clock; the span between two local
 //     synchronization operations is an *interval*. Closing an
-//     interval (at a release or barrier arrival) records a diff of
-//     every page written in it and a *write notice* naming the pages.
+//     interval (at a release, event set or barrier arrival) records a
+//     diff of every page written in it and a *write notice* naming the
+//     pages. The pages are mem.Table's written list, taken in page
+//     order: a close costs what the interval wrote, whatever the heap
+//     holds.
 //   - A lock grant carries exactly the write notices the acquirer has
 //     not seen (vector-clock comparison); the acquirer invalidates
 //     the noticed pages. No data moves at synchronization time.
 //   - A fault on an invalidated page fetches the missing diffs from
-//     their writers and applies them in a happens-before-consistent
+//     their writers (one round trip each, the last on the faulting
+//     goroutine) and applies them in a happens-before-consistent
 //     order. Concurrent intervals write disjoint bytes (data-race
 //     freedom), so their order is irrelevant; ordered intervals are
 //     applied in causal order (sum of vector-clock components is a
@@ -155,7 +159,9 @@ func (e *Engine) Name() string {
 
 // Register implements nodecore.Engine.
 func (e *Engine) Register(rt *nodecore.Runtime) {
-	rt.Handle(wire.KDiffReq, e.handleDiffReq)
+	// Inline: serving a diff takes e.mu, which is never held across a
+	// Call, and Replies.
+	rt.HandleInline(wire.KDiffReq, e.handleDiffReq)
 	if e.homeBased {
 		rt.Handle(wire.KErcFlush, e.handleHomeFlush)
 		rt.Handle(wire.KPageReq, e.handleHomePageReq)
@@ -257,49 +263,54 @@ func (e *Engine) validate(pg mem.PageID) error {
 	var gotMu sync.Mutex
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(byNode))
-	for node, js := range byNode {
+	fetch := func(node int32, js []job) {
 		lo, hi := js[0].seq, js[0].seq
 		for _, j := range js {
-			if j.seq < lo {
-				lo = j.seq
+			lo, hi = min(lo, j.seq), max(hi, j.seq)
+		}
+		e.rt.Stats().DiffFetches.Add(1)
+		e.rt.Tracer().Emit(trace.EvDiffFetch, node, 0, pg, -1, 0, 0)
+		reply, err := e.rt.Call(&wire.Msg{
+			Kind: wire.KDiffReq,
+			To:   transport.NodeID(node),
+			Page: pg,
+			Arg:  uint64(lo),
+			B:    uint64(hi),
+		})
+		if err != nil {
+			errCh <- err
+			return
+		}
+		diffs, err := decodeDiffList(reply.Data)
+		if err != nil {
+			errCh <- fmt.Errorf("lrc: node %d: diff reply from %d: %w", e.rt.ID(), node, err)
+			return
+		}
+		gotMu.Lock()
+		defer gotMu.Unlock()
+		for _, j := range js {
+			d, ok := diffs[j.seq]
+			if !ok {
+				errCh <- fmt.Errorf("lrc: node %d: writer %d did not return diff for page %d interval %d",
+					e.rt.ID(), node, pg, j.seq)
+				return
 			}
-			if j.seq > hi {
-				hi = j.seq
-			}
+			got = append(got, fetched{j, d})
+		}
+	}
+	// One goroutine a writer, except that the last (on kv the only)
+	// writer's round trip is made here, on the faulting goroutine.
+	left := len(byNode)
+	for node, js := range byNode {
+		if left--; left == 0 {
+			fetch(node, js)
+			break
 		}
 		wg.Add(1)
-		go func(node int32, js []job, lo, hi uint32) {
+		go func() {
 			defer wg.Done()
-			e.rt.Stats().DiffFetches.Add(1)
-			e.rt.Tracer().Emit(trace.EvDiffFetch, node, 0, pg, -1, 0, 0)
-			reply, err := e.rt.Call(&wire.Msg{
-				Kind: wire.KDiffReq,
-				To:   transport.NodeID(node),
-				Page: pg,
-				Arg:  uint64(lo),
-				B:    uint64(hi),
-			})
-			if err != nil {
-				errCh <- err
-				return
-			}
-			diffs, err := decodeDiffList(reply.Data)
-			if err != nil {
-				errCh <- fmt.Errorf("lrc: node %d: diff reply from %d: %w", e.rt.ID(), node, err)
-				return
-			}
-			gotMu.Lock()
-			defer gotMu.Unlock()
-			for _, j := range js {
-				d, ok := diffs[j.seq]
-				if !ok {
-					errCh <- fmt.Errorf("lrc: node %d: writer %d did not return diff for page %d interval %d",
-						e.rt.ID(), node, pg, j.seq)
-					return
-				}
-				got = append(got, fetched{j, d})
-			}
-		}(node, js, lo, hi)
+			fetch(node, js)
+		}()
 	}
 	wg.Wait()
 	select {
@@ -377,8 +388,9 @@ func (e *Engine) closeInterval(collect bool) []pushEntry {
 		diff []byte
 	}
 	var dirty []dirtyPage
-	for i := 0; i < tbl.NumPages(); i++ {
-		pg := mem.PageID(i)
+	// In page order, not write order: interval.pages, diff creation
+	// order and every grant payload follow it.
+	for _, pg := range tbl.TakeWritten() {
 		p := tbl.Page(pg)
 		p.Lock()
 		if p.Dirty() && p.HasTwin() {

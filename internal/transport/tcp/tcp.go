@@ -26,11 +26,13 @@
 package tcp
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/stats"
@@ -50,6 +52,7 @@ const (
 	defaultWindow  = 15 * time.Second
 	dialBackoffMin = 10 * time.Millisecond
 	dialBackoffMax = 250 * time.Millisecond
+	readBufSize    = 32 << 10 // per incoming connection
 )
 
 // Config describes one node's attachment to a TCP cluster.
@@ -263,12 +266,15 @@ func (t *Transport) serveConn(conn net.Conn) {
 	}
 	t.ctr.Accepts.Add(1)
 	hdr := make([]byte, 4)
+	// Buffered so a frame's length and body (and any frames queued
+	// behind it) arrive in one read syscall, not two per frame.
+	br := bufio.NewReaderSize(conn, readBufSize)
 	// One pooled receive buffer serves the whole connection: Decode
 	// copies payloads out, so the buffer is reusable frame after frame.
 	bp := wire.GetBuf()
 	defer wire.PutBuf(bp)
 	for {
-		if _, err := io.ReadFull(conn, hdr); err != nil {
+		if _, err := io.ReadFull(br, hdr); err != nil {
 			// EOF/reset: peer closed or died; its dialer owns recovery.
 			return
 		}
@@ -281,7 +287,7 @@ func (t *Transport) serveConn(conn net.Conn) {
 			*bp = make([]byte, n)
 		}
 		raw := (*bp)[:n]
-		if _, err := io.ReadFull(conn, raw); err != nil {
+		if _, err := io.ReadFull(br, raw); err != nil {
 			return
 		}
 		m, err := wire.Decode(raw)
@@ -436,25 +442,16 @@ type endpoint struct {
 	t     *Transport
 	inbox chan *wire.Msg
 
-	stMu sync.Mutex
-	st   *stats.Node
+	st atomic.Pointer[stats.Node]
 }
 
 // ID implements transport.Endpoint.
 func (e *endpoint) ID() transport.NodeID { return e.t.cfg.Self }
 
 // SetStats implements transport.Endpoint.
-func (e *endpoint) SetStats(st *stats.Node) {
-	e.stMu.Lock()
-	e.st = st
-	e.stMu.Unlock()
-}
+func (e *endpoint) SetStats(st *stats.Node) { e.st.Store(st) }
 
-func (e *endpoint) stats() *stats.Node {
-	e.stMu.Lock()
-	defer e.stMu.Unlock()
-	return e.st
-}
+func (e *endpoint) stats() *stats.Node { return e.st.Load() }
 
 // Recv implements transport.Endpoint.
 func (e *endpoint) Recv() <-chan *wire.Msg { return e.inbox }
