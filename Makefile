@@ -13,14 +13,16 @@ build:
 # allocation-regression gate, the full suite, then the
 # chaos/reliability, sync and transport packages, the access path
 # (nodecore, core), the run lifecycle (cluster), the trace ring and
-# the written list with the engines that take it (mem, lrc, erc) again
-# under the race detector (their concurrency is the most delicate),
-# and a short stress of the message path's ordering and
+# the written list with the engines that close it (mem, lrc, erc), the
+# engines whose parallel request rounds are the runtime's CallBatched
+# (sc, classic, ec alongside) and the payload cursor (wire) again under
+# the race detector (their concurrency is the most delicate), and a
+# short stress of the message path's ordering and
 # hand-off tests (direct vs queued simnet delivery, self-delivery,
 # inline handlers), whose failures would be scheduling-dependent.
 test: vet smoke bench-alloc
 	$(GO) test ./... -timeout 1200s
-	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/dsync ./internal/core ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace ./internal/mem ./internal/proto/lrc ./internal/proto/erc
+	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/dsync ./internal/core ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace ./internal/mem ./internal/proto/lrc ./internal/proto/erc ./internal/proto/sc ./internal/proto/classic ./internal/proto/ec ./internal/wire
 	$(GO) test -race -count=20 -run 'FIFO|SelfDeliver|Inline' ./internal/simnet ./internal/nodecore ./internal/dsync
 
 # Allocation regression gate. The thresholds are checked into the
@@ -32,8 +34,9 @@ test: vet smoke bench-alloc
 # access or single-page ReadAt/WriteAt on a valid page), for what
 # the retransmission timer adds to a reliable call (timeout + jitter
 # draw, RTT sample), and for refreshing a twin in place; the
-# AllocBudget tests hold an uncontended self-managed lock pair, and an
-# lrc release of one dirty page, at their current counts. The
+# AllocBudget tests hold an uncontended self-managed lock pair, an lrc
+# release of one dirty page and the decode of a grant's interval list
+# at their current counts. The
 # benchmarks print current numbers for the paths that clone by design
 # (receive-side decode), for a lock round trip (manager = self / = the
 # peer) and for that release on a 1 MiB and a 64 MiB heap.

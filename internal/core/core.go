@@ -28,6 +28,7 @@ import (
 	"repro/internal/dsync"
 	"repro/internal/mem"
 	"repro/internal/nodecore"
+	"repro/internal/proto/ec"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -309,10 +310,7 @@ type Cluster struct {
 
 // Range is a shared-memory byte range, used for entry-consistency
 // lock bindings.
-type Range struct {
-	Addr int64
-	Len  int
-}
+type Range = ec.Range
 
 // Node is one DSM node; application functions receive their node and
 // access shared memory and synchronization through it.

@@ -43,13 +43,7 @@ func (c *Cluster) buildEngine(rt *nodecore.Runtime, svc *dsync.Service) (nodecor
 		e := lrc.NewHomeBased(rt)
 		return e, e, nil
 	case EC, ECDiff:
-		e := ec.New(rt, func(lock int32) []ec.Range {
-			var out []ec.Range
-			for _, r := range c.BindingsOf(lock) {
-				out = append(out, ec.Range{Addr: r.Addr, Len: r.Len})
-			}
-			return out
-		}, c.cfg.Protocol == ECDiff)
+		e := ec.New(rt, c.BindingsOf, c.cfg.Protocol == ECDiff)
 		return e, e, nil
 	default:
 		return nil, nil, fmt.Errorf("core: protocol %v not wired", c.cfg.Protocol)

@@ -199,7 +199,7 @@ func (s *Service) managerOf(id int32) transport.NodeID {
 	if id < 0 {
 		panic(fmt.Sprintf("dsync: negative lock/barrier id %d", id))
 	}
-	return transport.NodeID(int(id) % s.rt.N())
+	return s.rt.HomeOf(id)
 }
 
 func (s *Service) lockState(id int32) *lockState {
@@ -259,21 +259,24 @@ func (s *Service) acquire(id int32, mode Mode) error {
 }
 
 // Release gives up lock id (either mode; the service remembers which
-// mode was granted at the manager). Fault-free mode sends it one-way
-// (the queue-lock literature's shape); a lost release would strand
-// every queued waiter, so reliable mode upgrades it to an
-// acknowledged, retried request.
+// mode was granted at the manager).
 func (s *Service) Release(id int32) error {
 	s.hooks.OnRelease(id)
 	// After the hooks run (the payload the next grant carries is now
 	// built) and before the wire release: everything emitted before
 	// this point happens-before the next grant of id.
 	s.rt.Tracer().Emit(trace.EvLockRelease, int32(s.managerOf(id)), 0, -1, id, 0, 0)
-	m := &wire.Msg{
-		Kind: wire.KLockRel,
-		To:   s.managerOf(id),
-		Lock: id,
-	}
+	return s.notifyManager(wire.KLockRel, id)
+}
+
+// notifyManager tells id's manager of a release or an event set.
+// Fault-free mode sends it one-way (the queue-lock literature's shape);
+// a lost one would strand every queued waiter, so reliable mode
+// upgrades it to an acknowledged, retried request — the receive-side
+// dedup table keeps a retransmitted set from tripping the set-once
+// check (see ackIfAsked).
+func (s *Service) notifyManager(kind wire.Kind, id int32) error {
+	m := &wire.Msg{Kind: kind, To: s.managerOf(id), Lock: id}
 	if s.rt.Reliable() {
 		_, err := s.rt.CallT(m, s.cfg.AcquireTimeout)
 		return err
@@ -288,9 +291,7 @@ func (s *Service) handleLockReq(m *wire.Msg) {
 	if s.managerOf(m.Lock) != s.rt.ID() {
 		// Forwarded grant duty: we are the last releaser.
 		payload := s.hooks.GrantPayload(m.Lock, m.From, Mode(m.Arg), m.Data)
-		if err := s.rt.Reply(m, &wire.Msg{Kind: wire.KLockGrant, Lock: m.Lock, Arg: m.Arg, Data: payload}); err != nil {
-			return
-		}
+		_ = s.rt.Reply(m, &wire.Msg{Kind: wire.KLockGrant, Lock: m.Lock, Arg: m.Arg, Data: payload})
 		return
 	}
 	ls := s.lockState(m.Lock)

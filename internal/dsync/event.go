@@ -73,23 +73,10 @@ func (s *Service) EventWait(id int32) error {
 
 // EventSet fires event id, releasing all current and future waiters.
 // Setting an already-set event is an error (events are set-once).
-// Like lock releases, the one-way form is upgraded to an
-// acknowledged, retried request under the reliability layer — the
-// receive-side dedup table keeps retransmitted sets from tripping
-// the set-once check.
 func (s *Service) EventSet(id int32) error {
 	s.hooks.OnEventSet(eventHookID(id))
 	s.rt.Tracer().Emit(trace.EvLockRelease, int32(s.managerOf(id)), 0, -1, eventHookID(id), 0, 0)
-	m := &wire.Msg{
-		Kind: wire.KEvtSet,
-		To:   s.managerOf(id),
-		Lock: id,
-	}
-	if s.rt.Reliable() {
-		_, err := s.rt.CallT(m, s.cfg.AcquireTimeout)
-		return err
-	}
-	return s.rt.Send(m)
+	return s.notifyManager(wire.KEvtSet, id)
 }
 
 // eventHookID maps the event id into a hook-visible id distinct from

@@ -76,10 +76,16 @@ func (b *Bitset) ForEach(fn func(i int)) {
 	}
 }
 
-// Elems returns the elements in ascending order.
-func (b *Bitset) Elems() []int {
-	out := make([]int, 0, b.Count())
-	b.ForEach(func(i int) { out = append(out, i) })
+// Except returns the elements other than x and y in ascending order: of
+// a copyset, the nodes a transaction must message — everyone but its
+// requester and the node running it.
+func (b *Bitset) Except(x, y int) []int {
+	var out []int
+	b.ForEach(func(i int) {
+		if i != x && i != y {
+			out = append(out, i)
+		}
+	})
 	return out
 }
 

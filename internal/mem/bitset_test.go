@@ -26,8 +26,8 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Has(3) || b.Count() != 1 {
 		t.Fatalf("after remove: %v", b)
 	}
-	if got := b.Elems(); !reflect.DeepEqual(got, []int{70}) {
-		t.Fatalf("Elems = %v", got)
+	if got := b.Except(-1, -1); !reflect.DeepEqual(got, []int{70}) {
+		t.Fatalf("elements = %v", got)
 	}
 	b.Clear()
 	if b.Count() != 0 {
@@ -116,7 +116,7 @@ func TestBitsetMatchesMapQuick(t *testing.T) {
 		if b.Count() != len(ref) {
 			return false
 		}
-		for _, v := range b.Elems() {
+		for _, v := range b.Except(-1, -1) {
 			if !ref[v] {
 				return false
 			}

@@ -3,6 +3,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Diff encoding: a sequence of runs, each
@@ -58,59 +59,56 @@ func AppendDiff(out, base, cur []byte) []byte {
 	return out
 }
 
-// ApplyDiff patches dst in place with a diff produced by CreateDiff.
-// It returns an error if the diff is malformed or overruns dst.
-func ApplyDiff(dst, diff []byte) error {
+// walkRuns is the one pass over a diff's runs: each is copied into dst,
+// or, when runs is non-nil, recorded there as (offset, length) instead.
+// size is the extent the runs must stay within. The gap is checked as
+// the uint64 it arrives as: converted first, a hostile one turns
+// negative and walks the offset back out of the page.
+func walkRuns(dst, diff []byte, size int, runs *[][2]int) error {
 	pos := 0
 	for len(diff) > 0 {
 		gap, n := binary.Uvarint(diff)
 		if n <= 0 {
-			return fmt.Errorf("mem: ApplyDiff: bad gap varint at byte %d", pos)
+			return fmt.Errorf("mem: diff: bad gap varint at byte %d", pos)
 		}
 		diff = diff[n:]
 		length, n := binary.Uvarint(diff)
 		if n <= 0 || length == 0 {
-			return fmt.Errorf("mem: ApplyDiff: bad length varint")
+			return fmt.Errorf("mem: diff: bad length varint")
 		}
 		diff = diff[n:]
 		if uint64(len(diff)) < length {
-			return fmt.Errorf("mem: ApplyDiff: truncated run payload: want %d, have %d", length, len(diff))
+			return fmt.Errorf("mem: diff: truncated run payload: want %d, have %d", length, len(diff))
+		}
+		if gap > uint64(size) {
+			return fmt.Errorf("mem: diff: gap %d exceeds size %d", gap, size)
 		}
 		start := pos + int(gap)
 		end := start + int(length)
-		if end > len(dst) {
-			return fmt.Errorf("mem: ApplyDiff: run [%d,%d) exceeds page size %d", start, end, len(dst))
+		if end > size {
+			return fmt.Errorf("mem: diff: run [%d,%d) exceeds size %d", start, end, size)
 		}
-		copy(dst[start:end], diff[:length])
+		if runs != nil {
+			*runs = append(*runs, [2]int{start, int(length)})
+		} else {
+			copy(dst[start:end], diff[:length])
+		}
 		diff = diff[length:]
 		pos = end
 	}
 	return nil
 }
 
+// ApplyDiff patches dst in place with a diff produced by CreateDiff.
+// It returns an error if the diff is malformed or overruns dst.
+func ApplyDiff(dst, diff []byte) error {
+	return walkRuns(dst, diff, len(dst), nil)
+}
+
 // DiffRanges reports the (offset, length) runs encoded in a diff,
-// without applying it. Useful for tests and tracing.
-func DiffRanges(diff []byte) ([][2]int, error) {
-	var runs [][2]int
-	pos := 0
-	for len(diff) > 0 {
-		gap, n := binary.Uvarint(diff)
-		if n <= 0 {
-			return nil, fmt.Errorf("mem: DiffRanges: bad gap varint")
-		}
-		diff = diff[n:]
-		length, n := binary.Uvarint(diff)
-		if n <= 0 || length == 0 {
-			return nil, fmt.Errorf("mem: DiffRanges: bad length varint")
-		}
-		diff = diff[n:]
-		if uint64(len(diff)) < length {
-			return nil, fmt.Errorf("mem: DiffRanges: truncated payload")
-		}
-		start := pos + int(gap)
-		runs = append(runs, [2]int{start, int(length)})
-		diff = diff[length:]
-		pos = start + int(length)
-	}
-	return runs, nil
+// without applying it; a run past byte 2^31 is taken for malformed.
+// Useful for tests and tracing.
+func DiffRanges(diff []byte) (runs [][2]int, err error) {
+	err = walkRuns(nil, diff, math.MaxInt32, &runs)
+	return runs, err
 }

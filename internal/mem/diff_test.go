@@ -98,10 +98,17 @@ func TestApplyDiffMalformed(t *testing.T) {
 		{0, 0},                 // zero-length run
 		{0, 5, 1, 2},           // payload shorter than declared
 		{20, 5, 1, 2, 3, 4, 5}, // run beyond page end
+		// A gap of 2^63+6: as an int it is negative, and a run "ending"
+		// before the page does must not be taken for one inside it.
+		{0x86, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 2, 7, 7},
 	}
 	for i, d := range cases {
 		if err := ApplyDiff(dst, d); err == nil {
 			t.Errorf("case %d: malformed diff accepted", i)
+		}
+		// DiffRanges has no page to overrun; everything else it rejects too.
+		if _, err := DiffRanges(d); (err == nil) != (i == 3) {
+			t.Errorf("case %d: DiffRanges: %v", i, err)
 		}
 	}
 }

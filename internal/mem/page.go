@@ -199,6 +199,17 @@ func (p *Page) DiffAgainstTwin() []byte {
 	return CreateDiff(p.twin, p.Data())
 }
 
+// UnflushedDiff encodes the stores made since the twin was taken: what
+// an interval close must record and an invalidation must not lose. ok
+// is false for a page that is clean or has no twin. Caller must hold
+// Lock.
+func (p *Page) UnflushedDiff() (diff []byte, ok bool) {
+	if !p.dirty || p.twin == nil {
+		return nil, false
+	}
+	return p.DiffAgainstTwin(), true
+}
+
 // DropTwin discards the twin and clears the dirty flag.
 // Caller must hold Lock.
 func (p *Page) DropTwin() {

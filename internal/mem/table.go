@@ -61,6 +61,17 @@ func (t *Table) Page(id PageID) *Page {
 	return &t.pages[id]
 }
 
+// EachLocked calls fn on every page in id order with the page's lock
+// held: how an engine's Init sets the initial page states.
+func (t *Table) EachLocked(fn func(p *Page)) {
+	for i := range t.pages {
+		p := &t.pages[i]
+		p.Lock()
+		fn(p)
+		p.Unlock()
+	}
+}
+
 // TakeWritten returns the pages that went clean -> dirty since the last
 // take and empties the list. The result is ascending, so an interval's
 // page order does not depend on the order of the writes. Each returned

@@ -280,7 +280,7 @@ func TestWatchRendersRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	if strings.Count(got, "dsmtop") != 2 {
+	if strings.Count(got, "dsmrun -watch —") != 2 {
 		t.Fatalf("want 2 rounds:\n%s", got)
 	}
 	for _, want := range []string{"node", "qps", "p999_us", "total", "127.0.0.1:1", "err"} {

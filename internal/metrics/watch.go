@@ -131,7 +131,7 @@ func RenderLocal(w io.Writer, wins ...Window) {
 }
 
 func renderRows(w io.Writer, rows []row) {
-	fmt.Fprintf(w, "dsmtop — %s\n", time.Now().Format("15:04:05"))
+	fmt.Fprintf(w, "dsmrun -watch — %s\n", time.Now().Format("15:04:05"))
 	t := stats.NewTable("node", "qps", "p50_us", "p99_us", "p999_us", "slo%", "msg/s", "flt/s", "backlog", "chaos", "msgs_sent")
 	var agg struct {
 		qps, msgs, faults, backlog float64

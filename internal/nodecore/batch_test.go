@@ -148,6 +148,37 @@ func TestCallBatchedGroupsSameDestination(t *testing.T) {
 	}
 }
 
+// TestCallBatchedPartialFailure: a member that fails costs only its own
+// reply. Of three peers one never answers: the two live replies come
+// back in their slots, the dead one's slot is nil, the error names it,
+// and no goroutine outlives the call (the cleanup's Close would hang).
+func TestCallBatchedPartialFailure(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		_, rts, _ := echoNet(t, 4)
+		a := rts[0]
+		if batch {
+			a.EnableBatching(noFlush)
+		}
+		a.SetCallTimeout(100 * time.Millisecond)
+		rts[2].Handle(wire.KDiffReq, func(*wire.Msg) {}) // never replies
+		replies, err := a.CallBatched([]*wire.Msg{
+			{Kind: wire.KPageReq, To: 1, Arg: 10},
+			{Kind: wire.KDiffReq, To: 2, Page: 7},
+			{Kind: wire.KPageReq, To: 3, Arg: 30},
+		})
+		if err == nil || !strings.Contains(err.Error(), wire.KDiffReq.String()+" to 2 (page 7") {
+			t.Fatalf("batch=%v: err = %v, want the timeout of the call to node 2", batch, err)
+		}
+		if len(replies) != 3 || replies[0] == nil || replies[0].Arg != 11 || replies[1] != nil ||
+			replies[2] == nil || replies[2].Arg != 31 {
+			t.Fatalf("batch=%v: replies = %+v, want [Arg 11, nil, Arg 31]", batch, replies)
+		}
+		if calls := a.PendingCalls(); len(calls) != 0 {
+			t.Fatalf("batch=%v: calls still pending: %+v", batch, calls)
+		}
+	}
+}
+
 // TestMalformedBatchDropped: a KBatch frame that does not decode is
 // dropped whole without disturbing the runtime.
 func TestMalformedBatchDropped(t *testing.T) {

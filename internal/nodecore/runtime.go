@@ -2,11 +2,15 @@
 // DSM protocol engine: the message dispatch loop, request/reply
 // matching, the software-MMU access path with its fault loop, and
 // small coordination utilities (tokens, per-page transaction locks).
+// What the engines have in common is written here once: the one call
+// path (Call, and CallBatched to ask several peers at once), the
+// interval close (CloseWrites) and the static home map (HomeOf).
 //
 // Concurrency architecture (see DESIGN.md §4.2):
 //
 //   - One dispatch goroutine per node reads the endpoint. Replies are
-//     routed synchronously to waiting callers; a request kind installed
+//     routed synchronously to the caller's registered slot, which one
+//     loop (retryLoop) waits on for every call; a request kind installed
 //     with Handle gets a goroutine per message, so a handler that
 //     performs nested RPC (a manager forwarding, a home node
 //     propagating) never blocks the dispatch loop; a kind installed
@@ -235,7 +239,9 @@ func (r *Runtime) handleConfirm(m *wire.Msg) {
 }
 
 // takePending removes and returns the reply slot of req, nil if there
-// is none (the call completed or gave up, or never existed).
+// is none (the call completed or gave up, or never existed). A caller
+// that gives up takes its own slot: a reply that still turns up is then
+// late (see issued), not stray.
 func (r *Runtime) takePending(req uint64) *pendingCall {
 	r.pendMu.Lock()
 	pc := r.pending[req]
@@ -250,8 +256,45 @@ func (r *Runtime) ID() transport.NodeID { return r.id }
 // N returns the cluster size.
 func (r *Runtime) N() int { return r.n }
 
+// HomeOf is the cluster's one static placement map, id mod N: the home
+// or manager of page id, the server or sequencer of page id, the manager
+// of lock, barrier or event id.
+func (r *Runtime) HomeOf(id int32) transport.NodeID { return id % int32(r.n) }
+
 // Table returns the node's page table.
 func (r *Runtime) Table() *mem.Table { return r.tbl }
+
+// PageDiff is one page's stores of a closed write interval, encoded
+// against the page's twin.
+type PageDiff struct {
+	Page mem.PageID
+	Diff []byte
+}
+
+// CloseWrites ends the node's current write interval for the engines
+// that diff against twins. It takes the table's written list — nothing
+// else may — and for every page on it still dirty against its twin
+// makes the current contents the new twin and returns the diff, in
+// ascending page order: interval records, diff creation order and every
+// grant payload follow it. A page stored back to its twin's contents
+// yields no diff. Counts the diffs returned.
+func (r *Runtime) CloseWrites() []PageDiff {
+	var out []PageDiff
+	for _, pg := range r.tbl.TakeWritten() {
+		p := r.tbl.Page(pg)
+		p.Lock()
+		if diff, ok := p.UnflushedDiff(); ok {
+			if len(diff) > 0 {
+				out = append(out, PageDiff{pg, diff})
+				r.st.DiffsCreated.Add(1)
+				r.st.DiffBytes.Add(int64(len(diff)))
+			}
+			p.RefreshTwin()
+		}
+		p.Unlock()
+	}
+	return out
+}
 
 // Stats returns the node's counter set.
 func (r *Runtime) Stats() *stats.Node { return r.st }
@@ -570,10 +613,6 @@ func (r *Runtime) register(req uint64, kind wire.Kind, to transport.NodeID) *pen
 	return pc
 }
 
-// unregister abandons a pending call; replies that turn up later are
-// classified as late (issued) rather than stray.
-func (r *Runtime) unregister(req uint64) { r.takePending(req) }
-
 // Send stamps the message with this node as origin and transmits it.
 // Under reliability, outgoing replies are recorded in the dedup
 // table so a retransmitted request can be answered from cache. With
@@ -668,75 +707,31 @@ func (r *Runtime) Call(m *wire.Msg) (*wire.Msg, error) {
 	return r.CallT(m, r.callTimeout)
 }
 
-// CallT is Call with an explicit overall timeout. With reliability
-// enabled the request is retransmitted on per-attempt timeouts
-// (capped exponential backoff, deterministic jitter, bounded
-// attempts); the receive-side dedup table makes retransmission safe.
+// CallT is Call with an explicit overall timeout. Every request/reply
+// exchange — a Call, each member of a CallBatched, reliability on or
+// off — is a registered reply slot waited on by retryLoop.
 func (r *Runtime) CallT(m *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
-	var start time.Time
-	if r.st.Lat != nil {
-		start = time.Now()
-	}
-	reply, err := r.callT(m, timeout)
-	if err == nil && !start.IsZero() {
-		r.st.Lat.RPC.Observe(time.Since(start).Nanoseconds())
-	}
-	return reply, err
-}
-
-func (r *Runtime) callT(m *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
-	if r.reliable {
-		return r.callRetry(m, timeout)
-	}
 	m.Req = r.NewReq()
-	pc := r.register(m.Req, m.Kind, m.To)
-	if err := r.Send(m); err != nil {
-		r.unregister(m.Req)
-		return nil, err
-	}
-	return r.awaitReply(m, pc.ch, timeout)
+	return r.retryLoop(m, r.register(m.Req, m.Kind, m.To), timeout, false)
 }
 
-// awaitReply waits out a single-transmission call; a reply already
-// there (always, for a self-addressed call) costs no timer.
-func (r *Runtime) awaitReply(m *wire.Msg, ch chan *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
-	select {
-	case reply := <-ch:
-		return reply, nil
-	default:
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case reply := <-ch:
-		return reply, nil
-	case <-timer.C:
-		r.unregister(m.Req)
-		return nil, fmt.Errorf("nodecore: node %d: %v to %d (page %d, lock %d) timed out after %v",
-			r.id, m.Kind, m.To, m.Page, m.Lock, timeout)
-	case <-r.done:
-		r.unregister(m.Req)
-		return nil, fmt.Errorf("nodecore: node %d: shutdown while waiting for %v reply", r.id, m.Kind)
-	}
-}
-
-// CallBatched issues several requests concurrently and waits for all
-// replies, returned in input order. With batching enabled, requests
-// that share a destination travel in one KBatch frame — their first
+// CallBatched is the fan-out: it issues several requests at once and
+// waits for every one of them. replies[i] answers msgs[i] and is nil
+// where that member failed — each failure abandoned exactly as a
+// timed-out Call would be — and err is the first failure in input
+// order. Members wait on a goroutine each, the last on the caller's; a
+// lone member is a plain Call. With batching enabled, requests that
+// share a destination travel in one KBatch frame — their first
 // transmission only; under reliability each member retransmits on its
 // own, since loss and duplication are per member once the frame is
-// unpacked. The first error wins and the rest are abandoned exactly
-// as a timed-out Call would be.
+// unpacked.
 func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 	switch len(msgs) {
 	case 0:
 		return nil, nil
 	case 1:
 		reply, err := r.Call(msgs[0])
-		if err != nil {
-			return nil, err
-		}
-		return []*wire.Msg{reply}, nil
+		return []*wire.Msg{reply}, err
 	}
 	pcs := make([]*pendingCall, len(msgs))
 	for i, m := range msgs {
@@ -779,68 +774,52 @@ func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 	}
 	replies := make([]*wire.Msg, len(msgs))
 	errs := make([]error, len(msgs))
-	var start time.Time
-	if r.st.Lat != nil {
-		start = time.Now()
-	}
 	var wg sync.WaitGroup
-	for i, m := range msgs {
-		wg.Add(1)
-		go func(i int, m *wire.Msg) {
-			defer wg.Done()
-			if r.reliable {
-				replies[i], errs[i] = r.retryLoop(m, pcs[i], r.callTimeout, preSent[i])
-			} else {
-				if !preSent[i] {
-					if err := r.Send(m); err != nil {
-						r.unregister(m.Req)
-						errs[i] = err
-						return
-					}
-				}
-				replies[i], errs[i] = r.awaitReply(m, pcs[i].ch, r.callTimeout)
-			}
-			if errs[i] == nil && !start.IsZero() {
-				r.st.Lat.RPC.Observe(time.Since(start).Nanoseconds())
-			}
-		}(i, m)
+	wait := func(i int) {
+		defer wg.Done()
+		replies[i], errs[i] = r.retryLoop(msgs[i], pcs[i], r.callTimeout, preSent[i])
 	}
+	wg.Add(len(msgs))
+	for i := 0; i < len(msgs)-1; i++ {
+		go wait(i)
+	}
+	wait(len(msgs) - 1)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return replies, err
 		}
 	}
 	return replies, nil
 }
 
-// callRetry is the reliable Call path: send, wait one backoff
-// window, retransmit, until a reply arrives or the overall deadline
-// runs out. The reply slot is registered once — every transmission
-// shares the request id, which is what lets the receiver
-// deduplicate. MaxAttempts bounds transmissions, not the wait: once
-// attempts are spent, the call waits out the remaining deadline
-// (locks, barriers, and events legitimately reply much later than
-// any loss-recovery window, and their retransmits are cheaply
-// suppressed as duplicates in the meantime).
-func (r *Runtime) callRetry(m *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
-	m.Req = r.NewReq()
-	return r.retryLoop(m, r.register(m.Req, m.Kind, m.To), timeout, false)
-}
-
-// retryLoop runs the transmit/wait/retransmit cycle for an
-// already-registered reliable call. With preSent, the first
-// transmission already happened (as a member of a batch frame) and
-// the loop starts by waiting. The first wait is the destination's
-// retransmission timeout (rtt.go); a reply to the first transmission
-// is that estimator's next sample — a reply after a retransmission is
-// not (Karn's rule: it could answer either copy), nor is the reply to
-// a blocking kind (queue wait, not network time). One timer is reused
-// across attempts; it needs no draining because the loop only comes
-// around after the timer has fired.
+// retryLoop is the one reply wait: transmit, wait, retransmit, until
+// the already-registered call is answered, its overall deadline runs
+// out or the runtime shuts down. Every transmission shares the request
+// id, which is what lets the receiver deduplicate. MaxAttempts bounds
+// transmissions, not the wait: the last one waits out the remaining
+// deadline (locks, barriers and events legitimately reply much later
+// than any loss-recovery window, and their retransmits are cheaply
+// suppressed as duplicates in the meantime). Without reliability a call
+// is exactly that last attempt, and touches neither the estimator nor
+// the jitter stream.
+//
+// With preSent, the first transmission already happened (as a member of
+// a batch frame) and the loop starts by waiting. A reply that is
+// already there (always, for a self-addressed call) costs no clock read
+// and no timer. Otherwise the first wait is the destination's
+// retransmission timeout (rtt.go), and a reply to the first
+// transmission is its estimator's next sample — a reply after a
+// retransmission is not (Karn's rule: it could answer either copy), nor
+// is the reply to a blocking kind (queue wait, not network time). One
+// timer serves every attempt; it needs no draining because the loop
+// only comes around after it has fired.
 func (r *Runtime) retryLoop(m *wire.Msg, pc *pendingCall, timeout time.Duration, preSent bool) (*wire.Msg, error) {
-	start := time.Now()
-	deadline := start.Add(timeout)
+	maxAttempts := 1
+	if r.reliable {
+		maxAttempts = r.retry.MaxAttempts
+	}
+	deadline := pc.since.Add(timeout)
 	var wait time.Duration
 	var timer *time.Timer
 	defer func() {
@@ -859,56 +838,59 @@ func (r *Runtime) retryLoop(m *wire.Msg, pc *pendingCall, timeout time.Duration,
 			r.st.Retries.Add(1)
 			pc.attempt.Store(int32(attempt))
 		}
-		a := attempt
-		if a > 255 {
-			a = 255
-		}
-		m.Attempt = uint8(a)
+		m.Attempt = uint8(min(attempt, 255))
 		if attempt > 0 && r.tracer != nil {
 			r.emitMsg(trace.EvRetry, m.To, m)
 		}
 		if attempt > 0 || !preSent {
 			if err := r.Send(m); err != nil {
-				r.unregister(m.Req)
+				r.takePending(m.Req)
 				return nil, err
 			}
 		}
 		select {
-		case reply := <-pc.ch: // already answered: no timer to arm
-			r.sampleReply(m, attempt, start)
+		case reply := <-pc.ch:
+			r.answered(m, attempt, pc.since)
 			return reply, nil
 		default:
 		}
-		var w time.Duration
-		if attempt+1 >= r.retry.MaxAttempts {
-			// Last transmission: wait out the rest of the deadline.
-			w = time.Until(deadline)
-		} else {
-			wait, w = r.attemptWait(m, attempt, wait)
-			if rem := time.Until(deadline); w > rem {
-				w = rem
-			}
+		w := time.Until(deadline) // the last transmission waits out the rest
+		if attempt+1 < maxAttempts {
+			var aw time.Duration
+			wait, aw = r.attemptWait(m, attempt, wait)
+			w = min(w, aw)
 		}
-		if w < rtoFloor {
-			w = rtoFloor
-		}
+		w = max(w, rtoFloor)
 		if timer == nil {
 			timer = time.NewTimer(w)
 		} else {
 			timer.Reset(w)
 		}
-		select {
-		case reply := <-pc.ch:
-			r.sampleReply(m, attempt, start)
+		reply, down := r.await(pc.ch, timer)
+		if reply != nil {
+			r.answered(m, attempt, pc.since)
 			return reply, nil
-		case <-r.done:
-			r.unregister(m.Req)
-			return nil, fmt.Errorf("nodecore: node %d: shutdown while waiting for %v reply", r.id, m.Kind)
-		case <-timer.C:
 		}
-		if attempt+1 >= r.retry.MaxAttempts {
+		if down {
+			r.takePending(m.Req)
+			return nil, fmt.Errorf("nodecore: node %d: shutdown while waiting for %v reply", r.id, m.Kind)
+		}
+		if attempt+1 >= maxAttempts {
 			return nil, r.giveUp(m, timeout, attempt+1)
 		}
+	}
+}
+
+// await blocks on a reply slot until its message arrives, the timer
+// fires (nil, false) or the runtime shuts down (nil, true).
+func (r *Runtime) await(ch chan *wire.Msg, timer *time.Timer) (reply *wire.Msg, down bool) {
+	select {
+	case reply := <-ch:
+		return reply, false
+	case <-timer.C:
+		return nil, false
+	case <-r.done:
+		return nil, true
 	}
 }
 
@@ -936,10 +918,14 @@ func (r *Runtime) attemptWait(m *wire.Msg, attempt int, prev time.Duration) (bas
 	return base, base - base/4 + jit
 }
 
-// sampleReply feeds a call's round trip to the destination's estimator
-// if its reply qualifies (see retryLoop).
-func (r *Runtime) sampleReply(m *wire.Msg, attempt int, start time.Time) {
-	if attempt == 0 && !r.blocking[m.Kind] {
+// answered records a completed call: its latency, and — if the reply
+// qualifies (see retryLoop) — its round trip as the destination's next
+// estimator sample.
+func (r *Runtime) answered(m *wire.Msg, attempt int, start time.Time) {
+	if r.st.Lat != nil {
+		r.st.Lat.RPC.Observe(time.Since(start).Nanoseconds())
+	}
+	if r.reliable && attempt == 0 && !r.blocking[m.Kind] {
 		r.observeRTT(m.To, time.Since(start))
 	}
 }
@@ -952,10 +938,10 @@ func (r *Runtime) observeRTT(to transport.NodeID, rtt time.Duration) {
 	r.retryMu.Unlock()
 }
 
-// giveUp abandons a reliable call whose deadline or attempts ran out.
+// giveUp abandons a call whose deadline or attempts ran out.
 func (r *Runtime) giveUp(m *wire.Msg, timeout time.Duration, attempts int) error {
-	r.unregister(m.Req)
-	return fmt.Errorf("nodecore: node %d: %v to %d (page %d, lock %d) timed out after %v and %d attempts",
+	r.takePending(m.Req)
+	return fmt.Errorf("nodecore: node %d: %v to %d (page %d, lock %d) timed out after %v (attempts: %d)",
 		r.id, m.Kind, m.To, m.Page, m.Lock, timeout, attempts)
 }
 
@@ -985,10 +971,10 @@ func (r *Runtime) Ack(req *wire.Msg) error {
 }
 
 // NewToken allocates a wait token: the local side blocks in
-// AwaitToken while a remote side releases it by sending any reply
-// kind carrying the token as Req (conventionally KConfirm... which is
-// KAck addressed with the token). Tokens implement the
-// requester-confirmation step that ends page transactions.
+// AwaitToken until a remote side releases it with ReleaseToken, which
+// sends a KAck carrying the token as Req (a KConfirm request under
+// reliability). Tokens implement the requester-confirmation step that
+// ends page transactions.
 func (r *Runtime) NewToken() (uint64, chan *wire.Msg) {
 	tok := r.NewReq()
 	return tok, r.register(tok, wire.KAck, -1).ch
@@ -998,16 +984,15 @@ func (r *Runtime) NewToken() (uint64, chan *wire.Msg) {
 func (r *Runtime) AwaitToken(tok uint64, ch chan *wire.Msg, timeout time.Duration) error {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	select {
-	case <-ch:
+	released, down := r.await(ch, timer)
+	if released != nil {
 		return nil
-	case <-timer.C:
-		r.unregister(tok)
-		return fmt.Errorf("nodecore: node %d: token %x confirmation timed out after %v", r.id, tok, timeout)
-	case <-r.done:
-		r.unregister(tok)
+	}
+	r.takePending(tok)
+	if down {
 		return fmt.Errorf("nodecore: node %d: shutdown while awaiting token", r.id)
 	}
+	return fmt.Errorf("nodecore: node %d: token %x confirmation timed out after %v", r.id, tok, timeout)
 }
 
 // ReleaseToken notifies a remote waiter. Fault-free mode sends a

@@ -65,18 +65,25 @@ func pair(t *testing.T) (*Runtime, *Runtime, *echoEngine, *echoEngine) {
 // pairNet is pair for tests that close the network themselves.
 func pairNet(t *testing.T) (*simnet.Net, *Runtime, *Runtime, *echoEngine, *echoEngine) {
 	t.Helper()
-	net, err := simnet.New(simnet.Config{Nodes: 2})
+	net, rts, engs := echoNet(t, 2)
+	return net, rts[0], rts[1], engs[0], engs[1]
+}
+
+// echoNet starts n echo-engine runtimes on one simulated network.
+func echoNet(t *testing.T, n int) (*simnet.Net, []*Runtime, []*echoEngine) {
+	t.Helper()
+	net, err := simnet.New(simnet.Config{Nodes: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts := make([]*Runtime, 2)
-	engs := make([]*echoEngine, 2)
-	for i := 0; i < 2; i++ {
+	rts := make([]*Runtime, n)
+	engs := make([]*echoEngine, n)
+	for i := range rts {
 		tbl, err := mem.NewTable(1<<14, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rts[i] = New(simnet.NodeID(i), 2, net.Endpoint(simnet.NodeID(i)), tbl, &stats.Node{})
+		rts[i] = New(simnet.NodeID(i), n, net.Endpoint(simnet.NodeID(i)), tbl, &stats.Node{})
 		engs[i] = &echoEngine{}
 		rts[i].SetEngine(engs[i])
 		// A wedged call should fail the test in seconds, by name.
@@ -85,10 +92,11 @@ func pairNet(t *testing.T) (*simnet.Net, *Runtime, *Runtime, *echoEngine, *echoE
 	}
 	t.Cleanup(func() {
 		net.Close()
-		rts[0].Close()
-		rts[1].Close()
+		for _, rt := range rts {
+			rt.Close()
+		}
 	})
-	return net, rts[0], rts[1], engs[0], engs[1]
+	return net, rts, engs
 }
 
 func TestCallReply(t *testing.T) {

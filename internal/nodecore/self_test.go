@@ -60,7 +60,7 @@ func TestSelfDeliverPayloadIsolation(t *testing.T) {
 	}
 	copy(buf, "SCRIBBL")
 	close(sent)
-	reply, err := a.awaitReply(m, pc.ch, 5*time.Second)
+	reply, err := a.retryLoop(m, pc, 5*time.Second, true) // sent above: only wait
 	if err != nil {
 		t.Fatal(err)
 	}

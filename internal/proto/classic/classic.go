@@ -19,7 +19,6 @@ package classic
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/dsync"
 	"repro/internal/mem"
@@ -55,19 +54,11 @@ func (e *Server) Register(rt *nodecore.Runtime) {
 // read-write; everything else stays invalid and is only ever touched
 // remotely.
 func (e *Server) Init() {
-	tbl := e.rt.Table()
-	for i := 0; i < tbl.NumPages(); i++ {
-		if e.serverOf(mem.PageID(i)) == e.rt.ID() {
-			p := tbl.Page(mem.PageID(i))
-			p.Lock()
+	e.rt.Table().EachLocked(func(p *mem.Page) {
+		if e.rt.HomeOf(p.ID()) == e.rt.ID() {
 			p.SetProt(mem.ReadWrite)
-			p.Unlock()
 		}
-	}
-}
-
-func (e *Server) serverOf(pg mem.PageID) transport.NodeID {
-	return transport.NodeID(int(pg) % e.rt.N())
+	})
 }
 
 // ReadFault implements nodecore.Engine; unreachable because
@@ -85,7 +76,7 @@ func (e *Server) WriteFault(pg mem.PageID) error {
 func (e *Server) DirectRead(addr int64, buf []byte) (bool, error) {
 	for _, c := range e.rt.Table().Split(addr, len(buf)) {
 		dst := buf[c.Pos : c.Pos+c.Len]
-		srv := e.serverOf(c.Page)
+		srv := e.rt.HomeOf(c.Page)
 		if srv == e.rt.ID() {
 			p := e.rt.Table().Page(c.Page)
 			p.Lock()
@@ -113,7 +104,7 @@ func (e *Server) DirectRead(addr int64, buf []byte) (bool, error) {
 func (e *Server) DirectWrite(addr int64, buf []byte) (bool, error) {
 	for _, c := range e.rt.Table().Split(addr, len(buf)) {
 		src := buf[c.Pos : c.Pos+c.Len]
-		srv := e.serverOf(c.Page)
+		srv := e.rt.HomeOf(c.Page)
 		if srv == e.rt.ID() {
 			p := e.rt.Table().Page(c.Page)
 			p.Lock()
@@ -183,17 +174,7 @@ func (e *Replicated) Register(rt *nodecore.Runtime) {
 // Init implements nodecore.Engine: all replicas start valid (zeros)
 // and read-only; writes are intercepted by DirectWrite.
 func (e *Replicated) Init() {
-	tbl := e.rt.Table()
-	for i := 0; i < tbl.NumPages(); i++ {
-		p := tbl.Page(mem.PageID(i))
-		p.Lock()
-		p.SetProt(mem.ReadOnly)
-		p.Unlock()
-	}
-}
-
-func (e *Replicated) sequencerOf(pg mem.PageID) transport.NodeID {
-	return transport.NodeID(int(pg) % e.rt.N())
+	e.rt.Table().EachLocked(func(p *mem.Page) { p.SetProt(mem.ReadOnly) })
 }
 
 // ReadFault implements nodecore.Engine; unreachable (replicas are
@@ -216,7 +197,7 @@ func (e *Replicated) DirectWrite(addr int64, buf []byte) (bool, error) {
 		e.rt.Stats().DirectWrites.Add(1)
 		_, err := e.rt.Call(&wire.Msg{
 			Kind: wire.KSeqWrite,
-			To:   e.sequencerOf(c.Page),
+			To:   e.rt.HomeOf(c.Page),
 			Page: c.Page,
 			Arg:  uint64(c.Off),
 			Data: src,
@@ -249,24 +230,13 @@ func (e *Replicated) handleSeqWrite(m *wire.Msg) {
 
 	// Propagate to all other replicas and wait for acknowledgements,
 	// so at most one update per page is ever in flight (total order).
-	var wg sync.WaitGroup
+	var msgs []*wire.Msg
 	for i := 0; i < e.rt.N(); i++ {
-		if transport.NodeID(i) == e.rt.ID() {
-			continue
+		if to := transport.NodeID(i); to != e.rt.ID() {
+			msgs = append(msgs, &wire.Msg{Kind: wire.KUpdate, To: to, Page: m.Page, Arg: m.Arg, Data: m.Data})
 		}
-		wg.Add(1)
-		go func(to transport.NodeID) {
-			defer wg.Done()
-			_, _ = e.rt.Call(&wire.Msg{
-				Kind: wire.KUpdate,
-				To:   to,
-				Page: m.Page,
-				Arg:  m.Arg,
-				Data: m.Data,
-			})
-		}(transport.NodeID(i))
 	}
-	wg.Wait()
+	_, _ = e.rt.CallBatched(msgs)
 	_ = e.rt.Reply(m, &wire.Msg{Kind: wire.KSeqWriteAck, Page: m.Page})
 }
 

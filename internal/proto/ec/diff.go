@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
+	"repro/internal/wire"
 )
 
 // Diff-grant mode (Midway ships fine-grained updates rather than
@@ -40,14 +41,18 @@ type lockLog struct {
 	log  []verDiff // contiguous versions ending at ver[lock]
 }
 
-// concatRanges reads all bound ranges into one contiguous buffer (the
-// diff domain).
-func (e *Engine) concatRanges(ranges []Range) []byte {
+func rangesLen(ranges []Range) int {
 	total := 0
 	for _, r := range ranges {
 		total += r.Len
 	}
-	buf := make([]byte, total)
+	return total
+}
+
+// concatRanges reads all bound ranges into one contiguous buffer (the
+// diff domain).
+func (e *Engine) concatRanges(ranges []Range) []byte {
+	buf := make([]byte, rangesLen(ranges))
 	off := 0
 	for _, r := range ranges {
 		e.readLocal(r.Addr, buf[off:off+r.Len])
@@ -65,125 +70,108 @@ func (e *Engine) scatterRanges(ranges []Range, buf []byte) {
 	}
 }
 
+// appendLog encodes the travelling log: uvarint count, count ×
+// { uvarint version, uvarint len, len bytes }.
+func appendLog(buf []byte, log []verDiff) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(log)))
+	for _, d := range log {
+		buf = wire.AppendBytes(binary.AppendUvarint(buf, d.ver), d.diff)
+	}
+	return buf
+}
+
+// decodeLog reads what appendLog wrote; the diffs are copied out of the
+// message, which they outlive.
+func decodeLog(d *wire.Dec) []verDiff {
+	var log []verDiff
+	for n := d.Count(); n > 0 && d.Ok(); n-- {
+		log = append(log, verDiff{ver: d.Uvarint(), diff: append([]byte(nil), d.Bytes()...)})
+	}
+	return log
+}
+
 // buildDiffGrant encodes the grant for an acquirer at acqVer given
-// current version cur. Caller holds e.mu.
+// current version cur: u64 version, mode tag, then for grantFull the
+// length-prefixed contents of the bound ranges, then the log. Caller
+// holds e.mu.
 func (e *Engine) buildDiffGrant(lock int32, acqVer, cur uint64, ranges []Range) []byte {
 	buf := binary.LittleEndian.AppendUint64(nil, cur)
-	ll := e.logs[lock]
-	if ll != nil && len(ll.log) > 0 && acqVer >= ll.log[0].ver-1 {
-		// The log reaches back far enough: ship the whole retained
-		// suffix (the acquirer keeps it to serve older nodes later)
-		// and tell the acquirer which part to apply.
-		buf = append(buf, grantDiffs)
-		buf = binary.AppendUvarint(buf, uint64(len(ll.log)))
-		for _, d := range ll.log {
-			buf = binary.AppendUvarint(buf, d.ver)
-			buf = binary.AppendUvarint(buf, uint64(len(d.diff)))
-			buf = append(buf, d.diff...)
-		}
-		return buf
+	var log []verDiff
+	if ll := e.logs[lock]; ll != nil {
+		log = ll.log
 	}
-	// Fall back to a full copy — but still attach the retained log:
+	if len(log) > 0 && acqVer >= log[0].ver-1 {
+		// The log reaches back far enough: ship the whole retained
+		// suffix (the acquirer keeps it to serve older nodes later);
+		// the acquirer applies the part newer than its own version.
+		return appendLog(append(buf, grantDiffs), log)
+	}
+	// Fall back to a full copy — but still attach the retained log
 	// (history the full data already includes, so the acquirer applies
 	// none of it): the travelling log must survive full-copy handoffs
 	// or the diff path could never bootstrap.
-	buf = append(buf, grantFull)
-	cur2 := e.concatRanges(ranges)
-	buf = binary.AppendUvarint(buf, uint64(len(cur2)))
-	buf = append(buf, cur2...)
-	var log []verDiff
-	if ll != nil {
-		log = ll.log
+	return appendLog(wire.AppendBytes(append(buf, grantFull), e.concatRanges(ranges)), log)
+}
+
+// diffGrant is a decoded diff-mode grant. mode is grantEmpty for a
+// version-only payload; full aliases the payload.
+type diffGrant struct {
+	ver  uint64
+	mode byte
+	full []byte
+	log  []verDiff
+}
+
+func decodeDiffGrant(payload []byte) (g diffGrant, err error) {
+	if len(payload) < 8 {
+		return g, fmt.Errorf("short grant payload (%d bytes)", len(payload))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(log)))
-	for _, d := range log {
-		buf = binary.AppendUvarint(buf, d.ver)
-		buf = binary.AppendUvarint(buf, uint64(len(d.diff)))
-		buf = append(buf, d.diff...)
+	g.ver = binary.LittleEndian.Uint64(payload)
+	if len(payload) == 8 {
+		return g, nil
 	}
-	return buf
+	g.mode = payload[8]
+	d := wire.NewDec(payload[9:])
+	switch g.mode {
+	case grantFull:
+		g.full = d.Bytes()
+	case grantDiffs:
+	default:
+		return g, fmt.Errorf("unknown grant mode %d", g.mode)
+	}
+	g.log = decodeLog(&d)
+	return g, d.Done()
 }
 
 // applyDiffGrant decodes and installs a diff-mode grant payload.
 // Returns the granted version. Caller holds e.mu.
 func (e *Engine) applyDiffGrant(lock int32, payload []byte, ranges []Range) (uint64, error) {
-	if len(payload) < 9 {
-		if len(payload) >= 8 {
-			return binary.LittleEndian.Uint64(payload), nil // version only
-		}
-		return 0, fmt.Errorf("short grant payload (%d bytes)", len(payload))
+	g, err := decodeDiffGrant(payload)
+	if err != nil {
+		return 0, err
 	}
-	ver := binary.LittleEndian.Uint64(payload)
-	mode := payload[8]
-	rest := payload[9:]
-	myVer := e.ver[lock]
-	switch mode {
+	switch g.mode {
 	case grantFull:
-		l, n := binary.Uvarint(rest)
-		if n <= 0 || uint64(len(rest[n:])) < l {
-			return 0, fmt.Errorf("bad full-copy grant")
+		if len(g.full) != rangesLen(ranges) {
+			return 0, fmt.Errorf("full-copy grant of lock %d carries %d bytes, %d are bound", lock, len(g.full), rangesLen(ranges))
 		}
-		data := rest[n : n+int(l)]
-		rest = rest[n+int(l):]
-		e.scatterRanges(ranges, data)
-		ll := &lockLog{snap: append([]byte(nil), data...)}
-		// The travelling diff log rides along even on full copies.
-		if len(rest) > 0 {
-			count, n := binary.Uvarint(rest)
-			if n <= 0 {
-				return 0, fmt.Errorf("bad full-copy log count")
-			}
-			rest = rest[n:]
-			for i := uint64(0); i < count; i++ {
-				dv, n := binary.Uvarint(rest)
-				if n <= 0 {
-					return 0, fmt.Errorf("bad log version")
-				}
-				rest = rest[n:]
-				dl, n := binary.Uvarint(rest)
-				if n <= 0 || uint64(len(rest[n:])) < dl {
-					return 0, fmt.Errorf("bad log diff")
-				}
-				ll.log = append(ll.log, verDiff{ver: dv, diff: append([]byte(nil), rest[n:n+int(dl)]...)})
-				rest = rest[n+int(dl):]
-			}
-		}
-		e.logs[lock] = ll
+		e.scatterRanges(ranges, g.full)
+		e.logs[lock] = &lockLog{snap: append([]byte(nil), g.full...), log: g.log}
 		e.rt.Stats().UpdatesApplied.Add(1)
 	case grantDiffs:
-		count, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, fmt.Errorf("bad diff count")
-		}
-		rest = rest[n:]
 		cur := e.concatRanges(ranges)
-		var kept []verDiff
-		for i := uint64(0); i < count; i++ {
-			dv, n := binary.Uvarint(rest)
-			if n <= 0 {
-				return 0, fmt.Errorf("bad diff version")
-			}
-			rest = rest[n:]
-			dl, n := binary.Uvarint(rest)
-			if n <= 0 || uint64(len(rest[n:])) < dl {
-				return 0, fmt.Errorf("bad diff length")
-			}
-			diff := append([]byte(nil), rest[n:n+int(dl)]...)
-			rest = rest[n+int(dl):]
-			if dv > myVer {
-				if err := mem.ApplyDiff(cur, diff); err != nil {
-					return 0, fmt.Errorf("applying lock %d diff v%d: %w", lock, dv, err)
+		for _, d := range g.log {
+			if d.ver > e.ver[lock] {
+				if err := mem.ApplyDiff(cur, d.diff); err != nil {
+					return 0, fmt.Errorf("applying lock %d diff v%d: %w", lock, d.ver, err)
 				}
 				e.rt.Stats().UpdatesApplied.Add(1)
 			}
-			kept = append(kept, verDiff{ver: dv, diff: diff})
 		}
 		e.scatterRanges(ranges, cur)
-		e.logs[lock] = &lockLog{snap: cur, log: kept}
-	default:
-		return 0, fmt.Errorf("unknown grant mode %d", mode)
+		e.logs[lock] = &lockLog{snap: cur, log: g.log}
 	}
-	return ver, nil
+	return g.ver, nil
 }
 
 // recordRelease appends this holder's own diff to the travelling log.

@@ -9,7 +9,8 @@
 // Versioning: each exclusive release bumps the lock's version; a
 // grant ships data only when the acquirer's last-seen version is
 // stale, so a node re-acquiring a lock nobody else touched pays no
-// data transfer.
+// data transfer. Grant payloads arrive from other processes and are
+// decoded whole, through wire.Dec, before anything is installed.
 //
 // Contract (as in Midway): applications access bound data only while
 // holding the binding lock, and all shared data used under EC must
@@ -27,6 +28,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/nodecore"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Range is a byte range of the shared address space bound to a lock.
@@ -80,13 +82,7 @@ func (e *Engine) Register(rt *nodecore.Runtime) {}
 // Init implements nodecore.Engine: every page is locally writable
 // from the start; the lock discipline provides all consistency.
 func (e *Engine) Init() {
-	tbl := e.rt.Table()
-	for i := 0; i < tbl.NumPages(); i++ {
-		p := tbl.Page(mem.PageID(i))
-		p.Lock()
-		p.SetProt(mem.ReadWrite)
-		p.Unlock()
-	}
+	e.rt.Table().EachLocked(func(p *mem.Page) { p.SetProt(mem.ReadWrite) })
 }
 
 // ReadFault implements nodecore.Engine; unreachable (pages never
@@ -134,57 +130,56 @@ func (e *Engine) GrantPayload(lock int32, _ transport.NodeID, _ dsync.Mode, reqP
 	buf := binary.LittleEndian.AppendUint64(nil, cur)
 	buf = binary.AppendUvarint(buf, uint64(len(ranges)))
 	for _, r := range ranges {
-		buf = binary.AppendUvarint(buf, uint64(r.Addr))
-		buf = binary.AppendUvarint(buf, uint64(r.Len))
 		data := make([]byte, r.Len)
 		e.readLocal(r.Addr, data)
-		buf = append(buf, data...)
+		buf = wire.AppendBytes(binary.AppendUvarint(buf, uint64(r.Addr)), data)
 	}
 	return buf
 }
 
-// OnGranted implements dsync.Hooks: install the shipped data.
+// rangeData is one bound range's contents as a plain grant carries them.
+type rangeData struct {
+	addr int64
+	data []byte
+}
+
+// decodeRangeGrant parses a plain grant: u64 version, then — unless the
+// acquirer was current — uvarint count, count × { uvarint addr,
+// uvarint len, len bytes }.
+func decodeRangeGrant(payload []byte) (ver uint64, rs []rangeData, err error) {
+	if len(payload) < 8 {
+		return 0, nil, fmt.Errorf("short grant payload (%d bytes)", len(payload))
+	}
+	ver = binary.LittleEndian.Uint64(payload)
+	if len(payload) == 8 {
+		return ver, nil, nil
+	}
+	d := wire.NewDec(payload[8:])
+	for n := d.Count(); n > 0 && d.Ok(); n-- {
+		rs = append(rs, rangeData{int64(d.Uvarint()), d.Bytes()})
+	}
+	return ver, rs, d.Done()
+}
+
+// OnGranted implements dsync.Hooks: install the shipped data. Nothing
+// is installed from a malformed payload.
 func (e *Engine) OnGranted(lock int32, mode dsync.Mode, payload []byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.lastMode[lock] = mode
-	if len(payload) < 8 {
-		panic(fmt.Sprintf("ec: node %d: short grant payload (%d bytes)", e.rt.ID(), len(payload)))
-	}
+	var ver uint64
+	var rs []rangeData
+	var err error
 	if e.diffGrants {
-		ver, err := e.applyDiffGrant(lock, payload, e.bindings(lock))
-		if err != nil {
-			panic(fmt.Sprintf("ec: node %d: %v", e.rt.ID(), err))
-		}
-		e.ver[lock] = ver
-		return
-	}
-	ver := binary.LittleEndian.Uint64(payload)
-	rest := payload[8:]
-	if len(rest) > 0 {
-		count, n := binary.Uvarint(rest)
-		if n <= 0 {
-			panic("ec: bad range count in grant")
-		}
-		rest = rest[n:]
-		for i := uint64(0); i < count; i++ {
-			addr, n := binary.Uvarint(rest)
-			if n <= 0 {
-				panic("ec: bad range addr in grant")
-			}
-			rest = rest[n:]
-			l, n := binary.Uvarint(rest)
-			if n <= 0 {
-				panic("ec: bad range len in grant")
-			}
-			rest = rest[n:]
-			if uint64(len(rest)) < l {
-				panic("ec: truncated range data in grant")
-			}
-			e.writeLocal(int64(addr), rest[:l])
+		ver, err = e.applyDiffGrant(lock, payload, e.bindings(lock))
+	} else if ver, rs, err = decodeRangeGrant(payload); err == nil {
+		for _, r := range rs {
+			e.writeLocal(r.addr, r.data)
 			e.rt.Stats().UpdatesApplied.Add(1)
-			rest = rest[l:]
 		}
+	}
+	if err != nil {
+		panic(fmt.Sprintf("ec: node %d: bad grant payload: %v", e.rt.ID(), err))
 	}
 	e.ver[lock] = ver
 }

@@ -74,23 +74,14 @@ func (e *Engine) Register(rt *nodecore.Runtime) {
 // the home's copy starts valid (zeros) and read-only, all other
 // copies invalid.
 func (e *Engine) Init() {
-	tbl := e.rt.Table()
-	for i := 0; i < tbl.NumPages(); i++ {
-		p := tbl.Page(mem.PageID(i))
-		home := e.homeOf(mem.PageID(i))
-		p.Lock()
-		p.Owner = home
-		if home == e.rt.ID() {
+	e.rt.Table().EachLocked(func(p *mem.Page) {
+		p.Owner = e.rt.HomeOf(p.ID())
+		if p.Owner == e.rt.ID() {
 			p.SetProt(mem.ReadOnly)
 		} else {
 			p.SetProt(mem.Invalid)
 		}
-		p.Unlock()
-	}
-}
-
-func (e *Engine) homeOf(pg mem.PageID) transport.NodeID {
-	return transport.NodeID(int(pg) % e.rt.N())
+	})
 }
 
 // ReadFault implements nodecore.Engine: fetch a read-only copy from
@@ -123,7 +114,7 @@ func (e *Engine) WriteFault(pg mem.PageID) error {
 }
 
 func (e *Engine) fetch(pg mem.PageID) error {
-	home := e.homeOf(pg)
+	home := e.rt.HomeOf(pg)
 	if home == e.rt.ID() {
 		// The home's copy is permanently valid; a fault here would be
 		// a protocol bug.
@@ -157,57 +148,31 @@ func (e *Engine) BarrierArrive(int32) []byte {
 	return nil
 }
 
-// flushAll pushes a diff of every locally dirty page — the table's
-// written list, in page order — to its home and waits until every home
-// has propagated it: the "eager" in eager RC.
+// flushAll pushes the diff of every page written since the last flush
+// (CloseWrites: the written list, in page order) to its home and waits
+// until every home has propagated it: the "eager" in eager RC.
 func (e *Engine) flushAll() {
-	tbl := e.rt.Table()
-	type flush struct {
-		pg   mem.PageID
-		diff []byte
-	}
-	var flushes []flush
-	for _, pg := range tbl.TakeWritten() {
-		p := tbl.Page(pg)
-		p.Lock()
-		if p.Dirty() && p.HasTwin() {
-			diff := p.DiffAgainstTwin()
-			if len(diff) > 0 {
-				flushes = append(flushes, flush{pg, diff})
-				e.rt.Stats().DiffsCreated.Add(1)
-				e.rt.Stats().DiffBytes.Add(int64(len(diff)))
-			}
-			p.RefreshTwin()
-		} else if p.Dirty() && e.homeOf(pg) == e.rt.ID() {
-			// Home wrote its own page without a twin snapshot (first
-			// write happened while the page was already read-write).
-			// Cannot happen: the home starts read-only and the write
-			// fault always twins. Guarded for safety.
-			panic(fmt.Sprintf("erc: node %d: dirty home page %d without twin", e.rt.ID(), pg))
-		}
-		p.Unlock()
-	}
 	var wg sync.WaitGroup
 	var msgs []*wire.Msg
-	for _, f := range flushes {
-		if e.homeOf(f.pg) == e.rt.ID() {
+	for _, f := range e.rt.CloseWrites() {
+		home := e.rt.HomeOf(f.Page)
+		if home == e.rt.ID() {
 			// Our copy is the authoritative one; just propagate.
 			wg.Add(1)
-			go func(f flush) {
+			go func() {
 				defer wg.Done()
-				e.tx.Lock(f.pg)
-				e.propagate(f.pg, f.diff, e.rt.ID())
-				e.tx.Unlock(f.pg)
-			}(f)
+				e.tx.Lock(f.Page)
+				e.propagate(f.Page, f.Diff, e.rt.ID())
+				e.tx.Unlock(f.Page)
+			}()
 			continue
 		}
-		e.rt.Tracer().Emit(trace.EvDiffPush, int32(e.homeOf(f.pg)), 0, f.pg, -1, 0, 0)
-		msgs = append(msgs, &wire.Msg{Kind: wire.KErcFlush, To: e.homeOf(f.pg), Page: f.pg, Data: f.diff})
+		e.rt.Tracer().Emit(trace.EvDiffPush, int32(home), 0, f.Page, -1, 0, 0)
+		msgs = append(msgs, &wire.Msg{Kind: wire.KErcFlush, To: home, Page: f.Page, Data: f.Diff})
 	}
-	// Remote flushes to the same home share a frame under batching
-	// (CallBatched degenerates to the old parallel calls without it).
-	// A flush can only fail at shutdown; surfacing it as a panic
-	// inside an app run would mask the real (application) error.
+	// Remote flushes to the same home share a frame under batching. A
+	// flush can only fail at shutdown; surfacing it as a panic inside an
+	// app run would mask the real (application) error.
 	_, _ = e.rt.CallBatched(msgs)
 	wg.Wait()
 }
@@ -270,54 +235,40 @@ func (e *Engine) handleFlush(m *wire.Msg) {
 func (e *Engine) propagate(pg mem.PageID, diff []byte, flusher transport.NodeID) bool {
 	p := e.rt.Table().Page(pg)
 	p.Lock()
-	var targets []int
-	p.Copyset.ForEach(func(i int) {
-		if transport.NodeID(i) != flusher && transport.NodeID(i) != e.rt.ID() {
-			targets = append(targets, i)
-		}
-	})
+	targets := p.Copyset.Except(int(flusher), int(e.rt.ID()))
 	p.Unlock()
 	if len(targets) == 0 {
 		return false
 	}
-	var wg sync.WaitGroup
-	returned := make([][]byte, len(targets))
-	for idx, t := range targets {
-		wg.Add(1)
-		go func(idx int, to transport.NodeID) {
-			defer wg.Done()
-			if e.flavor == Update {
-				_, _ = e.rt.Call(&wire.Msg{Kind: wire.KErcUpdate, To: to, Page: pg, Data: diff})
-				return
-			}
-			reply, err := e.rt.Call(&wire.Msg{Kind: wire.KErcInval, To: to, Page: pg})
-			if err == nil && len(reply.Data) > 0 {
-				returned[idx] = reply.Data
-			}
-		}(idx, transport.NodeID(t))
+	msgs := make([]*wire.Msg, len(targets))
+	for i, t := range targets {
+		msgs[i] = &wire.Msg{Kind: wire.KErcInval, To: transport.NodeID(t), Page: pg}
+		if e.flavor == Update {
+			msgs[i].Kind, msgs[i].Data = wire.KErcUpdate, diff
+		}
 	}
-	wg.Wait()
+	replies, _ := e.rt.CallBatched(msgs)
+	if e.flavor == Update {
+		return false
+	}
 	rescued := false
-	if e.flavor == Inval {
-		p.Lock()
-		for _, t := range targets {
-			p.Copyset.Remove(t)
-		}
-		// A concurrently dirty sharer sends its pending diff back
-		// with the invalidation ack; merge those too (disjoint by
-		// data-race freedom).
-		for _, d := range returned {
-			if d != nil {
-				if err := p.ApplyDiffLocked(d, true); err != nil {
-					p.Unlock()
-					panic(fmt.Sprintf("erc: node %d: merging inval-ack diff: %v", e.rt.ID(), err))
-				}
-				e.rt.Stats().UpdatesApplied.Add(1)
-				rescued = true
-			}
-		}
-		p.Unlock()
+	p.Lock()
+	for _, t := range targets {
+		p.Copyset.Remove(t)
 	}
+	// A concurrently dirty sharer sends its pending diff back with the
+	// invalidation ack; merge those too (disjoint by data-race freedom).
+	for _, reply := range replies {
+		if reply != nil && len(reply.Data) > 0 {
+			if err := p.ApplyDiffLocked(reply.Data, true); err != nil {
+				p.Unlock()
+				panic(fmt.Sprintf("erc: node %d: merging inval-ack diff: %v", e.rt.ID(), err))
+			}
+			e.rt.Stats().UpdatesApplied.Add(1)
+			rescued = true
+		}
+	}
+	p.Unlock()
 	return rescued
 }
 
@@ -326,9 +277,8 @@ func (e *Engine) propagate(pg mem.PageID, diff []byte, flusher transport.NodeID)
 func (e *Engine) handleInval(m *wire.Msg) {
 	p := e.rt.Table().Page(m.Page)
 	p.Lock()
-	var myDiff []byte
-	if p.Dirty() && p.HasTwin() {
-		myDiff = p.DiffAgainstTwin()
+	myDiff, ok := p.UnflushedDiff()
+	if ok {
 		e.rt.Stats().DiffsCreated.Add(1)
 		e.rt.Stats().DiffBytes.Add(int64(len(myDiff)))
 	}

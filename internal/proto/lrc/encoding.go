@@ -2,11 +2,18 @@ package lrc
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/mem"
+	"repro/internal/nodecore"
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
+
+// The payload formats below are lists of uvarints and length-prefixed
+// byte strings. They arrive from other processes, so every decoder
+// reads through a wire.Dec: malformed input is an error, never a panic,
+// and no count is trusted beyond the bytes that came with it. An empty
+// payload is an empty list.
 
 // Interval set encoding:
 //
@@ -31,51 +38,21 @@ func decodeIntervals(buf []byte) ([]*interval, error) {
 	if len(buf) == 0 {
 		return nil, nil
 	}
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, fmt.Errorf("bad interval count")
-	}
-	buf = buf[n:]
-	out := make([]*interval, 0, count)
-	for i := uint64(0); i < count; i++ {
-		iv := &interval{}
-		node, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return nil, fmt.Errorf("bad node")
-		}
-		buf = buf[n:]
-		iv.node = int32(node)
-		seq, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return nil, fmt.Errorf("bad seq")
-		}
-		buf = buf[n:]
-		iv.seq = uint32(seq)
-		var err error
-		iv.vc, buf, err = vclock.Decode(buf)
-		if err != nil {
-			return nil, err
-		}
-		npages, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return nil, fmt.Errorf("bad page count")
-		}
-		buf = buf[n:]
-		iv.pages = make([]mem.PageID, 0, npages)
-		for j := uint64(0); j < npages; j++ {
-			pg, n := binary.Uvarint(buf)
-			if n <= 0 {
-				return nil, fmt.Errorf("bad page id")
-			}
-			buf = buf[n:]
-			iv.pages = append(iv.pages, mem.PageID(pg))
+	d := wire.NewDec(buf)
+	n := d.Count()
+	out := make([]*interval, 0, n)
+	for ; n > 0 && d.Ok(); n-- {
+		iv := &interval{node: int32(d.Uvarint()), seq: uint32(d.Uvarint())}
+		vc, rest, err := vclock.Decode(d.Rest())
+		d.Resume(rest, err)
+		iv.vc = vc
+		iv.pages = make([]mem.PageID, d.Count())
+		for i := range iv.pages {
+			iv.pages[i] = mem.PageID(d.Uvarint())
 		}
 		out = append(out, iv)
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", len(buf))
-	}
-	return out, nil
+	return out, d.Done()
 }
 
 // seqDiff pairs an interval seq with a page diff.
@@ -89,29 +66,45 @@ type seqDiff struct {
 func encodeDiffList(ds []seqDiff) []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(ds)))
 	for _, d := range ds {
-		buf = binary.AppendUvarint(buf, uint64(d.seq))
-		buf = binary.AppendUvarint(buf, uint64(len(d.diff)))
-		buf = append(buf, d.diff...)
+		buf = wire.AppendBytes(binary.AppendUvarint(buf, uint64(d.seq)), d.diff)
 	}
 	return buf
 }
 
-// pageDiff pairs a page with its diff, for push bundles.
-type pageDiff struct {
-	pg   mem.PageID
-	diff []byte
+func decodeDiffList(buf []byte) (map[uint32][]byte, error) {
+	out := make(map[uint32][]byte)
+	if len(buf) == 0 {
+		return out, nil
+	}
+	d := wire.NewDec(buf)
+	for n := d.Count(); n > 0 && d.Ok(); n-- {
+		seq := uint32(d.Uvarint())
+		out[seq] = d.Bytes()
+	}
+	return out, d.Done()
 }
 
 // Push list encoding: uvarint count, count × { uvarint page,
 // uvarint len, len bytes }.
-func encodePushList(ds []pageDiff) []byte {
+func encodePushList(ds []nodecore.PageDiff) []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(ds)))
 	for _, d := range ds {
-		buf = binary.AppendUvarint(buf, uint64(d.pg))
-		buf = binary.AppendUvarint(buf, uint64(len(d.diff)))
-		buf = append(buf, d.diff...)
+		buf = wire.AppendBytes(binary.AppendUvarint(buf, uint64(d.Page)), d.Diff)
 	}
 	return buf
+}
+
+func decodePushList(buf []byte) ([]nodecore.PageDiff, error) {
+	if len(buf) == 0 {
+		return nil, nil
+	}
+	d := wire.NewDec(buf)
+	n := d.Count()
+	out := make([]nodecore.PageDiff, 0, n)
+	for ; n > 0 && d.Ok(); n-- {
+		out = append(out, nodecore.PageDiff{Page: mem.PageID(d.Uvarint()), Diff: d.Bytes()})
+	}
+	return out, d.Done()
 }
 
 // pushEntry is one diff addressed to one reader, piggybacked on
@@ -136,16 +129,14 @@ type pushEntry struct {
 // lets the push section follow without decodeIntervals seeing trailing
 // bytes.
 func encodeBarrierPayload(ivsRaw []byte, pushes []pushEntry) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(ivsRaw)))
-	buf = append(buf, ivsRaw...)
+	buf := wire.AppendBytes(nil, ivsRaw)
 	buf = binary.AppendUvarint(buf, uint64(len(pushes)))
 	for _, pe := range pushes {
 		buf = binary.AppendUvarint(buf, uint64(pe.reader))
 		buf = binary.AppendUvarint(buf, uint64(pe.writer))
 		buf = binary.AppendUvarint(buf, uint64(pe.seq))
 		buf = binary.AppendUvarint(buf, uint64(pe.pg))
-		buf = binary.AppendUvarint(buf, uint64(len(pe.diff)))
-		buf = append(buf, pe.diff...)
+		buf = wire.AppendBytes(buf, pe.diff)
 	}
 	return buf
 }
@@ -154,109 +145,16 @@ func decodeBarrierPayload(buf []byte) (ivsRaw []byte, pushes []pushEntry, err er
 	if len(buf) == 0 {
 		return nil, nil, nil
 	}
-	il, n := binary.Uvarint(buf)
-	if n <= 0 || uint64(len(buf)-n) < il {
-		return nil, nil, fmt.Errorf("bad interval section length")
-	}
-	buf = buf[n:]
-	ivsRaw = buf[:il]
-	buf = buf[il:]
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("bad barrier push count")
-	}
-	buf = buf[n:]
-	for i := uint64(0); i < count; i++ {
-		var vals [5]uint64
-		for f := range vals {
-			v, n := binary.Uvarint(buf)
-			if n <= 0 {
-				return nil, nil, fmt.Errorf("bad barrier push entry")
-			}
-			vals[f] = v
-			buf = buf[n:]
-		}
-		l := vals[4]
-		if uint64(len(buf)) < l {
-			return nil, nil, fmt.Errorf("truncated barrier push diff: want %d, have %d", l, len(buf))
-		}
+	d := wire.NewDec(buf)
+	ivsRaw = d.Bytes()
+	for n := d.Count(); n > 0 && d.Ok(); n-- {
 		pushes = append(pushes, pushEntry{
-			reader: int32(vals[0]),
-			writer: int32(vals[1]),
-			seq:    uint32(vals[2]),
-			pg:     mem.PageID(vals[3]),
-			diff:   buf[:l],
+			reader: int32(d.Uvarint()),
+			writer: int32(d.Uvarint()),
+			seq:    uint32(d.Uvarint()),
+			pg:     mem.PageID(d.Uvarint()),
+			diff:   d.Bytes(),
 		})
-		buf = buf[l:]
 	}
-	if len(buf) != 0 {
-		return nil, nil, fmt.Errorf("%d trailing bytes after barrier pushes", len(buf))
-	}
-	return ivsRaw, pushes, nil
-}
-
-func decodePushList(buf []byte) ([]pageDiff, error) {
-	if len(buf) == 0 {
-		return nil, nil
-	}
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, fmt.Errorf("bad push count")
-	}
-	buf = buf[n:]
-	out := make([]pageDiff, 0, count)
-	for i := uint64(0); i < count; i++ {
-		pg, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return nil, fmt.Errorf("bad push page")
-		}
-		buf = buf[n:]
-		l, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return nil, fmt.Errorf("bad push len")
-		}
-		buf = buf[n:]
-		if uint64(len(buf)) < l {
-			return nil, fmt.Errorf("truncated push diff: want %d, have %d", l, len(buf))
-		}
-		out = append(out, pageDiff{pg: mem.PageID(pg), diff: buf[:l]})
-		buf = buf[l:]
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", len(buf))
-	}
-	return out, nil
-}
-
-func decodeDiffList(buf []byte) (map[uint32][]byte, error) {
-	out := make(map[uint32][]byte)
-	if len(buf) == 0 {
-		return out, nil
-	}
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, fmt.Errorf("bad diff count")
-	}
-	buf = buf[n:]
-	for i := uint64(0); i < count; i++ {
-		seq, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return nil, fmt.Errorf("bad diff seq")
-		}
-		buf = buf[n:]
-		l, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return nil, fmt.Errorf("bad diff len")
-		}
-		buf = buf[n:]
-		if uint64(len(buf)) < l {
-			return nil, fmt.Errorf("truncated diff: want %d, have %d", l, len(buf))
-		}
-		out[uint32(seq)] = buf[:l]
-		buf = buf[l:]
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", len(buf))
-	}
-	return out, nil
+	return ivsRaw, pushes, d.Done()
 }

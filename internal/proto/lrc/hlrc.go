@@ -19,7 +19,7 @@ func (e *Engine) validateFromHome(pg mem.PageID) error {
 	delete(e.missing, pg) // the home subsumes every pending notice
 	e.mu.Unlock()
 
-	home := e.homeOf(pg)
+	home := e.rt.HomeOf(pg)
 	if home == e.rt.ID() {
 		// Self-homed pages never go invalid (insert skips them); a
 		// fault can still reach here through the initial write fault
@@ -40,10 +40,7 @@ func (e *Engine) validateFromHome(pg mem.PageID) error {
 	p := e.rt.Table().Page(pg)
 	p.Lock()
 	defer p.Unlock()
-	var localDiff []byte
-	if p.Dirty() && p.HasTwin() {
-		localDiff = p.DiffAgainstTwin()
-	}
+	localDiff, _ := p.UnflushedDiff()
 	p.Install(reply.Data, mem.ReadOnly)
 	if p.HasTwin() {
 		// New base for the current interval's eventual diff.

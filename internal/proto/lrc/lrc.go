@@ -5,19 +5,19 @@
 //     synchronization operations is an *interval*. Closing an
 //     interval (at a release, event set or barrier arrival) records a
 //     diff of every page written in it and a *write notice* naming the
-//     pages. The pages are mem.Table's written list, taken in page
-//     order: a close costs what the interval wrote, whatever the heap
-//     holds.
+//     pages. The diffs come from nodecore's CloseWrites, which walks
+//     the written list in page order: a close costs what the interval
+//     wrote, whatever the heap holds.
 //   - A lock grant carries exactly the write notices the acquirer has
 //     not seen (vector-clock comparison); the acquirer invalidates
 //     the noticed pages. No data moves at synchronization time.
 //   - A fault on an invalidated page fetches the missing diffs from
-//     their writers (one round trip each, the last on the faulting
-//     goroutine) and applies them in a happens-before-consistent
-//     order. Concurrent intervals write disjoint bytes (data-race
-//     freedom), so their order is irrelevant; ordered intervals are
-//     applied in causal order (sum of vector-clock components is a
-//     valid linear extension of happens-before).
+//     their writers (one round trip each, all in one CallBatched
+//     round) and applies them in a happens-before-consistent order.
+//     Concurrent intervals write disjoint bytes (data-race freedom),
+//     so their order is irrelevant; ordered intervals are applied in
+//     causal order (sum of vector-clock components is a valid linear
+//     extension of happens-before).
 //   - Barriers make everyone's new intervals globally known.
 //
 // Compared with eager RC (package erc), synchronization is cheap and
@@ -137,10 +137,6 @@ func NewHomeBased(rt *nodecore.Runtime) *Engine {
 	return e
 }
 
-func (e *Engine) homeOf(pg mem.PageID) transport.NodeID {
-	return transport.NodeID(int(pg) % e.rt.N())
-}
-
 // DiffCacheSize reports the number of retained own-interval diffs,
 // for tests and tooling.
 func (e *Engine) DiffCacheSize() int {
@@ -176,13 +172,7 @@ func (e *Engine) Register(rt *nodecore.Runtime) {
 // Init implements nodecore.Engine: every replica starts valid
 // (zeros) and read-only; there is no owner or home.
 func (e *Engine) Init() {
-	tbl := e.rt.Table()
-	for i := 0; i < tbl.NumPages(); i++ {
-		p := tbl.Page(mem.PageID(i))
-		p.Lock()
-		p.SetProt(mem.ReadOnly)
-		p.Unlock()
-	}
+	e.rt.Table().EachLocked(func(p *mem.Page) { p.SetProt(mem.ReadOnly) })
 }
 
 func diffKey(pg mem.PageID, seq uint32) uint64 { return uint64(uint32(pg))<<32 | uint64(seq) }
@@ -216,6 +206,15 @@ func (e *Engine) WriteFault(pg mem.PageID) error {
 	return nil
 }
 
+// noticeDiff is a pending write notice being resolved: its interval's
+// clock orders the application; diff comes from the push cache or from
+// fetchDiffs.
+type noticeDiff struct {
+	noticeRef
+	vc   vclock.VC
+	diff []byte
+}
+
 // validate brings a page up to date with all locally known write
 // notices. All notice insertion happens on this same application
 // goroutine (sync hooks), so the pending set cannot grow
@@ -227,113 +226,44 @@ func (e *Engine) validate(pg mem.PageID) error {
 	e.mu.Lock()
 	refs := e.missing[pg]
 	delete(e.missing, pg)
-	type job struct {
-		node int32
-		seq  uint32
-		vc   vclock.VC
-	}
-	type fetched struct {
-		job  job
-		diff []byte
-	}
 	// Diffs the writer pushed ahead of time need no round trip. Used
 	// entries are removed only after the whole validation succeeds, so
 	// the error path can retry against an intact cache.
-	var got []fetched
+	var got, jobs []noticeDiff
 	var usedKeys []pushKey
-	jobs := make([]job, 0, len(refs))
 	for _, r := range refs {
-		iv := e.log[r.node][r.seq-1]
-		j := job{r.node, r.seq, iv.vc}
-		if d, ok := e.pushCache[pushKey{r.node, r.seq, pg}]; ok {
-			got = append(got, fetched{j, d})
-			usedKeys = append(usedKeys, pushKey{r.node, r.seq, pg})
+		nd := noticeDiff{noticeRef: r, vc: e.log[r.node][r.seq-1].vc}
+		k := pushKey{r.node, r.seq, pg}
+		if d, ok := e.pushCache[k]; ok {
+			nd.diff = d
+			got = append(got, nd)
+			usedKeys = append(usedKeys, k)
 			continue
 		}
-		jobs = append(jobs, j)
+		jobs = append(jobs, nd)
 	}
 	e.mu.Unlock()
 
-	// Group by writer; fetch each writer's diffs for this page in one
-	// round trip.
-	byNode := make(map[int32][]job)
-	for _, j := range jobs {
-		byNode[j.node] = append(byNode[j.node], j)
-	}
-	var gotMu sync.Mutex
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(byNode))
-	fetch := func(node int32, js []job) {
-		lo, hi := js[0].seq, js[0].seq
-		for _, j := range js {
-			lo, hi = min(lo, j.seq), max(hi, j.seq)
-		}
-		e.rt.Stats().DiffFetches.Add(1)
-		e.rt.Tracer().Emit(trace.EvDiffFetch, node, 0, pg, -1, 0, 0)
-		reply, err := e.rt.Call(&wire.Msg{
-			Kind: wire.KDiffReq,
-			To:   transport.NodeID(node),
-			Page: pg,
-			Arg:  uint64(lo),
-			B:    uint64(hi),
-		})
-		if err != nil {
-			errCh <- err
-			return
-		}
-		diffs, err := decodeDiffList(reply.Data)
-		if err != nil {
-			errCh <- fmt.Errorf("lrc: node %d: diff reply from %d: %w", e.rt.ID(), node, err)
-			return
-		}
-		gotMu.Lock()
-		defer gotMu.Unlock()
-		for _, j := range js {
-			d, ok := diffs[j.seq]
-			if !ok {
-				errCh <- fmt.Errorf("lrc: node %d: writer %d did not return diff for page %d interval %d",
-					e.rt.ID(), node, pg, j.seq)
-				return
-			}
-			got = append(got, fetched{j, d})
-		}
-	}
-	// One goroutine a writer, except that the last (on kv the only)
-	// writer's round trip is made here, on the faulting goroutine.
-	left := len(byNode)
-	for node, js := range byNode {
-		if left--; left == 0 {
-			fetch(node, js)
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fetch(node, js)
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
+	if err := e.fetchDiffs(pg, jobs); err != nil {
 		// Restore the refs so a retry can still see them.
 		e.mu.Lock()
 		e.missing[pg] = append(refs, e.missing[pg]...)
 		e.mu.Unlock()
 		return err
-	default:
 	}
+	got = append(got, jobs...)
 
 	// Apply in a linear extension of happens-before: the sum of
 	// vector-clock components is monotone along causal edges.
 	sort.Slice(got, func(a, b int) bool {
-		sa, sb := vcSum(got[a].job.vc), vcSum(got[b].job.vc)
+		sa, sb := vcSum(got[a].vc), vcSum(got[b].vc)
 		if sa != sb {
 			return sa < sb
 		}
-		if got[a].job.node != got[b].job.node {
-			return got[a].job.node < got[b].job.node
+		if got[a].node != got[b].node {
+			return got[a].node < got[b].node
 		}
-		return got[a].job.seq < got[b].job.seq
+		return got[a].seq < got[b].seq
 	})
 
 	p := e.rt.Table().Page(pg)
@@ -341,7 +271,7 @@ func (e *Engine) validate(pg mem.PageID) error {
 	for _, f := range got {
 		if err := p.ApplyDiffLocked(f.diff, true); err != nil {
 			p.Unlock()
-			return fmt.Errorf("lrc: node %d: applying diff (%d,%d): %w", e.rt.ID(), f.job.node, f.job.seq, err)
+			return fmt.Errorf("lrc: node %d: applying diff (%d,%d): %w", e.rt.ID(), f.node, f.seq, err)
 		}
 		e.rt.Stats().UpdatesApplied.Add(1)
 	}
@@ -355,6 +285,43 @@ func (e *Engine) validate(pg mem.PageID) error {
 			delete(e.pushCache, k)
 		}
 		e.mu.Unlock()
+	}
+	return nil
+}
+
+// fetchDiffs fills in jobs' diffs of pg from their writers: one request
+// a writer, covering the seq range wanted from it, all writers at once.
+func (e *Engine) fetchDiffs(pg mem.PageID, jobs []noticeDiff) error {
+	var msgs []*wire.Msg
+	at := make(map[int32]int) // writer -> its request in msgs
+	for _, j := range jobs {
+		i, ok := at[j.node]
+		if !ok {
+			i, at[j.node] = len(msgs), len(msgs)
+			msgs = append(msgs, &wire.Msg{Kind: wire.KDiffReq, To: transport.NodeID(j.node), Page: pg, Arg: uint64(j.seq), B: uint64(j.seq)})
+			e.rt.Stats().DiffFetches.Add(1)
+			e.rt.Tracer().Emit(trace.EvDiffFetch, j.node, 0, pg, -1, 0, 0)
+		}
+		msgs[i].Arg, msgs[i].B = min(msgs[i].Arg, uint64(j.seq)), max(msgs[i].B, uint64(j.seq))
+	}
+	replies, err := e.rt.CallBatched(msgs)
+	if err != nil {
+		return err
+	}
+	diffs := make([]map[uint32][]byte, len(replies))
+	for i, reply := range replies {
+		if diffs[i], err = decodeDiffList(reply.Data); err != nil {
+			return fmt.Errorf("lrc: node %d: diff reply from %d: %w", e.rt.ID(), reply.From, err)
+		}
+	}
+	for k := range jobs {
+		j := &jobs[k]
+		d, ok := diffs[at[j.node]][j.seq]
+		if !ok {
+			return fmt.Errorf("lrc: node %d: writer %d did not return diff for page %d interval %d",
+				e.rt.ID(), j.node, pg, j.seq)
+		}
+		j.diff = d
 	}
 	return nil
 }
@@ -382,43 +349,19 @@ func vcSum(v vclock.VC) uint64 {
 // the only option at lock releases and event sets, which have no
 // all-to-all payload to ride.
 func (e *Engine) closeInterval(collect bool) []pushEntry {
-	tbl := e.rt.Table()
-	type dirtyPage struct {
-		pg   mem.PageID
-		diff []byte
-	}
-	var dirty []dirtyPage
-	// In page order, not write order: interval.pages, diff creation
-	// order and every grant payload follow it.
-	for _, pg := range tbl.TakeWritten() {
-		p := tbl.Page(pg)
-		p.Lock()
-		if p.Dirty() && p.HasTwin() {
-			diff := p.DiffAgainstTwin()
-			if len(diff) > 0 {
-				dirty = append(dirty, dirtyPage{pg, diff})
-				e.rt.Stats().DiffsCreated.Add(1)
-				e.rt.Stats().DiffBytes.Add(int64(len(diff)))
-			}
-			p.RefreshTwin()
-		}
-		p.Unlock()
-	}
+	dirty := e.rt.CloseWrites()
 	if len(dirty) == 0 {
 		return nil
 	}
 	if e.homeBased {
 		// HLRC: push every diff to its page's home before the release
 		// or barrier proceeds; no diffs are retained locally. The
-		// flushes share frames per home under batching (CallBatched
-		// degenerates to the old parallel calls without it).
+		// flushes share frames per home under batching.
 		var msgs []*wire.Msg
 		for _, d := range dirty {
-			home := e.homeOf(d.pg)
-			if home == e.rt.ID() {
-				continue // our copy is the home copy; already applied
+			if home := e.rt.HomeOf(d.Page); home != e.rt.ID() { // else: our copy is the home copy
+				msgs = append(msgs, &wire.Msg{Kind: wire.KErcFlush, To: home, Page: d.Page, Data: d.Diff})
 			}
-			msgs = append(msgs, &wire.Msg{Kind: wire.KErcFlush, To: home, Page: d.pg, Data: d.diff})
 		}
 		_, _ = e.rt.CallBatched(msgs)
 	}
@@ -427,9 +370,9 @@ func (e *Engine) closeInterval(collect bool) []pushEntry {
 	seq := e.vc.Tick(me)
 	iv := &interval{node: e.rt.ID(), seq: seq, vc: e.vc.Copy()}
 	for _, d := range dirty {
-		iv.pages = append(iv.pages, d.pg)
+		iv.pages = append(iv.pages, d.Page)
 		if !e.homeBased {
-			e.myDiffs[diffKey(d.pg, seq)] = d.diff
+			e.myDiffs[diffKey(d.Page, seq)] = d.Diff
 		}
 	}
 	e.log[me] = append(e.log[me], iv)
@@ -441,9 +384,9 @@ func (e *Engine) closeInterval(collect bool) []pushEntry {
 	var entries []pushEntry
 	if !e.homeBased && e.rt.BatchingEnabled() {
 		for _, d := range dirty {
-			for node := range e.interest[d.pg] {
+			for node := range e.interest[d.Page] {
 				entries = append(entries, pushEntry{
-					reader: node, writer: iv.node, seq: seq, pg: d.pg, diff: d.diff,
+					reader: node, writer: iv.node, seq: seq, pg: d.Page, diff: d.Diff,
 				})
 			}
 		}
@@ -456,15 +399,15 @@ func (e *Engine) closeInterval(collect bool) []pushEntry {
 	if collect {
 		return entries
 	}
-	byReader := make(map[transport.NodeID][]pageDiff)
+	byReader := make(map[transport.NodeID][]nodecore.PageDiff)
 	for _, pe := range entries {
 		to := transport.NodeID(pe.reader)
-		byReader[to] = append(byReader[to], pageDiff{pg: pe.pg, diff: pe.diff})
+		byReader[to] = append(byReader[to], nodecore.PageDiff{Page: pe.pg, Diff: pe.diff})
 	}
 	for to, list := range byReader {
 		if tr := e.rt.Tracer(); tr != nil {
 			for _, pd := range list {
-				tr.Emit(trace.EvDiffPush, int32(to), 0, pd.pg, -1, uint64(seq), 0)
+				tr.Emit(trace.EvDiffPush, int32(to), 0, pd.Page, -1, uint64(seq), 0)
 			}
 		}
 		_ = e.rt.SendBatched(&wire.Msg{Kind: wire.KDiffPush, To: to, Arg: uint64(seq), Data: encodePushList(list)})
@@ -499,7 +442,7 @@ func (e *Engine) insert(iv *interval) {
 	e.rt.Tracer().MergeClock(iv.vc)
 	for _, pg := range iv.pages {
 		e.rt.Stats().WriteNotices.Add(1)
-		if e.homeBased && e.homeOf(pg) == e.rt.ID() {
+		if e.homeBased && e.rt.HomeOf(pg) == e.rt.ID() {
 			// The home already holds the flushed data (the writer
 			// flushed before releasing), so its copy stays valid.
 			continue
@@ -532,6 +475,13 @@ func (e *Engine) unseenBy(vc vclock.VC) []*interval {
 // Synchronization hooks
 // ---------------------------------------------------------------
 
+// must panics on a payload from a peer that does not decode.
+func (e *Engine) must(err error, payload string) {
+	if err != nil {
+		panic(fmt.Sprintf("lrc: node %d: bad %s: %v", e.rt.ID(), payload, err))
+	}
+}
+
 // AcquirePayload implements dsync.Hooks: send our vector clock so
 // the granter can compute exactly the unseen intervals.
 func (e *Engine) AcquirePayload(int32) []byte {
@@ -544,9 +494,7 @@ func (e *Engine) AcquirePayload(int32) []byte {
 // every interval the acquirer has not seen.
 func (e *Engine) GrantPayload(_ int32, _ transport.NodeID, _ dsync.Mode, reqPayload []byte) []byte {
 	acqVC, _, err := vclock.Decode(reqPayload)
-	if err != nil {
-		panic(fmt.Sprintf("lrc: node %d: bad acquire payload: %v", e.rt.ID(), err))
-	}
+	e.must(err, "acquire payload")
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return encodeIntervals(e.unseenBy(acqVC))
@@ -555,9 +503,7 @@ func (e *Engine) GrantPayload(_ int32, _ transport.NodeID, _ dsync.Mode, reqPayl
 // OnGranted implements dsync.Hooks: insert the received notices.
 func (e *Engine) OnGranted(_ int32, _ dsync.Mode, payload []byte) {
 	ivs, err := decodeIntervals(payload)
-	if err != nil {
-		panic(fmt.Sprintf("lrc: node %d: bad grant payload: %v", e.rt.ID(), err))
-	}
+	e.must(err, "grant payload")
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, iv := range ivs {
@@ -601,13 +547,9 @@ func (e *Engine) BarrierMerge(_ int32, payloads [][]byte) []byte {
 	var pushes []pushEntry
 	for _, p := range payloads {
 		ivsRaw, pes, err := decodeBarrierPayload(p)
-		if err != nil {
-			panic(fmt.Sprintf("lrc: node %d: bad barrier payload: %v", e.rt.ID(), err))
-		}
+		e.must(err, "barrier payload")
 		ivs, err := decodeIntervals(ivsRaw)
-		if err != nil {
-			panic(fmt.Sprintf("lrc: node %d: bad barrier payload: %v", e.rt.ID(), err))
-		}
+		e.must(err, "barrier payload")
 		all = append(all, ivs...)
 		pushes = append(pushes, pes...)
 	}
@@ -627,9 +569,7 @@ func (e *Engine) BarrierMerge(_ int32, payloads [][]byte) []byte {
 // other readers' diffs.
 func (e *Engine) BarrierReleaseFor(_ int32, to transport.NodeID, merged []byte) []byte {
 	ivsRaw, pushes, err := decodeBarrierPayload(merged)
-	if err != nil {
-		panic(fmt.Sprintf("lrc: node %d: bad merged barrier payload: %v", e.rt.ID(), err))
-	}
+	e.must(err, "merged barrier payload")
 	if len(pushes) == 0 {
 		return merged
 	}
@@ -648,13 +588,9 @@ func (e *Engine) BarrierReleaseFor(_ int32, to transport.NodeID, merged []byte) 
 // validated by the previous barrier are discarded.
 func (e *Engine) OnBarrierRelease(_ int32, payload []byte) {
 	ivsRaw, pushes, err := decodeBarrierPayload(payload)
-	if err != nil {
-		panic(fmt.Sprintf("lrc: node %d: bad barrier release payload: %v", e.rt.ID(), err))
-	}
+	e.must(err, "barrier release payload")
 	ivs, err := decodeIntervals(ivsRaw)
-	if err != nil {
-		panic(fmt.Sprintf("lrc: node %d: bad barrier release payload: %v", e.rt.ID(), err))
-	}
+	e.must(err, "barrier release payload")
 	me := int32(e.rt.ID())
 	e.mu.Lock()
 	for _, iv := range ivs {
@@ -739,7 +675,7 @@ func (e *Engine) handleDiffPush(m *wire.Msg) {
 	seq := uint32(m.Arg)
 	e.mu.Lock()
 	for _, d := range list {
-		e.cachePushLocked(pushKey{node: int32(m.From), seq: seq, pg: d.pg}, d.diff)
+		e.cachePushLocked(pushKey{node: int32(m.From), seq: seq, pg: d.Page}, d.Diff)
 	}
 	e.mu.Unlock()
 }

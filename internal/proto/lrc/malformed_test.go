@@ -1,0 +1,83 @@
+package lrc
+
+import (
+	"encoding/binary"
+	"runtime"
+	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/nodecore"
+	"repro/internal/vclock"
+	"repro/internal/wire"
+)
+
+// TestDecodersSurviveHostileInput: every payload decoder is fed, for a
+// valid payload, each of its strict prefixes, the payload with a
+// trailing byte, and element counts of 2^62 and 2^30 where a list
+// begins. Over TCP these bytes come from another process, and
+// handleDiffPush decodes them on the dispatch goroutine: the outcome
+// must be an error — never a panic, never an allocation sized by a
+// count the input cannot back.
+func TestDecodersSurviveHostileInput(t *testing.T) {
+	ivs := []*interval{
+		{node: 1, seq: 3, vc: vclock.VC{0, 3, 1}, pages: []mem.PageID{2, 7, 300}},
+		{node: 2, seq: 200, vc: vclock.VC{0, 0, 200}},
+	}
+	huge := func(prefix []byte, count uint64) []byte { return binary.AppendUvarint(prefix, count) }
+	oneInterval := func(npages uint64) []byte { // count 1, node, seq, clock, then the page count
+		return huge(vclock.VC{1}.Encode([]byte{1, 0, 1}), npages)
+	}
+	for _, tc := range []struct {
+		name    string
+		valid   []byte
+		hostile [][]byte
+		decode  func([]byte) error
+	}{
+		{"intervals", encodeIntervals(ivs),
+			[][]byte{huge(nil, 1<<62), huge(nil, 1<<30), oneInterval(1 << 62), oneInterval(1 << 30)},
+			func(b []byte) error { _, err := decodeIntervals(b); return err }},
+		{"diff list", encodeDiffList([]seqDiff{{seq: 1, diff: []byte{1, 2}}, {seq: 300}}),
+			[][]byte{huge(nil, 1<<62), huge(nil, 1<<30), huge([]byte{1, 1}, 1<<62)},
+			func(b []byte) error { _, err := decodeDiffList(b); return err }},
+		{"push list", encodePushList([]nodecore.PageDiff{{Page: 5, Diff: []byte{4, 5, 6}}, {Page: 129}}),
+			[][]byte{huge(nil, 1<<62), huge(nil, 1<<30), huge([]byte{1, 5}, 1<<62)},
+			func(b []byte) error { _, err := decodePushList(b); return err }},
+		{"barrier payload", encodeBarrierPayload(encodeIntervals(ivs), []pushEntry{{reader: 2, writer: 1, seq: 130, pg: 700, diff: []byte{9}}}),
+			[][]byte{huge(nil, 1<<62), huge([]byte{0}, 1<<62), huge([]byte{0}, 1<<30), huge([]byte{0, 1, 2, 1, 3, 7}, 1<<62)},
+			func(b []byte) error { _, _, err := decodeBarrierPayload(b); return err }},
+	} {
+		if err := tc.decode(tc.valid); err != nil {
+			t.Errorf("%s: the valid payload: %v", tc.name, err)
+		}
+		for i := 1; i < len(tc.valid); i++ {
+			if tc.decode(tc.valid[:i]) == nil {
+				t.Errorf("%s: decoded with only %d of %d bytes", tc.name, i, len(tc.valid))
+			}
+		}
+		if tc.decode(append(append([]byte(nil), tc.valid...), 0)) == nil {
+			t.Errorf("%s: decoded with a trailing byte", tc.name)
+		}
+		for _, h := range tc.hostile {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.decode(h)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s: decoded hostile input %x", tc.name, h)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096 {
+				t.Errorf("%s: %d input bytes (%x) made the decoder allocate %d", tc.name, len(h), h, grew)
+			}
+		}
+	}
+}
+
+// TestMalformedPushIgnored: the handler that decodes on the dispatch
+// goroutine keeps its promise — a malformed push changes nothing.
+func TestMalformedPushIgnored(t *testing.T) {
+	e := &Engine{pushCache: make(map[pushKey][]byte)}
+	e.handleDiffPush(&wire.Msg{Kind: wire.KDiffPush, From: 1, Arg: 1, Data: binary.AppendUvarint(nil, 1<<62)})
+	if len(e.pushCache) != 0 {
+		t.Fatalf("a malformed push cached %d diffs", len(e.pushCache))
+	}
+}

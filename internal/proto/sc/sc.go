@@ -26,7 +26,6 @@ package sc
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -122,32 +121,26 @@ func (e *Engine) Name() string {
 
 // Register implements nodecore.Engine.
 func (e *Engine) Register(rt *nodecore.Runtime) {
-	rt.Handle(wire.KReadReq, e.handleReadReq)
-	rt.Handle(wire.KWriteReq, e.handleWriteReq)
+	rt.Handle(wire.KReadReq, e.handleReq)
+	rt.Handle(wire.KWriteReq, e.handleReq)
 	rt.Handle(wire.KInval, e.handleInval)
 }
 
 // Init implements nodecore.Engine: page p starts owned read-write by
 // node p mod N, invalid elsewhere; every node's owner hint is exact.
 func (e *Engine) Init() {
-	tbl := e.rt.Table()
-	n := e.rt.N()
-	for i := 0; i < tbl.NumPages(); i++ {
-		p := tbl.Page(mem.PageID(i))
-		owner := transport.NodeID(i % n)
-		p.Lock()
-		p.Owner = owner
+	e.rt.Table().EachLocked(func(p *mem.Page) {
+		p.Owner = e.rt.HomeOf(p.ID())
 		// Every node records the initial owner in its copyset view, so
 		// a manager's authoritative copyset starts accurate even when
 		// the manager is not the owner.
-		p.Copyset.Add(int(owner))
-		if owner == e.rt.ID() {
+		p.Copyset.Add(int(p.Owner))
+		if p.Owner == e.rt.ID() {
 			p.SetProt(mem.ReadWrite)
 		} else {
 			p.SetProt(mem.Invalid)
 		}
-		p.Unlock()
-	}
+	})
 }
 
 func (e *Engine) managed() bool {
@@ -158,7 +151,7 @@ func (e *Engine) managerOf(pg mem.PageID) transport.NodeID {
 	if e.cfg.Locator == Central {
 		return e.cfg.CentralNode
 	}
-	return transport.NodeID(int(pg) % e.rt.N())
+	return e.rt.HomeOf(pg)
 }
 
 // ---------------------------------------------------------------
@@ -166,12 +159,7 @@ func (e *Engine) managerOf(pg mem.PageID) transport.NodeID {
 // ---------------------------------------------------------------
 
 // ReadFault implements nodecore.Engine.
-func (e *Engine) ReadFault(pg mem.PageID) error {
-	if e.cfg.Migrate {
-		return e.fault(pg, true)
-	}
-	return e.fault(pg, false)
-}
+func (e *Engine) ReadFault(pg mem.PageID) error { return e.fault(pg, e.cfg.Migrate) }
 
 // WriteFault implements nodecore.Engine.
 func (e *Engine) WriteFault(pg mem.PageID) error {
@@ -184,29 +172,25 @@ func (e *Engine) fault(pg mem.PageID, write bool) error {
 		kind = wire.KWriteReq
 	}
 	p := e.rt.Table().Page(pg)
-	var arg uint64
 	p.Lock()
 	hint := p.Owner
 	p.Unlock()
 
+	// The request goes to the page's manager, or to the owner the hint
+	// names. A broadcast requester has neither — unless the hint names
+	// itself (a write upgrade of its read-only copy), when the
+	// transaction runs through its own owner path; a stale hint answers
+	// not-owner, which only broadcast mode ever does.
+	to := hint
+	if e.managed() {
+		to = e.managerOf(pg)
+	}
 	var reply *wire.Msg
 	var err error
-	switch e.cfg.Locator {
-	case Central, Fixed:
-		reply, err = e.rt.Call(&wire.Msg{Kind: kind, To: e.managerOf(pg), Page: pg, Arg: arg})
-	case Dynamic:
-		reply, err = e.rt.Call(&wire.Msg{Kind: kind, To: hint, Page: pg, Arg: arg})
-	case Broadcast:
-		if hint == e.rt.ID() {
-			// We own the page (write upgrade of a read-only copy):
-			// run the transaction through the local owner path.
-			reply, err = e.rt.Call(&wire.Msg{Kind: kind, To: hint, Page: pg, Arg: arg})
-			if err == nil && reply.Kind == wire.KNotOwner {
-				reply, err = e.probe(kind, pg, arg) // hint was stale
-			}
-		} else {
-			reply, err = e.probe(kind, pg, arg)
-		}
+	if e.cfg.Locator == Broadcast && hint != e.rt.ID() {
+		reply, err = e.probe(kind, pg)
+	} else if reply, err = e.rt.Call(&wire.Msg{Kind: kind, To: to, Page: pg}); err == nil && reply.Kind == wire.KNotOwner {
+		reply, err = e.probe(kind, pg)
 	}
 	if err != nil {
 		return err
@@ -253,41 +237,24 @@ func (e *Engine) fault(pg mem.PageID, write bool) error {
 // yields at most one grant. Only an ownership transfer caught
 // mid-flight can make the whole round answer not-owner, in which
 // case the requester backs off and retries.
-func (e *Engine) probe(kind wire.Kind, pg mem.PageID, arg uint64) (*wire.Msg, error) {
-	n := e.rt.N()
+func (e *Engine) probe(kind wire.Kind, pg mem.PageID) (*wire.Msg, error) {
 	deadline := time.Now().Add(e.rt.CallTimeout())
 	for attempt := 0; ; attempt++ {
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("sc: node %d: broadcast probe for page %d found no owner after %d rounds",
 				e.rt.ID(), pg, attempt)
 		}
-		type res struct {
-			reply *wire.Msg
-			err   error
-		}
-		ch := make(chan res, n-1)
-		sent := 0
-		for i := 0; i < n; i++ {
-			if transport.NodeID(i) == e.rt.ID() {
-				continue
+		var msgs []*wire.Msg
+		for i := 0; i < e.rt.N(); i++ {
+			if to := transport.NodeID(i); to != e.rt.ID() {
+				msgs = append(msgs, &wire.Msg{Kind: kind, To: to, Page: pg})
 			}
-			sent++
-			go func(to transport.NodeID) {
-				reply, err := e.rt.Call(&wire.Msg{Kind: kind, To: to, Page: pg, Arg: arg})
-				ch <- res{reply, err}
-			}(transport.NodeID(i))
 		}
+		replies, firstErr := e.rt.CallBatched(msgs)
 		var grant *wire.Msg
-		var firstErr error
-		for i := 0; i < sent; i++ {
-			r := <-ch
-			switch {
-			case r.err != nil:
-				if firstErr == nil {
-					firstErr = r.err
-				}
-			case r.reply.Kind != wire.KNotOwner:
-				grant = r.reply
+		for _, reply := range replies {
+			if reply != nil && reply.Kind != wire.KNotOwner {
+				grant = reply
 			}
 		}
 		if grant != nil {
@@ -308,20 +275,15 @@ func (e *Engine) probe(kind wire.Kind, pg mem.PageID, arg uint64) (*wire.Msg, er
 // Manager side (central/fixed locators).
 // ---------------------------------------------------------------
 
-func (e *Engine) handleReadReq(m *wire.Msg) {
+// handleReq serves a read or write request: at the page's manager,
+// unless a manager forwarded it here or the locator has none.
+func (e *Engine) handleReq(m *wire.Msg) {
+	write := m.Kind == wire.KWriteReq
 	if e.managed() && m.Arg&argForwarded == 0 {
-		e.managerTx(m, false)
+		e.managerTx(m, write)
 		return
 	}
-	e.ownerServe(m, false)
-}
-
-func (e *Engine) handleWriteReq(m *wire.Msg) {
-	if e.managed() && m.Arg&argForwarded == 0 {
-		e.managerTx(m, true)
-		return
-	}
-	e.ownerServe(m, true)
+	e.ownerServe(m, write)
 }
 
 // managerTx serializes and executes one page transaction at the
@@ -337,17 +299,10 @@ func (e *Engine) managerTx(m *wire.Msg, write bool) {
 	hasCopy := p.Copyset.Has(int(m.From))
 	var invalidatees []int
 	if write {
-		p.Copyset.ForEach(func(i int) {
-			if transport.NodeID(i) != m.From && transport.NodeID(i) != owner {
-				invalidatees = append(invalidatees, i)
-			}
-		})
+		invalidatees = p.Copyset.Except(int(m.From), int(owner))
 	}
 	p.Unlock()
-
-	if write {
-		e.invalidateAll(pg, invalidatees, m.From)
-	}
+	e.invalidateAll(pg, invalidatees, m.From)
 
 	tok, ch := e.rt.NewToken()
 	req := *m
@@ -389,23 +344,13 @@ func (e *Engine) invalidateAll(pg mem.PageID, nodes []int, newOwner transport.No
 		// readable with stale contents.
 		nodes = nodes[1:]
 	}
-	if len(nodes) == 0 {
-		return
+	msgs := make([]*wire.Msg, len(nodes))
+	for i, to := range nodes {
+		msgs[i] = &wire.Msg{Kind: wire.KInval, To: transport.NodeID(to), Page: pg, Arg: uint64(newOwner)}
 	}
-	var wg sync.WaitGroup
-	for _, i := range nodes {
-		wg.Add(1)
-		go func(to transport.NodeID) {
-			defer wg.Done()
-			_, err := e.rt.Call(&wire.Msg{Kind: wire.KInval, To: to, Page: pg, Arg: uint64(newOwner)})
-			if err != nil {
-				// Shutdown race; the transaction will be abandoned by
-				// its token timeout if this mattered.
-				return
-			}
-		}(transport.NodeID(i))
-	}
-	wg.Wait()
+	// A failure is a shutdown race; the transaction will be abandoned
+	// by its token timeout if it mattered.
+	_, _ = e.rt.CallBatched(msgs)
 }
 
 // ---------------------------------------------------------------
@@ -462,11 +407,7 @@ func (e *Engine) ownerServe(m *wire.Msg, write bool) {
 	hasCopy := p.Copyset.Has(int(m.From))
 	var invalidatees []int
 	if isOwner && write {
-		p.Copyset.ForEach(func(i int) {
-			if transport.NodeID(i) != m.From && transport.NodeID(i) != e.rt.ID() {
-				invalidatees = append(invalidatees, i)
-			}
-		})
+		invalidatees = p.Copyset.Except(int(m.From), int(e.rt.ID()))
 	}
 	p.Unlock()
 	if !isOwner {
@@ -475,9 +416,7 @@ func (e *Engine) ownerServe(m *wire.Msg, write bool) {
 		return
 	}
 
-	if write {
-		e.invalidateAll(pg, invalidatees, m.From)
-	}
+	e.invalidateAll(pg, invalidatees, m.From)
 	req := *m
 	if write && hasCopy {
 		req.Arg |= argHasCopy

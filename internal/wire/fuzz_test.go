@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -104,5 +105,59 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 		if _, err := Decode(buf); err == nil {
 			t.Errorf("%s: Decode accepted corrupt input", name)
 		}
+	}
+}
+
+// decList reads the shape every engine payload has — a counted list of
+// { uvarint, length-prefixed bytes } — and re-encodes what it read.
+func decList(data []byte) ([]byte, error) {
+	d := NewDec(data)
+	n := d.Count()
+	out := binary.AppendUvarint(nil, uint64(n))
+	for ; n > 0 && d.Ok(); n-- {
+		out = AppendBytes(binary.AppendUvarint(out, d.Uvarint()), d.Bytes())
+	}
+	return out, d.Done()
+}
+
+// FuzzDec holds the cursor to its contract on arbitrary bytes: no
+// panic, reads stay inside the input, and whatever decodes without
+// error re-encodes to the bytes it was decoded from (minimal varints
+// aside, hence the length comparison).
+func FuzzDec(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{2, 5, 3, 4, 5, 6, 0x81, 0x01, 0})
+	f.Add(binary.AppendUvarint(nil, 1<<62))
+	f.Add(binary.AppendUvarint(nil, 1<<30))
+	f.Add([]byte{1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add([]byte{1, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out, err := decList(data)
+		if err == nil && len(out) > len(data) {
+			t.Fatalf("%x decoded to more than it holds: %x", data, out)
+		}
+	})
+}
+
+// TestDecRejects pins the cursor's refusals one by one.
+func TestDecRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"count beyond the bytes left", []byte{3, 1, 0}},
+		{"count 2^62", binary.AppendUvarint(nil, 1<<62)},
+		{"truncated varint", []byte{1, 0x80}},
+		{"length beyond the bytes left", []byte{1, 7, 2, 9}},
+		{"trailing byte", []byte{1, 7, 1, 9, 0}},
+	} {
+		if _, err := decList(tc.data); err == nil {
+			t.Errorf("%s: %x decoded", tc.name, tc.data)
+		}
+	}
+	if out, err := decList([]byte{2, 5, 3, 4, 5, 6, 0x81, 0x01, 0}); err != nil || !bytes.Equal(out, []byte{2, 5, 3, 4, 5, 6, 0x81, 0x01, 0}) {
+		t.Errorf("valid list: %x, %v", out, err)
 	}
 }

@@ -5,6 +5,8 @@
 // really do cross sockets. Decode therefore treats its input as
 // untrusted: every length field is bounds-checked and malformed
 // input yields an error, never a panic (FuzzDecode enforces this).
+// The payloads engines pack into Msg.Data are decoded under the same
+// contract through Dec (FuzzDec).
 package wire
 
 import (
