@@ -18,12 +18,15 @@ build:
 # (sc, classic, ec alongside) and the payload cursor (wire) again under
 # the race detector (their concurrency is the most delicate), and a
 # short stress of the message path's ordering and
-# hand-off tests (direct vs queued simnet delivery, self-delivery,
-# inline handlers), whose failures would be scheduling-dependent.
+# hand-off tests (direct vs queued simnet delivery, the runtime's
+# self-delivery, inline handlers) and of both transports' refusal of
+# self-sends racing Close, whose failures would be
+# scheduling-dependent.
 test: vet smoke bench-alloc
 	$(GO) test ./... -timeout 1200s
 	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/dsync ./internal/core ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace ./internal/mem ./internal/proto/lrc ./internal/proto/erc ./internal/proto/sc ./internal/proto/classic ./internal/proto/ec ./internal/wire
 	$(GO) test -race -count=20 -run 'FIFO|SelfDeliver|Inline' ./internal/simnet ./internal/nodecore ./internal/dsync
+	$(GO) test -race -count=20 -run 'Conformance/SelfSendRejected' ./internal/simnet ./internal/transport/tcp
 
 # Allocation regression gate. The thresholds are checked into the
 # tests themselves: the ZeroAlloc tests assert 0 allocs/op in steady
@@ -97,7 +100,9 @@ clean:
 	$(GO) clean ./...
 	rm -f test_output.txt bench_output.txt
 
-# Non-test Go lines outside the benchmark: the number a simplification
-# PR quotes before and after.
+# Non-test Go lines outside the benchmark: the numbers a simplification
+# PR quotes before and after — all lines, then code lines (neither
+# blank nor comment-only), so deleting comments shows as no reduction.
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | \
+		awk '{ n++ } !/^[ \t]*(\/\/|$$)/ { c++ } END { print n; print c " code" }'

@@ -404,8 +404,8 @@ func (s sweep) run(w io.Writer) error {
 // is why combining trees win on real networks whose endpoints
 // serialize message processing. (Wall time in this in-process
 // simulator favours fewer hops, i.e. the centralized barrier; the
-// simnet RecvOccupancy model exists to recover endpoint serialization
-// when wall-clock fidelity at the microsecond scale is not needed.)
+// simulator does not model endpoint serialization, so hub load is read
+// from the message counts.)
 func E9Sync(w io.Writer) error {
 	header(w, "E9: lock and barrier service")
 	t := stats.NewTable("benchmark", "nodes", "ops", "total_ms", "us_per_op", "msgs", "hub_msgs_per_op")
@@ -549,7 +549,7 @@ func E11Transport(w io.Writer) error {
 		{"matmul", func() apps.App { return apps.NewMatMul(24) }},
 		{"taskqueue", func() apps.App { return apps.NewTaskQueue(40, 200) }},
 	}
-	cfg := core.Config{Nodes: 3, Protocol: core.LRC, CallTimeout: 30 * time.Second}
+	cfg := core.Config{Nodes: 3, Protocol: core.LRC}
 	t := stats.NewTable("app", "transport", "elapsed_ms", "proto_msgs", "wire_msgs", "wire_bytes", "checksum")
 	for _, wl := range workloads {
 		var simSum uint64
@@ -623,7 +623,7 @@ func E12Batching(w io.Writer) error {
 	tcpMk := func() apps.App { return apps.NewSOR(24, 16, 6) }
 	var simSums [2]uint64 // batching off, on
 	for i, batch := range []bool{false, true} {
-		cfg := core.Config{Nodes: 3, Protocol: core.LRC, CallTimeout: 30 * time.Second, Batch: batch}
+		cfg := core.Config{Nodes: 3, Protocol: core.LRC, Batch: batch}
 		simRes, err := cluster.Run(cluster.Spec{Cfg: cfg, App: tcpMk})
 		if err != nil {
 			return err

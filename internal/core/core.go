@@ -1,8 +1,8 @@
 // Package core is the public API of the DSM system: it assembles a
 // simulated cluster (network, per-node runtimes, a protocol engine,
 // and the synchronization service), exposes the shared address space
-// through allocation helpers and typed array views, and runs
-// application functions one per node.
+// through allocation helpers and each node's byte and typed-word
+// accessors, and runs application functions one per node.
 //
 // A minimal program:
 //
@@ -140,10 +140,6 @@ type Config struct {
 	// for counting messages rather than measuring time).
 	Latency time.Duration
 	PerByte time.Duration
-	// RecvOccupancy models the serial per-message processing cost at
-	// each receiving endpoint; hot spots (central managers,
-	// barrier hubs) saturate when it is non-zero.
-	RecvOccupancy time.Duration
 	// Jitter adds deterministic pseudo-random extra delay in
 	// [0, Jitter) per message, for stress-testing interleavings.
 	Jitter time.Duration
@@ -254,7 +250,9 @@ func (c *Config) fillDefaults() error {
 // memory layout. The TCP handshake exchanges it so a node built with
 // a different page size or protocol is rejected at connect time
 // instead of corrupting the heap mid-run. Timing knobs are excluded:
-// they are simulator-only or node-local.
+// they are simulator-only or node-local. So are the node-local
+// observers — Advise, EventTrace, AccessTrace, OnStall — which change
+// what a node records, never what it sends.
 func (c Config) Digest() uint64 {
 	_ = c.fillDefaults() // so explicit defaults and zero values agree
 	h := fnv.New64a()
@@ -275,7 +273,7 @@ func (c Config) Digest() uint64 {
 		}
 		return 0
 	}
-	put(bit(c.Batch)<<3 | bit(c.TreeBarrier)<<2 | bit(c.LRCBarrierGC)<<1 | bit(c.Advise))
+	put(bit(c.Batch)<<3 | bit(c.TreeBarrier)<<2 | bit(c.LRCBarrierGC)<<1) // bit 0 stays clear: Advise=false digests are unchanged
 	put(uint64(c.TreeFanout))
 	return h.Sum64()
 }
@@ -327,12 +325,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	net, err := simnet.New(simnet.Config{
-		Nodes:         cfg.Nodes,
-		Latency:       simnet.ConstLatency(cfg.Latency, cfg.PerByte),
-		RecvOccupancy: cfg.RecvOccupancy,
-		Jitter:        cfg.Jitter,
-		Seed:          cfg.Seed,
-		Faults:        cfg.Faults,
+		Nodes:   cfg.Nodes,
+		Latency: simnet.ConstLatency(cfg.Latency, cfg.PerByte),
+		Jitter:  cfg.Jitter,
+		Seed:    cfg.Seed,
+		Faults:  cfg.Faults,
 	})
 	if err != nil {
 		return nil, err
@@ -363,8 +360,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // (typically a tcp.Transport). Every process must be started with an
 // identical Config — compare Config.Digest in the transport
 // handshake to enforce that. Simulator-only options (latency
-// modelling, fault injection, tracing) are rejected: the real
-// network supplies its own latency and faults.
+// modelling, fault injection, BreakCoherence) are rejected: the real
+// network supplies its own latency and faults. Node-local observers
+// (EventTrace, AccessTrace, Advise) are allowed and see this node.
 //
 // The reliability layer defaults on (cfg.Retry nil gets the default
 // policy): a TCP reconnect can drop frames that were in flight, and
@@ -385,7 +383,7 @@ func NewDistributedNode(cfg Config, tr transport.Transport, self int) (*Cluster,
 	switch {
 	case cfg.Faults != nil:
 		return nil, fmt.Errorf("core: NewDistributedNode: fault injection is simulator-only")
-	case cfg.Latency != 0 || cfg.PerByte != 0 || cfg.RecvOccupancy != 0 || cfg.Jitter != 0:
+	case cfg.Latency != 0 || cfg.PerByte != 0 || cfg.Jitter != 0:
 		return nil, fmt.Errorf("core: NewDistributedNode: latency modelling is simulator-only")
 	case cfg.BreakCoherence:
 		return nil, fmt.Errorf("core: NewDistributedNode: BreakCoherence is a test-only simulator knob")
@@ -440,7 +438,7 @@ func (c *Cluster) addNode(i int) error {
 		rt.EnableReliability(policy, cfg.Seed)
 	}
 	if cfg.Batch {
-		rt.EnableBatching(nodecore.BatchPolicy{})
+		rt.EnableBatching()
 	}
 	if c.adv != nil {
 		rt.SetAccessCollector(c.adv)

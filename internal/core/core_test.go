@@ -195,3 +195,39 @@ func TestCloseIdempotent(t *testing.T) {
 	c.Close()
 	c.Close() // must not panic
 }
+
+// TestDigestIgnoresNodeLocalFields: the observers change what a node
+// records, never what it sends, so processes may differ in them. The
+// pinned digests are the ones Advise=false configs have always had —
+// the TCP handshake compares them across builds of one version.
+func TestDigestIgnoresNodeLocalFields(t *testing.T) {
+	local := map[string]func(*core.Config){
+		"Advise":        func(c *core.Config) { c.Advise = true },
+		"EventTrace":    func(c *core.Config) { c.EventTrace = true },
+		"AccessTrace":   func(c *core.Config) { c.AccessTrace = true },
+		"TraceCapacity": func(c *core.Config) { c.TraceCapacity = 1 << 10 },
+		"OnStall":       func(c *core.Config) { c.OnStall = func(string) {} },
+	}
+	for _, tc := range []struct {
+		cfg  core.Config
+		want uint64
+	}{
+		{core.Config{Nodes: 3, Protocol: core.LRC}, 0xaa62a81f24c4abd3},
+		{core.Config{Nodes: 4, Protocol: core.SCFixed, Batch: true, TreeBarrier: true, TreeFanout: 3, LRCBarrierGC: true}, 0x7be4263ce5493011},
+		{core.Config{Nodes: 2}, 0x5fe0039c6f84b4eb},
+	} {
+		if got := tc.cfg.Digest(); got != tc.want {
+			t.Errorf("%+v: Digest = %#x, want %#x", tc.cfg, got, tc.want)
+		}
+		for name, set := range local {
+			cfg := tc.cfg
+			set(&cfg)
+			if got := cfg.Digest(); got != tc.want {
+				t.Errorf("%+v with %s set: Digest = %#x, want %#x", tc.cfg, name, got, tc.want)
+			}
+		}
+	}
+	if a, b := (core.Config{Nodes: 2}).Digest(), (core.Config{Nodes: 2, Batch: true}).Digest(); a == b {
+		t.Error("Batch, which changes the traffic, does not change the digest")
+	}
+}

@@ -13,11 +13,6 @@ type Bitset struct {
 	words []uint64
 }
 
-// NewBitset returns an empty set sized for values in [0, n).
-func NewBitset(n int) *Bitset {
-	return &Bitset{words: make([]uint64, (n+63)/64)}
-}
-
 func (b *Bitset) grow(i int) {
 	for i/64 >= len(b.words) {
 		b.words = append(b.words, 0)
@@ -49,15 +44,6 @@ func (b *Bitset) Has(i int) bool {
 	return b.words[i/64]&(1<<(i%64)) != 0
 }
 
-// Count returns the number of elements.
-func (b *Bitset) Count() int {
-	n := 0
-	for _, w := range b.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // Clear empties the set, keeping capacity.
 func (b *Bitset) Clear() {
 	for i := range b.words {
@@ -87,13 +73,6 @@ func (b *Bitset) Except(x, y int) []int {
 		}
 	})
 	return out
-}
-
-// Clone returns an independent copy.
-func (b *Bitset) Clone() *Bitset {
-	c := &Bitset{words: make([]uint64, len(b.words))}
-	copy(c.words, b.words)
-	return c
 }
 
 // String renders the set as "{a b c}".

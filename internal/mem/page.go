@@ -187,9 +187,6 @@ func (p *Page) MakeTwin() bool {
 // HasTwin reports whether a twin snapshot exists. Caller must hold Lock.
 func (p *Page) HasTwin() bool { return p.twin != nil }
 
-// Twin returns the twin snapshot (nil if none). Caller must hold Lock.
-func (p *Page) Twin() []byte { return p.twin }
-
 // DiffAgainstTwin encodes the changes since MakeTwin. It does not
 // drop the twin. Caller must hold Lock.
 func (p *Page) DiffAgainstTwin() []byte {

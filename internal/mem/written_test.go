@@ -123,8 +123,8 @@ func TestZeroAllocRefreshTwinInPlace(t *testing.T) {
 	locked(p, func() {
 		p.PutUint64(0, 9)
 		p.RefreshTwin()
-		if !bytes.Equal(p.Twin(), p.Snapshot()) {
-			t.Errorf("first twin = %x, want %x", p.Twin(), p.Snapshot())
+		if !bytes.Equal(p.twin, p.Snapshot()) {
+			t.Errorf("first twin = %x, want %x", p.twin, p.Snapshot())
 		}
 	})
 }
@@ -232,7 +232,7 @@ func TestWrittenListConcurrentClose(t *testing.T) {
 	for i := 0; i < pages; i++ {
 		p := tbl.Page(PageID(i))
 		p.Lock()
-		if !bytes.Equal(p.Twin(), p.Snapshot()) {
+		if !bytes.Equal(p.twin, p.Snapshot()) {
 			t.Errorf("page %d: twin differs from frame after the last close: a store was missed", i)
 		}
 		p.Unlock()

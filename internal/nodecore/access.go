@@ -145,13 +145,13 @@ func (r *Runtime) servedFault(page mem.PageID, write bool) error {
 // Typed accessors. Values are stored little-endian. An aligned value
 // never spans pages because page sizes are powers of two >= 8.
 
-// hit returns the page holding the n-byte word at addr, locked, and
+// hit returns the page holding the 8-byte word at addr, locked, and
 // the word's offset in it, if this is a local hit: no observer
 // (hooked), the word inside one page, protection at least want.
 // Otherwise p is nil and the caller takes the general path, the only
 // place the hooks are tested.
-func (r *Runtime) hit(addr int64, n int, want mem.Prot) (p *mem.Page, off int) {
-	p, off, ok := r.tbl.Within(addr, n)
+func (r *Runtime) hit(addr int64, want mem.Prot) (p *mem.Page, off int) {
+	p, off, ok := r.tbl.Within(addr, 8)
 	if r.hooked || !ok {
 		return nil, 0
 	}
@@ -165,7 +165,7 @@ func (r *Runtime) hit(addr int64, n int, want mem.Prot) (p *mem.Page, off int) {
 
 // ReadUint64 loads the 8-byte value at addr.
 func (r *Runtime) ReadUint64(addr int64) (uint64, error) {
-	if p, off := r.hit(addr, 8, mem.ReadOnly); p != nil {
+	if p, off := r.hit(addr, mem.ReadOnly); p != nil {
 		v := p.Uint64(off)
 		p.Unlock()
 		r.st.Reads.Add(1)
@@ -180,7 +180,7 @@ func (r *Runtime) ReadUint64(addr int64) (uint64, error) {
 
 // WriteUint64 stores an 8-byte value at addr.
 func (r *Runtime) WriteUint64(addr int64, v uint64) error {
-	if p, off := r.hit(addr, 8, mem.ReadWrite); p != nil {
+	if p, off := r.hit(addr, mem.ReadWrite); p != nil {
 		p.PutUint64(off, v)
 		p.Unlock()
 		r.st.Writes.Add(1)
@@ -211,37 +211,6 @@ func (r *Runtime) ReadFloat64(addr int64) (float64, error) {
 // WriteFloat64 stores an 8-byte IEEE-754 value.
 func (r *Runtime) WriteFloat64(addr int64, v float64) error {
 	return r.WriteUint64(addr, math.Float64bits(v))
-}
-
-// ReadUint32 loads a 4-byte value at addr.
-func (r *Runtime) ReadUint32(addr int64) (uint32, error) {
-	if p, off := r.hit(addr, 4, mem.ReadOnly); p != nil {
-		var w [4]byte // not b, which escapes through ReadAt
-		p.ReadInto(w[:], off)
-		p.Unlock()
-		r.st.Reads.Add(1)
-		return binary.LittleEndian.Uint32(w[:]), nil
-	}
-	var b [4]byte
-	if err := r.ReadAt(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-// WriteUint32 stores a 4-byte value at addr.
-func (r *Runtime) WriteUint32(addr int64, v uint32) error {
-	if p, off := r.hit(addr, 4, mem.ReadWrite); p != nil {
-		var w [4]byte
-		binary.LittleEndian.PutUint32(w[:], v)
-		p.WriteFrom(w[:], off)
-		p.Unlock()
-		r.st.Writes.Add(1)
-		return nil
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return r.WriteAt(addr, b[:])
 }
 
 // TxLocks serializes page transactions at the node that manages or

@@ -83,7 +83,6 @@ func TestZeroAllocLocalHit(t *testing.T) {
 		{"WriteUint64", func() { check(rt.WriteUint64(8, sink)) }},
 		{"ReadFloat64", func() { v, err := rt.ReadFloat64(16); sink += uint64(v); check(err) }},
 		{"WriteFloat64", func() { check(rt.WriteFloat64(16, 1.5)) }},
-		{"ReadUint32", func() { v, err := rt.ReadUint32(4); sink += uint64(v); check(err) }},
 		{"ReadAt", func() { check(rt.ReadAt(100, buf)) }},
 		{"WriteAt", func() { check(rt.WriteAt(100, buf)) }},
 	} {
@@ -176,31 +175,26 @@ func checkWord(t *testing.T, rt *Runtime, shadow []byte, a int64, v uint64) {
 	if err := rt.ReadAt(a, b[:]); err != nil {
 		t.Fatal(err)
 	}
-	want64, want32 := le.Uint64(shadow[a:]), le.Uint32(shadow[a:])
+	want64 := le.Uint64(shadow[a:])
 	u64, err1 := rt.ReadUint64(a)
 	i64, err2 := rt.ReadInt64(a)
 	f64, err3 := rt.ReadFloat64(a)
-	u32, err4 := rt.ReadUint32(a)
-	for _, err := range []error{err1, err2, err3, err4} {
+	for _, err := range []error{err1, err2, err3} {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if le.Uint64(b[:]) != want64 || u64 != want64 || uint64(i64) != want64 || math.Float64bits(f64) != want64 || u32 != want32 {
-		t.Fatalf("addr %#x: ReadAt %#x Uint64 %#x Int64 %#x Float64 %#x Uint32 %#x, want %#x", a, b, u64, i64, math.Float64bits(f64), u32, want64)
+	if le.Uint64(b[:]) != want64 || u64 != want64 || uint64(i64) != want64 || math.Float64bits(f64) != want64 {
+		t.Fatalf("addr %#x: ReadAt %#x Uint64 %#x Int64 %#x Float64 %#x, want %#x", a, b, u64, i64, math.Float64bits(f64), want64)
 	}
 	var err error
-	switch v % 4 {
+	switch v % 3 {
 	case 0:
 		err = rt.WriteUint64(a, v)
 	case 1:
 		err = rt.WriteInt64(a, int64(v))
 	case 2:
 		err = rt.WriteFloat64(a, math.Float64frombits(v))
-	case 3:
-		err = rt.WriteUint32(a, uint32(v))
-		le.PutUint32(shadow[a:], uint32(v))
-		v = le.Uint64(shadow[a:])
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -220,18 +214,18 @@ func littleProgram(t *testing.T, rt *Runtime) {
 			t.Fatal(err)
 		}
 	}
-	check(rt.ReadUint64(8))                                // read fault page 0, zeros
-	check(nil, rt.WriteUint64(8, 0x0807060504030201))      // upgrade: write fault page 0
-	check(rt.ReadUint64(8))                                // hit
-	check(nil, rt.WriteUint32(ps-2, 0xddccbbaa))           // straddles 0|1: write fault page 1
-	check(rt.ReadUint32(ps - 2))                           // straddling hit
-	check(nil, rt.WriteFloat64(2*ps+16, 1.5))              // write fault page 2
-	check(rt.ReadFloat64(2*ps + 16))                       // hit
-	check(rt.ReadInt64(3*ps - 4))                          // straddles 2|3: read fault page 3
-	check(nil, rt.WriteInt64(3*ps+8, -2))                  // upgrade page 3
-	check(nil, rt.ReadAt(ps-3, make([]byte, 6)))           // two chunks, both hits
-	check(nil, rt.WriteAt(4*ps+1, []byte{9, 8, 7}))        // write fault page 4
-	check(nil, rt.ReadAt(4*ps, make([]byte, int(2*ps)+1))) // pages 4, 5, 6: two read faults
+	check(rt.ReadUint64(8))                                      // read fault page 0, zeros
+	check(nil, rt.WriteUint64(8, 0x0807060504030201))            // upgrade: write fault page 0
+	check(rt.ReadUint64(8))                                      // hit
+	check(nil, rt.WriteAt(ps-2, []byte{0xaa, 0xbb, 0xcc, 0xdd})) // straddles 0|1: write fault page 1
+	check(nil, rt.ReadAt(ps-2, make([]byte, 4)))                 // straddling hit
+	check(nil, rt.WriteFloat64(2*ps+16, 1.5))                    // write fault page 2
+	check(rt.ReadFloat64(2*ps + 16))                             // hit
+	check(rt.ReadInt64(3*ps - 4))                                // straddles 2|3: read fault page 3
+	check(nil, rt.WriteInt64(3*ps+8, -2))                        // upgrade page 3
+	check(nil, rt.ReadAt(ps-3, make([]byte, 6)))                 // two chunks, both hits
+	check(nil, rt.WriteAt(4*ps+1, []byte{9, 8, 7}))              // write fault page 4
+	check(nil, rt.ReadAt(4*ps, make([]byte, int(2*ps)+1)))       // pages 4, 5, 6: two read faults
 }
 
 // TestStraddleAndUpgradeCounts pins the counters of littleProgram, and
@@ -405,8 +399,8 @@ func TestOutOfRangePanics(t *testing.T) {
 		{-8, 8, func(a int64) error { _, err := rt.ReadUint64(a); return err }},
 		{heap, 8, func(a int64) error { _, err := rt.ReadFloat64(a); return err }},
 		{heap - 4, 8, func(a int64) error { return rt.WriteUint64(a, 1) }},
-		{heap - 2, 4, func(a int64) error { return rt.WriteUint32(a, 1) }},
-		{-1, 4, func(a int64) error { _, err := rt.ReadUint32(a); return err }},
+		{heap - 2, 8, func(a int64) error { return rt.WriteInt64(a, 1) }},
+		{-1, 8, func(a int64) error { _, err := rt.ReadInt64(a); return err }},
 		{heap - 1, 2, func(a int64) error { return rt.ReadAt(a, make([]byte, 2)) }},
 		{-1, 2, func(a int64) error { return rt.WriteAt(a, make([]byte, 2)) }},
 	} {

@@ -12,8 +12,8 @@ import (
 // Message batching (see DESIGN.md §4.8). With batching enabled, a
 // runtime keeps one queue of pending one-way messages per remote
 // destination and packs a queue into a single wire.KBatch frame when
-// it flushes. A queue flushes when it grows past the policy's size
-// caps, when the latency-cap ticker fires, when the engine asks
+// it flushes. A queue flushes when it grows past the size caps below,
+// when the latency-cap ticker fires, when the engine asks
 // (FlushBatches at a release/barrier boundary), or when any direct
 // Send targets the same destination — the queued messages then
 // piggyback on that send's frame, which also preserves per-pair FIFO
@@ -26,38 +26,17 @@ import (
 // batch frame itself carries no request id and is never deduplicated;
 // retransmissions travel per member.
 
-// BatchPolicy tunes the batching layer installed by EnableBatching.
-type BatchPolicy struct {
-	// MaxMsgs flushes a destination's queue at this many members
-	// (default 32).
-	MaxMsgs int
-	// MaxBytes flushes a destination's queue when its encoded size
-	// would exceed this (default 32 KiB).
-	MaxBytes int
-	// MaxDelay bounds how long a queued message may wait for company
-	// (default 1ms).
-	MaxDelay time.Duration
-}
-
-func (p BatchPolicy) withDefaults() BatchPolicy {
-	if p.MaxMsgs <= 0 {
-		p.MaxMsgs = 32
-	}
-	if p.MaxBytes <= 0 {
-		p.MaxBytes = 32 << 10
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = time.Millisecond
-	}
-	return p
-}
+const (
+	batchMaxMsgs  = 32               // a queue flushes at this many members
+	batchMaxBytes = 32 << 10         // or at this many encoded bytes
+	batchMaxDelay = time.Millisecond // a queued message waits at most this long for company
+)
 
 // batcher holds the per-destination queues. The mutex is held across
 // the endpoint send so that a piggybacking direct send cannot be
 // overtaken by a concurrent flush of the same queue.
 type batcher struct {
-	r      *Runtime
-	policy BatchPolicy
+	r *Runtime
 
 	mu    sync.Mutex
 	q     map[transport.NodeID][]*wire.Msg
@@ -68,16 +47,17 @@ type batcher struct {
 	wg       sync.WaitGroup
 }
 
-func newBatcher(r *Runtime, p BatchPolicy) *batcher {
+// newBatcher starts a batcher whose latency cap is maxDelay
+// (batchMaxDelay, save in tests that flush by hand).
+func newBatcher(r *Runtime, maxDelay time.Duration) *batcher {
 	b := &batcher{
 		r:      r,
-		policy: p,
 		q:      make(map[transport.NodeID][]*wire.Msg),
 		bytes:  make(map[transport.NodeID]int),
 		stopCh: make(chan struct{}),
 	}
 	b.wg.Add(1)
-	go b.flusher()
+	go b.flusher(maxDelay)
 	return b
 }
 
@@ -87,10 +67,10 @@ func (b *batcher) stop() {
 }
 
 // flusher enforces the latency cap: queues drain at least every
-// MaxDelay even if no size trigger or piggyback comes along.
-func (b *batcher) flusher() {
+// maxDelay even if no size trigger or piggyback comes along.
+func (b *batcher) flusher(maxDelay time.Duration) {
 	defer b.wg.Done()
-	t := time.NewTicker(b.policy.MaxDelay)
+	t := time.NewTicker(maxDelay)
 	defer t.Stop()
 	for {
 		select {
@@ -111,7 +91,7 @@ func (b *batcher) enqueue(m *wire.Msg) error {
 	defer b.mu.Unlock()
 	b.q[m.To] = append(b.q[m.To], m)
 	b.bytes[m.To] += m.EncodedSize()
-	if len(b.q[m.To]) >= b.policy.MaxMsgs || b.bytes[m.To] >= b.policy.MaxBytes {
+	if len(b.q[m.To]) >= batchMaxMsgs || b.bytes[m.To] >= batchMaxBytes {
 		return b.flushDestLocked(m.To)
 	}
 	return nil
@@ -150,12 +130,6 @@ func (b *batcher) flushAll() {
 	for to := range b.q {
 		_ = b.flushDestLocked(to) // a failed flush surfaces via retries
 	}
-}
-
-func (b *batcher) flushDest(to transport.NodeID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_ = b.flushDestLocked(to)
 }
 
 func (b *batcher) flushDestLocked(to transport.NodeID) error {

@@ -9,16 +9,16 @@ import (
 	"repro/internal/wire"
 )
 
-// noFlush keeps the latency-cap ticker out of the way so tests control
-// every flush explicitly.
-var noFlush = BatchPolicy{MaxDelay: time.Hour}
+// batchByHand installs the batching layer with its latency-cap ticker
+// out of the way, so the test controls every flush.
+func batchByHand(r *Runtime) { r.batcher = newBatcher(r, time.Hour) }
 
 // TestSendBatchedFlushDeliversInOrder: queued one-way messages travel
 // in a single KBatch frame on FlushBatches and are dispatched in
 // enqueue order.
 func TestSendBatchedFlushDeliversInOrder(t *testing.T) {
 	a, b, _, _ := pair(t)
-	a.EnableBatching(noFlush)
+	batchByHand(a)
 	var mu sync.Mutex
 	var got []uint64
 	b.HandleInline(wire.KDiffPush, func(m *wire.Msg) {
@@ -64,7 +64,7 @@ func TestSendBatchedFlushDeliversInOrder(t *testing.T) {
 // itself — a one-member batch would only add bytes.
 func TestSingleMemberFlushSkipsFraming(t *testing.T) {
 	a, b, _, _ := pair(t)
-	a.EnableBatching(noFlush)
+	batchByHand(a)
 	delivered := make(chan uint64, 1)
 	b.HandleInline(wire.KDiffPush, func(m *wire.Msg) { delivered <- m.Arg })
 	if err := a.SendBatched(&wire.Msg{Kind: wire.KDiffPush, To: 1, Arg: 7}); err != nil {
@@ -88,7 +88,7 @@ func TestSingleMemberFlushSkipsFraming(t *testing.T) {
 // queued messages carries them in the same frame, ahead of it.
 func TestDirectSendPiggybacksPending(t *testing.T) {
 	a, b, _, _ := pair(t)
-	a.EnableBatching(noFlush)
+	batchByHand(a)
 	var mu sync.Mutex
 	var pushes []uint64
 	b.HandleInline(wire.KDiffPush, func(m *wire.Msg) {
@@ -128,7 +128,7 @@ func TestDirectSendPiggybacksPending(t *testing.T) {
 // share one first-transmission frame and still reply individually.
 func TestCallBatchedGroupsSameDestination(t *testing.T) {
 	a, _, _, _ := pair(t)
-	a.EnableBatching(noFlush)
+	batchByHand(a)
 	msgs := []*wire.Msg{
 		{Kind: wire.KPageReq, To: 1, Arg: 10},
 		{Kind: wire.KPageReq, To: 1, Arg: 20},
@@ -157,7 +157,7 @@ func TestCallBatchedPartialFailure(t *testing.T) {
 		_, rts, _ := echoNet(t, 4)
 		a := rts[0]
 		if batch {
-			a.EnableBatching(noFlush)
+			batchByHand(a)
 		}
 		a.SetCallTimeout(100 * time.Millisecond)
 		rts[2].Handle(wire.KDiffReq, func(*wire.Msg) {}) // never replies

@@ -68,14 +68,14 @@ func TestLateReplyClassified(t *testing.T) {
 	}
 	close(release) // the reply now lands after the caller unregistered
 	deadline := time.Now().Add(time.Second)
-	for a.LateReplies() == 0 {
+	for a.st.LateReplies.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("late reply not recorded (stray=%d)", a.StrayReplies())
+			t.Fatalf("late reply not recorded (stray=%d)", a.st.StrayReplies.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if a.StrayReplies() != 0 {
-		t.Fatalf("late reply miscounted as stray (stray=%d)", a.StrayReplies())
+	if a.st.StrayReplies.Load() != 0 {
+		t.Fatalf("late reply miscounted as stray (stray=%d)", a.st.StrayReplies.Load())
 	}
 }
 
@@ -266,20 +266,20 @@ func TestLateReplyAnyAge(t *testing.T) {
 	}
 	close(release)
 	deadline := time.Now().Add(time.Second)
-	for a.LateReplies() == 0 && a.StrayReplies() == 0 {
+	for a.st.LateReplies.Load() == 0 && a.st.StrayReplies.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("reply never classified")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if a.LateReplies() != 1 || a.StrayReplies() != 0 {
-		t.Fatalf("late=%d stray=%d, want 1 0", a.LateReplies(), a.StrayReplies())
+	if a.st.LateReplies.Load() != 1 || a.st.StrayReplies.Load() != 0 {
+		t.Fatalf("late=%d stray=%d, want 1 0", a.st.LateReplies.Load(), a.st.StrayReplies.Load())
 	}
 	// An id from this node's range that it has not issued yet is stray.
 	if err := b.Send(&wire.Msg{Kind: wire.KAck, To: 0, Req: uint64(0+1)<<reqSeqBits | 1<<30}); err != nil {
 		t.Fatal(err)
 	}
-	for a.StrayReplies() == 0 {
+	for a.st.StrayReplies.Load() == 0 {
 		if time.Now().After(deadline.Add(time.Second)) {
 			t.Fatal("unissued id not counted stray")
 		}

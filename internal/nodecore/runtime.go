@@ -496,10 +496,8 @@ func (r *Runtime) deliver(m *wire.Msg) {
 // table as a message off the wire, and an inline handler has run when
 // xmit returns. The receiver gets a private copy, the isolation the
 // wire round trip gave: the sender may reuse m and its buffers, a
-// handler may scribble on its own. Self traffic was never counted or
-// traced and still is not. (The transports still deliver self-sends —
-// the Endpoint contract and its conformance tests require it; the
-// runtime merely stops using that.)
+// handler may scribble on its own. Self traffic is neither counted nor
+// traced, and a transport refuses it: this is the only self-delivery.
 func (r *Runtime) xmit(m *wire.Msg) error {
 	if m.To != r.id {
 		return r.ep.Send(m)
@@ -510,31 +508,18 @@ func (r *Runtime) xmit(m *wire.Msg) error {
 	default:
 	}
 	cp := *m
-	cp.Data, cp.Aux = bytes.Clone(m.Data), bytes.Clone(m.Aux)
+	cp.Data = bytes.Clone(m.Data)
 	r.deliver(&cp)
 	return nil
 }
 
-// StrayReplies reports replies that matched no call this node ever
-// made — a protocol bug if it happens outside broadcast mode.
-// Replies that arrive after their caller completed or gave up are
-// counted separately as LateReplies (expected under retransmission).
-func (r *Runtime) StrayReplies() int64 { return r.st.StrayReplies.Load() }
-
-// LateReplies reports duplicate or post-timeout replies discarded
-// for calls this node did make.
-func (r *Runtime) LateReplies() int64 { return r.st.LateReplies.Load() }
-
-// Dispatched reports how many messages this node has delivered (off the
-// endpoint or self-addressed); the watchdog's progress signal.
-func (r *Runtime) Dispatched() int64 { return r.dispatched.Load() }
-
-// UsefulDispatched is Dispatched minus messages that advanced
-// nothing: retransmitted requests suppressed as duplicates and
-// replies discarded as late. A cluster stuck waiting on a dead or
-// unreachable peer keeps retransmitting (and keeps suppressing those
-// retransmits) forever — only subtracting them lets the watchdog see
-// through that chatter to the underlying stall.
+// UsefulDispatched counts the messages this node has delivered (off
+// the endpoint or self-addressed) minus those that advanced nothing:
+// retransmitted requests suppressed as duplicates and replies
+// discarded as late. It is the watchdog's progress signal: a cluster
+// stuck waiting on a dead or unreachable peer keeps retransmitting
+// (and keeps suppressing those retransmits) forever — only subtracting
+// them lets the watchdog see through that chatter to the stall.
 func (r *Runtime) UsefulDispatched() int64 {
 	return r.dispatched.Load() - r.st.DupRequests.Load() - r.st.LateReplies.Load()
 }
@@ -622,11 +607,10 @@ func (r *Runtime) register(req uint64, kind wire.Kind, to transport.NodeID) *pen
 func (r *Runtime) Send(m *wire.Msg) error {
 	m.From = r.id
 	if r.reliable && m.Req != 0 && m.Kind.IsReply() {
-		// Deep-copy the payloads: the cached reply may be re-served
-		// long after the caller has reused or pooled these buffers.
+		// Deep-copy the payload: the cached reply may be re-served
+		// long after the caller has reused or pooled its buffer.
 		cp := *m
 		cp.Data = append([]byte(nil), m.Data...)
-		cp.Aux = append([]byte(nil), m.Aux...)
 		r.dedup.completed(m.To, m.Req, &cp)
 	}
 	if r.tracer != nil && m.To != r.id {
@@ -645,18 +629,17 @@ func (r *Runtime) Send(m *wire.Msg) error {
 // groups same-destination requests into one frame, and FlushBatches
 // drains the queues at release/barrier boundaries. Must be called
 // before Start.
-func (r *Runtime) EnableBatching(p BatchPolicy) {
-	if r.batcher != nil {
-		return
+func (r *Runtime) EnableBatching() {
+	if r.batcher == nil {
+		r.batcher = newBatcher(r, batchMaxDelay)
 	}
-	r.batcher = newBatcher(r, p.withDefaults())
 }
 
 // BatchingEnabled reports whether the batching layer is active.
 func (r *Runtime) BatchingEnabled() bool { return r.batcher != nil }
 
 // SendBatched transmits a one-way message, allowing the runtime to
-// delay it briefly (the policy's MaxDelay) so that it can share a
+// delay it briefly (batchMaxDelay) so that it can share a
 // frame with other traffic to the same destination. Without batching
 // — or for self-sends — it degenerates to Send.
 func (r *Runtime) SendBatched(m *wire.Msg) error {

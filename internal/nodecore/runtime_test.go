@@ -148,7 +148,7 @@ func TestStrayReplyCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(time.Second)
-	for a.StrayReplies() == 0 {
+	for a.st.StrayReplies.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("stray reply not recorded")
 		}

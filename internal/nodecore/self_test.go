@@ -46,13 +46,13 @@ func TestSelfDeliverPayloadIsolation(t *testing.T) {
 			m.Data[i] = 'h'
 		}
 		out := append([]byte("re:"), seen...)
-		_ = a.Reply(m, &wire.Msg{Kind: wire.KDiffReply, Data: out, Aux: out[:2]})
+		_ = a.Reply(m, &wire.Msg{Kind: wire.KDiffReply, Data: out})
 		for i := range out {
 			out[i] = 'x' // reuse after Reply returned
 		}
 	})
 	buf := []byte("payload")
-	m := &wire.Msg{Kind: wire.KDiffReq, To: 0, Data: buf, Aux: buf[:3]}
+	m := &wire.Msg{Kind: wire.KDiffReq, To: 0, Data: buf}
 	m.Req = a.NewReq()
 	pc := a.register(m.Req, m.Kind, m.To)
 	if err := a.Send(m); err != nil {
@@ -64,8 +64,8 @@ func TestSelfDeliverPayloadIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(reply.Data) != "re:payload" || string(reply.Aux) != "re" {
-		t.Fatalf("reply payloads %q/%q: handler or caller saw the other's buffer reuse", reply.Data, reply.Aux)
+	if string(reply.Data) != "re:payload" {
+		t.Fatalf("reply payload %q: handler or caller saw the other's buffer reuse", reply.Data)
 	}
 	if !bytes.Equal(buf, []byte("SCRIBBL")) {
 		t.Fatalf("sender's buffer is %q: the handler wrote through to it", buf)
@@ -157,13 +157,13 @@ func TestSelfDeliverCounters(t *testing.T) {
 	a.HandleInline(wire.KDiffReq, func(m *wire.Msg) {
 		_ = a.Reply(m, &wire.Msg{Kind: wire.KDiffReply})
 	})
-	before := a.Dispatched()
+	before := a.dispatched.Load()
 	for i := 0; i < 10; i++ {
 		if _, err := a.Call(&wire.Msg{Kind: wire.KDiffReq, To: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := a.Dispatched() - before; got != 20 {
+	if got := a.dispatched.Load() - before; got != 20 {
 		t.Fatalf("Dispatched advanced by %d for 10 self calls, want 20 (request + reply each)", got)
 	}
 	if st := a.Stats(); st.MsgsSent.Load() != 0 || st.MsgsRecv.Load() != 0 {

@@ -45,7 +45,7 @@ func TestEarlierMessageInterruptsQueueWait(t *testing.T) {
 // inbox, a queued message or a pending stall it takes the queue, in
 // order; once those clear, delivery is direct again.
 func TestDirectDeliveryFIFOFallback(t *testing.T) {
-	n := newNet(t, Config{Nodes: 2, InboxDepth: 1})
+	n := newNet(t, Config{Nodes: 2, testInboxDepth: 1})
 	a, b := n.Endpoint(0), n.Endpoint(1).(*Endpoint)
 	send := func(req uint64) {
 		t.Helper()
@@ -106,7 +106,7 @@ func TestDirectDeliveryFIFOFallback(t *testing.T) {
 // must hold and every counter must match what was sent.
 func TestPairFIFOMixedDirectAndQueued(t *testing.T) {
 	const senders, per = 3, 1500
-	n := newNet(t, Config{Nodes: senders + 1, Seed: 21, InboxDepth: 1,
+	n := newNet(t, Config{Nodes: senders + 1, Seed: 21, testInboxDepth: 1,
 		Faults: &FaultPlan{SpikeProb: 0.02, Spike: 100 * time.Microsecond}})
 	sts := make([]*stats.Node, senders+1)
 	for i := range sts {

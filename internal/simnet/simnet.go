@@ -6,15 +6,16 @@
 // message crosses the wire encoding even though delivery is
 // in-process, so message and byte counts are faithful to a real
 // deployment. A receiver's delivery-queue goroutine is for messages
-// that must wait — for latency, jitter, a spike, occupancy, a stall or
-// an earlier message; one due at once at an idle receiver is put in
-// its inbox by the sender (dqueue.push). Net implements
+// that must wait — for latency, jitter, a spike, a stall or an earlier
+// message; one due at once at an idle receiver is put in its inbox by
+// the sender (dqueue.push). Net implements
 // transport.Transport, making the simulator one backend among several
 // (see internal/transport and internal/transport/tcp); it remains the
 // default and the only backend with latency/fault modeling.
 package simnet
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"sync"
@@ -58,25 +59,22 @@ type Config struct {
 	// per-pair FIFO order (delays only ever push delivery later).
 	Jitter time.Duration
 	Seed   int64
-	// RecvOccupancy models the serial per-message processing cost at
-	// a receiving endpoint (interrupt/protocol handling on the
-	// network interface): a node receives at most one message per
-	// RecvOccupancy. This is what makes hot spots (central managers,
-	// centralized barriers) saturate in real systems; zero disables
-	// the model.
-	RecvOccupancy time.Duration
-	// InboxDepth bounds each node's incoming queue; when a receiver
-	// falls behind, further messages wait in its delivery queue (senders
-	// never block). Default 4096.
-	InboxDepth int
 	// Faults, if non-nil, enables probabilistic fault injection on
 	// every directed pair: message drops, duplication, and latency
 	// spikes, all deterministically derived from Seed. Transient
 	// partitions and endpoint stalls are injected at runtime with
-	// Net.Partition and Net.StallNode. Self-addressed messages are
-	// never faulted.
+	// Net.Partition and Net.StallNode.
 	Faults *FaultPlan
+
+	// testInboxDepth, when set, replaces inboxDepth so that in-package
+	// tests can fill an inbox.
+	testInboxDepth int
 }
+
+// inboxDepth bounds each node's incoming queue; when a receiver falls
+// behind, further messages wait in its delivery queue (senders never
+// block).
+const inboxDepth = 4096
 
 // FaultPlan describes the probabilistic faults applied to each
 // directed node pair. Probabilities are per message, in [0, 1].
@@ -121,12 +119,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Jitter < 0 {
 		return fmt.Errorf("simnet: Config.Jitter = %v is negative", c.Jitter)
-	}
-	if c.RecvOccupancy < 0 {
-		return fmt.Errorf("simnet: Config.RecvOccupancy = %v is negative", c.RecvOccupancy)
-	}
-	if c.InboxDepth < 0 {
-		return fmt.Errorf("simnet: Config.InboxDepth = %d is negative", c.InboxDepth)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -179,9 +171,6 @@ func New(cfg Config) (*Net, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.InboxDepth == 0 {
-		cfg.InboxDepth = 4096
-	}
 	n := cfg.Nodes
 	net := &Net{
 		cfg:    cfg,
@@ -201,7 +190,7 @@ func New(cfg Config) (*Net, error) {
 		ep := &Endpoint{
 			net:   net,
 			id:    NodeID(i),
-			inbox: make(chan *wire.Msg, cfg.InboxDepth),
+			inbox: make(chan *wire.Msg, cmp.Or(cfg.testInboxDepth, inboxDepth)),
 		}
 		net.eps[i] = ep
 		q := newDQueue(ep)
@@ -224,7 +213,7 @@ func (n *Net) Nodes() int { return n.cfg.Nodes }
 func (n *Net) Name() string { return "sim" }
 
 // Counters implements transport.Transport: transport-level traffic
-// totals (self-sends excluded, as everywhere).
+// totals.
 func (n *Net) Counters() transport.CountersSnapshot { return n.ctr.Snapshot() }
 
 // Faults returns the network's fault counters.
@@ -321,10 +310,8 @@ func (e *Endpoint) Recv() <-chan *wire.Msg { return e.inbox }
 // Send transmits m to m.To. The From field is stamped with the
 // sending endpoint unless the caller preserved an origin while
 // forwarding (From already set to a valid node and Kind unchanged) —
-// senders that forward set From deliberately. Self-addressed
-// messages are delivered through the same path with zero latency and
-// are not counted as network traffic (nodecore delivers its own
-// itself; the Endpoint contract keeps them).
+// senders that forward set From deliberately. A message to the
+// endpoint's own node is refused: there is no self-delivery.
 func (e *Endpoint) Send(m *wire.Msg) error {
 	if e.net.isClosed() {
 		return fmt.Errorf("simnet: network closed")
@@ -333,65 +320,53 @@ func (e *Endpoint) Send(m *wire.Msg) error {
 	if to < 0 || int(to) >= e.net.cfg.Nodes {
 		return fmt.Errorf("simnet: send to invalid node %d (cluster of %d)", to, e.net.cfg.Nodes)
 	}
+	if to == e.id {
+		return fmt.Errorf("simnet: node %d: send to itself", to)
+	}
 	// Encode into a pooled buffer; ownership passes to the delivery
 	// queue, which returns it after decoding (Decode copies payloads).
 	bp := wire.GetBuf()
 	raw := m.Encode(*bp)
 	*bp = raw
-	if to != e.id {
-		e.net.ctr.MsgsSent.Add(1)
-		e.net.ctr.BytesSent.Add(int64(len(raw)))
-		if e.st != nil {
-			e.st.MsgsSent.Add(1)
-			e.st.BytesSent.Add(int64(len(raw)))
-		}
+	e.net.ctr.MsgsSent.Add(1)
+	e.net.ctr.BytesSent.Add(int64(len(raw)))
+	if e.st != nil {
+		e.st.MsgsSent.Add(1)
+		e.st.BytesSent.Add(int64(len(raw)))
 	}
-	var at time.Time
 	duplicate := false
 	pair := &e.net.pairs[e.id][to]
 	pair.mu.Lock()
 	now := time.Now()
+	if !pair.blockedUntil.IsZero() && now.Before(pair.blockedUntil) {
+		// Transient partition: the link is down in this direction.
+		pair.mu.Unlock()
+		e.drop(to, bp)
+		return nil
+	}
 	delay := time.Duration(0)
-	if to != e.id {
-		if !pair.blockedUntil.IsZero() && now.Before(pair.blockedUntil) {
-			// Transient partition: the link is down in this direction.
+	if lat := e.net.cfg.Latency; lat != nil {
+		delay += lat(e.id, to, len(raw))
+	}
+	if j := e.net.cfg.Jitter; j > 0 {
+		delay += time.Duration(xorshift(&pair.rng) % uint64(j))
+	}
+	if fp := e.net.cfg.Faults; fp != nil {
+		if fp.DropProb > 0 && probDraw(&pair.rng) < fp.DropProb {
 			pair.mu.Unlock()
-			e.net.faults.Dropped.Add(1)
-			if e.st != nil {
-				e.st.MsgsDropped.Add(1)
-			}
-			e.tr.Emit(trace.EvChaos, int32(to), 0, -1, -1, trace.ChaosDrop, 0)
-			wire.PutBuf(bp)
+			e.drop(to, bp)
 			return nil
 		}
-		if lat := e.net.cfg.Latency; lat != nil {
-			delay += lat(e.id, to, len(raw))
+		if fp.SpikeProb > 0 && probDraw(&pair.rng) < fp.SpikeProb {
+			delay += fp.Spike
+			e.net.faults.Spikes.Add(1)
+			e.tr.Emit(trace.EvChaos, int32(to), 0, -1, -1, trace.ChaosSpike, fp.Spike)
 		}
-		if j := e.net.cfg.Jitter; j > 0 {
-			delay += time.Duration(xorshift(&pair.rng) % uint64(j))
-		}
-		if fp := e.net.cfg.Faults; fp != nil {
-			if fp.DropProb > 0 && probDraw(&pair.rng) < fp.DropProb {
-				pair.mu.Unlock()
-				e.net.faults.Dropped.Add(1)
-				if e.st != nil {
-					e.st.MsgsDropped.Add(1)
-				}
-				e.tr.Emit(trace.EvChaos, int32(to), 0, -1, -1, trace.ChaosDrop, 0)
-				wire.PutBuf(bp)
-				return nil
-			}
-			if fp.SpikeProb > 0 && probDraw(&pair.rng) < fp.SpikeProb {
-				delay += fp.Spike
-				e.net.faults.Spikes.Add(1)
-				e.tr.Emit(trace.EvChaos, int32(to), 0, -1, -1, trace.ChaosSpike, fp.Spike)
-			}
-			if fp.DupProb > 0 && probDraw(&pair.rng) < fp.DupProb {
-				duplicate = true
-			}
+		if fp.DupProb > 0 && probDraw(&pair.rng) < fp.DupProb {
+			duplicate = true
 		}
 	}
-	at = now.Add(delay)
+	at := now.Add(delay)
 	if at.Before(pair.last) {
 		at = pair.last
 	}
@@ -406,7 +381,7 @@ func (e *Endpoint) Send(m *wire.Msg) error {
 		dupBp = wire.GetBuf()
 		*dupBp = append(*dupBp, raw...)
 	}
-	e.net.queues[to].push(now, at, raw, bp, to == e.id)
+	e.net.queues[to].push(now, at, raw, bp)
 	if duplicate {
 		// The copy arrives immediately after the original (same due
 		// time, later heap sequence), preserving per-pair FIFO order.
@@ -415,9 +390,20 @@ func (e *Endpoint) Send(m *wire.Msg) error {
 			e.st.MsgsDuplicated.Add(1)
 		}
 		e.tr.Emit(trace.EvChaos, int32(to), 0, -1, -1, trace.ChaosDup, 0)
-		e.net.queues[to].push(now, at, *dupBp, dupBp, false)
+		e.net.queues[to].push(now, at, *dupBp, dupBp)
 	}
 	return nil
+}
+
+// drop discards a message to node to that a partition or the drop
+// probability claimed, counting and tracing it.
+func (e *Endpoint) drop(to NodeID, bp *[]byte) {
+	e.net.faults.Dropped.Add(1)
+	if e.st != nil {
+		e.st.MsgsDropped.Add(1)
+	}
+	e.tr.Emit(trace.EvChaos, int32(to), 0, -1, -1, trace.ChaosDrop, 0)
+	wire.PutBuf(bp)
 }
 
 // probDraw converts one xorshift step into a uniform float in [0, 1).
@@ -449,16 +435,14 @@ type dqueue struct {
 	seq        uint64
 	stopped    bool
 	delivering bool      // run has popped a message it has not yet put in the inbox
-	freeAt     time.Time // receiver occupancy: next instant a message may complete
 	stallUntil time.Time // endpoint stall: nothing delivers before this instant
 }
 
 type item struct {
-	at   time.Time
-	seq  uint64
-	raw  []byte
-	buf  *[]byte // pooled backing buffer, returned after decode
-	self bool
+	at  time.Time
+	seq uint64
+	raw []byte
+	buf *[]byte // pooled backing buffer, returned after decode
 }
 
 func newDQueue(ep *Endpoint) *dqueue {
@@ -467,14 +451,14 @@ func newDQueue(ep *Endpoint) *dqueue {
 
 // push queues a message sent at now and due at at. If nothing stands
 // between it and the receiver — it is due, no earlier message is
-// queued or in run's hands, the endpoint is neither stalled nor
-// modelling occupancy, the inbox has room — the sender delivers it
+// queued or in run's hands, the endpoint is not stalled, the inbox
+// has room — the sender delivers it
 // itself, saving the hand-off to the queue goroutine. Pushes to one
 // receiver serialise on q.mu and a direct delivery needs everything
 // before it to be in the inbox, so per-pair FIFO holds; a full inbox
 // falls back to the heap, so senders still never block.
-func (q *dqueue) push(now, at time.Time, raw []byte, buf *[]byte, self bool) {
-	it := item{at: at, raw: raw, buf: buf, self: self}
+func (q *dqueue) push(now, at time.Time, raw []byte, buf *[]byte) {
+	it := item{at: at, raw: raw, buf: buf}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.stopped {
@@ -482,7 +466,7 @@ func (q *dqueue) push(now, at time.Time, raw []byte, buf *[]byte, self bool) {
 		return
 	}
 	if len(q.items) == 0 && !q.delivering && !at.After(now) && !now.Before(q.stallUntil) &&
-		q.ep.net.cfg.RecvOccupancy == 0 && len(q.ep.inbox) < cap(q.ep.inbox) {
+		len(q.ep.inbox) < cap(q.ep.inbox) {
 		// Only push (serialised here) and run (idle, as just checked)
 		// send to the inbox, so the room seen stays: this cannot block.
 		// Nor is the inbox closed: run does that after seeing stopped.
@@ -514,13 +498,11 @@ func (q *dqueue) receive(it item) *wire.Msg {
 		// runtime condition: the bytes never left the process.
 		panic(fmt.Sprintf("simnet: decode at node %d: %v", q.ep.id, err))
 	}
-	if !it.self {
-		q.ep.net.ctr.MsgsRecv.Add(1)
-		q.ep.net.ctr.BytesRecv.Add(int64(len(it.raw)))
-		if q.ep.st != nil {
-			q.ep.st.MsgsRecv.Add(1)
-			q.ep.st.BytesRecv.Add(int64(len(it.raw)))
-		}
+	q.ep.net.ctr.MsgsRecv.Add(1)
+	q.ep.net.ctr.BytesRecv.Add(int64(len(it.raw)))
+	if q.ep.st != nil {
+		q.ep.st.MsgsRecv.Add(1)
+		q.ep.st.BytesRecv.Add(int64(len(it.raw)))
 	}
 	wire.PutBuf(it.buf)
 	return m
@@ -561,15 +543,6 @@ func (q *dqueue) run() {
 			// A stalled endpoint processes nothing until it resumes.
 			due = q.stallUntil
 		}
-		if occ := q.ep.net.cfg.RecvOccupancy; occ > 0 && !it.self {
-			// The endpoint processes serially: this message completes
-			// one occupancy period after both its arrival and the
-			// endpoint becoming free.
-			if q.freeAt.After(due) {
-				due = q.freeAt
-			}
-			due = due.Add(occ)
-		}
 		if wait := time.Until(due); wait > 0 {
 			// Wait outside the lock. An earlier-due message cannot
 			// appear for this pair (per-pair times are monotonic) but
@@ -584,9 +557,6 @@ func (q *dqueue) run() {
 			continue
 		}
 		heap.Pop(&q.items)
-		if q.ep.net.cfg.RecvOccupancy > 0 && !it.self {
-			q.freeAt = due
-		}
 		q.delivering = true
 		q.mu.Unlock()
 

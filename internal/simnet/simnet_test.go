@@ -116,25 +116,6 @@ func TestPerByteCost(t *testing.T) {
 	}
 }
 
-func TestSelfSendUncountedButDelivered(t *testing.T) {
-	n := newNet(t, Config{Nodes: 1, Latency: ConstLatency(time.Second, 0)})
-	st := &stats.Node{}
-	a := n.Endpoint(0)
-	a.SetStats(st)
-	start := time.Now()
-	if err := a.Send(&wire.Msg{Kind: wire.KAck, From: 0, To: 0}); err != nil {
-		t.Fatal(err)
-	}
-	<-a.Recv()
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Fatalf("self-send took %v; must bypass latency", d)
-	}
-	s := st.Snapshot()
-	if s.MsgsSent != 0 || s.MsgsRecv != 0 {
-		t.Fatalf("self messages counted as traffic: %+v", s)
-	}
-}
-
 func TestTrafficAccounting(t *testing.T) {
 	n := newNet(t, Config{Nodes: 2})
 	sa, sb := &stats.Node{}, &stats.Node{}
@@ -203,37 +184,4 @@ func TestManyToOneConcurrent(t *testing.T) {
 		last[m.From] = int64(m.Arg)
 	}
 	wg.Wait()
-}
-
-// TestRecvOccupancySerializes: with a per-message processing cost at
-// the receiver, a burst from many senders must take at least
-// count × occupancy to drain, while a single message pays only one
-// occupancy period.
-func TestRecvOccupancySerializes(t *testing.T) {
-	const occ = 3 * time.Millisecond
-	n := newNet(t, Config{Nodes: 5, RecvOccupancy: occ})
-	// Burst: 4 senders, 3 messages each -> 12 messages at node 0.
-	for s := 1; s < 5; s++ {
-		for j := 0; j < 3; j++ {
-			if err := n.Endpoint(NodeID(s)).Send(&wire.Msg{Kind: wire.KAck, From: NodeID(s), To: 0}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	start := time.Now()
-	for i := 0; i < 12; i++ {
-		<-n.Endpoint(0).Recv()
-	}
-	if d := time.Since(start); d < 11*occ {
-		t.Fatalf("12-message burst drained in %v, want >= %v (serial endpoint)", d, 11*occ)
-	}
-	// Self messages bypass occupancy entirely.
-	start = time.Now()
-	if err := n.Endpoint(1).Send(&wire.Msg{Kind: wire.KAck, From: 1, To: 1}); err != nil {
-		t.Fatal(err)
-	}
-	<-n.Endpoint(1).Recv()
-	if d := time.Since(start); d > occ {
-		t.Fatalf("self message took %v; must bypass occupancy", d)
-	}
 }

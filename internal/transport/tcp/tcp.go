@@ -47,8 +47,8 @@ const (
 	replyOK        = 0
 	replyReject    = 1
 	maxRejectLen   = 512
-	defaultDepth   = 4096
-	defaultDialTO  = 2 * time.Second
+	inboxDepth     = 4096            // receive queue bound
+	dialTimeout    = 2 * time.Second // one connection attempt
 	defaultWindow  = 15 * time.Second
 	dialBackoffMin = 10 * time.Millisecond
 	dialBackoffMax = 250 * time.Millisecond
@@ -70,14 +70,10 @@ type Config struct {
 	// page size, workload...). Peers with a different digest are
 	// rejected at the handshake.
 	ConfigDigest uint64
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
 	// DialWindow bounds the total lazy-dial retry time for a peer
 	// that has never been reached — cluster bring-up skew (default
 	// 15s). Once a peer has connected, broken connections fail fast.
 	DialWindow time.Duration
-	// InboxDepth bounds the receive queue (default 4096).
-	InboxDepth int
 }
 
 func (c *Config) fillDefaults() error {
@@ -87,14 +83,8 @@ func (c *Config) fillDefaults() error {
 	if c.Self < 0 || int(c.Self) >= len(c.Addrs) {
 		return fmt.Errorf("tcp: Self = %d out of range for %d addresses", c.Self, len(c.Addrs))
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = defaultDialTO
-	}
 	if c.DialWindow <= 0 {
 		c.DialWindow = defaultWindow
-	}
-	if c.InboxDepth <= 0 {
-		c.InboxDepth = defaultDepth
 	}
 	return nil
 }
@@ -141,7 +131,7 @@ func New(cfg Config) (*Transport, error) {
 	for i := range t.peers {
 		t.peers[i] = &peer{}
 	}
-	t.ep = &endpoint{t: t, inbox: make(chan *wire.Msg, cfg.InboxDepth)}
+	t.ep = &endpoint{t: t, inbox: make(chan *wire.Msg, inboxDepth)}
 	ln := cfg.Listener
 	if ln == nil {
 		var err error
@@ -328,7 +318,7 @@ func sendReject(conn net.Conn, reason string) {
 // verifyHandshake reads and checks a dialer's handshake, returning
 // the peer's node id.
 func (t *Transport) verifyHandshake(conn net.Conn) (transport.NodeID, error) {
-	_ = conn.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout + t.cfg.DialWindow))
+	_ = conn.SetReadDeadline(time.Now().Add(dialTimeout + t.cfg.DialWindow))
 	defer conn.SetReadDeadline(time.Time{})
 	buf := make([]byte, handshakeSize)
 	if _, err := io.ReadFull(conn, buf); err != nil {
@@ -370,7 +360,7 @@ func (t *Transport) dial(id transport.NodeID, patient bool) (net.Conn, error) {
 		if t.isClosed() {
 			return nil, fmt.Errorf("tcp: transport closed")
 		}
-		conn, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err == nil {
 			if err = t.handshake(conn, id); err != nil {
 				_ = conn.Close()
@@ -405,7 +395,7 @@ func (t *Transport) handshake(conn net.Conn, to transport.NodeID) error {
 	binary.LittleEndian.PutUint32(buf[5:], uint32(t.cfg.Self))
 	binary.LittleEndian.PutUint32(buf[9:], uint32(len(t.cfg.Addrs)))
 	binary.LittleEndian.PutUint64(buf[13:], t.cfg.ConfigDigest)
-	_ = conn.SetDeadline(time.Now().Add(t.cfg.DialTimeout + t.cfg.DialWindow))
+	_ = conn.SetDeadline(time.Now().Add(dialTimeout + t.cfg.DialWindow))
 	defer conn.SetDeadline(time.Time{})
 	if _, err := conn.Write(buf); err != nil {
 		return fmt.Errorf("tcp: node %d: handshake write to node %d: %w", t.cfg.Self, to, err)
@@ -457,9 +447,8 @@ func (e *endpoint) stats() *stats.Node { return e.st.Load() }
 func (e *endpoint) Recv() <-chan *wire.Msg { return e.inbox }
 
 // Send implements transport.Endpoint: encode once, frame, and write
-// on the peer's connection (dialing it if needed). A self-addressed
-// message takes the in-process path through the same encode/decode
-// round trip, uncounted, exactly like the simulator.
+// on the peer's connection (dialing it if needed). A message to this
+// node itself is refused.
 func (e *endpoint) Send(m *wire.Msg) error {
 	t := e.t
 	if t.isClosed() {
@@ -469,26 +458,17 @@ func (e *endpoint) Send(m *wire.Msg) error {
 	if to < 0 || int(to) >= len(t.cfg.Addrs) {
 		return fmt.Errorf("tcp: send to invalid node %d (cluster of %d)", to, len(t.cfg.Addrs))
 	}
+	if to == t.cfg.Self {
+		return fmt.Errorf("tcp: node %d: send to itself", to)
+	}
 	// Build the frame in a pooled buffer; nothing below keeps a
-	// reference past the write (the self path decodes a copy).
+	// reference past the write.
 	bp := wire.GetBuf()
 	defer wire.PutBuf(bp)
 	frame := append(*bp, 0, 0, 0, 0)
 	frame = m.Encode(frame)
 	*bp = frame
 	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
-	if to == t.cfg.Self {
-		dm, err := wire.Decode(frame[4:])
-		if err != nil {
-			return fmt.Errorf("tcp: self-send encode round trip: %w", err)
-		}
-		select {
-		case e.inbox <- dm:
-			return nil
-		case <-t.closed:
-			return fmt.Errorf("tcp: transport closed")
-		}
-	}
 	p := t.peers[to]
 	p.mu.Lock()
 	defer p.mu.Unlock()

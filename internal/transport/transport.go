@@ -15,8 +15,10 @@
 // internal/stats. Delivery contract (checked by the conformance
 // suite): per directed (from, to) pair order is preserved, messages
 // are delivered as fresh decoded copies (senders may reuse the Msg
-// and its payload slices immediately), and self-addressed messages
-// deliver without being counted as network traffic.
+// and its payload immediately), and there is no self-delivery — a
+// Send addressed to the endpoint's own node fails, counting nothing
+// (nodecore delivers a node's messages to itself without a
+// transport). Each backend bounds its Recv queue by a fixed depth.
 package transport
 
 import (
@@ -45,9 +47,10 @@ type Endpoint interface {
 	// Send transmits m to m.To, stamping From with this endpoint
 	// unless the caller preserved an origin while forwarding. The
 	// message is encoded at the call and the caller may reuse m (and
-	// its Data/Aux) immediately. A nil error does not guarantee
-	// delivery — backends may drop (faults, dead peers); loss
-	// recovery belongs to the nodecore reliability layer.
+	// its Data) immediately. m.To must be another node: a send to this
+	// endpoint's own id returns an error naming it. A nil error does
+	// not guarantee delivery — backends may drop (faults, dead peers);
+	// loss recovery belongs to the nodecore reliability layer.
 	Send(m *wire.Msg) error
 }
 
@@ -70,9 +73,9 @@ type Transport interface {
 }
 
 // Counters is the transport-level traffic accounting shared by all
-// backends: messages and bytes that actually crossed the substrate
-// (self-sends excluded), plus connection-management events that only
-// real backends exercise. All fields are updated atomically.
+// backends: messages and bytes that crossed the substrate, plus
+// connection-management events that only real backends exercise. All
+// fields are updated atomically.
 type Counters struct {
 	MsgsSent   atomic.Int64 // messages handed to the substrate
 	BytesSent  atomic.Int64 // encoded bytes handed to the substrate

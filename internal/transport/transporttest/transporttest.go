@@ -1,13 +1,15 @@
 // Package transporttest is the shared conformance suite every
 // transport backend must pass: per-pair FIFO ordering, concurrent
-// senders, payload copy semantics, self-delivery, close semantics,
-// and counter accuracy. internal/simnet and internal/transport/tcp
-// both run it; a future backend plugs into the same contract by
-// adding one test file that calls Run with its factory.
+// senders, payload copy semantics, the refusal of self-sends, close
+// semantics, and counter accuracy. internal/simnet and
+// internal/transport/tcp both run it; a future backend plugs into the
+// same contract by adding one test file that calls Run with its
+// factory.
 package transporttest
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -46,7 +48,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("PairFIFO", func(t *testing.T) { testPairFIFO(t, f) })
 	t.Run("ConcurrentSenders", func(t *testing.T) { testConcurrentSenders(t, f) })
 	t.Run("PayloadCopy", func(t *testing.T) { testPayloadCopy(t, f) })
-	t.Run("SelfSend", func(t *testing.T) { testSelfSend(t, f) })
+	t.Run("SelfSendRejected", func(t *testing.T) { testSelfSendRejected(t, f) })
 	t.Run("StatsAccuracy", func(t *testing.T) { testStatsAccuracy(t, f) })
 	t.Run("TransportCounters", func(t *testing.T) { testTransportCounters(t, f) })
 	t.Run("CloseSemantics", func(t *testing.T) { testCloseSemantics(t, f) })
@@ -112,23 +114,19 @@ func testConcurrentSenders(t *testing.T, f Factory) {
 	}
 }
 
-// testPayloadCopy: Data/Aux round-trip intact, and mutating the
-// message after Send does not corrupt the delivery (encode-at-send
-// copy semantics).
+// testPayloadCopy: Data round-trips intact, and mutating the message
+// after Send does not corrupt the delivery (encode-at-send copy
+// semantics).
 func testPayloadCopy(t *testing.T, f Factory) {
 	eps, _, _ := f(t, 2)
 	data := []byte{1, 2, 3, 4, 5}
-	aux := []byte{9, 8, 7}
-	m := &wire.Msg{Kind: wire.KDiffReply, To: 1, Req: 42, Page: 7, Lock: -3, Arg: 1 << 40, B: 99, Data: data, Aux: aux}
+	m := &wire.Msg{Kind: wire.KDiffReply, To: 1, Req: 42, Page: 7, Lock: -3, Arg: 1 << 40, B: 99, Data: data}
 	if err := eps[0].Send(m); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	// Mutate everything the sender handed over.
 	for i := range data {
 		data[i] = 0xFF
-	}
-	for i := range aux {
-		aux[i] = 0xFF
 	}
 	m.Req = 0
 	got := recvOne(t, eps[1])
@@ -138,29 +136,49 @@ func testPayloadCopy(t *testing.T, f Factory) {
 	if fmt.Sprint(got.Data) != fmt.Sprint([]byte{1, 2, 3, 4, 5}) {
 		t.Fatalf("Data = %v, want [1 2 3 4 5]", got.Data)
 	}
-	if fmt.Sprint(got.Aux) != fmt.Sprint([]byte{9, 8, 7}) {
-		t.Fatalf("Aux = %v, want [9 8 7]", got.Aux)
-	}
 }
 
-// testSelfSend: a self-addressed message is delivered and is not
-// counted as network traffic.
-func testSelfSend(t *testing.T, f Factory) {
-	eps, _, _ := f(t, 2)
+// testSelfSendRejected: a send to the endpoint's own node fails with
+// an error naming it, delivers nothing and counts nothing — also while
+// racing Close, where a self-delivering TCP endpoint once panicked
+// sending on the inbox Close had just closed.
+func testSelfSendRejected(t *testing.T, f Factory) {
+	eps, counters, _ := f(t, 2)
 	st := &stats.Node{}
-	eps[0].SetStats(st)
-	if err := eps[0].Send(&wire.Msg{Kind: wire.KAck, To: 0, Req: 77}); err != nil {
-		t.Fatalf("self send: %v", err)
+	eps[1].SetStats(st)
+	if err := eps[1].Send(&wire.Msg{Kind: wire.KAck, To: 1, Req: 77}); err == nil || !strings.Contains(err.Error(), "node 1") {
+		t.Fatalf("self send: err = %v, want an error naming node 1", err)
 	}
-	m := recvOne(t, eps[0])
-	if m.Req != 77 {
-		t.Fatalf("self delivery: got req %d, want 77", m.Req)
+	if s, c := st.Snapshot(), counters(); s.MsgsSent+s.BytesSent+s.MsgsRecv+s.BytesRecv != 0 || c != (transport.CountersSnapshot{}) {
+		t.Fatalf("refused self send counted: node %+v, transport %v", s, c)
 	}
-	if s := st.MsgsSent.Load(); s != 0 {
-		t.Fatalf("self send counted as traffic: MsgsSent = %d, want 0", s)
+	// Only the peer's message arrives: the refused one was never queued.
+	if err := eps[0].Send(&wire.Msg{Kind: wire.KAck, To: 1, Req: 78}); err != nil || recvOne(t, eps[1]).Req != 78 {
+		t.Fatalf("the peer's message was not the first delivered (send: %v)", err)
 	}
-	if r := st.MsgsRecv.Load(); r != 0 {
-		t.Fatalf("self delivery counted as traffic: MsgsRecv = %d, want 0", r)
+	// Close while eight senders are inside Send (refusals, by the check
+	// above); draining the inbox keeps them sending, not parked on it.
+	for round := 0; round < 20; round++ {
+		eps, _, closeAll := f(t, 2)
+		go func() {
+			for range eps[0].Recv() {
+			}
+		}()
+		var started, done sync.WaitGroup
+		started.Add(8)
+		done.Add(8)
+		for g := 0; g < 8; g++ {
+			go func() {
+				defer done.Done()
+				started.Done()
+				for i := 0; i < 2000; i++ {
+					_ = eps[0].Send(&wire.Msg{Kind: wire.KAck, To: 0})
+				}
+			}()
+		}
+		started.Wait()
+		closeAll()
+		done.Wait()
 	}
 }
 
@@ -213,11 +231,6 @@ func testTransportCounters(t *testing.T, f Factory) {
 	for i := 0; i < k; i++ {
 		recvOne(t, eps[1])
 	}
-	// A self-send must not move the counters.
-	if err := eps[0].Send(&wire.Msg{Kind: wire.KAck, To: 0}); err != nil {
-		t.Fatalf("self send: %v", err)
-	}
-	recvOne(t, eps[0])
 	s := counters()
 	if s.MsgsSent != k || s.BytesSent != wantBytes {
 		t.Fatalf("transport sent counters = %d msgs / %d bytes, want %d / %d", s.MsgsSent, s.BytesSent, k, wantBytes)

@@ -27,20 +27,20 @@ func PackBatch(buf []byte, msgs []*Msg) []byte {
 	return buf
 }
 
-// UnpackBatch decodes every member of a batch payload. Like Decode it
-// treats its input as untrusted: every length is bounds-checked and
-// malformed input yields an error, never a panic. Members own their
-// payloads (Decode copies), so data may be pooled afterwards. A
-// member of kind KBatch is rejected — batches do not nest.
+// UnpackBatch decodes every member of a batch payload, reading them
+// through Dec: like Decode it treats its input as untrusted, and no
+// member, an empty member, one running past the payload or one of kind
+// KBatch (batches do not nest) is an error, never a panic. Members own
+// their payloads (Decode copies), so data may be pooled afterwards.
 func UnpackBatch(data []byte) ([]*Msg, error) {
 	var out []*Msg
-	for len(data) > 0 {
-		n, k := binary.Uvarint(data)
-		if k <= 0 || n == 0 || n > uint64(len(data)-k) {
-			return nil, fmt.Errorf("wire: batch member length %d invalid with %d bytes left", n, len(data))
+	d := NewDec(data)
+	for len(d.Rest()) > 0 {
+		raw := d.Bytes()
+		if !d.Ok() {
+			break
 		}
-		data = data[k:]
-		m, err := Decode(data[:n])
+		m, err := Decode(raw)
 		if err != nil {
 			return nil, fmt.Errorf("wire: batch member %d: %w", len(out), err)
 		}
@@ -48,7 +48,9 @@ func UnpackBatch(data []byte) ([]*Msg, error) {
 			return nil, fmt.Errorf("wire: nested batch")
 		}
 		out = append(out, m)
-		data = data[n:]
+	}
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("wire: batch member %d: %w", len(out), err)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("wire: empty batch")

@@ -16,10 +16,11 @@ func fuzzSeeds() [][]byte {
 		{Kind: KAck, From: 0, To: 1},
 		{Kind: KLockReq, From: 2, To: 0, Req: 0x1234, Lock: 7, Arg: 1},
 		{Kind: KReadGrant, From: 1, To: 3, Req: 1 << 41, Page: 12, Data: bytes.Repeat([]byte{0xAB}, 1024)},
-		{Kind: KDiffReply, From: 3, To: 0, Req: 99, Data: []byte{1, 2, 3}, Aux: []byte{4, 5}},
+		{Kind: KDiffReply, From: 3, To: 0, Req: 99, Data: []byte{1, 2, 3, 4, 5}},
 		{Kind: KBarArrive, From: 5, To: 2, Lock: -1, B: ^uint64(0)},
 		{Kind: KConfirm, From: 1, To: 1, Arg: 0xdeadbeef, Attempt: 3},
 		{Kind: KErcFlush, From: 0, To: 7, Page: 1 << 20, Data: make([]byte, 4096), Attempt: 255},
+		{Kind: KBatch, From: 1, To: 2, Data: PackBatch(nil, []*Msg{{Kind: KLockRel, To: 2, Lock: 4}, {Kind: KAck, To: 2, Req: 7}})},
 	}
 	for _, m := range msgs {
 		enc := m.Encode(nil)
@@ -71,7 +72,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		if m.Kind != m2.Kind || m.From != m2.From || m.To != m2.To || m.Req != m2.Req ||
 			m.Page != m2.Page || m.Lock != m2.Lock || m.Arg != m2.Arg || m.B != m2.B ||
-			m.Attempt != m2.Attempt || !bytes.Equal(m.Data, m2.Data) || !bytes.Equal(m.Aux, m2.Aux) {
+			m.Attempt != m2.Attempt || !bytes.Equal(m.Data, m2.Data) {
 			t.Fatalf("round trip mismatch:\n  first  %+v\n  second %+v", m, m2)
 		}
 	})
@@ -92,10 +93,10 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	}
 	// Claimed payload length far beyond the buffer.
 	hugeLen := append([]byte(nil), good...)
-	hugeLen[headerSize-8] = 0xFF
-	hugeLen[headerSize-7] = 0xFF
-	hugeLen[headerSize-6] = 0xFF
-	hugeLen[headerSize-5] = 0xFF
+	hugeLen[headerSize-4] = 0xFF
+	hugeLen[headerSize-3] = 0xFF
+	hugeLen[headerSize-2] = 0xFF
+	hugeLen[headerSize-1] = 0xFF
 	cases["huge data length"] = hugeLen
 	// Extended flag set but no room for the attempt byte.
 	ext := append([]byte(nil), good[:headerSize]...)

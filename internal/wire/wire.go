@@ -21,7 +21,10 @@ import (
 //
 // v2: added KBatch (multi-message frames) and KDiffPush (one-way
 // interest-based diff distribution) to the vocabulary.
-const Version byte = 2
+// v3: dropped the never-written second payload and its length
+// field, so the header is 45 bytes, and the never-sent lock-forward
+// kind (every later kind's number moved down by one).
+const Version byte = 3
 
 // MaxEncodedSize caps one encoded message (64 MiB). Real-socket
 // transports reject longer frames before allocating, so a corrupt or
@@ -42,7 +45,6 @@ const (
 
 	// Distributed lock service (dsync).
 	KLockReq   // acquire request: Lock, Arg=mode, Data=acquirer payload
-	KLockFwd   // manager -> granter: forwarded request; Arg=mode, A(Arg2)=orig req, B=orig node
 	KLockGrant // reply to acquirer: Data=grant payload
 	KLockRel   // holder -> manager: release; Arg=mode
 
@@ -104,7 +106,6 @@ var kindNames = [...]string{
 	KInvalid:      "invalid",
 	KAck:          "ack",
 	KLockReq:      "lock-req",
-	KLockFwd:      "lock-fwd",
 	KLockGrant:    "lock-grant",
 	KLockRel:      "lock-rel",
 	KBarArrive:    "bar-arrive",
@@ -185,8 +186,8 @@ const (
 )
 
 // Msg is a protocol message. The scalar fields are a small fixed
-// vocabulary shared by all protocols (interpreted per Kind); Data and
-// Aux carry variable payloads (page contents, diffs, piggybacked
+// vocabulary shared by all protocols (interpreted per Kind); Data
+// carries the variable payload (page contents, diffs, piggybacked
 // consistency information). Attempt is retry metadata: 0 for a first
 // transmission, n for the n-th retransmission of the same request id.
 type Msg struct {
@@ -200,10 +201,9 @@ type Msg struct {
 	B       uint64
 	Attempt uint8
 	Data    []byte
-	Aux     []byte
 }
 
-const headerSize = 1 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 4 + 4 // fields + two payload lengths
+const headerSize = 1 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 4 // fields + payload length
 
 // kindExtended flags an extended header carrying retry metadata. The
 // flag lives in the high bit of the kind byte so that messages with
@@ -214,7 +214,7 @@ const kindExtended = 0x80
 
 // EncodedSize returns the number of bytes Encode will produce.
 func (m *Msg) EncodedSize() int {
-	n := headerSize + len(m.Data) + len(m.Aux)
+	n := headerSize + len(m.Data)
 	if m.Attempt != 0 {
 		n++
 	}
@@ -240,19 +240,15 @@ func (m *Msg) Encode(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, m.Arg)
 	buf = binary.LittleEndian.AppendUint64(buf, m.B)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Data)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Aux)))
-	buf = append(buf, m.Data...)
-	buf = append(buf, m.Aux...)
-	return buf
+	return append(buf, m.Data...)
 }
 
 // Decode parses one message from buf, which must contain exactly one
 // encoded message. buf is untrusted (TCP transports feed it bytes
-// straight off a socket): every length field is bounds-checked, the
-// payload lengths are summed in 64 bits so they cannot overflow, and
-// any inconsistency returns an error. Decode never panics. The
-// returned message owns its payloads (they are copied out of buf), so
-// buf may be reused or pooled immediately.
+// straight off a socket): the payload length is checked against the
+// bytes present, and any inconsistency returns an error. Decode never
+// panics. The returned message owns its payload (it is copied out of
+// buf), so buf may be reused or pooled immediately.
 func Decode(buf []byte) (*Msg, error) {
 	m := &Msg{}
 	if err := DecodeInto(m, buf); err != nil {
@@ -261,15 +257,12 @@ func Decode(buf []byte) (*Msg, error) {
 	if len(m.Data) > 0 {
 		m.Data = append([]byte(nil), m.Data...)
 	}
-	if len(m.Aux) > 0 {
-		m.Aux = append([]byte(nil), m.Aux...)
-	}
 	return m, nil
 }
 
 // DecodeInto parses one message from buf into m, with the same
-// validation contract as Decode but without allocating: m.Data and
-// m.Aux are sub-slices of buf. The caller owns the aliasing — m is
+// validation contract as Decode but without allocating: m.Data is a
+// sub-slice of buf. The caller owns the aliasing — m is
 // valid only as long as buf is neither reused nor returned to a pool.
 // Previous contents of m are overwritten entirely.
 func DecodeInto(m *Msg, buf []byte) error {
@@ -300,16 +293,12 @@ func DecodeInto(m *Msg, buf []byte) error {
 	m.Arg = binary.LittleEndian.Uint64(buf[off+24:])
 	m.B = binary.LittleEndian.Uint64(buf[off+32:])
 	nd := binary.LittleEndian.Uint32(buf[off+40:])
-	na := binary.LittleEndian.Uint32(buf[off+44:])
-	rest := buf[off+48:]
-	if uint64(nd)+uint64(na) != uint64(len(rest)) {
-		return fmt.Errorf("wire: payload length mismatch: header says %d+%d, have %d", nd, na, len(rest))
+	rest := buf[off+44:]
+	if uint64(nd) != uint64(len(rest)) {
+		return fmt.Errorf("wire: payload length mismatch: header says %d, have %d", nd, len(rest))
 	}
 	if nd > 0 {
 		m.Data = rest[:nd:nd]
-	}
-	if na > 0 {
-		m.Aux = rest[nd : nd+na : nd+na]
 	}
 	return nil
 }
@@ -337,9 +326,6 @@ func (m *Msg) String() string {
 	}
 	if len(m.Data) > 0 {
 		s += fmt.Sprintf(" data=%dB", len(m.Data))
-	}
-	if len(m.Aux) > 0 {
-		s += fmt.Sprintf(" aux=%dB", len(m.Aux))
 	}
 	return s
 }

@@ -18,7 +18,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		Arg:  FlagNoData,
 		B:    999,
 		Data: []byte{1, 2, 3},
-		Aux:  []byte{9},
 	}
 	buf := m.Encode(nil)
 	if len(buf) != m.EncodedSize() {
@@ -39,8 +38,8 @@ func TestDecodeEmptyPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Data != nil || got.Aux != nil {
-		t.Fatalf("empty payloads decoded as %v, %v", got.Data, got.Aux)
+	if got.Data != nil {
+		t.Fatalf("empty payload decoded as %v", got.Data)
 	}
 }
 
@@ -160,7 +159,7 @@ func TestAttemptEncoding(t *testing.T) {
 
 // TestRoundTripQuick fuzzes the codec.
 func TestRoundTripQuick(t *testing.T) {
-	f := func(seed int64, nd, na, attempt uint8) bool {
+	f := func(seed int64, nd, attempt uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		m := &Msg{
 			Kind:    Kind(1 + r.Intn(NumKinds()-1)),
@@ -176,10 +175,6 @@ func TestRoundTripQuick(t *testing.T) {
 		if nd > 0 {
 			m.Data = make([]byte, nd)
 			r.Read(m.Data)
-		}
-		if na > 0 {
-			m.Aux = make([]byte, na)
-			r.Read(m.Aux)
 		}
 		got, err := Decode(m.Encode(nil))
 		return err == nil && reflect.DeepEqual(got, m)
