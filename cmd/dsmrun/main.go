@@ -318,16 +318,8 @@ type reportJSON struct {
 	Total     nodeJSON   `json:"total"`
 }
 
-func counterMap(s stats.Snapshot) map[string]int64 {
-	out := make(map[string]int64)
-	for _, f := range s.Fields() {
-		out[f.Name] = f.Value
-	}
-	return out
-}
-
 func nodeEntry(id int, s stats.Snapshot) nodeJSON {
-	n := nodeJSON{Node: id, Counters: counterMap(s)}
+	n := nodeJSON{Node: id, Counters: s.Map()}
 	if s.Lat != nil {
 		n.Histograms = trace.HistogramSummaries(*s.Lat)
 	}
@@ -398,7 +390,7 @@ func runSim(o *options, cfg core.Config, app apps.App) {
 	} else {
 		fmt.Printf("app=%s protocol=%s nodes=%d page=%d elapsed=%v verify=%s\n",
 			app.Name(), cfg.Protocol, cfg.Nodes, cfg.PageSize, res.Elapsed.Round(time.Microsecond), verdict)
-		fmt.Printf("transport=sim %v\n\n", res.Net)
+		fmt.Print("transport=sim\n\n")
 		fmt.Print(stats.PerNodeReport(res.Nodes))
 		servingReport(os.Stdout, app)
 		for _, smp := range res.Samplers {
@@ -409,7 +401,9 @@ func runSim(o *options, cfg core.Config, app apps.App) {
 			}
 		}
 		if o.chaos {
-			fmt.Printf("\nfaults injected: %v\n", res.Faults)
+			t := res.Total()
+			fmt.Printf("\nfaults injected: msgs_dropped=%d msgs_duplicated=%d msgs_spiked=%d partitions=%d stalls=%d\n",
+				t.MsgsDropped, t.MsgsDuplicated, t.MsgsSpiked, t.Partitions, t.Stalls)
 		}
 		if res.Advisor != nil {
 			fmt.Printf("\nsharing-pattern classification (Munin-style):\n%s", res.Advisor.Report())
@@ -472,7 +466,7 @@ func runTCPNode(o *options, cfg core.Config, app apps.App) {
 			fmt.Printf("checksum=%016x\n", res.Checksum)
 		}
 	}
-	fmt.Printf("node %d: transport=tcp %v total=%v\n", self, res.Net, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("node %d: transport=tcp total=%v\n", self, time.Since(start).Round(time.Millisecond))
 	fmt.Print(stats.PerNodeReport(res.Nodes))
 	servingReport(os.Stdout, app)
 }

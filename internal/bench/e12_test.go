@@ -17,7 +17,7 @@ func runSOR(t *testing.T, cfg core.Config, app apps.App) (int64, uint64) {
 	if err != nil {
 		t.Fatalf("batch=%v: %v", cfg.Batch, err)
 	}
-	return res.Net.MsgsSent, res.Checksum
+	return res.Total().MsgsSent, res.Checksum
 }
 
 // TestBatchingReducesMessages pins the E12 acceptance bar: SOR over

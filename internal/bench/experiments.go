@@ -536,9 +536,9 @@ func E10Diff(w io.Writer) error {
 // messages than the simulator rows because distributed mode runs the
 // reliability layer (retransmission + dedup against reconnect
 // losses, its confirm tokens riding along) plus a shutdown barrier
-// to keep processes alive through verification; the table reports
-// both the protocol-level and transport-level counts so the two
-// layers can be compared directly.
+// to keep processes alive through verification. Messages and bytes
+// are the nodes' summed counters, which each transport bumps at send
+// and delivery: one ledger, so one column each.
 func E11Transport(w io.Writer) error {
 	header(w, "E11: simulator vs real TCP loopback (3 nodes, lrc)")
 	workloads := []struct {
@@ -550,7 +550,7 @@ func E11Transport(w io.Writer) error {
 		{"taskqueue", func() apps.App { return apps.NewTaskQueue(40, 200) }},
 	}
 	cfg := core.Config{Nodes: 3, Protocol: core.LRC}
-	t := stats.NewTable("app", "transport", "elapsed_ms", "proto_msgs", "wire_msgs", "wire_bytes", "checksum")
+	t := stats.NewTable("app", "transport", "elapsed_ms", "msgs", "bytes", "checksum")
 	for _, wl := range workloads {
 		var simSum uint64
 		for _, tr := range []string{"sim", "tcp"} {
@@ -558,8 +558,8 @@ func E11Transport(w io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("%s over %s: %w", wl.name, tr, err)
 			}
-			t.AddRow(wl.name, tr, ms(res.Elapsed), res.Total().MsgsSent, res.Net.MsgsSent, res.Net.BytesSent,
-				fmt.Sprintf("%016x", res.Checksum))
+			st := res.Total()
+			t.AddRow(wl.name, tr, ms(res.Elapsed), st.MsgsSent, st.BytesSent, fmt.Sprintf("%016x", res.Checksum))
 			if tr == "sim" {
 				simSum = res.Checksum
 			} else if res.Checksum != simSum {
@@ -592,8 +592,8 @@ func E12Batching(w io.Writer) error {
 	t := stats.NewTable("app", "protocol", "batch", "transport", "elapsed_ms", "msgs", "kbytes", "batched", "frames", "pushes", "checksum")
 	row := func(name, tr string, cfg core.Config, res *cluster.Result) {
 		st := res.Total()
-		t.AddRow(name, cfg.Protocol.String(), onOff(cfg.Batch), tr, ms(res.Elapsed), res.Net.MsgsSent,
-			float64(res.Net.BytesSent)/1024, st.BatchedMsgs, st.FlushedBatches, st.DiffPushes,
+		t.AddRow(name, cfg.Protocol.String(), onOff(cfg.Batch), tr, ms(res.Elapsed), st.MsgsSent,
+			float64(st.BytesSent)/1024, st.BatchedMsgs, st.FlushedBatches, st.DiffPushes,
 			fmt.Sprintf("%016x", res.Checksum))
 	}
 	var lrcMsgs [2]int64 // batching off, on
@@ -613,7 +613,7 @@ func E12Batching(w io.Writer) error {
 			}
 			row(app.Name(), "sim", cfg, res)
 			if proto == core.LRC {
-				lrcMsgs[i] = res.Net.MsgsSent
+				lrcMsgs[i] = res.Total().MsgsSent
 			}
 		}
 	}

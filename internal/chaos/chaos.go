@@ -160,8 +160,8 @@ func (p *Plan) Start(c *core.Cluster) *Injector {
 	return inj
 }
 
-// Stop halts the schedule. Faults already injected heal on their
-// own timers.
+// Stop halts the schedule. Faults already injected heal at their
+// own deadlines.
 func (inj *Injector) Stop() {
 	close(inj.stop)
 	inj.wg.Wait()

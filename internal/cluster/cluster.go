@@ -36,7 +36,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -113,11 +112,9 @@ type Result struct {
 	// Elapsed covers the workload's Run phase only; for a whole
 	// cluster, the slowest node's.
 	Elapsed time.Duration
-	// Nodes holds the protocol counters of every node the run hosted,
-	// in node-id order.
+	// Nodes holds the counters of every node the run hosted, in
+	// node-id order: protocol, traffic, fault and connection events.
 	Nodes []stats.Snapshot
-	// Net is the transport traffic, summed over those nodes.
-	Net transport.CountersSnapshot
 	// Checksum is the shared result's hash, computed by node 0 for
 	// workloads implementing apps.Checker.
 	Checksum    uint64
@@ -131,9 +128,7 @@ type Result struct {
 	// matches the final counters (Sampler.Reconcile against Nodes[i],
 	// or against Total() for the aggregate).
 	Samplers []*metrics.Sampler
-	// Faults are the simulator's fault-injection counters and Advisor
-	// the sharing-pattern collector (Cfg.Advise); nil over TCP.
-	Faults  *simnet.FaultStats
+	// Advisor is the sharing-pattern collector, nil unless Cfg.Advise.
 	Advisor *advisor.Collector
 }
 
@@ -236,7 +231,7 @@ func drive(c *core.Cluster, app apps.App, plan *chaos.Plan, ob *observers) (*Res
 	}
 	start := time.Now()
 	err := c.Run(app.Run)
-	res := &Result{Elapsed: time.Since(start), Faults: c.FaultStats(), Advisor: c.Advisor()}
+	res := &Result{Elapsed: time.Since(start), Advisor: c.Advisor()}
 	if inj != nil {
 		inj.Stop()
 	}
@@ -276,7 +271,6 @@ func drive(c *core.Cluster, app apps.App, plan *chaos.Plan, ob *observers) (*Res
 		res.Samplers = []*metrics.Sampler{ob.smp}
 	}
 	res.Nodes = c.Stats()
-	res.Net = c.TransportCounters()
 	res.Traces = c.TraceStreams()
 	if verifyErr != nil {
 		return res, fmt.Errorf("cluster: %s verify: %w", app.Name(), verifyErr)
@@ -497,7 +491,6 @@ func runTCP(s Spec) (*Result, error) {
 			res.Elapsed = r.Elapsed
 		}
 		res.Nodes = append(res.Nodes, r.Nodes...)
-		res.Net = res.Net.Add(r.Net)
 		res.Traces = append(res.Traces, r.Traces...)
 		res.Samplers = append(res.Samplers, r.Samplers...)
 	}

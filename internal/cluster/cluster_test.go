@@ -134,9 +134,8 @@ func checkShape(t *testing.T, transport string, res *Result, nodes int) {
 			t.Fatalf("%s: Total().%s = %d, per-node snapshots sum to %d", transport, f.Name, f.Value, sum)
 		}
 	}
-	if res.Total().MsgsSent == 0 || res.Net.MsgsSent == 0 {
-		t.Fatalf("%s: a %d-node run recorded no messages (protocol %d, transport %d)",
-			transport, nodes, res.Total().MsgsSent, res.Net.MsgsSent)
+	if res.Total().MsgsSent == 0 {
+		t.Fatalf("%s: a %d-node run recorded no messages", transport, nodes)
 	}
 	if res.Elapsed <= 0 {
 		t.Fatalf("%s: no elapsed time", transport)
@@ -300,8 +299,8 @@ func TestSampleReconciles(t *testing.T) {
 		if bad := res.Samplers[0].Reconcile(res.Total()); len(bad) != 0 {
 			t.Fatalf("%s: sampler does not reconcile with the final counters: %v", name, bad)
 		}
-		if (res.Faults.Dropped.Load() > 0) != (p != nil) {
-			t.Fatalf("%s: faults injected: %v", name, res.Faults)
+		if s := res.Total(); (s.MsgsDropped > 0) != (p != nil) {
+			t.Fatalf("%s: faults injected: %v", name, s)
 		}
 	}
 }

@@ -601,23 +601,9 @@ func (c *Cluster) StallNode(id int, d time.Duration) {
 	c.net.StallNode(simnet.NodeID(id), d)
 }
 
-// FaultStats exposes the network's fault-injection counters, or nil
-// on real transports.
-func (c *Cluster) FaultStats() *simnet.FaultStats {
-	if c.net == nil {
-		return nil
-	}
-	return c.net.Faults()
-}
-
 // TransportName names the backend carrying this cluster's messages
 // ("sim" or "tcp").
 func (c *Cluster) TransportName() string { return c.tr.Name() }
-
-// TransportCounters snapshots the backend's byte/message counters.
-// On the simulator they aggregate the whole cluster; on a real
-// transport, this process's node only.
-func (c *Cluster) TransportCounters() transport.CountersSnapshot { return c.tr.Counters() }
 
 // Stats returns a per-node snapshot of the counters.
 func (c *Cluster) Stats() []stats.Snapshot {

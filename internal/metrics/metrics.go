@@ -237,10 +237,7 @@ func (s *Sampler) Window() Window {
 	first, last := samples[0], samples[len(samples)-1]
 	w.Backlog = last.Backlog
 	w.ChaosInjected = last.Snap.MsgsDropped + last.Snap.MsgsDuplicated
-	w.Counters = make(map[string]int64)
-	for _, f := range last.Snap.Fields() {
-		w.Counters[f.Name] = f.Value
-	}
+	w.Counters = last.Snap.Map()
 	span := time.Duration(last.UnixNs - first.UnixNs)
 	w.SpanMs = float64(span.Microseconds()) / 1000
 	if span <= 0 {

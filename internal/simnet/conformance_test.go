@@ -11,7 +11,7 @@ import (
 // TestTransportConformance runs the shared transport contract suite
 // against the simulator backend.
 func TestTransportConformance(t *testing.T) {
-	transporttest.Run(t, func(t *testing.T, n int) ([]transport.Endpoint, func() transport.CountersSnapshot, func()) {
+	transporttest.Run(t, func(t *testing.T, n int) ([]transport.Endpoint, func()) {
 		net, err := simnet.New(simnet.Config{Nodes: n})
 		if err != nil {
 			t.Fatalf("simnet.New: %v", err)
@@ -21,6 +21,6 @@ func TestTransportConformance(t *testing.T) {
 		for i := 0; i < n; i++ {
 			eps[i] = net.Endpoint(transport.NodeID(i))
 		}
-		return eps, net.Counters, net.Close
+		return eps, net.Close
 	})
 }

@@ -142,10 +142,6 @@ func TestPairFIFOMixedDirectAndQueued(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	ctr := n.Counters()
-	if ctr.MsgsSent != senders*per || ctr.MsgsRecv != ctr.MsgsSent || ctr.BytesRecv != ctr.BytesSent {
-		t.Fatalf("transport counters %+v, want %d messages each way and equal bytes", ctr, senders*per)
-	}
 	var sent, sentBytes int64
 	for _, st := range sts[1:] {
 		sent += st.MsgsSent.Load()

@@ -1,12 +1,21 @@
 package simnet
 
 import (
-	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
+
+// counted sums the counter sets the endpoints own.
+func counted(n *Net) stats.Snapshot {
+	var s stats.Snapshot
+	for _, ep := range n.eps {
+		s = s.Add(ep.st.Snapshot())
+	}
+	return s
+}
 
 func TestConfigValidationRejectsBadValues(t *testing.T) {
 	bad := []Config{
@@ -39,8 +48,8 @@ func TestDropAndDupCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dropped := n.Faults().Dropped.Load()
-	duplicated := n.Faults().Duplicated.Load()
+	s := counted(n)
+	dropped, duplicated := s.MsgsDropped, s.MsgsDuplicated
 	if dropped == 0 || duplicated == 0 {
 		t.Fatalf("faults not injected: dropped=%d duplicated=%d", dropped, duplicated)
 	}
@@ -70,7 +79,7 @@ func TestDuplicatesPreserveFIFO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := int64(total) + n.Faults().Duplicated.Load()
+	want := int64(total) + n.eps[0].st.MsgsDuplicated.Load()
 	last := uint64(0)
 	for i := int64(0); i < want; i++ {
 		m := <-b.Recv()
@@ -92,13 +101,14 @@ func TestSpikeDelaysDelivery(t *testing.T) {
 	if el := time.Since(start); el < 25*time.Millisecond {
 		t.Fatalf("spike not applied: delivered in %v", el)
 	}
-	if n.Faults().Spikes.Load() == 0 {
+	if n.eps[0].st.MsgsSpiked.Load() == 0 {
 		t.Fatal("spike not counted")
 	}
 }
 
 // TestPartitionBlocksThenHeals: messages on a partitioned pair drop
-// (both directions) until the heal time, then flow again.
+// (both directions) until the heal time, then flow again; both ends,
+// and only they, count the partition.
 func TestPartitionBlocksThenHeals(t *testing.T) {
 	n := newNet(t, Config{Nodes: 3})
 	a, b, c := n.Endpoint(0), n.Endpoint(1), n.Endpoint(2)
@@ -116,25 +126,25 @@ func TestPartitionBlocksThenHeals(t *testing.T) {
 	if m := <-c.Recv(); m.Req != 3 {
 		t.Fatalf("third party got %+v", m)
 	}
-	if got := n.Faults().Dropped.Load(); got != 2 {
+	if got := counted(n).MsgsDropped; got != 2 {
 		t.Fatalf("dropped = %d, want 2", got)
 	}
-	if n.Faults().PartitionsOpened.Load() != 1 {
-		t.Fatal("partition not counted")
+	for i, want := range []int64{1, 1, 0} {
+		if got := n.eps[i].st.Partitions.Load(); got != want {
+			t.Fatalf("node %d counted %d partitions, want %d", i, got, want)
+		}
 	}
 	time.Sleep(80 * time.Millisecond)
 	if err := a.Send(&wire.Msg{Kind: wire.KAck, From: 0, To: 1, Req: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if m := <-b.Recv(); m.Req != 4 {
-		t.Fatalf("post-heal got %+v", m)
-	}
-	deadline := time.Now().Add(time.Second)
-	for n.Faults().PartitionsHealed.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("heal not counted")
+	select {
+	case m := <-b.Recv():
+		if m.Req != 4 {
+			t.Fatalf("post-heal got %+v", m)
 		}
-		time.Sleep(time.Millisecond)
+	case <-time.After(2 * time.Second):
+		t.Fatal("a message sent after the partition's duration was not delivered")
 	}
 }
 
@@ -161,7 +171,7 @@ func TestStallDelaysDelivery(t *testing.T) {
 			}
 		}
 	}
-	if n.Faults().Stalls.Load() != 1 {
+	if n.eps[1].st.Stalls.Load() != 1 {
 		t.Fatal("stall not counted")
 	}
 }
@@ -175,20 +185,7 @@ func TestFaultsNeverHitSelfSends(t *testing.T) {
 			t.Fatal("self-send accepted")
 		}
 	}
-	if n.Faults().Dropped.Load() != 0 {
-		t.Fatal("self-send was faulted")
-	}
-}
-
-// TestFaultStatsString renders all counters.
-func TestFaultStatsString(t *testing.T) {
-	var fs FaultStats
-	fs.Dropped.Store(2)
-	fs.Stalls.Store(1)
-	s := fs.String()
-	for _, want := range []string{"dropped=2", "stalls=1", "duplicated=0"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("String() = %q missing %q", s, want)
-		}
+	if s := counted(n); s != (stats.Snapshot{}) {
+		t.Fatalf("self-send was counted: %v", s)
 	}
 }

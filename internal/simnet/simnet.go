@@ -19,7 +19,6 @@ import (
 	"container/heap"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/stats"
@@ -128,32 +127,12 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// FaultStats counts network-level fault events. All fields are
-// updated atomically and stay zero on a fault-free network.
-type FaultStats struct {
-	Dropped          atomic.Int64 // messages discarded (drop prob or partition)
-	Duplicated       atomic.Int64 // messages delivered twice
-	Spikes           atomic.Int64 // latency spikes applied
-	PartitionsOpened atomic.Int64
-	PartitionsHealed atomic.Int64
-	Stalls           atomic.Int64 // endpoint stalls injected
-}
-
-// String renders the non-zero fault counters.
-func (f *FaultStats) String() string {
-	return fmt.Sprintf("dropped=%d duplicated=%d spikes=%d partitions_opened=%d partitions_healed=%d stalls=%d",
-		f.Dropped.Load(), f.Duplicated.Load(), f.Spikes.Load(),
-		f.PartitionsOpened.Load(), f.PartitionsHealed.Load(), f.Stalls.Load())
-}
-
 // Net is the simulated network. It implements transport.Transport.
 type Net struct {
 	cfg    Config
 	eps    []*Endpoint
 	queues []*dqueue
 	pairs  [][]pairState
-	faults FaultStats
-	ctr    transport.Counters
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -191,6 +170,7 @@ func New(cfg Config) (*Net, error) {
 			net:   net,
 			id:    NodeID(i),
 			inbox: make(chan *wire.Msg, cmp.Or(cfg.testInboxDepth, inboxDepth)),
+			st:    &stats.Node{},
 		}
 		net.eps[i] = ep
 		q := newDQueue(ep)
@@ -212,17 +192,11 @@ func (n *Net) Nodes() int { return n.cfg.Nodes }
 // Name implements transport.Transport.
 func (n *Net) Name() string { return "sim" }
 
-// Counters implements transport.Transport: transport-level traffic
-// totals.
-func (n *Net) Counters() transport.CountersSnapshot { return n.ctr.Snapshot() }
-
-// Faults returns the network's fault counters.
-func (n *Net) Faults() *FaultStats { return &n.faults }
-
 // Partition severs the link between a and b in both directions for
-// d: messages on the pair are dropped until the partition heals.
-// Overlapping partitions extend each other (the later heal time
-// wins). Invalid node ids and non-positive durations are no-ops.
+// d: messages on the pair are dropped until the partition heals at
+// the pair's blockedUntil. Overlapping partitions extend each other
+// (the later heal time wins). Both ends count the partition. Invalid
+// node ids and non-positive durations are no-ops.
 func (n *Net) Partition(a, b NodeID, d time.Duration) {
 	if a < 0 || b < 0 || int(a) >= n.cfg.Nodes || int(b) >= n.cfg.Nodes || a == b || d <= 0 {
 		return
@@ -235,18 +209,10 @@ func (n *Net) Partition(a, b NodeID, d time.Duration) {
 		}
 		pair.mu.Unlock()
 	}
-	n.faults.PartitionsOpened.Add(1)
+	n.eps[a].st.Partitions.Add(1)
+	n.eps[b].st.Partitions.Add(1)
 	n.eps[a].tr.Emit(trace.EvChaos, int32(b), 0, -1, -1, trace.ChaosPartition, d)
 	n.eps[b].tr.Emit(trace.EvChaos, int32(a), 0, -1, -1, trace.ChaosPartition, d)
-	go func() {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-			n.faults.PartitionsHealed.Add(1)
-		case <-n.closed:
-		}
-	}()
 }
 
 // StallNode freezes node id's receive processing for d: messages
@@ -258,7 +224,7 @@ func (n *Net) StallNode(id NodeID, d time.Duration) {
 		return
 	}
 	n.queues[id].stall(time.Now().Add(d))
-	n.faults.Stalls.Add(1)
+	n.eps[id].st.Stalls.Add(1)
 	n.eps[id].tr.Emit(trace.EvChaos, -1, 0, -1, -1, trace.ChaosStall, d)
 }
 
@@ -295,7 +261,8 @@ type Endpoint struct {
 // ID returns the endpoint's node id.
 func (e *Endpoint) ID() NodeID { return e.id }
 
-// SetStats attaches a counter set; nil disables accounting.
+// SetStats implements transport.Endpoint: st replaces the counter set
+// the endpoint was built with.
 func (e *Endpoint) SetStats(st *stats.Node) { e.st = st }
 
 // SetTracer attaches an event tracer so the injections this endpoint
@@ -328,12 +295,8 @@ func (e *Endpoint) Send(m *wire.Msg) error {
 	bp := wire.GetBuf()
 	raw := m.Encode(*bp)
 	*bp = raw
-	e.net.ctr.MsgsSent.Add(1)
-	e.net.ctr.BytesSent.Add(int64(len(raw)))
-	if e.st != nil {
-		e.st.MsgsSent.Add(1)
-		e.st.BytesSent.Add(int64(len(raw)))
-	}
+	e.st.MsgsSent.Add(1)
+	e.st.BytesSent.Add(int64(len(raw)))
 	duplicate := false
 	pair := &e.net.pairs[e.id][to]
 	pair.mu.Lock()
@@ -359,7 +322,7 @@ func (e *Endpoint) Send(m *wire.Msg) error {
 		}
 		if fp.SpikeProb > 0 && probDraw(&pair.rng) < fp.SpikeProb {
 			delay += fp.Spike
-			e.net.faults.Spikes.Add(1)
+			e.st.MsgsSpiked.Add(1)
 			e.tr.Emit(trace.EvChaos, int32(to), 0, -1, -1, trace.ChaosSpike, fp.Spike)
 		}
 		if fp.DupProb > 0 && probDraw(&pair.rng) < fp.DupProb {
@@ -385,10 +348,7 @@ func (e *Endpoint) Send(m *wire.Msg) error {
 	if duplicate {
 		// The copy arrives immediately after the original (same due
 		// time, later heap sequence), preserving per-pair FIFO order.
-		e.net.faults.Duplicated.Add(1)
-		if e.st != nil {
-			e.st.MsgsDuplicated.Add(1)
-		}
+		e.st.MsgsDuplicated.Add(1)
 		e.tr.Emit(trace.EvChaos, int32(to), 0, -1, -1, trace.ChaosDup, 0)
 		e.net.queues[to].push(now, at, *dupBp, dupBp)
 	}
@@ -398,10 +358,7 @@ func (e *Endpoint) Send(m *wire.Msg) error {
 // drop discards a message to node to that a partition or the drop
 // probability claimed, counting and tracing it.
 func (e *Endpoint) drop(to NodeID, bp *[]byte) {
-	e.net.faults.Dropped.Add(1)
-	if e.st != nil {
-		e.st.MsgsDropped.Add(1)
-	}
+	e.st.MsgsDropped.Add(1)
 	e.tr.Emit(trace.EvChaos, int32(to), 0, -1, -1, trace.ChaosDrop, 0)
 	wire.PutBuf(bp)
 }
@@ -498,12 +455,8 @@ func (q *dqueue) receive(it item) *wire.Msg {
 		// runtime condition: the bytes never left the process.
 		panic(fmt.Sprintf("simnet: decode at node %d: %v", q.ep.id, err))
 	}
-	q.ep.net.ctr.MsgsRecv.Add(1)
-	q.ep.net.ctr.BytesRecv.Add(int64(len(it.raw)))
-	if q.ep.st != nil {
-		q.ep.st.MsgsRecv.Add(1)
-		q.ep.st.BytesRecv.Add(int64(len(it.raw)))
-	}
+	q.ep.st.MsgsRecv.Add(1)
+	q.ep.st.BytesRecv.Add(int64(len(it.raw)))
 	wire.PutBuf(it.buf)
 	return m
 }

@@ -36,9 +36,17 @@ type Node struct {
 	MsgsRecv  atomic.Int64
 	BytesRecv atomic.Int64
 
+	// Connection events of a real transport (zero on the simulator).
+	Dials      atomic.Int64 // outbound connections established
+	Redials    atomic.Int64 // reconnects after a broken connection
+	SendErrors atomic.Int64 // sends that failed at the substrate
+
 	// Fault injection and recovery (all zero on a fault-free network).
 	MsgsDropped    atomic.Int64 // messages this node sent that the network dropped
 	MsgsDuplicated atomic.Int64 // messages this node sent that the network duplicated
+	MsgsSpiked     atomic.Int64 // messages this node sent that the network delayed by a latency spike
+	Partitions     atomic.Int64 // transient partitions opened on a link this node is an end of
+	Stalls         atomic.Int64 // endpoint stalls injected at this node
 	Retries        atomic.Int64 // request retransmissions issued by this node
 	DupRequests    atomic.Int64 // duplicate requests suppressed by the dedup table
 	CachedReplies  atomic.Int64 // replies re-sent from the dedup cache
@@ -89,8 +97,14 @@ type Snapshot struct {
 	BytesSent         int64 `stats:"bytes_sent"`
 	MsgsRecv          int64 `stats:"msgs_recv"`
 	BytesRecv         int64 `stats:"bytes_recv"`
+	Dials             int64 `stats:"dials"`
+	Redials           int64 `stats:"redials"`
+	SendErrors        int64 `stats:"send_errors"`
 	MsgsDropped       int64 `stats:"msgs_dropped"`
 	MsgsDuplicated    int64 `stats:"msgs_duplicated"`
+	MsgsSpiked        int64 `stats:"msgs_spiked"`
+	Partitions        int64 `stats:"partitions"`
+	Stalls            int64 `stats:"stalls"`
 	Retries           int64 `stats:"retries"`
 	DupRequests       int64 `stats:"dup_requests"`
 	CachedReplies     int64 `stats:"cached_replies"`
@@ -261,6 +275,16 @@ func (s Snapshot) Fields() []Field {
 	return out
 }
 
+// Map returns the counters keyed by report name: the shape of every
+// JSON rendering of a snapshot.
+func (s Snapshot) Map() map[string]int64 {
+	out := make(map[string]int64, len(fieldPlan))
+	for _, f := range s.Fields() {
+		out[f.Name] = f.Value
+	}
+	return out
+}
+
 // Field is one named counter value.
 type Field struct {
 	Name  string
@@ -406,15 +430,11 @@ func PerNodeReport(snaps []Snapshot) string {
 			order = append(order, f.Name)
 		}
 	}
-	sortStable(order)
 	headers := append([]string{"node"}, order...)
 	t := NewTable(headers...)
 	rowFor := func(label string, s Snapshot) {
 		cells := []any{label}
-		vals := make(map[string]int64)
-		for _, f := range s.Fields() {
-			vals[f.Name] = f.Value
-		}
+		vals := s.Map()
 		for _, name := range order {
 			cells = append(cells, vals[name])
 		}
@@ -429,15 +449,4 @@ func PerNodeReport(snaps []Snapshot) string {
 		out += "\n" + lat
 	}
 	return out
-}
-
-// sortStable keeps the Fields declaration order (already meaningful)
-// rather than alphabetical; it exists so PerNodeReport's column order
-// is deterministic even if callers mutate the slice.
-func sortStable(names []string) {
-	idx := make(map[string]int)
-	for i, f := range (Snapshot{}).Fields() {
-		idx[f.Name] = i
-	}
-	sort.SliceStable(names, func(a, b int) bool { return idx[names[a]] < idx[names[b]] })
 }

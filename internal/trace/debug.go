@@ -74,9 +74,7 @@ func ServeDebug(addr string, cfg DebugConfig) (*DebugServer, error) {
 		fmt.Fprintf(w, "/debug/pprof/\n")
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		s := cfg.Stats()
-		out := map[string]any{"node": cfg.Node, "counters": fieldMap(s)}
-		writeJSON(w, out)
+		writeJSON(w, map[string]any{"node": cfg.Node, "counters": cfg.Stats().Map()})
 	})
 	mux.HandleFunc("/histograms", func(w http.ResponseWriter, r *http.Request) {
 		s := cfg.Stats()
@@ -128,15 +126,6 @@ func (d *DebugServer) Close() error {
 		return d.srv.Close()
 	}
 	return nil
-}
-
-// fieldMap flattens a snapshot's counters into a name->value map.
-func fieldMap(s stats.Snapshot) map[string]int64 {
-	out := make(map[string]int64)
-	for _, f := range s.Fields() {
-		out[f.Name] = f.Value
-	}
-	return out
 }
 
 // HistogramSummary is the JSON shape of one latency class, shared by

@@ -95,7 +95,6 @@ type Transport struct {
 	cfg Config
 	ln  net.Listener
 	ep  *endpoint
-	ctr transport.Counters
 
 	peers []*peer // outgoing connections, indexed by node id
 
@@ -132,6 +131,7 @@ func New(cfg Config) (*Transport, error) {
 		t.peers[i] = &peer{}
 	}
 	t.ep = &endpoint{t: t, inbox: make(chan *wire.Msg, inboxDepth)}
+	t.ep.st.Store(&stats.Node{})
 	ln := cfg.Listener
 	if ln == nil {
 		var err error
@@ -159,9 +159,6 @@ func (t *Transport) Endpoint(id transport.NodeID) transport.Endpoint {
 	}
 	return t.ep
 }
-
-// Counters implements transport.Transport.
-func (t *Transport) Counters() transport.CountersSnapshot { return t.ctr.Snapshot() }
 
 // Addr returns the actual listen address (useful with ":0").
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
@@ -254,7 +251,6 @@ func (t *Transport) serveConn(conn net.Conn) {
 	if _, err := conn.Write([]byte{replyOK}); err != nil {
 		return
 	}
-	t.ctr.Accepts.Add(1)
 	hdr := make([]byte, 4)
 	// Buffered so a frame's length and body (and any frames queued
 	// behind it) arrive in one read syscall, not two per frame.
@@ -285,12 +281,9 @@ func (t *Transport) serveConn(conn net.Conn) {
 			t.fail(fmt.Errorf("tcp: node %d: corrupt frame from node %d: %w", t.cfg.Self, from, err))
 			return
 		}
-		t.ctr.MsgsRecv.Add(1)
-		t.ctr.BytesRecv.Add(int64(len(raw)))
-		if st := t.ep.stats(); st != nil {
-			st.MsgsRecv.Add(1)
-			st.BytesRecv.Add(int64(len(raw)))
-		}
+		st := t.ep.st.Load()
+		st.MsgsRecv.Add(1)
+		st.BytesRecv.Add(int64(len(raw)))
 		select {
 		case t.ep.inbox <- m:
 		case <-t.closed:
@@ -438,10 +431,9 @@ type endpoint struct {
 // ID implements transport.Endpoint.
 func (e *endpoint) ID() transport.NodeID { return e.t.cfg.Self }
 
-// SetStats implements transport.Endpoint.
+// SetStats implements transport.Endpoint: st replaces the counter set
+// the endpoint was built with.
 func (e *endpoint) SetStats(st *stats.Node) { e.st.Store(st) }
-
-func (e *endpoint) stats() *stats.Node { return e.st.Load() }
 
 // Recv implements transport.Endpoint.
 func (e *endpoint) Recv() <-chan *wire.Msg { return e.inbox }
@@ -469,6 +461,7 @@ func (e *endpoint) Send(m *wire.Msg) error {
 	frame = m.Encode(frame)
 	*bp = frame
 	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	st := e.st.Load()
 	p := t.peers[to]
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -476,13 +469,13 @@ func (e *endpoint) Send(m *wire.Msg) error {
 		patient := !p.everConn
 		conn, err := t.dial(to, patient)
 		if err != nil {
-			t.ctr.SendErrors.Add(1)
+			st.SendErrors.Add(1)
 			return err
 		}
 		if p.everConn {
-			t.ctr.Redials.Add(1)
+			st.Redials.Add(1)
 		} else {
-			t.ctr.Dials.Add(1)
+			st.Dials.Add(1)
 		}
 		p.conn = conn
 		p.everConn = true
@@ -490,14 +483,10 @@ func (e *endpoint) Send(m *wire.Msg) error {
 	if _, err := p.conn.Write(frame); err != nil {
 		_ = p.conn.Close()
 		p.conn = nil
-		t.ctr.SendErrors.Add(1)
+		st.SendErrors.Add(1)
 		return fmt.Errorf("tcp: node %d: send %v to node %d: %w", t.cfg.Self, m.Kind, to, err)
 	}
-	t.ctr.MsgsSent.Add(1)
-	t.ctr.BytesSent.Add(int64(len(frame) - 4))
-	if st := e.stats(); st != nil {
-		st.MsgsSent.Add(1)
-		st.BytesSent.Add(int64(len(frame) - 4))
-	}
+	st.MsgsSent.Add(1)
+	st.BytesSent.Add(int64(len(frame) - 4))
 	return nil
 }

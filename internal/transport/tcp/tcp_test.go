@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/stats"
 	"repro/internal/transport"
 	"repro/internal/transport/transporttest"
 	"repro/internal/wire"
@@ -48,25 +49,18 @@ func newLoopbackCluster(t testing.TB, n int, digest uint64) []*Transport {
 // TestTransportConformance runs the shared transport contract suite
 // against the TCP backend.
 func TestTransportConformance(t *testing.T) {
-	transporttest.Run(t, func(t *testing.T, n int) ([]transport.Endpoint, func() transport.CountersSnapshot, func()) {
+	transporttest.Run(t, func(t *testing.T, n int) ([]transport.Endpoint, func()) {
 		trs := newLoopbackCluster(t, n, 0xfeed)
 		eps := make([]transport.Endpoint, n)
 		for i := range trs {
 			eps[i] = trs[i].Endpoint(transport.NodeID(i))
-		}
-		counters := func() transport.CountersSnapshot {
-			var sum transport.CountersSnapshot
-			for _, tr := range trs {
-				sum = sum.Add(tr.Counters())
-			}
-			return sum
 		}
 		closeAll := func() {
 			for _, tr := range trs {
 				tr.Close()
 			}
 		}
-		return eps, counters, closeAll
+		return eps, closeAll
 	})
 }
 
@@ -216,6 +210,8 @@ func TestOversizedFrameRejected(t *testing.T) {
 func TestDeadPeerSurfacesError(t *testing.T) {
 	trs := newLoopbackCluster(t, 2, 7)
 	ep := trs[0].Endpoint(0)
+	st := &stats.Node{}
+	ep.SetStats(st)
 	if err := ep.Send(&wire.Msg{Kind: wire.KAck, To: 1}); err != nil {
 		t.Fatalf("initial send: %v", err)
 	}
@@ -234,8 +230,8 @@ func TestDeadPeerSurfacesError(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if trs[0].Counters().SendErrors == 0 {
-		t.Fatalf("send errors not counted")
+	if s := st.Snapshot(); s.SendErrors < 1 || s.Dials != 1 {
+		t.Fatalf("send_errors=%d dials=%d, want >= 1 and exactly 1", s.SendErrors, s.Dials)
 	}
 }
 

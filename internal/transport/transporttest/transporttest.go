@@ -24,7 +24,7 @@ import (
 // that need to close early use the returned close function, which
 // must be idempotent. Backends hosting one node per Transport handle
 // (tcp) return endpoints drawn from n handles.
-type Factory func(t *testing.T, n int) (eps []transport.Endpoint, counters func() transport.CountersSnapshot, closeAll func())
+type Factory func(t *testing.T, n int) (eps []transport.Endpoint, closeAll func())
 
 const recvTimeout = 10 * time.Second
 
@@ -50,13 +50,12 @@ func Run(t *testing.T, f Factory) {
 	t.Run("PayloadCopy", func(t *testing.T) { testPayloadCopy(t, f) })
 	t.Run("SelfSendRejected", func(t *testing.T) { testSelfSendRejected(t, f) })
 	t.Run("StatsAccuracy", func(t *testing.T) { testStatsAccuracy(t, f) })
-	t.Run("TransportCounters", func(t *testing.T) { testTransportCounters(t, f) })
 	t.Run("CloseSemantics", func(t *testing.T) { testCloseSemantics(t, f) })
 }
 
 // testPairFIFO: messages on one directed pair arrive in send order.
 func testPairFIFO(t *testing.T, f Factory) {
-	eps, _, _ := f(t, 2)
+	eps, _ := f(t, 2)
 	const k = 200
 	for i := 0; i < k; i++ {
 		m := &wire.Msg{Kind: wire.KAck, To: 1, Req: uint64(i) + 1}
@@ -79,7 +78,7 @@ func testPairFIFO(t *testing.T, f Factory) {
 // arrives exactly once and per-sender order is preserved.
 func testConcurrentSenders(t *testing.T, f Factory) {
 	const n, per = 4, 100
-	eps, _, _ := f(t, n)
+	eps, _ := f(t, n)
 	var wg sync.WaitGroup
 	for s := 1; s < n; s++ {
 		wg.Add(1)
@@ -118,7 +117,7 @@ func testConcurrentSenders(t *testing.T, f Factory) {
 // after Send does not corrupt the delivery (encode-at-send copy
 // semantics).
 func testPayloadCopy(t *testing.T, f Factory) {
-	eps, _, _ := f(t, 2)
+	eps, _ := f(t, 2)
 	data := []byte{1, 2, 3, 4, 5}
 	m := &wire.Msg{Kind: wire.KDiffReply, To: 1, Req: 42, Page: 7, Lock: -3, Arg: 1 << 40, B: 99, Data: data}
 	if err := eps[0].Send(m); err != nil {
@@ -143,14 +142,14 @@ func testPayloadCopy(t *testing.T, f Factory) {
 // racing Close, where a self-delivering TCP endpoint once panicked
 // sending on the inbox Close had just closed.
 func testSelfSendRejected(t *testing.T, f Factory) {
-	eps, counters, _ := f(t, 2)
+	eps, _ := f(t, 2)
 	st := &stats.Node{}
 	eps[1].SetStats(st)
 	if err := eps[1].Send(&wire.Msg{Kind: wire.KAck, To: 1, Req: 77}); err == nil || !strings.Contains(err.Error(), "node 1") {
 		t.Fatalf("self send: err = %v, want an error naming node 1", err)
 	}
-	if s, c := st.Snapshot(), counters(); s.MsgsSent+s.BytesSent+s.MsgsRecv+s.BytesRecv != 0 || c != (transport.CountersSnapshot{}) {
-		t.Fatalf("refused self send counted: node %+v, transport %v", s, c)
+	if s := st.Snapshot(); s != (stats.Snapshot{}) {
+		t.Fatalf("refused self send counted: %v", s)
 	}
 	// Only the peer's message arrives: the refused one was never queued.
 	if err := eps[0].Send(&wire.Msg{Kind: wire.KAck, To: 1, Req: 78}); err != nil || recvOne(t, eps[1]).Req != 78 {
@@ -159,7 +158,7 @@ func testSelfSendRejected(t *testing.T, f Factory) {
 	// Close while eight senders are inside Send (refusals, by the check
 	// above); draining the inbox keeps them sending, not parked on it.
 	for round := 0; round < 20; round++ {
-		eps, _, closeAll := f(t, 2)
+		eps, closeAll := f(t, 2)
 		go func() {
 			for range eps[0].Recv() {
 			}
@@ -185,7 +184,7 @@ func testSelfSendRejected(t *testing.T, f Factory) {
 // testStatsAccuracy: per-node stats count exactly the encoded bytes
 // and messages that crossed the substrate.
 func testStatsAccuracy(t *testing.T, f Factory) {
-	eps, _, _ := f(t, 2)
+	eps, _ := f(t, 2)
 	st0, st1 := &stats.Node{}, &stats.Node{}
 	eps[0].SetStats(st0)
 	eps[1].SetStats(st1)
@@ -215,35 +214,10 @@ func testStatsAccuracy(t *testing.T, f Factory) {
 	}
 }
 
-// testTransportCounters: the transport-level counters agree with the
-// traffic that crossed it.
-func testTransportCounters(t *testing.T, f Factory) {
-	eps, counters, _ := f(t, 2)
-	var wantBytes int64
-	const k = 25
-	for i := 0; i < k; i++ {
-		m := &wire.Msg{Kind: wire.KAck, To: 1, Req: uint64(i) + 1, Data: make([]byte, 16)}
-		wantBytes += int64(m.EncodedSize())
-		if err := eps[0].Send(m); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	for i := 0; i < k; i++ {
-		recvOne(t, eps[1])
-	}
-	s := counters()
-	if s.MsgsSent != k || s.BytesSent != wantBytes {
-		t.Fatalf("transport sent counters = %d msgs / %d bytes, want %d / %d", s.MsgsSent, s.BytesSent, k, wantBytes)
-	}
-	if s.MsgsRecv != k || s.BytesRecv != wantBytes {
-		t.Fatalf("transport recv counters = %d msgs / %d bytes, want %d / %d", s.MsgsRecv, s.BytesRecv, k, wantBytes)
-	}
-}
-
 // testCloseSemantics: after Close, Recv channels end and Send
 // reports an error.
 func testCloseSemantics(t *testing.T, f Factory) {
-	eps, _, closeAll := f(t, 2)
+	eps, closeAll := f(t, 2)
 	closeAll()
 	for _, ep := range eps {
 		deadline := time.After(recvTimeout)
