@@ -19,14 +19,16 @@ build:
 # the race detector (their concurrency is the most delicate), and a
 # short stress of the message path's ordering and
 # hand-off tests (direct vs queued simnet delivery, the runtime's
-# self-delivery, inline handlers) and of both transports' refusal of
-# self-sends racing Close, whose failures would be
-# scheduling-dependent.
+# self-delivery, inline handlers), of both transports' refusal of
+# self-sends racing Close, and of the TCP transport's fail-stop (a
+# peer lost mid-stream closes Recv; an orderly Close does not), whose
+# failures would be scheduling-dependent.
 test: vet smoke bench-alloc
 	$(GO) test ./... -timeout 1200s
 	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/dsync ./internal/core ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace ./internal/mem ./internal/proto/lrc ./internal/proto/erc ./internal/proto/sc ./internal/proto/classic ./internal/proto/ec ./internal/wire
 	$(GO) test -race -count=20 -run 'FIFO|SelfDeliver|Inline' ./internal/simnet ./internal/nodecore ./internal/dsync
 	$(GO) test -race -count=20 -run 'Conformance/SelfSendRejected' ./internal/simnet ./internal/transport/tcp
+	$(GO) test -race -count=20 -run 'PeerLost|OrderlyClose' ./internal/transport/tcp
 
 # Allocation regression gate. The thresholds are checked into the
 # tests themselves: the ZeroAlloc tests assert 0 allocs/op in steady

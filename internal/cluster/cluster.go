@@ -21,7 +21,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -261,7 +260,8 @@ func drive(c *core.Cluster, app apps.App, plan *chaos.Plan, ob *observers) (*Res
 		if err := c.Node(self).Barrier(ShutdownBarrier); err != nil {
 			return nil, fmt.Errorf("cluster: post-verify barrier: %w", err)
 		}
-	} else if ob.smp != nil {
+	}
+	if ob.smp != nil {
 		quiesce(c)
 	}
 	// The counters are quiesced: the sampler's final sample equals the
@@ -278,12 +278,13 @@ func drive(c *core.Cluster, app apps.App, plan *chaos.Plan, ob *observers) (*Res
 	return res, nil
 }
 
-// quiesce returns once the simulated cluster's counters have stood
+// quiesce returns once the counters of the nodes c hosts have stood
 // still for 100ms, or after five seconds. One-way traffic (lrc's diff
-// pushes, the acks after Checksum's release, a spiked or duplicated
-// message) is still being received when the app returns. 100ms is
-// longer than any delivery delay the fault plans in this tree inject;
-// 20ms was measured too short (one miss in 400 runs).
+// pushes, token acks, a spiked or duplicated message) is still being
+// received when the app returns, over TCP too: its shutdown barrier
+// orders nothing on other pairs. 100ms is longer than any delivery
+// delay the fault plans in this tree inject; 20ms was measured too
+// short (one miss in 400 runs).
 func quiesce(c *core.Cluster) {
 	const quiet = 100 * time.Millisecond
 	deadline := time.Now().Add(5 * time.Second)
@@ -340,11 +341,6 @@ func RunNode(o NodeOpts) (_ *Result, retErr error) {
 			Extra: map[string]http.Handler{
 				"/metrics":      ob.smp.PromHandler(),
 				"/metrics.json": ob.smp.JSONHandler(),
-				// Per-peer round-trip estimates behind the retransmission timer.
-				"/rtt": http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-					w.Header().Set("Content-Type", "application/json")
-					json.NewEncoder(w).Encode(c.Node(o.Self).Runtime().PeerRTTs())
-				}),
 			},
 		})
 		if err != nil {

@@ -200,6 +200,60 @@ func TestLoopbackMatchesSimnet(t *testing.T) {
 	}
 }
 
+// lockKernel is a workload of one goroutine: node 0 takes lock 1 —
+// managed by node 1 of two — and releases it, iters times.
+type lockKernel struct{ iters int }
+
+func (lockKernel) Name() string               { return "lock-kernel" }
+func (lockKernel) Setup(*core.Cluster) error  { return nil }
+func (lockKernel) Verify(*core.Cluster) error { return nil }
+func (lockKernel) LocksOnly() bool            { return true }
+func (k lockKernel) Run(n *core.Node) error {
+	for i := 0; i < k.iters && n.ID() == 0; i++ {
+		if err := n.Acquire(1); err != nil {
+			return err
+		}
+		if err := n.Release(1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestTCPRunsTheFaultFreeProtocol: TCP loses no frame it accepted, so
+// a TCP node runs exactly the simulator's fault-free protocol — one-way
+// releases, no retransmission, no duplicate table. Once the two
+// shutdown barriers only TCP runs are subtracted (measured with an
+// empty kernel on each transport), the lock kernel sends the same
+// messages and bytes on both.
+func TestTCPRunsTheFaultFreeProtocol(t *testing.T) {
+	traffic := func(tcp bool, iters int) stats.Snapshot {
+		t.Helper()
+		res, err := Run(Spec{
+			Cfg: core.Config{Nodes: 2, CallTimeout: 10 * time.Second},
+			App: func() apps.App { return lockKernel{iters} },
+			TCP: tcp,
+		})
+		if err != nil {
+			t.Fatalf("tcp=%v iters=%d: %v", tcp, iters, err)
+		}
+		return res.Total()
+	}
+	var sent [2][2]int64 // [sim, tcp][msgs, bytes], the kernel's own
+	for i, tcp := range []bool{false, true} {
+		lock, empty := traffic(tcp, 200), traffic(tcp, 0)
+		sent[i] = [2]int64{lock.MsgsSent - empty.MsgsSent, lock.BytesSent - empty.BytesSent}
+		if tcp && lock.Retries+lock.DupRequests+lock.CachedReplies+lock.LateReplies != 0 {
+			t.Errorf("tcp: retries=%d dup_requests=%d cached_replies=%d late_replies=%d, want all 0",
+				lock.Retries, lock.DupRequests, lock.CachedReplies, lock.LateReplies)
+		}
+	}
+	if sent[0] != sent[1] {
+		t.Fatalf("200 remote lock round trips: sim sent %d msgs / %d bytes, tcp %d / %d beyond its shutdown barriers",
+			sent[0][0], sent[0][1], sent[1][0], sent[1][1])
+	}
+}
+
 // TestRunCollectsStats: a traced, sampled run returns one stream and
 // its counters per node on either transport, and each sampler's last
 // sample equals the counters it is returned with.
@@ -430,8 +484,9 @@ func TestMultiProcessCluster(t *testing.T) {
 }
 
 // TestPeerDeathFailsLoudly kills one process of a running 3-node
-// cluster and requires the survivors to exit with an error promptly
-// instead of hanging.
+// cluster and requires the survivors to exit promptly with an error
+// naming the dead peer instead of hanging: its connections end without
+// the end-of-stream frame, which fails each survivor's transport.
 func TestPeerDeathFailsLoudly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
@@ -449,9 +504,11 @@ func TestPeerDeathFailsLoudly(t *testing.T) {
 	}
 	_ = cmds[2].Wait()
 	for _, i := range []int{0, 1} {
-		err := waitFor(t, i, cmds[i], 90*time.Second)
+		err := waitFor(t, i, cmds[i], 20*time.Second)
 		if err == nil {
 			t.Errorf("node %d exited cleanly despite a dead peer:\n%s", i, outs[i].String())
+		} else if !strings.Contains(outs[i].String(), "peer node 2") {
+			t.Errorf("node %d's error does not name node 2:\n%s", i, outs[i].String())
 		}
 	}
 }

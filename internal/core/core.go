@@ -201,13 +201,14 @@ type Config struct {
 	// Faults injects network faults (drops, duplicates, latency
 	// spikes) per the plan, seeded from Seed. Setting it also enables
 	// the nodes' reliability layer (retry/backoff + duplicate
-	// suppression) so the protocols survive the faults.
+	// suppression) so the protocols survive the faults. Simulator-only.
 	Faults *simnet.FaultPlan
 	// Retry overrides the reliability layer's retransmission policy;
-	// setting it enables the layer even with Faults nil. The first
-	// reply wait tracks each peer's measured round trip (never under
-	// 1ms); Retry.AttemptTimeout is that wait before the peer's round
-	// trip is known, and its ceiling afterwards.
+	// setting it enables the layer even with Faults nil (nothing else
+	// does: TCP cannot lose a message). The first reply wait tracks each
+	// peer's measured round trip (never under 1ms); Retry.AttemptTimeout
+	// is that wait before the peer's round trip is known, and its
+	// ceiling afterwards.
 	Retry *nodecore.RetryPolicy
 	// WatchdogTimeout arms a cluster-wide stall detector during Run:
 	// if no node dispatches any message for this long while requests
@@ -250,7 +251,8 @@ func (c *Config) fillDefaults() error {
 // memory layout. The TCP handshake exchanges it so a node built with
 // a different page size or protocol is rejected at connect time
 // instead of corrupting the heap mid-run. Timing knobs are excluded:
-// they are simulator-only or node-local. So are the node-local
+// they are simulator-only or node-local — Retry's values, though not
+// whether it is set, which changes the traffic. So are the node-local
 // observers — Advise, EventTrace, AccessTrace, OnStall — which change
 // what a node records, never what it sends.
 func (c Config) Digest() uint64 {
@@ -273,7 +275,7 @@ func (c Config) Digest() uint64 {
 		}
 		return 0
 	}
-	put(bit(c.Batch)<<3 | bit(c.TreeBarrier)<<2 | bit(c.LRCBarrierGC)<<1) // bit 0 stays clear: Advise=false digests are unchanged
+	put(bit(c.Retry != nil)<<4 | bit(c.Batch)<<3 | bit(c.TreeBarrier)<<2 | bit(c.LRCBarrierGC)<<1) // bit 0 stays clear: Advise=false digests are unchanged
 	put(uint64(c.TreeFanout))
 	return h.Sum64()
 }
@@ -364,9 +366,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // network supplies its own latency and faults. Node-local observers
 // (EventTrace, AccessTrace, Advise) are allowed and see this node.
 //
-// The reliability layer defaults on (cfg.Retry nil gets the default
-// policy): a TCP reconnect can drop frames that were in flight, and
-// retransmission with receive-side dedup is what re-covers them.
+// The reliability layer stays off unless cfg.Retry is set: a tcp
+// transport delivers every frame it accepted, in order, or else closes
+// Recv naming the lost peer, so the fault-free protocol is enough.
 func NewDistributedNode(cfg Config, tr transport.Transport, self int) (*Cluster, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -430,7 +432,7 @@ func (c *Cluster) addNode(i int) error {
 		}
 		c.tracers = append(c.tracers, tr)
 	}
-	if cfg.Faults != nil || cfg.Retry != nil || c.self >= 0 {
+	if cfg.Faults != nil || cfg.Retry != nil {
 		var policy nodecore.RetryPolicy
 		if cfg.Retry != nil {
 			policy = *cfg.Retry

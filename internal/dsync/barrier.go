@@ -131,6 +131,12 @@ func (s *Service) handleBarArrive(m *wire.Msg) {
 		}
 	}
 	rf, _ := s.hooks.(ReleaseFilter)
+	// The local waiter goes last: once released, the node may shut down.
+	for i, w := range waiters {
+		if w.from == s.rt.ID() {
+			waiters[i], waiters[len(waiters)-1] = waiters[len(waiters)-1], w
+		}
+	}
 	for _, w := range waiters {
 		data := merged
 		if rf != nil {

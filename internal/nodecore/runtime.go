@@ -392,11 +392,7 @@ func (r *Runtime) Start() {
 // Close cancels pending calls and waits for the dispatch loop (the
 // network must be closed first so the receive channel ends).
 func (r *Runtime) Close() {
-	r.closeOnce.Do(func() {
-		r.closeMu.Lock()
-		close(r.done)
-		r.closeMu.Unlock()
-	})
+	r.closeOnce.Do(r.closeDone)
 	if r.batcher != nil {
 		r.batcher.stop()
 	}
@@ -404,8 +400,17 @@ func (r *Runtime) Close() {
 	r.handlerWG.Wait()
 }
 
+func (r *Runtime) closeDone() {
+	r.closeMu.Lock()
+	close(r.done)
+	r.closeMu.Unlock()
+}
+
 func (r *Runtime) dispatch() {
 	defer r.dispatchWG.Done()
+	// Recv ended (the transport closed or lost a peer): no reply can come
+	// now, so every waiting call and token wait fails at once, by name.
+	defer r.closeOnce.Do(r.closeDone)
 	for m := range r.ep.Recv() {
 		if m.Kind == wire.KBatch {
 			members, err := wire.UnpackBatch(m.Data)

@@ -2,6 +2,7 @@ package nodecore
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -117,6 +118,43 @@ func TestCallTimeout(t *testing.T) {
 	_, err := a.CallT(&wire.Msg{Kind: wire.KDiffReq, To: 1}, 50*time.Millisecond)
 	if err == nil {
 		t.Fatal("no timeout")
+	}
+}
+
+// TestCallFailsWhenRecvEnds: once the endpoint's Recv has closed no
+// reply can arrive, so a call in flight (and a token wait) fails then,
+// by name, instead of at its 30 s deadline — how a node whose transport
+// lost a peer stops.
+func TestCallFailsWhenRecvEnds(t *testing.T) {
+	net, a, b, _, _ := pairNet(t)
+	arrived, release := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	b.Handle(wire.KDiffReq, func(m *wire.Msg) {
+		close(arrived)
+		<-release
+	})
+	callErr, tokErr := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := a.CallT(&wire.Msg{Kind: wire.KDiffReq, To: 1}, 30*time.Second)
+		callErr <- err
+	}()
+	tok, ch := a.NewToken()
+	go func() { tokErr <- a.AwaitToken(tok, ch, 30*time.Second) }()
+	<-arrived
+	start := time.Now()
+	net.Close()
+	for name, errc := range map[string]chan error{"call": callErr, "token wait": tokErr} {
+		select {
+		case err := <-errc:
+			if err == nil || !strings.Contains(err.Error(), "node 0: shutdown while") {
+				t.Fatalf("%s: err = %v, want the named shutdown error", name, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s still waiting 1s after Recv closed", name)
+		}
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("waits returned %v after Recv closed, want within 100ms", d)
 	}
 }
 

@@ -37,9 +37,8 @@ type Node struct {
 	BytesRecv atomic.Int64
 
 	// Connection events of a real transport (zero on the simulator).
-	Dials      atomic.Int64 // outbound connections established
-	Redials    atomic.Int64 // reconnects after a broken connection
-	SendErrors atomic.Int64 // sends that failed at the substrate
+	Dials      atomic.Int64 // outbound connections established (one per peer at most)
+	SendErrors atomic.Int64 // sends that failed at the substrate (a lost peer fails every later one)
 
 	// Fault injection and recovery (all zero on a fault-free network).
 	MsgsDropped    atomic.Int64 // messages this node sent that the network dropped
@@ -98,7 +97,6 @@ type Snapshot struct {
 	MsgsRecv          int64 `stats:"msgs_recv"`
 	BytesRecv         int64 `stats:"bytes_recv"`
 	Dials             int64 `stats:"dials"`
-	Redials           int64 `stats:"redials"`
 	SendErrors        int64 `stats:"send_errors"`
 	MsgsDropped       int64 `stats:"msgs_dropped"`
 	MsgsDuplicated    int64 `stats:"msgs_duplicated"`

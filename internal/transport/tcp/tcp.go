@@ -12,17 +12,18 @@
 // a reject-with-reason, so mismatched builds and miswired clusters
 // fail fast with a clear error instead of desynchronizing. After the
 // handshake, each frame is a 4-byte little-endian length (bounded by
-// wire.MaxEncodedSize) followed by one encoded wire.Msg.
+// wire.MaxEncodedSize) followed by one encoded wire.Msg; a zero length
+// is the end-of-stream frame Close writes.
 //
-// Connection management. Connections are dialed lazily on first
-// send and serialized per peer, which preserves the per-pair FIFO
-// order the DSM protocols assume. Until a peer has been reached once,
-// dialing retries with backoff for Config.DialWindow (cluster
-// processes start at different times); after a peer has been
-// connected, a broken connection is redialed once per send and
-// failure surfaces immediately, so a killed peer produces a crisp
-// transport error for the reliability layer and watchdog rather than
-// a hang.
+// Connection management. Each ordered pair has one connection (a
+// second handshake is rejected), dialed lazily with backoff for
+// Config.DialWindow and written under a per-peer mutex, so TCP itself
+// gives the in-order, lossless delivery the protocols assume. No
+// redial, which could deliver later frames past ones lost with the old
+// connection: a failed dial or write marks the peer lost, failing every
+// later send to it. A connection that ends without the end frame (EOF,
+// reset, a bad frame) while the transport is open means its peer died:
+// Err names it and Recv closes, so the node fails instead of waiting.
 package tcp
 
 import (
@@ -42,7 +43,7 @@ import (
 
 // handshake layout: magic | version | node id | cluster size | digest.
 const (
-	magic          = 0x44534d54 // "DSMT"
+	magic          = 0x44534d55 // "DSMU": framing with the end-of-stream frame
 	handshakeSize  = 4 + 1 + 4 + 4 + 8
 	replyOK        = 0
 	replyReject    = 1
@@ -70,9 +71,9 @@ type Config struct {
 	// page size, workload...). Peers with a different digest are
 	// rejected at the handshake.
 	ConfigDigest uint64
-	// DialWindow bounds the total lazy-dial retry time for a peer
-	// that has never been reached — cluster bring-up skew (default
-	// 15s). Once a peer has connected, broken connections fail fast.
+	// DialWindow bounds the total lazy-dial retry time for a peer —
+	// cluster bring-up skew (default 15s). A connection is dialed
+	// once: when it breaks, the peer is lost.
 	DialWindow time.Duration
 }
 
@@ -98,22 +99,23 @@ type Transport struct {
 
 	peers []*peer // outgoing connections, indexed by node id
 
-	connMu   sync.Mutex
-	incoming []net.Conn // accepted connections, for shutdown
+	connMu    sync.Mutex
+	incoming  []net.Conn // accepted connections, for shutdown
+	connected []bool     // node ids that have opened their one connection here
 
 	errMu    sync.Mutex
 	firstErr error
 
-	wg        sync.WaitGroup // accept loop + per-connection readers
-	closed    chan struct{}
-	closeOnce sync.Once
+	wg       sync.WaitGroup // accept loop + per-connection readers
+	closed   chan struct{}  // the receive side stopped: Close, or a peer died
+	stopOnce sync.Once
 }
 
 // peer is the outgoing connection state for one remote node.
 type peer struct {
-	mu       sync.Mutex // serializes dial+write: preserves per-pair FIFO
-	conn     net.Conn
-	everConn bool // a connection has succeeded at least once
+	mu   sync.Mutex // serializes dial+write: preserves per-pair FIFO
+	conn net.Conn
+	lost error // set by the first failed dial or write; final
 }
 
 // New builds the transport and starts listening. Peers are dialed
@@ -123,9 +125,10 @@ func New(cfg Config) (*Transport, error) {
 		return nil, err
 	}
 	t := &Transport{
-		cfg:    cfg,
-		peers:  make([]*peer, len(cfg.Addrs)),
-		closed: make(chan struct{}),
+		cfg:       cfg,
+		peers:     make([]*peer, len(cfg.Addrs)),
+		connected: make([]bool, len(cfg.Addrs)),
+		closed:    make(chan struct{}),
 	}
 	for i := range t.peers {
 		t.peers[i] = &peer{}
@@ -164,7 +167,7 @@ func (t *Transport) Endpoint(id transport.NodeID) transport.Endpoint {
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
 
 // Err returns the first connection-level error the transport
-// recorded (handshake rejections, corrupt frames), or nil.
+// recorded (handshake rejections, a peer's death), or nil.
 func (t *Transport) Err() error {
 	t.errMu.Lock()
 	defer t.errMu.Unlock()
@@ -179,28 +182,46 @@ func (t *Transport) fail(err error) {
 	t.errMu.Unlock()
 }
 
-// Close implements transport.Transport: stop accepting, tear down
-// every connection, wait for the readers, close the inbox.
+// Close implements transport.Transport: stop, then end each outgoing
+// connection with the end frame: an orderly close, not a death.
 func (t *Transport) Close() {
-	t.closeOnce.Do(func() {
-		close(t.closed)
-		_ = t.ln.Close()
+	t.stop()
+	for _, p := range t.peers {
+		p.mu.Lock()
+		if p.conn != nil {
+			_ = p.conn.SetWriteDeadline(time.Now().Add(dialTimeout))
+			_, _ = p.conn.Write(make([]byte, 4))
+			_ = p.conn.Close()
+			p.conn = nil
+		}
+		p.mu.Unlock()
+	}
+}
+
+// stop ends the receive side, once: stop accepting, tear the incoming
+// connections down, wait for their readers, close the inbox.
+func (t *Transport) stop() {
+	t.stopOnce.Do(func() {
 		t.connMu.Lock()
+		close(t.closed)
 		for _, c := range t.incoming {
 			_ = c.Close()
 		}
 		t.connMu.Unlock()
-		for _, p := range t.peers {
-			p.mu.Lock()
-			if p.conn != nil {
-				_ = p.conn.Close()
-				p.conn = nil
-			}
-			p.mu.Unlock()
-		}
+		_ = t.ln.Close()
 		t.wg.Wait()
 		close(t.ep.inbox)
 	})
+}
+
+// peerDied: a connection ended without the end frame, and unless the
+// transport is stopping (which tore it down), its peer died. stop waits
+// for the readers, hence the go.
+func (t *Transport) peerDied(from transport.NodeID, cause error) {
+	if !t.isClosed() {
+		t.fail(fmt.Errorf("tcp: node %d: peer node %d died: %w", t.cfg.Self, from, cause))
+		go t.stop()
+	}
 }
 
 func (t *Transport) isClosed() bool {
@@ -261,12 +282,15 @@ func (t *Transport) serveConn(conn net.Conn) {
 	defer wire.PutBuf(bp)
 	for {
 		if _, err := io.ReadFull(br, hdr); err != nil {
-			// EOF/reset: peer closed or died; its dialer owns recovery.
+			t.peerDied(from, err)
 			return
 		}
 		n := binary.LittleEndian.Uint32(hdr)
-		if n < 1 || n > wire.MaxEncodedSize {
-			t.fail(fmt.Errorf("tcp: node %d: frame length %d from node %d out of range", t.cfg.Self, n, from))
+		if n == 0 {
+			return // the peer's orderly Close
+		}
+		if n > wire.MaxEncodedSize {
+			t.peerDied(from, fmt.Errorf("frame length %d out of range", n))
 			return
 		}
 		if cap(*bp) < int(n) {
@@ -274,16 +298,19 @@ func (t *Transport) serveConn(conn net.Conn) {
 		}
 		raw := (*bp)[:n]
 		if _, err := io.ReadFull(br, raw); err != nil {
+			t.peerDied(from, err)
 			return
 		}
 		m, err := wire.Decode(raw)
 		if err != nil {
-			t.fail(fmt.Errorf("tcp: node %d: corrupt frame from node %d: %w", t.cfg.Self, from, err))
+			t.peerDied(from, fmt.Errorf("corrupt frame: %w", err))
 			return
 		}
+		t.ep.stMu.RLock()
 		st := t.ep.st.Load()
 		st.MsgsRecv.Add(1)
 		st.BytesRecv.Add(int64(len(raw)))
+		t.ep.stMu.RUnlock()
 		select {
 		case t.ep.inbox <- m:
 		case <-t.closed:
@@ -335,6 +362,12 @@ func (t *Transport) verifyHandshake(conn net.Conn) (transport.NodeID, error) {
 	if digest != t.cfg.ConfigDigest {
 		return -1, fmt.Errorf("config digest mismatch: peer %d has %#x, this node has %#x — the processes were started with different cluster configurations", from, digest, t.cfg.ConfigDigest)
 	}
+	t.connMu.Lock()
+	defer t.connMu.Unlock()
+	if t.connected[from] {
+		return -1, fmt.Errorf("node %d is already connected: a second connection would break per-pair order", from)
+	}
+	t.connected[from] = true
 	return from, nil
 }
 
@@ -342,10 +375,9 @@ func (t *Transport) verifyHandshake(conn net.Conn) (transport.NodeID, error) {
 // Dial side
 // ---------------------------------------------------------------
 
-// dial establishes, handshakes, and returns a connection to node id.
-// patient selects the bring-up path (retry for DialWindow)
-// over the fail-fast redial path.
-func (t *Transport) dial(id transport.NodeID, patient bool) (net.Conn, error) {
+// dial establishes, handshakes, and returns a connection to node id,
+// retrying for DialWindow while the peer is not yet listening.
+func (t *Transport) dial(id transport.NodeID) (net.Conn, error) {
 	addr := t.cfg.Addrs[id]
 	deadline := time.Now().Add(t.cfg.DialWindow)
 	backoff := dialBackoffMin
@@ -363,7 +395,7 @@ func (t *Transport) dial(id transport.NodeID, patient bool) (net.Conn, error) {
 			}
 			return conn, nil
 		}
-		if !patient || !time.Now().Before(deadline) {
+		if !time.Now().Before(deadline) {
 			return nil, fmt.Errorf("tcp: node %d: dial node %d (%s): %w", t.cfg.Self, id, addr, err)
 		}
 		timer := time.NewTimer(backoff)
@@ -425,22 +457,29 @@ type endpoint struct {
 	t     *Transport
 	inbox chan *wire.Msg
 
-	st atomic.Pointer[stats.Node]
+	stMu sync.RWMutex // readers count under it shared, SetStats swaps under it
+	st   atomic.Pointer[stats.Node]
 }
 
 // ID implements transport.Endpoint.
 func (e *endpoint) ID() transport.NodeID { return e.t.cfg.Self }
 
-// SetStats implements transport.Endpoint: st replaces the counter set
-// the endpoint was built with.
-func (e *endpoint) SetStats(st *stats.Node) { e.st.Store(st) }
+// SetStats implements transport.Endpoint: st replaces the endpoint's
+// set and takes over what it counted (a peer may deliver first).
+func (e *endpoint) SetStats(st *stats.Node) {
+	e.stMu.Lock()
+	defer e.stMu.Unlock()
+	old := e.st.Swap(st)
+	st.MsgsRecv.Add(old.MsgsRecv.Swap(0))
+	st.BytesRecv.Add(old.BytesRecv.Swap(0))
+}
 
 // Recv implements transport.Endpoint.
 func (e *endpoint) Recv() <-chan *wire.Msg { return e.inbox }
 
 // Send implements transport.Endpoint: encode once, frame, and write
 // on the peer's connection (dialing it if needed). A message to this
-// node itself is refused.
+// node itself is refused, and so is every message to a lost peer.
 func (e *endpoint) Send(m *wire.Msg) error {
 	t := e.t
 	if t.isClosed() {
@@ -465,26 +504,20 @@ func (e *endpoint) Send(m *wire.Msg) error {
 	p := t.peers[to]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.conn == nil {
-		patient := !p.everConn
-		conn, err := t.dial(to, patient)
-		if err != nil {
-			st.SendErrors.Add(1)
-			return err
-		}
-		if p.everConn {
-			st.Redials.Add(1)
-		} else {
+	if p.conn == nil && p.lost == nil {
+		if p.conn, p.lost = t.dial(to); p.conn != nil {
 			st.Dials.Add(1)
 		}
-		p.conn = conn
-		p.everConn = true
 	}
-	if _, err := p.conn.Write(frame); err != nil {
-		_ = p.conn.Close()
-		p.conn = nil
+	if p.conn != nil {
+		if _, err := p.conn.Write(frame); err != nil {
+			_ = p.conn.Close()
+			p.conn, p.lost = nil, fmt.Errorf("send %v: %w", m.Kind, err)
+		}
+	}
+	if p.lost != nil {
 		st.SendErrors.Add(1)
-		return fmt.Errorf("tcp: node %d: send %v to node %d: %w", t.cfg.Self, m.Kind, to, err)
+		return fmt.Errorf("tcp: node %d: peer node %d lost: %w", t.cfg.Self, to, p.lost)
 	}
 	st.MsgsSent.Add(1)
 	st.BytesSent.Add(int64(len(frame) - 4))

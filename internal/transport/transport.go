@@ -19,8 +19,10 @@
 // copies (senders may reuse the Msg and its payload immediately), and
 // there is no self-delivery — a Send addressed to the endpoint's own
 // node fails, counting nothing (nodecore delivers a node's messages to
-// itself without a transport). Each backend bounds its Recv queue by a
-// fixed depth.
+// itself without a transport). Only the simulator loses messages (by
+// injection, which nodecore's reliability layer recovers); any other
+// backend delivers in order or closes the endpoint. Each backend bounds
+// its Recv queue by a fixed depth.
 package transport
 
 import (
@@ -43,15 +45,14 @@ type Endpoint interface {
 	// before traffic flows.
 	SetStats(st *stats.Node)
 	// Recv returns the channel of delivered messages. The channel is
-	// closed when the transport shuts down.
+	// closed when the transport shuts down or loses a peer.
 	Recv() <-chan *wire.Msg
 	// Send transmits m to m.To, stamping From with this endpoint
 	// unless the caller preserved an origin while forwarding. The
 	// message is encoded at the call and the caller may reuse m (and
 	// its Data) immediately. m.To must be another node: a send to this
 	// endpoint's own id returns an error naming it. A nil error does
-	// not guarantee delivery — backends may drop (faults, dead peers);
-	// loss recovery belongs to the nodecore reliability layer.
+	// not guarantee delivery: faults, dead peers.
 	Send(m *wire.Msg) error
 }
 
