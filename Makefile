@@ -20,15 +20,18 @@ build:
 # short stress of the message path's ordering and
 # hand-off tests (direct vs queued simnet delivery, the runtime's
 # self-delivery, inline handlers), of both transports' refusal of
-# self-sends racing Close, and of the TCP transport's fail-stop (a
-# peer lost mid-stream closes Recv; an orderly Close does not), whose
-# failures would be scheduling-dependent.
+# self-sends racing Close, of the TCP transport's fail-stop (a
+# peer lost mid-stream closes Recv; an orderly Close does not), and of
+# the lock-free read hit against every bracketed frame mutation, an
+# sc invalidation and unaligned word stores, whose failures would be
+# scheduling-dependent.
 test: vet smoke bench-alloc
 	$(GO) test ./... -timeout 1200s
 	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/dsync ./internal/core ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace ./internal/mem ./internal/proto/lrc ./internal/proto/erc ./internal/proto/sc ./internal/proto/classic ./internal/proto/ec ./internal/wire
 	$(GO) test -race -count=20 -run 'FIFO|SelfDeliver|Inline' ./internal/simnet ./internal/nodecore ./internal/dsync
 	$(GO) test -race -count=20 -run 'Conformance/SelfSendRejected' ./internal/simnet ./internal/transport/tcp
 	$(GO) test -race -count=20 -run 'PeerLost|OrderlyClose' ./internal/transport/tcp
+	$(GO) test -race -count=20 -run 'OptimisticRead|ReadHitSeesInvalidation|UnalignedWord' ./internal/mem ./internal/nodecore ./internal/core
 
 # Allocation regression gate. The thresholds are checked into the
 # tests themselves: the ZeroAlloc tests assert 0 allocs/op in steady
@@ -44,10 +47,12 @@ test: vet smoke bench-alloc
 # at their current counts. The
 # benchmarks print current numbers for the paths that clone by design
 # (receive-side decode), for a lock round trip (manager = self / = the
-# peer) and for that release on a 1 MiB and a 64 MiB heap.
+# peer), for that release on a 1 MiB and a 64 MiB heap, and for the
+# read hit from every goroutine at once on one page, where the
+# lock-free hit must not contend.
 bench-alloc:
 	$(GO) test -run 'ZeroAlloc|AllocBudget' -count=1 ./internal/wire/ ./internal/mem/ ./internal/nodecore/ ./internal/trace/ ./internal/kv/ ./internal/metrics/ ./internal/dsync/ ./internal/proto/lrc/
-	$(GO) test -run '^$$' -bench 'Encode|DecodeInto|PackBatch|AppendDiff|ApplyDiff|FrameRoundTrip|ReadHit|WriteHit|EmitDisabled|EmitEnabled|AccessEmit|HistObserve|KVOpRecord|SampleOnce|PromWrite|LockLocal|LockRemoteSim|ReleaseOneDirtyPage' \
+	$(GO) test -run '^$$' -bench 'Encode|DecodeInto|PackBatch|AppendDiff|ApplyDiff|FrameRoundTrip|ReadHit|ReadHitParallel|WriteHit|EmitDisabled|EmitEnabled|AccessEmit|HistObserve|KVOpRecord|SampleOnce|PromWrite|LockLocal|LockRemoteSim|ReleaseOneDirtyPage' \
 		-benchtime 1000x -benchmem -timeout 300s ./internal/wire/ ./internal/mem/ ./internal/nodecore/ ./internal/transport/tcp/ ./internal/trace/ ./internal/kv/ ./internal/metrics/ ./internal/dsync/ ./internal/proto/lrc/
 
 short:

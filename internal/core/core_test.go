@@ -1,7 +1,10 @@
 package core_test
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,6 +146,59 @@ func TestTypedAccessors(t *testing.T) {
 	}
 	if v, err := m.ReadUint64(addr + 16); err != nil || v != 1<<60 {
 		t.Fatalf("uint = %v, %v", v, err)
+	}
+}
+
+// TestReadHitSeesInvalidation: node 1 spins on a word, mostly on the
+// lock-free read hit, while node 0 writes 1…N to it under sc-fixed.
+// Node 0 writes the next value only once node 1 has seen the last, so
+// every write invalidates the copy node 1 is spinning on. Node 1 must
+// see the values in order — never one older than a value it has
+// already read — and end at N; a hit that missed an invalidation would
+// spin on a stale value until node 0 gives up.
+func TestReadHitSeesInvalidation(t *testing.T) {
+	const n = 300
+	c, err := core.NewCluster(core.Config{Nodes: 2, PageSize: 256, HeapBytes: 1 << 12, Protocol: core.SCFixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	addr := c.MustAlloc(8)
+	var seen atomic.Uint64 // the last value node 1 read
+	var gaveUp atomic.Bool
+	err = c.Run(func(nd *core.Node) error {
+		if nd.ID() == 0 {
+			for v := uint64(1); v <= n; v++ {
+				if err := nd.WriteUint64(addr, v); err != nil {
+					return err
+				}
+				for deadline := time.Now().Add(5 * time.Second); seen.Load() < v; runtime.Gosched() {
+					if time.Now().After(deadline) {
+						gaveUp.Store(true)
+						return fmt.Errorf("node 1 never read %d (last read %d)", v, seen.Load())
+					}
+				}
+			}
+			return nil
+		}
+		for last := uint64(0); last != n && !gaveUp.Load(); {
+			v, err := nd.ReadUint64(addr)
+			if err != nil {
+				return err
+			}
+			if v < last {
+				return fmt.Errorf("read %d after %d", v, last)
+			}
+			last = v
+			seen.Store(v)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats()[1]; s.ReadFaults < n {
+		t.Errorf("node 1 took %d read faults for %d values", s.ReadFaults, n)
 	}
 }
 

@@ -59,12 +59,11 @@ func AppendDiff(out, base, cur []byte) []byte {
 	return out
 }
 
-// walkRuns is the one pass over a diff's runs: each is copied into dst,
-// or, when runs is non-nil, recorded there as (offset, length) instead.
-// size is the extent the runs must stay within. The gap is checked as
-// the uint64 it arrives as: converted first, a hostile one turns
-// negative and walks the offset back out of the page.
-func walkRuns(dst, diff []byte, size int, runs *[][2]int) error {
+// walkRuns is the one pass over a diff's runs: each is handed to visit
+// with its offset. size is the extent the runs must stay within. The
+// gap is checked as the uint64 it arrives as: converted first, a
+// hostile one turns negative and walks the offset back out of the page.
+func walkRuns(diff []byte, size int, visit func(off int, run []byte)) error {
 	pos := 0
 	for len(diff) > 0 {
 		gap, n := binary.Uvarint(diff)
@@ -88,11 +87,7 @@ func walkRuns(dst, diff []byte, size int, runs *[][2]int) error {
 		if end > size {
 			return fmt.Errorf("mem: diff: run [%d,%d) exceeds size %d", start, end, size)
 		}
-		if runs != nil {
-			*runs = append(*runs, [2]int{start, int(length)})
-		} else {
-			copy(dst[start:end], diff[:length])
-		}
+		visit(start, diff[:length])
 		diff = diff[length:]
 		pos = end
 	}
@@ -102,13 +97,13 @@ func walkRuns(dst, diff []byte, size int, runs *[][2]int) error {
 // ApplyDiff patches dst in place with a diff produced by CreateDiff.
 // It returns an error if the diff is malformed or overruns dst.
 func ApplyDiff(dst, diff []byte) error {
-	return walkRuns(dst, diff, len(dst), nil)
+	return walkRuns(diff, len(dst), func(off int, run []byte) { copy(dst[off:], run) })
 }
 
 // DiffRanges reports the (offset, length) runs encoded in a diff,
 // without applying it; a run past byte 2^31 is taken for malformed.
 // Useful for tests and tracing.
 func DiffRanges(diff []byte) (runs [][2]int, err error) {
-	err = walkRuns(nil, diff, math.MaxInt32, &runs)
+	err = walkRuns(diff, math.MaxInt32, func(off int, run []byte) { runs = append(runs, [2]int{off, len(run)}) })
 	return runs, err
 }

@@ -17,12 +17,20 @@
 // is why MakeTwin lists unconditionally. Engines that never take (sc,
 // classic, ec) never clear a dirty flag: each page is listed at most
 // once.
+//
+// Frame stores are word-atomic: a frame is a []uint64, a change a
+// reader could see in more than one word is bracketed by the page's
+// version word, and a protection change moves it, so LoadUint64 reads
+// an aligned word with no lock (a seqlock read; DESIGN.md §4.1).
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
 // Prot is a page protection level, mirroring the hardware page-table
@@ -57,7 +65,8 @@ type PageID = int32
 
 // Page is one node's view of a shared page plus the protocol metadata
 // engines keep for it. All fields except the latch internals are
-// manipulated by protocol engines while holding Lock.
+// manipulated by protocol engines while holding Lock (LoadUint64 reads
+// state and frame without it).
 type Page struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -65,8 +74,9 @@ type Page struct {
 	id  PageID
 	tbl *Table // page size, and the written list
 
-	prot   Prot
-	data   []byte // lazily allocated; nil means all-zero
+	state atomic.Uint64          // the version word: see changing
+	frame atomic.Pointer[uint64] // word 0 of the frame; nil reads all-zero
+
 	twin   []byte // snapshot for diffing; nil when no twin
 	dirty  bool   // written since last twin/flush
 	listed bool   // on tbl's written list; guarded by tbl.wmu, not mu
@@ -101,11 +111,22 @@ func (p *Page) Lock() { p.mu.Lock() }
 // Unlock releases the page's mutex.
 func (p *Page) Unlock() { p.mu.Unlock() }
 
-// Prot returns the current protection. Caller must hold Lock.
-func (p *Page) Prot() Prot { return p.prot }
+// The version word: bit 0 (changing) is set while a change a lock-free
+// reader could observe is under way, bits 1-2 hold the Prot, the bits
+// above count finished changes. Only the Lock holder writes it.
+const changing, protShift, verShift = 1, 1, 3
 
-// SetProt updates the protection. Caller must hold Lock.
-func (p *Page) SetProt(prot Prot) { p.prot = prot }
+// Prot returns the current protection. Caller must hold Lock.
+func (p *Page) Prot() Prot { return Prot(p.state.Load() >> protShift & 3) }
+
+// SetProt updates the protection, with a new version that also ends any
+// bracket begin opened. Caller must hold Lock.
+func (p *Page) SetProt(prot Prot) {
+	p.state.Store((p.state.Load()>>verShift+1)<<verShift | uint64(prot&3)<<protShift)
+}
+
+// begin opens a version bracket: until SetProt, LoadUint64 fails.
+func (p *Page) begin() { p.state.Store(p.state.Load() | changing) }
 
 // Dirty reports whether the page was written since the last twin
 // snapshot or flush. Caller must hold Lock.
@@ -141,20 +162,68 @@ func (p *Page) wrote() {
 	t.wmu.Unlock()
 }
 
-// Data returns the page frame, allocating a zeroed frame on first
-// use. Caller must hold Lock.
-func (p *Page) Data() []byte {
-	if p.data == nil {
-		p.data = make([]byte, p.Size())
+// words returns the frame, allocating it zeroed (as the nil one reads,
+// so with no bracket) on first use. Caller must hold Lock.
+func (p *Page) words() []uint64 {
+	w := p.frame.Load()
+	if w == nil {
+		w = &make([]uint64, p.Size()/8)[0]
+		p.frame.Store(w)
 	}
-	return p.data
+	return unsafe.Slice(w, p.Size()/8)
 }
+
+// data is the frame's byte view for reads under Lock, nil if unwritten.
+func (p *Page) data() []byte {
+	w := p.frame.Load()
+	if w == nil {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(w)), p.Size())
+}
+
+// store writes b at off and sets prot inside one version bracket.
+func (p *Page) store(off int, b []byte, prot Prot) {
+	w := p.words()
+	p.begin()
+	put(w, off, b)
+	p.SetProt(prot)
+}
+
+// put stores b into frame w at off, one atomic store per word, merging
+// a word b covers in part with its current bytes.
+func put(w []uint64, off int, b []byte) {
+	for len(b) > 0 {
+		i, lo := off>>3, off&7
+		if lo == 0 && len(b) >= 8 {
+			atomic.StoreUint64(&w[i], binary.NativeEndian.Uint64(b))
+			off, b = off+8, b[8:]
+			continue
+		}
+		var x [8]byte
+		binary.NativeEndian.PutUint64(x[:], w[i])
+		n := copy(x[lo:], b)
+		atomic.StoreUint64(&w[i], binary.NativeEndian.Uint64(x[:]))
+		off, b = off+n, b[n:]
+	}
+}
+
+// le converts between a frame word and the little-endian value its
+// bytes hold (a byte swap only on a big-endian host).
+func le(w uint64) uint64 {
+	if bigEndian {
+		w = bits.ReverseBytes64(w)
+	}
+	return w
+}
+
+var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
 
 // Snapshot returns a copy of the page contents (zeros if untouched).
 // Caller must hold Lock.
 func (p *Page) Snapshot() []byte {
 	out := make([]byte, p.Size())
-	copy(out, p.data) // copy from nil copies nothing: stays zero
+	copy(out, p.data()) // copy from nil copies nothing: stays zero
 	return out
 }
 
@@ -162,13 +231,13 @@ func (p *Page) Snapshot() []byte {
 // grant carrying page data arrives. A nil data keeps the current
 // frame. Caller must hold Lock.
 func (p *Page) Install(data []byte, prot Prot) {
-	if data != nil {
-		if len(data) != p.Size() {
-			panic(fmt.Sprintf("mem: Install page %d: payload %d bytes, page size %d", p.id, len(data), p.Size()))
-		}
-		copy(p.Data(), data)
+	if data == nil {
+		p.SetProt(prot)
+	} else if len(data) != p.Size() {
+		panic(fmt.Sprintf("mem: Install page %d: payload %d bytes, page size %d", p.id, len(data), p.Size()))
+	} else {
+		p.store(0, data, prot)
 	}
-	p.prot = prot
 }
 
 // MakeTwin snapshots the current contents as the diff base and marks
@@ -193,7 +262,8 @@ func (p *Page) DiffAgainstTwin() []byte {
 	if p.twin == nil {
 		panic(fmt.Sprintf("mem: DiffAgainstTwin page %d: no twin", p.id))
 	}
-	return CreateDiff(p.twin, p.Data())
+	p.words() // a never-written page diffs as zeros
+	return CreateDiff(p.twin, p.data())
 }
 
 // UnflushedDiff encodes the stores made since the twin was taken: what
@@ -222,7 +292,7 @@ func (p *Page) RefreshTwin() {
 	if p.twin == nil {
 		p.twin = p.Snapshot()
 	} else {
-		clear(p.twin[copy(p.twin, p.data):]) // a nil frame is all zeros
+		clear(p.twin[copy(p.twin, p.data()):]) // a nil frame is all zeros
 	}
 	p.dirty = false
 }
@@ -231,7 +301,11 @@ func (p *Page) RefreshTwin() {
 // pending local diff will not re-send remotely applied runs) with an
 // encoded diff. Caller must hold Lock.
 func (p *Page) ApplyDiffLocked(diff []byte, alsoTwin bool) error {
-	if err := ApplyDiff(p.Data(), diff); err != nil {
+	w := p.words()
+	p.begin()
+	err := walkRuns(diff, p.Size(), func(off int, run []byte) { put(w, off, run) })
+	p.SetProt(p.Prot())
+	if err != nil {
 		return fmt.Errorf("page %d: %w", p.id, err)
 	}
 	if alsoTwin && p.twin != nil {
@@ -280,33 +354,48 @@ func (p *Page) LatchRelease() {
 // ReadInto copies page bytes [off, off+len(buf)) into buf.
 // Caller must hold Lock and have checked protection.
 func (p *Page) ReadInto(buf []byte, off int) {
-	if p.data == nil {
+	d := p.data()
+	if d == nil {
 		clear(buf)
 		return
 	}
-	copy(buf, p.data[off:off+len(buf)])
+	copy(buf, d[off:off+len(buf)])
 }
 
 // WriteFrom copies buf into page bytes [off, off+len(buf)).
 // Caller must hold Lock and have checked protection.
 func (p *Page) WriteFrom(buf []byte, off int) {
-	copy(p.Data()[off:off+len(buf)], buf)
+	p.store(off, buf, p.Prot())
 	p.markDirty()
 }
 
-// Uint64 loads the 8-byte little-endian word at off: ReadInto for one
-// word with no buffer in between, as PutUint64 is WriteFrom. A
-// never-written page reads 0 without allocating its frame. Caller
-// must hold Lock and have checked protection.
-func (p *Page) Uint64(off int) uint64 {
-	if p.data == nil {
-		return 0
+// LoadUint64 loads the little-endian word at an aligned off in the page
+// without the lock, as a seqlock read: ok is false, and the caller must
+// lock, if the page is not readable or its version moved. An accepted
+// value is what a locked read returned at some instant between the two
+// version loads. A never-written page reads 0.
+func (p *Page) LoadUint64(off int) (v uint64, ok bool) {
+	s := p.state.Load()
+	if s&changing != 0 || Prot(s>>protShift&3) < ReadOnly {
+		return 0, false
 	}
-	return binary.LittleEndian.Uint64(p.data[off:])
+	if w := p.frame.Load(); w != nil {
+		v = le(atomic.LoadUint64((*uint64)(unsafe.Add(unsafe.Pointer(w), off))))
+	}
+	return v, p.state.Load() == s
 }
 
-// PutUint64 stores the 8-byte word v at off and marks the page dirty.
+// PutUint64 stores the 8-byte little-endian word v at off and marks the
+// page dirty. Aligned, it is one atomic store, which LoadUint64 sees
+// whole, so it needs no bracket; unaligned, two word merges inside one.
+// Caller must hold Lock and have checked protection.
 func (p *Page) PutUint64(off int, v uint64) {
-	binary.LittleEndian.PutUint64(p.Data()[off:], v)
+	if off&7 == 0 {
+		atomic.StoreUint64(&p.words()[off>>3], le(v))
+	} else {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		p.store(off, b[:], p.Prot())
+	}
 	p.markDirty()
 }

@@ -22,11 +22,11 @@ type Table struct {
 }
 
 // NewTable builds a page table for a heap of heapBytes bytes with the
-// given page size (a power of two). heapBytes is rounded up to a
-// whole number of pages.
+// given page size (a power of two, at least one 8-byte word). heapBytes
+// is rounded up to a whole number of pages.
 func NewTable(heapBytes int64, pageSize int) (*Table, error) {
-	if pageSize <= 0 || pageSize&(pageSize-1) != 0 {
-		return nil, fmt.Errorf("mem: page size %d is not a positive power of two", pageSize)
+	if pageSize < 8 || pageSize&(pageSize-1) != 0 {
+		return nil, fmt.Errorf("mem: page size %d is not a power of two >= 8", pageSize)
 	}
 	if heapBytes <= 0 {
 		return nil, fmt.Errorf("mem: heap size %d must be positive", heapBytes)

@@ -346,16 +346,24 @@ func TestWithin(t *testing.T) {
 	}
 }
 
-// TestPageWords: the word helpers agree with ReadInto/WriteFrom, a
-// store marks the page dirty, and a never-written page reads 0
-// without allocating its frame.
+// TestPageWords: the word helpers agree with ReadInto/WriteFrom, at
+// aligned and unaligned offsets, a store marks the page dirty, and a
+// never-written page reads 0 without allocating its frame.
 func TestPageWords(t *testing.T) {
 	tbl, _ := NewTable(1024, 256)
 	p := tbl.Page(1)
 	p.Lock()
 	defer p.Unlock()
-	if p.Uint64(8) != 0 || p.Uint64(248) != 0 || p.data != nil {
-		t.Fatalf("never-written page: words %d %d, frame allocated: %v", p.Uint64(8), p.Uint64(248), p.data != nil)
+	p.SetProt(ReadOnly)
+	word := func(off int) uint64 {
+		v, ok := p.LoadUint64(off)
+		if !ok {
+			t.Fatalf("LoadUint64(%d) refused a stable readable page", off)
+		}
+		return v
+	}
+	if word(8) != 0 || word(248) != 0 || p.data() != nil {
+		t.Fatalf("never-written page: words %d %d, frame allocated: %v", word(8), word(248), p.data() != nil)
 	}
 	p.PutUint64(9, 0x0807060504030201)
 	if !p.Dirty() {
@@ -367,7 +375,12 @@ func TestPageWords(t *testing.T) {
 		t.Fatalf("frame holds %x, want %x", got, want)
 	}
 	p.WriteFrom([]byte{9, 9, 9, 9, 9, 9, 9, 9}, 248)
-	if p.Uint64(248) != 0x0909090909090909 || p.Uint64(9) != 0x0807060504030201 {
-		t.Fatalf("words read %#x %#x", p.Uint64(248), p.Uint64(9))
+	p.PutUint64(16, 0x1112131415161718)
+	if word(248) != 0x0909090909090909 || word(8) != 0x0706050403020100 || word(16) != 0x1112131415161718 {
+		t.Fatalf("words read %#x %#x %#x", word(248), word(8), word(16))
+	}
+	p.ReadInto(got[:8], 16)
+	if want := []byte{0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11}; !bytes.Equal(got[:8], want) {
+		t.Fatalf("aligned store left %x, want %x", got[:8], want)
 	}
 }

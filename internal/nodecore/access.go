@@ -145,31 +145,17 @@ func (r *Runtime) servedFault(page mem.PageID, write bool) error {
 // Typed accessors. Values are stored little-endian. An aligned value
 // never spans pages because page sizes are powers of two >= 8.
 
-// hit returns the page holding the 8-byte word at addr, locked, and
-// the word's offset in it, if this is a local hit: no observer
-// (hooked), the word inside one page, protection at least want.
-// Otherwise p is nil and the caller takes the general path, the only
-// place the hooks are tested.
-func (r *Runtime) hit(addr int64, want mem.Prot) (p *mem.Page, off int) {
-	p, off, ok := r.tbl.Within(addr, 8)
-	if r.hooked || !ok {
-		return nil, 0
-	}
-	p.Lock()
-	if p.Prot() < want {
-		p.Unlock()
-		return nil, 0
-	}
-	return p, off
-}
-
-// ReadUint64 loads the 8-byte value at addr.
+// ReadUint64 loads the 8-byte value at addr. An aligned word on a
+// readable page is a local hit read without the page lock
+// (mem.Page.LoadUint64); anything else, and a hit whose page was
+// changing, takes the general path. So does every access while hooked:
+// it is the only place the hooks are tested.
 func (r *Runtime) ReadUint64(addr int64) (uint64, error) {
-	if p, off := r.hit(addr, mem.ReadOnly); p != nil {
-		v := p.Uint64(off)
-		p.Unlock()
-		r.st.Reads.Add(1)
-		return v, nil
+	if p, off, ok := r.tbl.Within(addr, 8); ok && !r.hooked && off&7 == 0 {
+		if v, ok := p.LoadUint64(off); ok {
+			r.st.Reads.Add(1)
+			return v, nil
+		}
 	}
 	var b [8]byte
 	if err := r.ReadAt(addr, b[:]); err != nil {
@@ -178,13 +164,19 @@ func (r *Runtime) ReadUint64(addr int64) (uint64, error) {
 	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-// WriteUint64 stores an 8-byte value at addr.
+// WriteUint64 stores an 8-byte value at addr. A word inside one
+// writable page is a local hit, stored under the page lock: the store
+// must exclude an invalidation's snapshot, and it sets the dirty flag.
 func (r *Runtime) WriteUint64(addr int64, v uint64) error {
-	if p, off := r.hit(addr, mem.ReadWrite); p != nil {
-		p.PutUint64(off, v)
+	if p, off, ok := r.tbl.Within(addr, 8); ok && !r.hooked {
+		p.Lock()
+		if p.Prot() == mem.ReadWrite {
+			p.PutUint64(off, v)
+			p.Unlock()
+			r.st.Writes.Add(1)
+			return nil
+		}
 		p.Unlock()
-		r.st.Writes.Add(1)
-		return nil
 	}
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)

@@ -112,6 +112,26 @@ func BenchmarkReadHit(b *testing.B) {
 	}
 }
 
+// BenchmarkReadHitParallel reads one word of one page from every
+// goroutine: a hit that took the page mutex would contend on it, the
+// lock-free one shares the page's cache lines read-only.
+func BenchmarkReadHitParallel(b *testing.B) {
+	rt := solo(b, 1<<14, 1024, nil)
+	if err := rt.WriteUint64(8, 7); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if v, err := rt.ReadUint64(8); err != nil || v != 7 {
+				b.Errorf("read %d, %v", v, err)
+				return
+			}
+		}
+	})
+}
+
 func BenchmarkWriteHit(b *testing.B) {
 	rt := solo(b, 1<<14, 1024, nil)
 	b.ReportAllocs()
@@ -470,5 +490,91 @@ func TestConcurrentHitsAndInvalidations(t *testing.T) {
 	}
 	if s := rt.Stats().Snapshot(); s.Reads != workers*rounds+workers || s.Writes != workers*rounds || s.Faults() == 0 {
 		t.Errorf("reads %d writes %d faults %d", s.Reads, s.Writes, s.Faults())
+	}
+}
+
+// TestUnalignedWordAccess: a word 1–7 bytes off alignment, at a page's
+// start and ending inside its last whole word, is read and written
+// under the page lock — its store is two aligned word merges in one
+// version bracket, never an atomic on a misaligned address. It
+// round-trips and agrees with ReadAt, and leaves the bytes around it
+// alone. Meanwhile a reader loads the two aligned words the store
+// overlaps, lock-free: each must show the overlapped bytes of one
+// store, never of two, in the order they were written.
+func TestUnalignedWordAccess(t *testing.T) {
+	const ps = 64
+	le := binary.LittleEndian
+	for k := int64(1); k <= 7; k++ {
+		rt := solo(t, 4*ps, ps, nil)
+		shadow := make([]byte, 4*ps)
+		for _, a := range []int64{ps + k, 2*ps - 8 - k, 2*ps - 8} {
+			for _, v := range []uint64{0x0807060504030201, ^uint64(0), 0} {
+				if err := rt.WriteUint64(a, v); err != nil {
+					t.Fatal(err)
+				}
+				le.PutUint64(shadow[a:], v)
+				var b [8]byte
+				got, err := rt.ReadUint64(a)
+				if err == nil {
+					err = rt.ReadAt(a, b[:])
+				}
+				if err != nil || got != v || le.Uint64(b[:]) != v {
+					t.Fatalf("offset %d: wrote %#x, ReadUint64 %#x, ReadAt %x (%v)", a, v, got, b, err)
+				}
+			}
+		}
+		all := make([]byte, 4*ps)
+		if err := rt.ReadAt(0, all); err != nil || !bytes.Equal(all, shadow) {
+			t.Fatalf("k=%d: heap %x, want %x (%v)", k, all, shadow, err)
+		}
+
+		// Store j in every byte of the word at ps+8+k, j = 1..255, while a
+		// reader watches the aligned words at ps+8 and ps+16.
+		a := ps + 8 + k
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last [2]byte
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for w, word := range []int64{ps + 8, ps + 16} {
+					v, err := rt.ReadUint64(word)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					var b [8]byte
+					le.PutUint64(b[:], v)
+					lo, hi := int(k), 8 // the bytes of word 0 the store covers
+					if w == 1 {
+						lo, hi = 0, int(k)
+					}
+					for i := range b {
+						want := b[lo] // every covered byte from one store
+						if i < lo || i >= hi {
+							want = 0
+						}
+						if b[i] != want || b[lo] < last[w] {
+							t.Errorf("k=%d: word %#x holds %x after %#x", k, word, b, last[w])
+							return
+						}
+					}
+					last[w] = b[lo]
+				}
+			}
+		}()
+		for j := uint64(1); j <= 255; j++ {
+			if err := rt.WriteUint64(a, j*0x0101010101010101); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(done)
+		wg.Wait()
 	}
 }

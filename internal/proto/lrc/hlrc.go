@@ -41,11 +41,14 @@ func (e *Engine) validateFromHome(pg mem.PageID) error {
 	p.Lock()
 	defer p.Unlock()
 	localDiff, _ := p.UnflushedDiff()
-	p.Install(reply.Data, mem.ReadOnly)
+	// Invalid until the local writes are back on top: a lock-free read
+	// must never see the home's copy without them.
+	p.Install(reply.Data, mem.Invalid)
+	prot := mem.ReadOnly
 	if p.HasTwin() {
 		// New base for the current interval's eventual diff.
 		p.RefreshTwin()
-		p.SetProt(mem.ReadWrite)
+		prot = mem.ReadWrite
 	}
 	if len(localDiff) > 0 {
 		if err := p.ApplyDiffLocked(localDiff, false); err != nil {
@@ -53,6 +56,7 @@ func (e *Engine) validateFromHome(pg mem.PageID) error {
 		}
 		p.SetDirty(true)
 	}
+	p.SetProt(prot)
 	e.rt.Stats().UpdatesApplied.Add(1)
 	return nil
 }
