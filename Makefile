@@ -19,7 +19,9 @@ build:
 # the race detector (their concurrency is the most delicate), and a
 # short stress of the message path's ordering and
 # hand-off tests (direct vs queued simnet delivery, the runtime's
-# self-delivery, inline handlers), of both transports' refusal of
+# self-delivery, inline handlers), of sender-side delivery (a delivery
+# chain re-entering a batch flush, inline chains across three nodes,
+# frames that wait for Attach), of both transports' refusal of
 # self-sends racing Close, of the TCP transport's fail-stop (a
 # peer lost mid-stream closes Recv; an orderly Close does not), and of
 # the lock-free read hit against every bracketed frame mutation, an
@@ -29,6 +31,7 @@ test: vet smoke bench-alloc
 	$(GO) test ./... -timeout 1200s
 	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/dsync ./internal/core ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace ./internal/mem ./internal/proto/lrc ./internal/proto/erc ./internal/proto/sc ./internal/proto/classic ./internal/proto/ec ./internal/wire
 	$(GO) test -race -count=20 -run 'FIFO|SelfDeliver|Inline' ./internal/simnet ./internal/nodecore ./internal/dsync
+	$(GO) test -race -count=20 -run 'Reentry|InlineChain|DirectDelivery|BeforeAttach|FIFO' ./internal/simnet ./internal/nodecore ./internal/dsync ./internal/transport/tcp
 	$(GO) test -race -count=20 -run 'Conformance/SelfSendRejected' ./internal/simnet ./internal/transport/tcp
 	$(GO) test -race -count=20 -run 'PeerLost|OrderlyClose' ./internal/transport/tcp
 	$(GO) test -race -count=20 -run 'OptimisticRead|ReadHitSeesInvalidation|UnalignedWord' ./internal/mem ./internal/nodecore ./internal/core

@@ -367,8 +367,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // (EventTrace, AccessTrace, Advise) are allowed and see this node.
 //
 // The reliability layer stays off unless cfg.Retry is set: a tcp
-// transport delivers every frame it accepted, in order, or else closes
-// Recv naming the lost peer, so the fault-free protocol is enough.
+// transport delivers every frame it accepted, in order, or else goes
+// down naming the lost peer, so the fault-free protocol is enough.
 func NewDistributedNode(cfg Config, tr transport.Transport, self int) (*Cluster, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -463,7 +463,9 @@ func (c *Cluster) addNode(i int) error {
 	return nil
 }
 
-// start launches the local nodes' dispatch loops and engines.
+// start attaches the local nodes' runtimes to their endpoints (from
+// then on the transport delivers into them; there is no receive loop to
+// launch) and initialises the engines.
 func (c *Cluster) start() {
 	for _, n := range c.nodes {
 		n.rt.Start()

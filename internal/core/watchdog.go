@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// watchdog detects cluster-wide stalls: if no node's dispatch loop
-// processes any *useful* message for the configured window while
+// watchdog detects cluster-wide stalls: if no node's runtime is
+// delivered any *useful* message for the configured window while
 // requests are in flight, the run is declared stuck. Retransmissions
 // that actually deliver count as progress, but retransmits suppressed
 // as duplicates and late-discarded replies do not — a cluster

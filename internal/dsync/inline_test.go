@@ -43,7 +43,7 @@ func TestInlineSelfManagedLockIsSynchronous(t *testing.T) {
 
 // KBarArrive must stay on its own goroutine: an interior node of the
 // tree calls its parent from inside the handler, and its reply comes
-// through the dispatch loop an inline handler would be holding up.
+// through a delivery path an inline handler would be holding up.
 // Seven nodes at fanout 2 give two interior levels.
 func TestInlineExcludesTreeBarrier(t *testing.T) {
 	const n, episodes = 7, 20

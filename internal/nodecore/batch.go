@@ -1,6 +1,7 @@
 package nodecore
 
 import (
+	"bytes"
 	"sync"
 	"time"
 
@@ -20,8 +21,8 @@ import (
 // order between queued and direct traffic.
 //
 // Batching composes with the reliability layer because members keep
-// their own request ids and Attempt counters: the receiving dispatch
-// loop unpacks a batch and runs every member through the same
+// their own request ids and Attempt counters: the receiving runtime
+// unpacks a batch and runs every member through the same
 // reply-routing and duplicate-suppression path as a lone message. The
 // batch frame itself carries no request id and is never deduplicated;
 // retransmissions travel per member.
@@ -32,15 +33,17 @@ const (
 	batchMaxDelay = time.Millisecond // a queued message waits at most this long for company
 )
 
-// batcher holds the per-destination queues. The mutex is held across
-// the endpoint send so that a piggybacking direct send cannot be
-// overtaken by a concurrent flush of the same queue.
+// batcher holds the per-destination queues. Its mutex is never held
+// across a transmission, which may run inline handlers that send back
+// through it (DESIGN.md §4.2); one goroutine at a time transmits to a
+// destination, so frames leave in queue order.
 type batcher struct {
 	r *Runtime
 
 	mu    sync.Mutex
 	q     map[transport.NodeID][]*wire.Msg
 	bytes map[transport.NodeID]int
+	busy  map[transport.NodeID]bool // a goroutine is transmitting to the destination
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -54,6 +57,7 @@ func newBatcher(r *Runtime, maxDelay time.Duration) *batcher {
 		r:      r,
 		q:      make(map[transport.NodeID][]*wire.Msg),
 		bytes:  make(map[transport.NodeID]int),
+		busy:   make(map[transport.NodeID]bool),
 		stopCh: make(chan struct{}),
 	}
 	b.wg.Add(1)
@@ -88,64 +92,76 @@ func (b *batcher) flusher(maxDelay time.Duration) {
 // From-stamped and remote-addressed.
 func (b *batcher) enqueue(m *wire.Msg) error {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.q[m.To] = append(b.q[m.To], m)
 	b.bytes[m.To] += m.EncodedSize()
-	if len(b.q[m.To]) >= batchMaxMsgs || b.bytes[m.To] >= batchMaxBytes {
-		return b.flushDestLocked(m.To)
+	full := len(b.q[m.To]) >= batchMaxMsgs || b.bytes[m.To] >= batchMaxBytes
+	b.mu.Unlock()
+	if full {
+		return b.send(m.To)
 	}
 	return nil
 }
 
 // sendWithPending transmits m, letting any queued messages for the
 // same destination ride along in one frame ahead of it.
-func (b *batcher) sendWithPending(m *wire.Msg) error {
-	b.mu.Lock()
-	if len(b.q[m.To]) == 0 {
-		b.mu.Unlock()
-		return b.r.xmit(m)
-	}
-	defer b.mu.Unlock()
-	b.q[m.To] = append(b.q[m.To], m)
-	return b.flushDestLocked(m.To)
-}
+func (b *batcher) sendWithPending(m *wire.Msg) error { return b.send(m.To, m) }
 
 // sendBatchFrame transmits several first-transmission requests to one
 // destination in a single frame, prepending any queued one-way
 // messages for it.
 func (b *batcher) sendBatchFrame(to transport.NodeID, members []*wire.Msg) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if pending := b.q[to]; len(pending) > 0 {
-		members = append(pending, members...)
-		delete(b.q, to)
-		delete(b.bytes, to)
-	}
-	return b.sendLocked(to, members)
+	return b.send(to, members...)
 }
 
 func (b *batcher) flushAll() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	tos := make([]transport.NodeID, 0, len(b.q))
 	for to := range b.q {
-		_ = b.flushDestLocked(to) // a failed flush surfaces via retries
+		tos = append(tos, to)
+	}
+	b.mu.Unlock()
+	for _, to := range tos {
+		_ = b.send(to) // a failed flush surfaces via retries
 	}
 }
 
-func (b *batcher) flushDestLocked(to transport.NodeID) error {
-	members := b.q[to]
-	if len(members) == 0 {
-		return nil
+// send transmits to's queue followed by ms, then whatever was queued
+// for to meanwhile. If another goroutine is transmitting to to, copies
+// of ms (the caller may reuse ms) join the queue it drains.
+func (b *batcher) send(to transport.NodeID, ms ...*wire.Msg) error {
+	var err error
+	for first := true; ; first = false {
+		b.mu.Lock()
+		if first && b.busy[to] {
+			for _, m := range ms {
+				cp := *m
+				cp.Data = bytes.Clone(m.Data)
+				b.q[to] = append(b.q[to], &cp)
+			}
+			b.mu.Unlock()
+			return nil
+		}
+		members := append(b.q[to], ms...)
+		ms = nil
+		delete(b.q, to)
+		delete(b.bytes, to)
+		if len(members) == 0 {
+			delete(b.busy, to)
+			b.mu.Unlock()
+			return err
+		}
+		b.busy[to] = true
+		b.mu.Unlock()
+		if e := b.sendFrame(to, members); first {
+			err = e
+		}
 	}
-	delete(b.q, to)
-	delete(b.bytes, to)
-	return b.sendLocked(to, members)
 }
 
-// sendLocked ships a member set as one frame: a lone member goes out
+// sendFrame ships a member set as one frame: a lone member goes out
 // as itself (a one-member batch would only add overhead), more share
 // a KBatch frame built in a pooled buffer.
-func (b *batcher) sendLocked(to transport.NodeID, members []*wire.Msg) error {
+func (b *batcher) sendFrame(to transport.NodeID, members []*wire.Msg) error {
 	if len(members) == 1 {
 		return b.r.xmit(members[0])
 	}

@@ -217,3 +217,66 @@ func TestRetryLoopHonorsDeadline(t *testing.T) {
 		t.Fatalf("deadline 40ms but call held on for %v", elapsed)
 	}
 }
+
+// TestBatchedFlushReentry: a flush from A runs B's inline handler on
+// the flushing goroutine (the simulator delivers a due-now frame on its
+// sender); that handler sends to A, whose inline handler sends to B
+// through A's batcher — the batcher A is flushing. The chain must not
+// block on the flush in progress, and B must see the members in
+// enqueue order, the last as it was when Send returned.
+func TestBatchedFlushReentry(t *testing.T) {
+	a, b, _, _ := pair(t)
+	batchByHand(a)
+	batchByHand(b)
+	var mu sync.Mutex
+	var got []uint64
+	b.HandleInline(wire.KDiffPush, func(m *wire.Msg) {
+		mu.Lock()
+		got = append(got, m.Arg)
+		mu.Unlock()
+		if m.Arg == 0 {
+			_ = b.Send(&wire.Msg{Kind: wire.KEvtSet, To: 0})
+		}
+	})
+	a.HandleInline(wire.KEvtSet, func(*wire.Msg) {
+		m := &wire.Msg{Kind: wire.KDiffPush, To: 1, Arg: 2}
+		_ = a.Send(m)
+		m.Arg = 99 // Send has returned: m is the caller's to reuse
+	})
+	for i := 0; i < 2; i++ {
+		if err := a.SendBatched(&wire.Msg{Kind: wire.KDiffPush, To: 1, Arg: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushed := make(chan struct{})
+	go func() {
+		a.FlushBatches()
+		close(flushed)
+	}()
+	deadline := time.After(time.Second)
+	select {
+	case <-flushed:
+	case <-deadline:
+		t.Fatal("the A→B→A→B chain blocked on A's flush")
+	}
+	for {
+		mu.Lock()
+		n := len(got)
+		mu.Unlock()
+		if n == 3 {
+			break
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("only %d of 3 members delivered", n)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, arg := range got {
+		if arg != uint64(i) {
+			t.Fatalf("members out of enqueue order: %v", got)
+		}
+	}
+}

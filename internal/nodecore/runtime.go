@@ -1,6 +1,6 @@
 // Package nodecore implements the per-node runtime shared by every
-// DSM protocol engine: the message dispatch loop, request/reply
-// matching, the software-MMU access path with its fault loop, and
+// DSM protocol engine: message delivery, request/reply matching,
+// the software-MMU access path with its fault loop, and
 // small coordination utilities (tokens, per-page transaction locks).
 // What the engines have in common is written here once: the one call
 // path (Call, and CallBatched to ask several peers at once), the
@@ -8,14 +8,15 @@
 //
 // Concurrency architecture (see DESIGN.md §4.2):
 //
-//   - One dispatch goroutine per node reads the endpoint. Replies are
-//     routed synchronously to the caller's registered slot, which one
-//     loop (retryLoop) waits on for every call; a request kind installed
-//     with Handle gets a goroutine per message, so a handler that
-//     performs nested RPC (a manager forwarding, a home node
-//     propagating) never blocks the dispatch loop; a kind installed
-//     with HandleInline (a pure state-machine step, like a lock
-//     manager's queue/grant decision) runs on the delivering goroutine.
+//   - No receive goroutine: Start attaches deliver to the endpoint and
+//     the transport calls it (HandleInline says on which goroutine).
+//     Replies are routed synchronously to the caller's registered slot,
+//     which one loop (retryLoop) waits on for every call; a request kind
+//     installed with Handle gets a goroutine per message, so a handler
+//     that performs nested RPC (a manager forwarding, a home node
+//     propagating) never holds up a delivery; a kind installed with
+//     HandleInline (a pure state-machine step, like a lock manager's
+//     queue/grant decision) runs on the delivering goroutine.
 //   - A message a node addresses to itself never reaches the endpoint:
 //     the sending goroutine delivers it (see xmit).
 //   - Fault transactions hold a per-page latch (local accesses wait)
@@ -53,7 +54,7 @@ type Engine interface {
 	// Name identifies the protocol in reports.
 	Name() string
 	// Register installs the engine's message handlers. Called once
-	// before the dispatch loop starts.
+	// before the runtime starts.
 	Register(rt *Runtime)
 	// Init sets initial page states (ownership, protection). Called
 	// on every node after all runtimes are started, before the
@@ -101,7 +102,7 @@ type Runtime struct {
 	callTimeout time.Duration
 	done        chan struct{}
 	closeOnce   sync.Once
-	dispatchWG  sync.WaitGroup
+	attached    sync.WaitGroup // from Start to the endpoint's down
 	// closeMu orders close(done) against handlerWG.Add: self-sent
 	// requests spawn handlers from any goroutine, so an Add could
 	// otherwise start from zero while Close is already in Wait.
@@ -356,16 +357,17 @@ func (r *Runtime) Handle(k wire.Kind, fn func(*wire.Msg)) {
 }
 
 // HandleInline installs fn like Handle but runs it to completion on
-// the goroutine that delivers the message: the dispatch goroutine for
-// a message off the wire (so fn's effect is ordered before every
-// later-delivered message, and no goroutine is spawned or woken), the
-// sender's own, inside Send, for a self-addressed one. fn holds up the
-// dispatch loop, through which every reply to this node arrives, so:
-// it may Send, Forward and Reply; it must never Call, CallBatched or
+// the goroutine that delivers the message: the sender's own, inside its
+// Send, for a self-addressed message and for a simulator message due
+// now at an idle receiver; the simulator's queue goroutine for one that
+// had to wait; tcp's delivery goroutine for a frame off a socket. fn
+// may hold up a path replies to this node arrive through, so: it may
+// Send, Forward and Reply; it must never Call, CallBatched or
 // AwaitToken, nor take a mutex that any goroutine holds across one of
-// those. (Breaking the rule surfaces as that call's named timeout
-// error.) Handlers of one inline kind can run concurrently — dispatch
-// goroutine plus self-senders — and must lock their own state.
+// those — nor across a transmission that can lead to fn, since fn may
+// run on that goroutine. (A Call surfaces as its named timeout error
+// where deliveries are serialised.) Handlers of one inline kind can
+// run concurrently and must lock their own state.
 func (r *Runtime) HandleInline(k wire.Kind, fn func(*wire.Msg)) {
 	r.Handle(k, fn)
 	r.inline[k] = true
@@ -383,20 +385,29 @@ func (r *Runtime) MarkBlocking(kinds ...wire.Kind) {
 	}
 }
 
-// Start launches the dispatch loop.
+// Start attaches deliver to the endpoint.
 func (r *Runtime) Start() {
-	r.dispatchWG.Add(1)
-	go r.dispatch()
+	r.attached.Add(1)
+	if err := r.ep.Attach(r.deliver, r.down); err != nil {
+		panic(fmt.Sprintf("nodecore: node %d: %v", r.id, err))
+	}
 }
 
-// Close cancels pending calls and waits for the dispatch loop (the
-// network must be closed first so the receive channel ends).
+// down: the transport closed or lost a peer, so no reply can come now
+// and every waiting call and token wait fails at once, by name.
+func (r *Runtime) down() {
+	r.closeOnce.Do(r.closeDone)
+	r.attached.Done()
+}
+
+// Close cancels pending calls and waits for the endpoint's down (the
+// transport must be closed first) and the handlers.
 func (r *Runtime) Close() {
 	r.closeOnce.Do(r.closeDone)
 	if r.batcher != nil {
 		r.batcher.stop()
 	}
-	r.dispatchWG.Wait()
+	r.attached.Wait()
 	r.handlerWG.Wait()
 }
 
@@ -406,34 +417,24 @@ func (r *Runtime) closeDone() {
 	r.closeMu.Unlock()
 }
 
-func (r *Runtime) dispatch() {
-	defer r.dispatchWG.Done()
-	// Recv ended (the transport closed or lost a peer): no reply can come
-	// now, so every waiting call and token wait fails at once, by name.
-	defer r.closeOnce.Do(r.closeDone)
-	for m := range r.ep.Recv() {
-		if m.Kind == wire.KBatch {
-			members, err := wire.UnpackBatch(m.Data)
-			if err != nil {
-				// A malformed batch can only come from a broken or
-				// hostile peer on a real transport; drop the frame
-				// rather than take the node down.
-				continue
-			}
-			for _, mm := range members {
-				r.deliver(mm)
-			}
-			continue
-		}
-		r.deliver(m)
-	}
-}
-
 // deliver routes one message: replies to their waiting caller,
 // requests (after duplicate suppression) to their handler. Batch
 // members pass through here individually, so every reliability
 // mechanism sees them exactly as it would lone messages.
 func (r *Runtime) deliver(m *wire.Msg) {
+	if m.Kind == wire.KBatch {
+		members, err := wire.UnpackBatch(m.Data)
+		if err != nil {
+			// A malformed batch can only come from a broken or hostile
+			// peer on a real transport; drop the frame rather than take
+			// the node down.
+			return
+		}
+		for _, mm := range members {
+			r.deliver(mm)
+		}
+		return
+	}
 	r.dispatched.Add(1)
 	if r.tracer != nil && m.From != r.id {
 		r.emitMsg(trace.EvRecv, m.From, m)

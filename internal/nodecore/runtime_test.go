@@ -2,6 +2,7 @@ package nodecore
 
 import (
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"repro/internal/mem"
 	"repro/internal/simnet"
 	"repro/internal/stats"
+	"repro/internal/transport"
+	"repro/internal/transport/tcp"
 	"repro/internal/wire"
 )
 
@@ -73,18 +76,36 @@ func pairNet(t *testing.T) (*simnet.Net, *Runtime, *Runtime, *echoEngine, *echoE
 // echoNet starts n echo-engine runtimes on one simulated network.
 func echoNet(t *testing.T, n int) (*simnet.Net, []*Runtime, []*echoEngine) {
 	t.Helper()
-	net, err := simnet.New(simnet.Config{Nodes: n})
+	return echoNetCfg(t, simnet.Config{Nodes: n})
+}
+
+// echoNetCfg is echoNet on a network configured by cfg.
+func echoNetCfg(t *testing.T, cfg simnet.Config) (*simnet.Net, []*Runtime, []*echoEngine) {
+	t.Helper()
+	net, err := simnet.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts := make([]*Runtime, n)
-	engs := make([]*echoEngine, n)
-	for i := range rts {
+	eps := make([]transport.Endpoint, cfg.Nodes)
+	for i := range eps {
+		eps[i] = net.Endpoint(simnet.NodeID(i))
+	}
+	rts, engs := startEcho(t, eps, net.Close)
+	return net, rts, engs
+}
+
+// startEcho starts an echo-engine runtime on each endpoint; cleanup
+// closes the transport with closeNet, then the runtimes.
+func startEcho(t *testing.T, eps []transport.Endpoint, closeNet func()) ([]*Runtime, []*echoEngine) {
+	t.Helper()
+	rts := make([]*Runtime, len(eps))
+	engs := make([]*echoEngine, len(eps))
+	for i, ep := range eps {
 		tbl, err := mem.NewTable(1<<14, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rts[i] = New(simnet.NodeID(i), n, net.Endpoint(simnet.NodeID(i)), tbl, &stats.Node{})
+		rts[i] = New(ep.ID(), len(eps), ep, tbl, &stats.Node{})
 		engs[i] = &echoEngine{}
 		rts[i].SetEngine(engs[i])
 		// A wedged call should fail the test in seconds, by name.
@@ -92,12 +113,41 @@ func echoNet(t *testing.T, n int) (*simnet.Net, []*Runtime, []*echoEngine) {
 		rts[i].Start()
 	}
 	t.Cleanup(func() {
-		net.Close()
+		closeNet()
 		for _, rt := range rts {
 			rt.Close()
 		}
 	})
-	return net, rts, engs
+	return rts, engs
+}
+
+// tcpPair starts two echo-engine runtimes over TCP loopback.
+func tcpPair(t *testing.T) (*Runtime, *Runtime) {
+	t.Helper()
+	lns := make([]net.Listener, 2)
+	addrs := make([]string, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	trs := make([]*tcp.Transport, 2)
+	eps := make([]transport.Endpoint, 2)
+	for i := range trs {
+		tr, err := tcp.New(tcp.Config{Self: transport.NodeID(i), Addrs: addrs, Listener: lns[i], DialWindow: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs[i], eps[i] = tr, tr.Endpoint(transport.NodeID(i))
+	}
+	rts, _ := startEcho(t, eps, func() {
+		for _, tr := range trs {
+			tr.Close()
+		}
+	})
+	return rts[0], rts[1]
 }
 
 func TestCallReply(t *testing.T) {
@@ -121,11 +171,11 @@ func TestCallTimeout(t *testing.T) {
 	}
 }
 
-// TestCallFailsWhenRecvEnds: once the endpoint's Recv has closed no
-// reply can arrive, so a call in flight (and a token wait) fails then,
-// by name, instead of at its 30 s deadline — how a node whose transport
-// lost a peer stops.
-func TestCallFailsWhenRecvEnds(t *testing.T) {
+// TestCallFailsWhenEndpointGoesDown: once the endpoint has called down
+// no reply can arrive, so a call in flight (and a token wait) fails
+// then, by name, instead of at its 30 s deadline — how a node whose
+// transport lost a peer stops.
+func TestCallFailsWhenEndpointGoesDown(t *testing.T) {
 	net, a, b, _, _ := pairNet(t)
 	arrived, release := make(chan struct{}), make(chan struct{})
 	t.Cleanup(func() { close(release) })
@@ -150,11 +200,11 @@ func TestCallFailsWhenRecvEnds(t *testing.T) {
 				t.Fatalf("%s: err = %v, want the named shutdown error", name, err)
 			}
 		case <-time.After(time.Second):
-			t.Fatalf("%s still waiting 1s after Recv closed", name)
+			t.Fatalf("%s still waiting 1s after the endpoint went down", name)
 		}
 	}
 	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("waits returned %v after Recv closed, want within 100ms", d)
+		t.Fatalf("waits returned %v after the endpoint went down, want within 100ms", d)
 	}
 }
 

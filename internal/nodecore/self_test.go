@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/simnet"
 	"repro/internal/wire"
 )
 
@@ -107,8 +108,8 @@ func TestSelfDeliverReliableDedup(t *testing.T) {
 
 // Self-sends racing Close either run their handler or return an
 // error; after Close they all return an error and spawn nothing. (The
-// race detector checks the WaitGroup: handlers are now spawned from
-// any goroutine, not only the dispatch loop.)
+// race detector checks the WaitGroup: handlers are spawned from any
+// goroutine that delivers.)
 func TestSelfDeliverAfterClose(t *testing.T) {
 	net, a, _, _, _ := pairNet(t)
 	var runs, sendErrs atomic.Int64
@@ -132,7 +133,7 @@ func TestSelfDeliverAfterClose(t *testing.T) {
 		}()
 	}
 	time.Sleep(5 * time.Millisecond)
-	net.Close() // first, so the dispatch loop Close waits for ends
+	net.Close() // first, so the endpoint Close waits for goes down
 	a.Close()
 	time.Sleep(5 * time.Millisecond)
 	close(stop)
@@ -172,31 +173,62 @@ func TestSelfDeliverCounters(t *testing.T) {
 }
 
 // A handler wrongly registered inline that Calls back to the sender
-// holds up its node's dispatch loop, so the reply cannot reach it. That
-// must end in the nested call's named timeout error, within its
-// timeout — not in a hang.
+// holds up the delivery path its reply must take wherever the
+// receiver's deliveries are serialised: tcp's delivery goroutine, and
+// the simulator's queue goroutine once a latency model makes every
+// message wait. That must end in the nested call's named timeout
+// error, within its timeout — not in a hang.
 func TestInlineHandlerThatCallsTimesOutByName(t *testing.T) {
+	for name, start := range map[string]func(*testing.T) (*Runtime, *Runtime){
+		"tcp": tcpPair,
+		"sim-latency": func(t *testing.T) (*Runtime, *Runtime) {
+			_, rts, _ := echoNetCfg(t, simnet.Config{Nodes: 2, Latency: simnet.ConstLatency(100*time.Microsecond, 0)})
+			return rts[0], rts[1]
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, b := start(t)
+			start := time.Now()
+			err := callFromInline(t, a, b)
+			if err == nil {
+				t.Fatal("a Call from an inline handler got its reply: its delivery path was not held up?")
+			}
+			for _, want := range []string{"node 1", wire.KPageReq.String(), "to 0", "page 9", "timed out after 100ms"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not say %q", err, want)
+				}
+			}
+			if el := time.Since(start); el > 3*time.Second {
+				t.Fatalf("misuse took %v to surface", el)
+			}
+		})
+	}
+}
+
+// On the simulator's due-now path nothing is serialised behind the
+// inline handler: it runs on the caller's goroutine, and the nested
+// call's reply, sent by the spawned KPageReq handler, is delivered by
+// that handler's goroutine. The nested call completes.
+func TestInlineHandlerThatCallsCompletesDueNow(t *testing.T) {
 	a, b, _, _ := pair(t)
+	if err := callFromInline(t, a, b); err != nil {
+		t.Fatalf("nested call on the due-now path: %v", err)
+	}
+}
+
+// callFromInline has a Call from a to b run an inline handler on b
+// that Calls back to a with a 100 ms timeout, and returns the nested
+// call's error.
+func callFromInline(t *testing.T, a, b *Runtime) error {
+	t.Helper()
 	nested := make(chan error, 1)
 	b.HandleInline(wire.KDiffReq, func(m *wire.Msg) {
 		_, err := b.CallT(&wire.Msg{Kind: wire.KPageReq, To: 0, Page: 9}, 100*time.Millisecond)
 		nested <- err
 		_ = b.Reply(m, &wire.Msg{Kind: wire.KDiffReply})
 	})
-	start := time.Now()
 	if _, err := a.Call(&wire.Msg{Kind: wire.KDiffReq, To: 1}); err != nil {
 		t.Fatal(err)
 	}
-	err := <-nested
-	if err == nil {
-		t.Fatal("a Call from an inline handler got its reply: the dispatch loop was not held up?")
-	}
-	for _, want := range []string{"node 1", wire.KPageReq.String(), "to 0", "page 9", "timed out after 100ms"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not say %q", err, want)
-		}
-	}
-	if el := time.Since(start); el > 3*time.Second {
-		t.Fatalf("misuse took %v to surface", el)
-	}
+	return <-nested
 }

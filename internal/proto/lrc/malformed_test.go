@@ -15,7 +15,7 @@ import (
 // valid payload, each of its strict prefixes, the payload with a
 // trailing byte, and element counts of 2^62 and 2^30 where a list
 // begins. Over TCP these bytes come from another process, and
-// handleDiffPush decodes them on the dispatch goroutine: the outcome
+// handleDiffPush decodes them on tcp's delivery goroutine: the outcome
 // must be an error — never a panic, never an allocation sized by a
 // count the input cannot back.
 func TestDecodersSurviveHostileInput(t *testing.T) {

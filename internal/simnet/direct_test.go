@@ -41,12 +41,13 @@ func TestEarlierMessageInterruptsQueueWait(t *testing.T) {
 }
 
 // TestDirectDeliveryFIFOFallback pins which path a message takes: at
-// an idle receiver it is in the inbox when Send returns; behind a full
-// inbox, a queued message or a pending stall it takes the queue, in
+// an idle receiver it is delivered when Send returns; behind a pending
+// stall, or behind a message queued there, it takes the queue, in
 // order; once those clear, delivery is direct again.
 func TestDirectDeliveryFIFOFallback(t *testing.T) {
-	n := newNet(t, Config{Nodes: 2, testInboxDepth: 1})
-	a, b := n.Endpoint(0), n.Endpoint(1).(*Endpoint)
+	n := newNet(t, Config{Nodes: 2})
+	a := n.Endpoint(0)
+	inbox := n.Endpoint(1).Recv()
 	send := func(req uint64) {
 		t.Helper()
 		if err := a.Send(&wire.Msg{Kind: wire.KAck, From: 0, To: 1, Req: req}); err != nil {
@@ -56,7 +57,7 @@ func TestDirectDeliveryFIFOFallback(t *testing.T) {
 	recv := func(want uint64) {
 		t.Helper()
 		select {
-		case m := <-b.Recv():
+		case m := <-inbox:
 			if m.Req != want {
 				t.Fatalf("received req %d, want %d", m.Req, want)
 			}
@@ -65,31 +66,29 @@ func TestDirectDeliveryFIFOFallback(t *testing.T) {
 		}
 	}
 	send(1)
-	if len(b.inbox) != 1 {
-		t.Fatal("message to an idle receiver was not in its inbox when Send returned")
+	if len(inbox) != 1 {
+		t.Fatal("message to an idle receiver was not delivered when Send returned")
 	}
-	send(2) // inbox full: must queue, not block, not overtake
-	send(3)
 	recv(1)
-	recv(2)
-	recv(3)
 
 	n.StallNode(1, 30*time.Millisecond)
 	start := time.Now()
-	send(4)
-	if len(b.inbox) != 0 {
+	send(2) // stalled: must queue
+	send(3) // behind a queued message: must queue, not overtake
+	if len(inbox) != 0 {
 		t.Fatal("message delivered directly to a stalled endpoint")
 	}
-	recv(4)
+	recv(2)
+	recv(3)
 	if el := time.Since(start); el < 25*time.Millisecond {
 		t.Fatalf("stall not applied: delivered after %v", el)
 	}
 	// The stall is over, not "ever happened": direct again. The queue
-	// goroutine may still hold message 4's hand-off for an instant.
+	// goroutine may still be inside message 3's delivery for an instant.
 	deadline := time.Now().Add(5 * time.Second)
-	for req := uint64(5); ; req++ {
+	for req := uint64(4); ; req++ {
 		send(req)
-		direct := len(b.inbox) == 1
+		direct := len(inbox) == 1
 		recv(req)
 		if direct {
 			break
@@ -101,12 +100,12 @@ func TestDirectDeliveryFIFOFallback(t *testing.T) {
 }
 
 // TestPairFIFOMixedDirectAndQueued: several senders hammer one
-// receiver while spikes, stalls and a one-slot inbox keep switching
-// messages between the direct and the queued path. Per-pair order
+// receiver while spikes and stalls keep switching messages between the
+// direct and the queued path. Per-pair order
 // must hold and every counter must match what was sent.
 func TestPairFIFOMixedDirectAndQueued(t *testing.T) {
 	const senders, per = 3, 1500
-	n := newNet(t, Config{Nodes: senders + 1, Seed: 21, testInboxDepth: 1,
+	n := newNet(t, Config{Nodes: senders + 1, Seed: 21,
 		Faults: &FaultPlan{SpikeProb: 0.02, Spike: 100 * time.Microsecond}})
 	sts := make([]*stats.Node, senders+1)
 	for i := range sts {

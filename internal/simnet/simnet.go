@@ -5,20 +5,21 @@
 // delivery jitter for stress testing, and traffic accounting. Every
 // message crosses the wire encoding even though delivery is
 // in-process, so message and byte counts are faithful to a real
-// deployment. A receiver's delivery-queue goroutine is for messages
-// that must wait — for latency, jitter, a spike, a stall or an earlier
-// message; one due at once at an idle receiver is put in its inbox by
-// the sender (dqueue.push). Net implements
+// deployment. A message due at once at an idle receiver is decoded and
+// delivered on the sender's goroutine (dqueue.push), so the receiver's
+// inline handlers run there; the receiver's delivery-queue goroutine is
+// for messages that must wait — for latency, jitter, a spike, a stall
+// or an earlier message. Net implements
 // transport.Transport, making the simulator one backend among several
 // (see internal/transport and internal/transport/tcp); it remains the
 // default and the only backend with latency/fault modeling.
 package simnet
 
 import (
-	"cmp"
 	"container/heap"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/stats"
@@ -64,16 +65,7 @@ type Config struct {
 	// partitions and endpoint stalls are injected at runtime with
 	// Net.Partition and Net.StallNode.
 	Faults *FaultPlan
-
-	// testInboxDepth, when set, replaces inboxDepth so that in-package
-	// tests can fill an inbox.
-	testInboxDepth int
 }
-
-// inboxDepth bounds each node's incoming queue; when a receiver falls
-// behind, further messages wait in its delivery queue (senders never
-// block).
-const inboxDepth = 4096
 
 // FaultPlan describes the probabilistic faults applied to each
 // directed node pair. Probabilities are per message, in [0, 1].
@@ -166,12 +158,7 @@ func New(cfg Config) (*Net, error) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		ep := &Endpoint{
-			net:   net,
-			id:    NodeID(i),
-			inbox: make(chan *wire.Msg, cmp.Or(cfg.testInboxDepth, inboxDepth)),
-			st:    &stats.Node{},
-		}
+		ep := &Endpoint{net: net, id: NodeID(i), st: &stats.Node{}}
 		net.eps[i] = ep
 		q := newDQueue(ep)
 		net.queues[i] = q
@@ -229,8 +216,8 @@ func (n *Net) StallNode(id NodeID, d time.Duration) {
 }
 
 // Close shuts the network down. Messages still in flight are
-// discarded; subsequent sends are dropped. Receive channels are
-// closed once their delivery queues have stopped.
+// discarded; subsequent sends are dropped. Each endpoint's down runs
+// once its deliveries in progress have returned.
 func (n *Net) Close() {
 	n.closeOnce.Do(func() {
 		close(n.closed)
@@ -251,11 +238,13 @@ func (n *Net) isClosed() bool {
 
 // Endpoint is one node's attachment to the network.
 type Endpoint struct {
-	net   *Net
-	id    NodeID
-	inbox chan *wire.Msg
-	st    *stats.Node
-	tr    *trace.Tracer
+	net *Net
+	id  NodeID
+	st  *stats.Node
+	tr  *trace.Tracer
+
+	recvOnce sync.Once
+	recv     <-chan *wire.Msg
 }
 
 // ID returns the endpoint's node id.
@@ -270,9 +259,11 @@ func (e *Endpoint) SetStats(st *stats.Node) { e.st = st }
 // in its node's trace stream. Nil (the default) records nothing.
 func (e *Endpoint) SetTracer(t *trace.Tracer) { e.tr = t }
 
-// Recv returns the channel of delivered messages. It is closed when
-// the network shuts down.
-func (e *Endpoint) Recv() <-chan *wire.Msg { return e.inbox }
+// Recv implements transport.Endpoint with transport.Pull.
+func (e *Endpoint) Recv() <-chan *wire.Msg {
+	e.recvOnce.Do(func() { e.recv = transport.Pull(e.Attach, e.net.closed) })
+	return e.recv
+}
 
 // Send transmits m to m.To. The From field is stamped with the
 // sending endpoint unless the caller preserved an origin while
@@ -379,20 +370,26 @@ func xorshift(s *uint64) uint64 {
 
 // dqueue is a per-receiver delivery queue: a time-ordered heap
 // drained by one goroutine that waits until each message is due,
-// decodes it, and hands it to the endpoint inbox. Messages with
-// nothing to wait for bypass both (push).
+// decodes it, and delivers it. Messages with nothing to wait for
+// bypass both (push).
 type dqueue struct {
 	ep *Endpoint
-	// wake interrupts run's wait when the heap gets a new head or the
-	// queue stops. Capacity one: a pending wake-up says "look again".
+	// wake interrupts run's wait when the heap gets a new head, the
+	// endpoint is attached or the queue stops. Capacity one: a pending
+	// wake-up says "look again".
 	wake chan struct{}
 
 	mu         sync.Mutex
 	items      itemHeap
 	seq        uint64
-	stopped    bool
-	delivering bool      // run has popped a message it has not yet put in the inbox
-	stallUntil time.Time // endpoint stall: nothing delivers before this instant
+	deliver    func(*wire.Msg) // nil until Attach
+	down       func()
+	stopped    atomic.Bool   // set under mu
+	exited     bool          // run has returned
+	delivering bool          // run is inside deliver
+	direct     uint64        // deliveries begun on senders' goroutines...
+	directDone atomic.Uint64 // ...and ended: both equal when none is in progress
+	stallUntil time.Time     // endpoint stall: nothing delivers before this instant
 }
 
 type item struct {
@@ -407,27 +404,28 @@ func newDQueue(ep *Endpoint) *dqueue {
 }
 
 // push queues a message sent at now and due at at. If nothing stands
-// between it and the receiver — it is due, no earlier message is
-// queued or in run's hands, the endpoint is not stalled, the inbox
-// has room — the sender delivers it
-// itself, saving the hand-off to the queue goroutine. Pushes to one
-// receiver serialise on q.mu and a direct delivery needs everything
-// before it to be in the inbox, so per-pair FIFO holds; a full inbox
-// falls back to the heap, so senders still never block.
+// between it and the receiver — it is attached and not stalled, the
+// message is due, none is queued or in run's hands — the sender
+// delivers it, after releasing q.mu so a delivery chain may push here
+// again. A queued or running message sends later ones to the queue, so
+// deliveries on a pair start in send order; the queue never blocks.
 func (q *dqueue) push(now, at time.Time, raw []byte, buf *[]byte) {
 	it := item{at: at, raw: raw, buf: buf}
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.stopped {
+	if q.stopped.Load() {
+		q.mu.Unlock()
 		wire.PutBuf(buf)
 		return
 	}
-	if len(q.items) == 0 && !q.delivering && !at.After(now) && !now.Before(q.stallUntil) &&
-		len(q.ep.inbox) < cap(q.ep.inbox) {
-		// Only push (serialised here) and run (idle, as just checked)
-		// send to the inbox, so the room seen stays: this cannot block.
-		// Nor is the inbox closed: run does that after seeing stopped.
-		q.ep.inbox <- q.receive(it)
+	if deliver := q.deliver; deliver != nil && len(q.items) == 0 && !q.delivering &&
+		!at.After(now) && !now.Before(q.stallUntil) {
+		q.direct++
+		q.mu.Unlock()
+		deliver(q.receive(it))
+		q.directDone.Add(1)
+		if q.stopped.Load() {
+			q.poke() // run calls down after the last delivery
+		}
 		return
 	}
 	q.seq++
@@ -436,6 +434,7 @@ func (q *dqueue) push(now, at time.Time, raw []byte, buf *[]byte) {
 	if q.items[0].seq == it.seq { // new head: run may be waiting for a later one
 		q.poke()
 	}
+	q.mu.Unlock()
 }
 
 // poke makes run look at the queue again.
@@ -444,6 +443,25 @@ func (q *dqueue) poke() {
 	case q.wake <- struct{}{}:
 	default:
 	}
+}
+
+// Attach implements transport.Endpoint. Messages already queued for
+// this node are delivered from the queue goroutine first.
+func (e *Endpoint) Attach(deliver func(*wire.Msg), down func()) error {
+	q := e.net.queues[e.id]
+	q.mu.Lock()
+	if q.deliver != nil {
+		q.mu.Unlock()
+		return transport.ErrAttached
+	}
+	q.deliver, q.down = deliver, down
+	exited := q.exited
+	q.mu.Unlock()
+	if exited {
+		down()
+	}
+	q.poke()
+	return nil
 }
 
 // receive turns a due item into the endpoint's message: decode,
@@ -463,7 +481,7 @@ func (q *dqueue) receive(it item) *wire.Msg {
 
 func (q *dqueue) stop() {
 	q.mu.Lock()
-	q.stopped = true
+	q.stopped.Store(true)
 	q.mu.Unlock()
 	q.poke()
 }
@@ -480,12 +498,18 @@ func (q *dqueue) run() {
 	for {
 		q.mu.Lock()
 		q.delivering = false
-		if q.stopped {
+		if q.stopped.Load() && q.direct == q.directDone.Load() {
+			// Queued messages are discarded; down follows the last
+			// delivery (or comes with a later Attach).
+			q.exited = true
+			down := q.down
 			q.mu.Unlock()
-			close(q.ep.inbox)
+			if down != nil {
+				down()
+			}
 			return
 		}
-		if len(q.items) == 0 {
+		if q.stopped.Load() || len(q.items) == 0 || q.deliver == nil {
 			q.mu.Unlock()
 			<-q.wake
 			continue
@@ -511,14 +535,9 @@ func (q *dqueue) run() {
 		}
 		heap.Pop(&q.items)
 		q.delivering = true
+		deliver := q.deliver
 		q.mu.Unlock()
-
-		select {
-		case q.ep.inbox <- q.receive(it):
-		case <-q.ep.net.closed:
-			// Receiver gone during shutdown; drop. The queue will
-			// observe stopped on the next iteration.
-		}
+		deliver(q.receive(it))
 	}
 }
 

@@ -142,7 +142,7 @@ func TestCloseStopsDelivery(t *testing.T) {
 	if err := n.Endpoint(0).Send(&wire.Msg{Kind: wire.KAck, From: 0, To: 1}); err == nil {
 		t.Fatal("send after close accepted")
 	}
-	// Recv channels must close so dispatch loops terminate.
+	// Every endpoint goes down: its Recv channel closes.
 	for i := 0; i < 2; i++ {
 		select {
 		case _, ok := <-n.Endpoint(NodeID(i)).Recv():

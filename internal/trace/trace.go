@@ -40,7 +40,7 @@ const (
 	// EvSend marks a message transmission. Peer is the destination,
 	// Req the request id (0 for one-ways), Arg packs kind+attempt.
 	EvSend
-	// EvRecv marks a message delivery at the dispatch loop. Peer is
+	// EvRecv marks a message delivery to the runtime. Peer is
 	// the origin; Arg packs kind+attempt.
 	EvRecv
 	// EvRetry marks a retransmission decision (the re-send itself

@@ -23,7 +23,14 @@
 // connection: a failed dial or write marks the peer lost, failing every
 // later send to it. A connection that ends without the end frame (EOF,
 // reset, a bad frame) while the transport is open means its peer died:
-// Err names it and Recv closes, so the node fails instead of waiting.
+// Err names it and the endpoint goes down, so the node fails instead of
+// waiting.
+//
+// Delivery. Connection readers decode frames into the endpoint's inbox,
+// where frames that arrive before Attach wait; Attach starts the one
+// goroutine that drains it into deliver, so a reader never runs a
+// handler and keeps reading while one writes to a socket. Recv reads
+// the inbox itself.
 package tcp
 
 import (
@@ -48,7 +55,6 @@ const (
 	replyOK        = 0
 	replyReject    = 1
 	maxRejectLen   = 512
-	inboxDepth     = 4096            // receive queue bound
 	dialTimeout    = 2 * time.Second // one connection attempt
 	defaultWindow  = 15 * time.Second
 	dialBackoffMin = 10 * time.Millisecond
@@ -133,7 +139,7 @@ func New(cfg Config) (*Transport, error) {
 	for i := range t.peers {
 		t.peers[i] = &peer{}
 	}
-	t.ep = &endpoint{t: t, inbox: make(chan *wire.Msg, inboxDepth)}
+	t.ep = &endpoint{t: t, inbox: make(chan *wire.Msg, transport.InboxDepth)}
 	t.ep.st.Store(&stats.Node{})
 	ln := cfg.Listener
 	if ln == nil {
@@ -199,7 +205,8 @@ func (t *Transport) Close() {
 }
 
 // stop ends the receive side, once: stop accepting, tear the incoming
-// connections down, wait for their readers, close the inbox.
+// connections down, wait for their readers, close the inbox (whose
+// reader delivers what is queued, then goes down).
 func (t *Transport) stop() {
 	t.stopOnce.Do(func() {
 		t.connMu.Lock()
@@ -456,6 +463,7 @@ func (t *Transport) handshake(conn net.Conn, to transport.NodeID) error {
 type endpoint struct {
 	t     *Transport
 	inbox chan *wire.Msg
+	taken atomic.Int32 // the inbox's one reader: 1 Recv, 2 Attach
 
 	stMu sync.RWMutex // readers count under it shared, SetStats swaps under it
 	st   atomic.Pointer[stats.Node]
@@ -474,8 +482,27 @@ func (e *endpoint) SetStats(st *stats.Node) {
 	st.BytesRecv.Add(old.BytesRecv.Swap(0))
 }
 
-// Recv implements transport.Endpoint.
-func (e *endpoint) Recv() <-chan *wire.Msg { return e.inbox }
+// Attach implements transport.Endpoint: the delivery goroutine.
+func (e *endpoint) Attach(deliver func(*wire.Msg), down func()) error {
+	if !e.taken.CompareAndSwap(0, 2) {
+		return transport.ErrAttached
+	}
+	go func() {
+		for m := range e.inbox {
+			deliver(m)
+		}
+		down()
+	}()
+	return nil
+}
+
+// Recv implements transport.Endpoint with the inbox itself: no hop.
+func (e *endpoint) Recv() <-chan *wire.Msg {
+	if !e.taken.CompareAndSwap(0, 1) && e.taken.Load() != 1 {
+		panic(transport.ErrAttached)
+	}
+	return e.inbox
+}
 
 // Send implements transport.Endpoint: encode once, frame, and write
 // on the peer's connection (dialing it if needed). A message to this

@@ -125,19 +125,28 @@ func closeAndCheckGoroutines(t *testing.T, trs []*Transport, base int) {
 // TestTransportConformance runs the shared transport contract suite
 // against the TCP backend.
 func TestTransportConformance(t *testing.T) {
-	transporttest.Run(t, func(t *testing.T, n int) ([]transport.Endpoint, func()) {
-		trs := newLoopbackCluster(t, n, 0xfeed)
-		eps := make([]transport.Endpoint, n)
-		for i := range trs {
-			eps[i] = trs[i].Endpoint(transport.NodeID(i))
+	transporttest.Run(t, loopbackEndpoints)
+}
+
+// TestFramesBeforeAttach: frames that arrive before Attach wait in the
+// inbox and are delivered in order after it.
+func TestFramesBeforeAttach(t *testing.T) {
+	transporttest.FramesBeforeAttach(t, loopbackEndpoints)
+}
+
+// loopbackEndpoints is the conformance suite's factory.
+func loopbackEndpoints(t *testing.T, n int) ([]transport.Endpoint, func()) {
+	trs := newLoopbackCluster(t, n, 0xfeed)
+	eps := make([]transport.Endpoint, n)
+	for i := range trs {
+		eps[i] = trs[i].Endpoint(transport.NodeID(i))
+	}
+	closeAll := func() {
+		for _, tr := range trs {
+			tr.Close()
 		}
-		closeAll := func() {
-			for _, tr := range trs {
-				tr.Close()
-			}
-		}
-		return eps, closeAll
-	})
+	}
+	return eps, closeAll
 }
 
 // TestDigestMismatchFailsFast: peers started with different cluster

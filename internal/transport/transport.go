@@ -10,22 +10,27 @@
 //
 // The interface is exactly what internal/nodecore and internal/core
 // consume of the simulator: node identity, a Send that encodes one
-// wire.Msg toward a peer, a Recv channel of decoded messages that
-// closes at shutdown, and accounting into a per-node internal/stats
-// counter set, the only ledger: each endpoint owns one from
-// construction and the runtime replaces it with the node's. Delivery
-// contract (checked by the conformance suite): per directed (from, to)
-// pair order is preserved, messages are delivered as fresh decoded
-// copies (senders may reuse the Msg and its payload immediately), and
-// there is no self-delivery — a Send addressed to the endpoint's own
-// node fails, counting nothing (nodecore delivers a node's messages to
-// itself without a transport). Only the simulator loses messages (by
+// wire.Msg toward a peer, delivery into the one function the runtime
+// attaches, and accounting into a per-node internal/stats counter set,
+// the only ledger: each endpoint owns one from construction and the
+// runtime replaces it with the node's. Delivery contract (checked by
+// the conformance suite): per directed (from, to) pair, deliveries
+// start in send order; messages are delivered as fresh decoded copies
+// (senders may reuse the Msg and its payload immediately); messages
+// that arrive before Attach wait for it; down follows the last
+// delivery; and there is no self-delivery — a Send addressed to the
+// endpoint's own node fails, counting nothing (nodecore delivers a
+// node's messages to itself without a transport). The backend chooses
+// the delivering goroutine: the simulator's sender for a message due
+// now at an idle receiver, else its queue goroutine; TCP's one delivery
+// goroutine per endpoint. Only the simulator loses messages (by
 // injection, which nodecore's reliability layer recovers); any other
-// backend delivers in order or closes the endpoint. Each backend bounds
-// its Recv queue by a fixed depth.
+// backend delivers in order or goes down.
 package transport
 
 import (
+	"errors"
+
 	"repro/internal/stats"
 	"repro/internal/wire"
 )
@@ -44,8 +49,13 @@ type Endpoint interface {
 	// connection events land in the node's one ledger. Must be called
 	// before traffic flows.
 	SetStats(st *stats.Node)
-	// Recv returns the channel of delivered messages. The channel is
-	// closed when the transport shuts down or loses a peer.
+	// Attach starts delivery into deliver; down runs once, after the
+	// last delivery, when the transport shuts down or loses a peer. An
+	// endpoint is attached once: again, it returns ErrAttached.
+	Attach(deliver func(*wire.Msg), down func()) error
+	// Recv attaches a bounded channel, closed on down (Pull, or a
+	// backend's own inbox), and returns it, the same one on every call:
+	// the pull form for tests and tools. No runtime calls it.
 	Recv() <-chan *wire.Msg
 	// Send transmits m to m.To, stamping From with this endpoint
 	// unless the caller preserved an origin while forwarding. The
@@ -68,6 +78,32 @@ type Transport interface {
 	Endpoint(id NodeID) Endpoint
 	// Close shuts the transport down: in-flight messages may be
 	// discarded, subsequent sends fail or drop, and every local
-	// endpoint's Recv channel is closed.
+	// endpoint goes down.
 	Close()
+}
+
+// ErrAttached is Attach's error for an endpoint attached before.
+var ErrAttached = errors.New("transport: endpoint already attached")
+
+// InboxDepth bounds every receive queue a backend or Pull keeps.
+const InboxDepth = 4096
+
+// Pull is the Recv adapter: it attaches to an endpoint a function that
+// feeds a channel of InboxDepth (waiting while it is full, until stop
+// closes) and closes it on down. It panics if the endpoint is attached.
+func Pull(attach func(func(*wire.Msg), func()) error, stop <-chan struct{}) <-chan *wire.Msg {
+	ch := make(chan *wire.Msg, InboxDepth)
+	if err := attach(func(m *wire.Msg) {
+		select {
+		case ch <- m: // the common case, without selecting on stop
+		default:
+			select {
+			case ch <- m:
+			case <-stop:
+			}
+		}
+	}, func() { close(ch) }); err != nil {
+		panic(err)
+	}
+	return ch
 }

@@ -1,13 +1,15 @@
 // Package transporttest is the shared conformance suite every
 // transport backend must pass: per-pair FIFO ordering, concurrent
 // senders, payload copy semantics, the refusal of self-sends, close
-// semantics, and counter accuracy. internal/simnet and
-// internal/transport/tcp both run it; a future backend plugs into the
-// same contract by adding one test file that calls Run with its
-// factory.
+// semantics, and counter accuracy — order, copy and close both through
+// Recv and through Attach. internal/simnet and
+// internal/transport/tcp both run it and FramesBeforeAttach; a future
+// backend plugs into the same contract by adding one test file that
+// calls them with its factory.
 package transporttest
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -28,34 +30,76 @@ type Factory func(t *testing.T, n int) (eps []transport.Endpoint, closeAll func(
 
 const recvTimeout = 10 * time.Second
 
-// recvOne receives one message or fails the test.
-func recvOne(t *testing.T, ep transport.Endpoint) *wire.Msg {
+// via is a route to an endpoint's messages: one of ways.
+type via = func(transport.Endpoint) <-chan *wire.Msg
+
+// ways are Recv, and Pull over Attach, which panics on a delivery after
+// down or a second down (a send on, or close of, a closed channel).
+var ways = map[string]via{
+	"Recv":   transport.Endpoint.Recv,
+	"Attach": func(ep transport.Endpoint) <-chan *wire.Msg { return transport.Pull(ep.Attach, nil) },
+}
+
+// eachWay runs check once per route, as a subtest named after it.
+func eachWay(t *testing.T, f Factory, check func(*testing.T, Factory, via)) {
+	for name, v := range ways {
+		t.Run(name, func(t *testing.T) { check(t, f, v) })
+	}
+}
+
+// recvOne receives one message from ch or fails the test.
+func recvOne(t *testing.T, ch <-chan *wire.Msg) *wire.Msg {
 	t.Helper()
 	select {
-	case m, ok := <-ep.Recv():
+	case m, ok := <-ch:
 		if !ok {
 			t.Fatalf("recv channel closed while a message was expected")
 		}
 		return m
 	case <-time.After(recvTimeout):
-		t.Fatalf("timed out waiting for a message on node %d", ep.ID())
+		t.Fatalf("timed out waiting for a message")
 	}
 	return nil
 }
 
 // Run executes the conformance suite against the backend built by f.
 func Run(t *testing.T, f Factory) {
-	t.Run("PairFIFO", func(t *testing.T) { testPairFIFO(t, f) })
+	t.Run("PairFIFO", func(t *testing.T) { eachWay(t, f, testPairFIFO) })
 	t.Run("ConcurrentSenders", func(t *testing.T) { testConcurrentSenders(t, f) })
-	t.Run("PayloadCopy", func(t *testing.T) { testPayloadCopy(t, f) })
+	t.Run("PayloadCopy", func(t *testing.T) { eachWay(t, f, testPayloadCopy) })
 	t.Run("SelfSendRejected", func(t *testing.T) { testSelfSendRejected(t, f) })
 	t.Run("StatsAccuracy", func(t *testing.T) { testStatsAccuracy(t, f) })
-	t.Run("CloseSemantics", func(t *testing.T) { testCloseSemantics(t, f) })
+	t.Run("CloseSemantics", func(t *testing.T) { eachWay(t, f, testCloseSemantics) })
+}
+
+// FramesBeforeAttach: messages sent to an endpoint before anything is
+// attached to it wait, and are delivered in order after Attach.
+func FramesBeforeAttach(t *testing.T, f Factory) {
+	eachWay(t, f, func(t *testing.T, f Factory, via via) {
+		eps, _ := f(t, 2)
+		for i := 0; i < 50; i++ {
+			if err := eps[0].Send(&wire.Msg{Kind: wire.KAck, To: 1, Req: uint64(i)}); err != nil {
+				t.Fatalf("send %d: %v", i, err)
+			}
+		}
+		time.Sleep(20 * time.Millisecond) // let them reach the receiver
+		ch := via(eps[1])
+		for i := 0; i < 50; i++ {
+			if m := recvOne(t, ch); m.Req != uint64(i) {
+				t.Fatalf("message %d: got req %d (sent before Attach)", i, m.Req)
+			}
+		}
+	})
 }
 
 // testPairFIFO: messages on one directed pair arrive in send order.
-func testPairFIFO(t *testing.T, f Factory) {
+// (And an endpoint is attached once.)
+func testPairFIFO(t *testing.T, f Factory, via via) {
 	eps, _ := f(t, 2)
+	ch := via(eps[1])
+	if err := eps[1].Attach(func(*wire.Msg) {}, func() {}); !errors.Is(err, transport.ErrAttached) {
+		t.Fatalf("second Attach: err = %v, want ErrAttached", err)
+	}
 	const k = 200
 	for i := 0; i < k; i++ {
 		m := &wire.Msg{Kind: wire.KAck, To: 1, Req: uint64(i) + 1}
@@ -64,7 +108,7 @@ func testPairFIFO(t *testing.T, f Factory) {
 		}
 	}
 	for i := 0; i < k; i++ {
-		m := recvOne(t, eps[1])
+		m := recvOne(t, ch)
 		if m.Req != uint64(i)+1 {
 			t.Fatalf("message %d: got req %d, want %d (FIFO violated)", i, m.Req, i+1)
 		}
@@ -95,7 +139,7 @@ func testConcurrentSenders(t *testing.T, f Factory) {
 	}
 	next := make([]uint64, n)
 	for got := 0; got < (n-1)*per; got++ {
-		m := recvOne(t, eps[0])
+		m := recvOne(t, eps[0].Recv())
 		s := int(m.Arg)
 		if s < 1 || s >= n {
 			t.Fatalf("unexpected sender tag %d", s)
@@ -116,8 +160,9 @@ func testConcurrentSenders(t *testing.T, f Factory) {
 // testPayloadCopy: Data round-trips intact, and mutating the message
 // after Send does not corrupt the delivery (encode-at-send copy
 // semantics).
-func testPayloadCopy(t *testing.T, f Factory) {
+func testPayloadCopy(t *testing.T, f Factory, via via) {
 	eps, _ := f(t, 2)
+	ch := via(eps[1])
 	data := []byte{1, 2, 3, 4, 5}
 	m := &wire.Msg{Kind: wire.KDiffReply, To: 1, Req: 42, Page: 7, Lock: -3, Arg: 1 << 40, B: 99, Data: data}
 	if err := eps[0].Send(m); err != nil {
@@ -128,7 +173,7 @@ func testPayloadCopy(t *testing.T, f Factory) {
 		data[i] = 0xFF
 	}
 	m.Req = 0
-	got := recvOne(t, eps[1])
+	got := recvOne(t, ch)
 	if got.Req != 42 || got.Page != 7 || got.Lock != -3 || got.Arg != 1<<40 || got.B != 99 {
 		t.Fatalf("scalar fields corrupted: %+v", got)
 	}
@@ -152,7 +197,7 @@ func testSelfSendRejected(t *testing.T, f Factory) {
 		t.Fatalf("refused self send counted: %v", s)
 	}
 	// Only the peer's message arrives: the refused one was never queued.
-	if err := eps[0].Send(&wire.Msg{Kind: wire.KAck, To: 1, Req: 78}); err != nil || recvOne(t, eps[1]).Req != 78 {
+	if err := eps[0].Send(&wire.Msg{Kind: wire.KAck, To: 1, Req: 78}); err != nil || recvOne(t, eps[1].Recv()).Req != 78 {
 		t.Fatalf("the peer's message was not the first delivered (send: %v)", err)
 	}
 	// Close while eight senders are inside Send (refusals, by the check
@@ -198,7 +243,7 @@ func testStatsAccuracy(t *testing.T, f Factory) {
 		}
 	}
 	for i := 0; i < k; i++ {
-		recvOne(t, eps[1])
+		recvOne(t, eps[1].Recv())
 	}
 	if got := st0.MsgsSent.Load(); got != k {
 		t.Fatalf("MsgsSent = %d, want %d", got, k)
@@ -214,23 +259,24 @@ func testStatsAccuracy(t *testing.T, f Factory) {
 	}
 }
 
-// testCloseSemantics: after Close, Recv channels end and Send
-// reports an error.
-func testCloseSemantics(t *testing.T, f Factory) {
+// testCloseSemantics: after Close, every endpoint goes down (its
+// channel ends) and Send reports an error.
+func testCloseSemantics(t *testing.T, f Factory, via via) {
 	eps, closeAll := f(t, 2)
+	chs := []<-chan *wire.Msg{via(eps[0]), via(eps[1])}
 	closeAll()
-	for _, ep := range eps {
+	for i, ch := range chs {
 		deadline := time.After(recvTimeout)
 		for {
 			closed := false
 			select {
-			case _, ok := <-ep.Recv():
+			case _, ok := <-ch:
 				if !ok {
 					closed = true
 				}
 				// Drain any message delivered before the close.
 			case <-deadline:
-				t.Fatalf("node %d: Recv channel not closed after transport Close", ep.ID())
+				t.Fatalf("node %d: not down after transport Close", i)
 			}
 			if closed {
 				break

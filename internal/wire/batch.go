@@ -8,7 +8,7 @@ import (
 // Batch frames. A KBatch message carries several complete encoded
 // messages in its Data payload so that one transport send (one frame,
 // one syscall on TCP) delivers them all. Members keep their own From,
-// To, Req, and Attempt fields: the receiving dispatch loop unpacks
+// To, Req, and Attempt fields: the receiving runtime unpacks
 // the frame and routes every member exactly as if it had arrived on
 // its own, so reply matching and duplicate suppression operate per
 // member, never per batch. The batch frame itself has Req == 0 and is

@@ -95,7 +95,7 @@ const (
 	KDiffPush  // one-way: Arg=interval seq, Data=packed (page, diff) list
 
 	// Batching (nodecore). A batch frame carries several complete
-	// encoded messages in Data (see PackBatch); the dispatch loop
+	// encoded messages in Data (see PackBatch); the receiving runtime
 	// unpacks it and routes each member as if it had arrived alone.
 	KBatch
 
