@@ -25,8 +25,10 @@ build:
 # self-sends racing Close, of the TCP transport's fail-stop (a
 # peer lost mid-stream closes Recv; an orderly Close does not), and of
 # the lock-free read hit against every bracketed frame mutation, an
-# sc invalidation and unaligned word stores, whose failures would be
-# scheduling-dependent.
+# sc invalidation and unaligned word stores, and of the cached lock
+# token (local re-grants, read copies and their invalidation, upgrades,
+# hand-offs, relays along the owners' chain, writers excluding readers),
+# whose failures would be scheduling-dependent.
 test: vet smoke bench-alloc
 	$(GO) test ./... -timeout 1200s
 	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/dsync ./internal/core ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace ./internal/mem ./internal/proto/lrc ./internal/proto/erc ./internal/proto/sc ./internal/proto/classic ./internal/proto/ec ./internal/wire
@@ -35,6 +37,7 @@ test: vet smoke bench-alloc
 	$(GO) test -race -count=20 -run 'Conformance/SelfSendRejected' ./internal/simnet ./internal/transport/tcp
 	$(GO) test -race -count=20 -run 'PeerLost|OrderlyClose' ./internal/transport/tcp
 	$(GO) test -race -count=20 -run 'OptimisticRead|ReadHitSeesInvalidation|UnalignedWord' ./internal/mem ./internal/nodecore ./internal/core
+	$(GO) test -race -count=20 -run 'Token|Reacquire|Shared|Upgrade|Handoff|Relay|Writer' ./internal/dsync ./internal/kv ./internal/proto/ec ./internal/proto/lrc
 
 # Allocation regression gate. The thresholds are checked into the
 # tests themselves: the ZeroAlloc tests assert 0 allocs/op in steady

@@ -3,7 +3,7 @@
 // consistency's data-carrying lock grants shine. Compares the
 // lock-handoff costs of SC, LRC and EC on identical work.
 //
-//	go run ./examples/taskqueue -tasks 400 -work 2000 -nodes 6
+//	go run ./examples/taskqueue -tasks 400 -work 20 -nodes 6
 package main
 
 import (
@@ -19,7 +19,7 @@ import (
 
 func main() {
 	tasks := flag.Int("tasks", 200, "number of tasks")
-	work := flag.Int("work", 1500, "busy-work iterations per task")
+	work := flag.Int("work", 15, "busy-work units per task (10 000 multiply-adds each)")
 	nodes := flag.Int("nodes", 4, "cluster size")
 	latency := flag.Duration("latency", 20*time.Microsecond, "per-message latency")
 	flag.Parse()

@@ -71,7 +71,7 @@ func All(s Scale) []App {
 			NewNBody(256, 5),
 			NewPipeline(1024),
 			NewTSP(8),
-			NewTaskQueue(256, 2000),
+			NewTaskQueue(256, 10),
 			NewHistogram(1<<16, 32),
 			NewFalseShare(32, 256),
 			kv.NewMedium(),

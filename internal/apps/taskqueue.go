@@ -26,7 +26,10 @@ type TaskQueue struct {
 const tqLock int32 = 11
 
 // NewTaskQueue creates a farm of `tasks` tasks, each spinning `work`
-// iterations of deterministic arithmetic.
+// units of deterministic arithmetic. A unit is long enough (about
+// 10 µs) that the farm stays lock-migratory: with cached lock tokens,
+// tasks of nanoseconds let the producer drain the queue with local
+// re-acquires before a consumer's first request arrives.
 func NewTaskQueue(tasks, work int) *TaskQueue {
 	return &TaskQueue{tasks: tasks, work: work}
 }
@@ -58,10 +61,10 @@ func (a *TaskQueue) Setup(c *core.Cluster) error {
 	return nil
 }
 
-// compute is the task body: deterministic busy work.
+// compute is the task body: ten thousand multiply-adds per unit.
 func (a *TaskQueue) compute(task int64) uint64 {
 	acc := uint64(task) + 1
-	for i := 0; i < a.work; i++ {
+	for i := 0; i < a.work*10000; i++ {
 		acc = acc*6364136223846793005 + 1442695040888963407
 	}
 	return acc

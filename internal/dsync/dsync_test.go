@@ -436,13 +436,14 @@ func TestManyLocksManyNodes(t *testing.T) {
 
 // TestQueuedWaiterSurvivesDedupEviction: a waiter queued on a held lock
 // keeps retransmitting its request while more than a dedup table's
-// worth of other requests pass through the same manager. Every
-// retransmission must still be recognized as a duplicate — a forgotten
-// request would be queued a second time, granted a second time to a
-// node that is no longer asking, and the lock would never be free
-// again.
+// worth of other requests pass through the same manager and the same
+// owner. Every retransmission must still be recognized as a duplicate
+// — at the manager, which relayed it to the token's owner, and at the
+// owner, where it waits. A forgotten request would be relayed or queued
+// a second time, granted a second time to a node that is no longer
+// asking, and the token would be lost.
 func TestQueuedWaiterSurvivesDedupEviction(t *testing.T) {
-	// The waiter waits out ~4400 other lock operations: well past the
+	// The waiter waits out ~8400 other lock operations: well past the
 	// fixture's default under the race detector.
 	f := newFixtureWith(t, 3, Config{AcquireTimeout: time.Minute}, nil, func(rt *nodecore.Runtime) {
 		// Retransmit every <= 4ms for as long as the test takes.
@@ -466,18 +467,21 @@ func TestQueuedWaiterSurvivesDedupEviction(t *testing.T) {
 		}
 	}
 	waitFor("the waiter's first retransmission", func() bool { return mgr.DupRequests.Load() > 0 })
-	// 2 x 2200 acquire/release requests through node 0: more than the
-	// 4096 its dedup table holds.
-	for i := 0; i < 2200; i++ {
-		if err := f.svcs[1].Acquire(busy); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.svcs[1].Release(busy); err != nil {
-			t.Fatal(err)
+	// Nodes 0 and 1 pass lock busy back and forth 4200 times: every
+	// hand-off is a request through node 0 and one forwarded to the
+	// token's owner, more than the 4096 each dedup table holds.
+	for i := 0; i < 4200; i++ {
+		for _, svc := range []*Service{f.svcs[1], f.svcs[0]} {
+			if err := svc.Acquire(busy); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Release(busy); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	dups := mgr.DupRequests.Load()
-	waitFor("a retransmission after the table turned over", func() bool { return mgr.DupRequests.Load() >= dups+2 })
+	waitFor("a retransmission after the tables turned over", func() bool { return mgr.DupRequests.Load() >= dups+2 })
 	select {
 	case err := <-granted:
 		t.Fatalf("waiter returned while the lock was held: %v", err)
@@ -492,21 +496,25 @@ func TestQueuedWaiterSurvivesDedupEviction(t *testing.T) {
 	if err := f.svcs[2].Release(held); err != nil {
 		t.Fatal(err)
 	}
-	ls := f.svcs[0].lockState(held)
-	ls.mu.Lock()
-	stillHeld, queued := ls.held, len(ls.queue)
-	ls.mu.Unlock()
-	if stillHeld || queued != 0 {
-		t.Fatalf("after the waiter's release the lock is held=%v with %d queued: it was granted twice", stillHeld, queued)
+	for i, want := range []tokState{tokAway, tokAway, tokOwned} {
+		ls := f.svcs[i].lockState(held)
+		ls.mu.Lock()
+		tok, queued := ls.tok, len(ls.q)
+		ls.mu.Unlock()
+		if tok != want || queued != 0 {
+			t.Fatalf("node %d: token state %d with %d queued, want %d and none: the waiter was granted twice", i, tok, queued, want)
+		}
 	}
 	if got := f.rts[2].Stats().LockAcquires.Load(); got != 1 {
 		t.Fatalf("waiter counted %d grants, want 1", got)
 	}
 	// And the lock still works.
-	if err := f.svcs[1].Acquire(held); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.svcs[1].Release(held); err != nil {
-		t.Fatal(err)
+	for _, svc := range f.svcs {
+		if err := svc.Acquire(held); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Release(held); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

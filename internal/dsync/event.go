@@ -76,7 +76,7 @@ func (s *Service) EventWait(id int32) error {
 func (s *Service) EventSet(id int32) error {
 	s.hooks.OnEventSet(eventHookID(id))
 	s.rt.Tracer().Emit(trace.EvLockRelease, int32(s.managerOf(id)), 0, -1, eventHookID(id), 0, 0)
-	return s.notifyManager(wire.KEvtSet, id)
+	return s.notifyManager(id)
 }
 
 // eventHookID maps the event id into a hook-visible id distinct from
@@ -149,4 +149,27 @@ func (s *Service) fireEvent(id int32, pg pendGrant, setter transport.NodeID) {
 		Lock: id,
 		Data: payload,
 	})
+}
+
+// notifyManager tells id's manager of an event set. Fault-free mode
+// sends it one-way; a lost one would strand every waiter, so reliable
+// mode upgrades it to an acknowledged, retried request — the
+// receive-side dedup table keeps a retransmitted set from tripping the
+// set-once check (see ackIfAsked).
+func (s *Service) notifyManager(id int32) error {
+	m := &wire.Msg{Kind: wire.KEvtSet, To: s.managerOf(id), Lock: id}
+	if s.rt.Reliable() {
+		_, err := s.rt.CallT(m, s.cfg.AcquireTimeout)
+		return err
+	}
+	return s.rt.Send(m)
+}
+
+// ackIfAsked acknowledges requests that carry a request id — i.e.
+// event sets sent through the reliable Call path. The fault-free
+// one-way form has Req == 0 and gets no (billed) reply.
+func (s *Service) ackIfAsked(m *wire.Msg) {
+	if m.Req != 0 {
+		_ = s.rt.Ack(m)
+	}
 }

@@ -217,12 +217,12 @@ func encodeSlot(buf []byte, version, state, w0, w1 uint64) {
 }
 
 // Get reads a key's slot into buf (len >= slotBytes) under its
-// stripe lock and reports whether the key is live. Allocation-free:
-// buf is caller-owned and reused across the hot loop.
+// stripe lock, held shared, and reports whether the key is live.
+// Allocation-free: buf is caller-owned and reused across the hot loop.
 func (s *Store) Get(n *core.Node, key uint64, buf []byte) (live bool, version uint64, err error) {
 	slot := s.slotOf(key)
 	lock := s.lockOf(slot)
-	if err := n.Acquire(lock); err != nil {
+	if err := n.AcquireShared(lock); err != nil {
 		return false, 0, err
 	}
 	if err := n.ReadAt(s.slotAddr(slot), buf[:slotBytes]); err != nil {

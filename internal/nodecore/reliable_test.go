@@ -172,19 +172,19 @@ func TestReliableTokenConfirm(t *testing.T) {
 // TestDedupTableBounded: the dedup table and completed ring must not
 // grow with message count — entries are evicted FIFO at capacity.
 func TestDedupTableBounded(t *testing.T) {
-	d := newDedupTable(64)
+	d := newDedupTable(64, time.Second)
 	for i := 0; i < 10_000; i++ {
-		d.admit(1, uint64(i))
+		d.admit(1, uint64(i), 0)
 		d.completed(1, uint64(i), &wire.Msg{Kind: wire.KAck})
 	}
 	if got := d.size(); got > 64 {
 		t.Fatalf("dedup table grew to %d entries (cap 64)", got)
 	}
 	// Recent entries survive, ancient ones were evicted.
-	if dup, _, _, _ := d.admit(1, 9_999); !dup {
+	if dup, _, _, _ := d.admit(1, 9_999, 0); !dup {
 		t.Fatal("most recent entry evicted")
 	}
-	if dup, _, _, _ := d.admit(1, 0); dup {
+	if dup, _, _, _ := d.admit(1, 0, 0); dup {
 		t.Fatal("oldest entry not evicted")
 	}
 }
@@ -197,20 +197,20 @@ func TestDedupTableBounded(t *testing.T) {
 // let go.
 func TestDedupKeepsInflight(t *testing.T) {
 	const cap = 64
-	d := newDedupTable(cap)
-	d.admit(2, 1) // a lock waiter queued at this manager: never answered
+	d := newDedupTable(cap, time.Second)
+	d.admit(2, 1, 0) // a lock waiter queued at this manager: never answered
 	for i := 0; i < cap+10; i++ {
 		req := uint64(100 + i)
-		if dup, _, _, _ := d.admit(1, req); dup {
+		if dup, _, _, _ := d.admit(1, req, 0); dup {
 			t.Fatalf("fresh request %d reported duplicate", req)
 		}
 		if i%2 == 0 {
 			d.completed(1, req, &wire.Msg{Kind: wire.KAck})
 		} else {
-			d.forwarded(1, req, &wire.Msg{Kind: wire.KLockReq})
+			d.forwarded(1, req, &wire.Msg{Kind: wire.KLockReq}, false)
 		}
 	}
-	if dup, state, _, _ := d.admit(2, 1); !dup || state != dedupInflight {
+	if dup, state, _, _ := d.admit(2, 1, 0); !dup || state != dedupInflight {
 		t.Fatalf("inflight request forgotten after %d newer ones (dup=%v state=%d)", cap+10, dup, state)
 	}
 	if got := d.size(); got > cap {
@@ -228,9 +228,9 @@ func TestDedupKeepsInflight(t *testing.T) {
 	}
 	// All inflight: nothing may go, and one lap of the queue is enough
 	// to find that out.
-	all := newDedupTable(8)
+	all := newDedupTable(8, time.Second)
 	for i := 0; i < 20; i++ {
-		all.admit(1, uint64(i))
+		all.admit(1, uint64(i), 0)
 	}
 	if got := all.size(); got != 20 {
 		t.Fatalf("table of unanswered requests holds %d of 20", got)
@@ -241,9 +241,52 @@ func TestDedupKeepsInflight(t *testing.T) {
 		e.at = e.at.Add(-dedupInflightKeep - time.Second)
 	}
 	all.mu.Unlock()
-	all.admit(1, 99)
+	all.admit(1, 99, 0)
 	if got := all.size(); got != 8 {
 		t.Fatalf("table holds %d entries after its inflight ones expired, cap 8", got)
+	}
+}
+
+// TestDedupKeepsWaitingRelays: a relay of a blocking kind outlives
+// capacity-many newer requests while its caller keeps retransmitting,
+// is forgotten once the caller goes quiet, and is not counted against
+// the capacity, so a node relaying many waiting requests still
+// remembers capacity-many others.
+func TestDedupKeepsWaitingRelays(t *testing.T) {
+	const cap = 8
+	d := newDedupTable(cap, time.Second)
+	for r := uint64(1); r <= 20; r++ { // 20 lock requests relayed to their owners
+		d.admit(2, r, 0)
+		d.forwarded(2, r, &wire.Msg{Kind: wire.KLockReq}, true)
+	}
+	for i := uint64(0); i < 30; i++ {
+		d.admit(1, 100+i, 0)
+		d.completed(1, 100+i, &wire.Msg{Kind: wire.KAck})
+	}
+	if got := d.size(); got != 20+cap {
+		t.Fatalf("table holds %d entries, want the 20 relays and %d others", got, cap)
+	}
+	if dup, state, fwd, _ := d.admit(2, 1, 0); !dup || state != dedupForwarded || fwd == nil {
+		t.Fatalf("waiting relay forgotten (dup=%v state=%d)", dup, state)
+	}
+	if dup, _, _, _ := d.admit(1, 129, 0); !dup {
+		t.Fatal("newest answered entry evicted")
+	}
+	// Every caller but the one that just retransmitted goes quiet.
+	d.mu.Lock()
+	for k, e := range d.entries {
+		if e.keep && k.req != 1 {
+			e.at = e.at.Add(-2 * time.Second)
+		}
+	}
+	d.mu.Unlock()
+	// They go as eviction reaches them: within capacity-many admissions.
+	for i := uint64(0); i <= cap; i++ {
+		d.admit(1, 200+i, 0)
+		d.completed(1, 200+i, &wire.Msg{Kind: wire.KAck})
+	}
+	if got := d.size(); got != 1+cap {
+		t.Fatalf("table holds %d entries after 19 relays went quiet, want the live relay and %d others", got, cap)
 	}
 }
 

@@ -220,7 +220,8 @@ func (r *Runtime) EnableReliability(p RetryPolicy, seed int64) {
 	r.retry = p.withDefaults()
 	r.retryRng = uint64(seed)*0x9e3779b97f4a7c15 + uint64(r.id)*2654435761 + 1
 	r.rtt = make([]rttEstimator, r.n)
-	r.dedup = newDedupTable(0)
+	// A waiting caller retransmits at least every 1.25 BackoffCaps.
+	r.dedup = newDedupTable(0, 8*r.retry.BackoffCap)
 	r.Handle(wire.KConfirm, r.handleConfirm)
 }
 
@@ -450,7 +451,7 @@ func (r *Runtime) deliver(m *wire.Msg) {
 		return
 	}
 	if r.reliable && m.Req != 0 {
-		if dup, state, fwd, cached := r.dedup.admit(m.From, m.Req); dup {
+		if dup, state, fwd, cached := r.dedup.admit(m.From, m.Req, m.B); dup {
 			r.st.DupRequests.Add(1)
 			switch state {
 			case dedupDone:
@@ -682,7 +683,7 @@ func (r *Runtime) Forward(m *wire.Msg, to transport.NodeID) error {
 	fwd.To = to
 	if r.reliable && m.Req != 0 && !m.Kind.IsReply() {
 		cp := fwd
-		r.dedup.forwarded(m.From, m.Req, &cp)
+		r.dedup.forwarded(m.From, m.Req, &cp, r.blocking[m.Kind])
 	}
 	r.st.Forwards.Add(1)
 	if r.tracer != nil && fwd.To != r.id {

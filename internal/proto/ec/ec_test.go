@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dsync"
+	"repro/internal/proto/ec"
 )
 
 func newCluster(t *testing.T, nodes int) *core.Cluster {
@@ -421,5 +423,56 @@ func TestDiffGrantsLaggardGetsFullCopy(t *testing.T) {
 	}
 	if got != 31 {
 		t.Fatalf("laggard read %d, want 31", got)
+	}
+}
+
+// TestTokenRegrantIsPermissionOnly: a re-acquire where the token is
+// ships nothing, and the grant the node builds for itself is the
+// permission-only payload (the version alone), under ec and ec-diff;
+// the bound data still travels with the next hand-off.
+func TestTokenRegrantIsPermissionOnly(t *testing.T) {
+	for _, proto := range []core.Protocol{core.EC, core.ECDiff} {
+		t.Run(proto.String(), func(t *testing.T) {
+			c, err := core.NewCluster(core.Config{Nodes: 3, Protocol: proto, PageSize: 256, HeapBytes: 1 << 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			addr := c.MustAlloc(16)
+			c.Bind(1, addr, 16)
+			n0, n2 := c.Node(0), c.Node(2)
+			for v := uint64(1); v <= 5; v++ { // lock 1 is managed by node 1
+				if err := n0.Acquire(1); err != nil {
+					t.Fatal(err)
+				}
+				if err := n0.WriteUint64(addr, v); err != nil {
+					t.Fatal(err)
+				}
+				if err := n0.Release(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := n0.Runtime().Stats()
+			if got := st.LockLocalGrants.Load(); got != 4 {
+				t.Fatalf("%d of 4 re-acquires were local", got)
+			}
+			eng := n0.Runtime().Engine().(*ec.Engine)
+			if p := eng.GrantPayload(1, n0.Runtime().ID(), dsync.Exclusive, eng.AcquirePayload(1)); len(p) != 8 {
+				t.Fatalf("self-built grant is %d bytes, want the 8-byte version alone", len(p))
+			}
+			if err := n2.AcquireShared(1); err != nil {
+				t.Fatal(err)
+			}
+			got, err := n2.ReadUint64(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != 5 {
+				t.Fatalf("node 2 reads %d after the hand-off, want 5", got)
+			}
+			if err := n2.Release(1); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

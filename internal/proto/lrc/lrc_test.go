@@ -1,10 +1,12 @@
 package lrc_test
 
 import (
+	"encoding/hex"
 	"fmt"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dsync"
 	"repro/internal/proto/lrc"
 )
 
@@ -519,5 +521,55 @@ func TestBarrierPushReplacesFetch(t *testing.T) {
 	}
 	if st.DiffFetches != 1 {
 		t.Errorf("DiffFetches = %d, want 1 (only the warm-up read should fetch)", st.DiffFetches)
+	}
+}
+
+// TestTokenRegrantCarriesNoNotices: once a node holds a lock's token,
+// re-acquiring it installs no write notice — the grant it builds for
+// itself names no interval — while the grant that brought the token
+// carried the previous holder's.
+func TestTokenRegrantCarriesNoNotices(t *testing.T) {
+	for _, proto := range []core.Protocol{core.LRC, core.HLRC} {
+		t.Run(proto.String(), func(t *testing.T) {
+			c, err := core.NewCluster(core.Config{Nodes: 3, Protocol: proto, PageSize: 256, HeapBytes: 1 << 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			addr := c.MustAlloc(8)
+			n1 := c.Node(1)
+			st := n1.Runtime().Stats()
+			writeLocked := func(n *core.Node, v uint64) {
+				t.Helper()
+				if err := n.Acquire(0); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.WriteUint64(addr, v); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.Release(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			writeLocked(c.Node(2), 5)
+			writeLocked(n1, 6) // the token moves: node 2's notice comes with it
+			notices, local := st.WriteNotices.Load(), st.LockLocalGrants.Load()
+			if notices == 0 {
+				t.Fatal("the hand-off carried no write notice")
+			}
+			for v := uint64(7); v < 17; v++ {
+				writeLocked(n1, v)
+			}
+			if got := st.LockLocalGrants.Load() - local; got != 10 {
+				t.Fatalf("%d of 10 re-acquires were local", got)
+			}
+			if got := st.WriteNotices.Load(); got != notices {
+				t.Fatalf("local re-grants installed %d write notices", got-notices)
+			}
+			eng := n1.Runtime().Engine().(*lrc.Engine)
+			if p := eng.GrantPayload(0, n1.Runtime().ID(), dsync.Exclusive, eng.AcquirePayload(0)); hex.EncodeToString(p) != "00" {
+				t.Fatalf("self-built grant = %x, want the empty interval list", p)
+			}
+		})
 	}
 }

@@ -72,10 +72,11 @@ type Node struct {
 	GrantPayloadBytes atomic.Int64 // consistency data piggybacked on sync grants
 
 	// Synchronization.
-	LockAcquires  atomic.Int64
-	LockWaitNs    atomic.Int64
-	BarrierWaits  atomic.Int64
-	BarrierWaitNs atomic.Int64
+	LockAcquires    atomic.Int64
+	LockLocalGrants atomic.Int64 // acquires served with no message (a cached token or read copy)
+	LockWaitNs      atomic.Int64
+	BarrierWaits    atomic.Int64
+	BarrierWaitNs   atomic.Int64
 
 	// Lat holds the latency histograms, non-nil only when event
 	// tracing is enabled (core.Config.EventTrace). It is not a
@@ -124,6 +125,7 @@ type Snapshot struct {
 	DirectWrites      int64 `stats:"direct_writes"`
 	GrantPayloadBytes int64 `stats:"grant_payload_bytes"`
 	LockAcquires      int64 `stats:"lock_acquires"`
+	LockLocalGrants   int64 `stats:"lock_local_grants"`
 	LockWaitNs        int64 `stats:"lock_wait_ns"`
 	BarrierWaits      int64 `stats:"barrier_waits"`
 	BarrierWaitNs     int64 `stats:"barrier_wait_ns"`

@@ -20,7 +20,7 @@ func fuzzSeeds() [][]byte {
 		{Kind: KBarArrive, From: 5, To: 2, Lock: -1, B: ^uint64(0)},
 		{Kind: KConfirm, From: 1, To: 1, Arg: 0xdeadbeef, Attempt: 3},
 		{Kind: KErcFlush, From: 0, To: 7, Page: 1 << 20, Data: make([]byte, 4096), Attempt: 255},
-		{Kind: KBatch, From: 1, To: 2, Data: PackBatch(nil, []*Msg{{Kind: KLockRel, To: 2, Lock: 4}, {Kind: KAck, To: 2, Req: 7}})},
+		{Kind: KBatch, From: 1, To: 2, Data: PackBatch(nil, []*Msg{{Kind: KLockInval, To: 2, Lock: 4}, {Kind: KAck, To: 2, Req: 7}})},
 	}
 	for _, m := range msgs {
 		enc := m.Encode(nil)

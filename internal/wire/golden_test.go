@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestGoldenFrame pins the v3 frame byte for byte: a 45-byte header of
+// TestGoldenFrame pins the v4 frame byte for byte: a 45-byte header of
 // kind, From, To, Req, Page, Lock, Arg, B and the payload length, all
 // little-endian, then the payload; a retransmission inserts its attempt
 // byte after the kind, whose high bit it sets. Any change here is a
@@ -39,15 +39,15 @@ func TestGoldenFrame(t *testing.T) {
 			t.Errorf("attempt %d: header is %d bytes", tc.m.Attempt, hdr)
 		}
 	}
-	if Version != 3 {
-		t.Errorf("Version = %d: the frame above is v3", Version)
+	if Version != 4 {
+		t.Errorf("Version = %d: the frame above is v4", Version)
 	}
 }
 
 // TestUnpackBatchRejects pins the batch decoder's refusals and one
 // accepted frame.
 func TestUnpackBatchRejects(t *testing.T) {
-	a, b := &Msg{Kind: KLockRel, To: 1, Lock: 2}, &Msg{Kind: KAck, To: 1, Req: 9, Data: []byte{1}}
+	a, b := &Msg{Kind: KLockInval, To: 1, Lock: 2}, &Msg{Kind: KAck, To: 1, Req: 9, Data: []byte{1}}
 	good := PackBatch(nil, []*Msg{a, b})
 	nested := PackBatch(nil, []*Msg{{Kind: KBatch, To: 1, Data: PackBatch(nil, []*Msg{a})}})
 	for _, tc := range []struct {

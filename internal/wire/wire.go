@@ -24,7 +24,11 @@ import (
 // v3: dropped the never-written second payload and its length
 // field, so the header is 45 bytes, and the never-sent lock-forward
 // kind (every later kind's number moved down by one).
-const Version byte = 3
+// v4: locks are cached tokens. The release kind's slot carries the
+// owner's invalidation of a read copy (KLockInval), a lock request
+// may be relayed along the owners' succession (B counts its hops),
+// and no release message exists.
+const Version byte = 4
 
 // MaxEncodedSize caps one encoded message (64 MiB). Real-socket
 // transports reject longer frames before allocating, so a corrupt or
@@ -44,9 +48,9 @@ const (
 	KAck // generic reply
 
 	// Distributed lock service (dsync).
-	KLockReq   // acquire request: Lock, Arg=mode, Data=acquirer payload
+	KLockReq   // acquire request: Lock, Arg=mode, B=hops past the manager, Data=acquirer payload
 	KLockGrant // reply to acquirer: Data=grant payload
-	KLockRel   // holder -> manager: release; Arg=mode
+	KLockInval // token owner -> reader: drop the read copy; answered by KAck
 
 	// Barrier service (dsync).
 	KBarArrive  // node -> barrier manager/parent: Lock=barrier id, Data=payload
@@ -102,12 +106,16 @@ const (
 	kindCount
 )
 
+// KLockRel is KLockInval's former name: a lock release sends no
+// message since v4, and the slot went to the invalidation.
+const KLockRel = KLockInval
+
 var kindNames = [...]string{
 	KInvalid:      "invalid",
 	KAck:          "ack",
 	KLockReq:      "lock-req",
 	KLockGrant:    "lock-grant",
-	KLockRel:      "lock-rel",
+	KLockInval:    "lock-inval",
 	KBarArrive:    "bar-arrive",
 	KBarRelease:   "bar-release",
 	KEvtWait:      "evt-wait",
