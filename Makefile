@@ -28,7 +28,9 @@ build:
 # sc invalidation and unaligned word stores, and of the cached lock
 # token (local re-grants, read copies and their invalidation, upgrades,
 # hand-offs, relays along the owners' chain, writers excluding readers),
-# whose failures would be scheduling-dependent.
+# and of lrc's diff service (a reply encoding a page's diffs while the
+# writer appends to them and barrier GC cuts them), whose failures would
+# be scheduling-dependent.
 test: vet smoke bench-alloc
 	$(GO) test ./... -timeout 1200s
 	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/dsync ./internal/core ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace ./internal/mem ./internal/proto/lrc ./internal/proto/erc ./internal/proto/sc ./internal/proto/classic ./internal/proto/ec ./internal/wire
@@ -38,6 +40,7 @@ test: vet smoke bench-alloc
 	$(GO) test -race -count=20 -run 'PeerLost|OrderlyClose' ./internal/transport/tcp
 	$(GO) test -race -count=20 -run 'OptimisticRead|ReadHitSeesInvalidation|UnalignedWord' ./internal/mem ./internal/nodecore ./internal/core
 	$(GO) test -race -count=20 -run 'Token|Reacquire|Shared|Upgrade|Handoff|Relay|Writer' ./internal/dsync ./internal/kv ./internal/proto/ec ./internal/proto/lrc
+	$(GO) test -race -count=20 -run 'DiffReq|BarrierGC' ./internal/proto/lrc
 
 # Allocation regression gate. The thresholds are checked into the
 # tests themselves: the ZeroAlloc tests assert 0 allocs/op in steady
@@ -53,12 +56,13 @@ test: vet smoke bench-alloc
 # at their current counts. The
 # benchmarks print current numbers for the paths that clone by design
 # (receive-side decode), for a lock round trip (manager = self / = the
-# peer), for that release on a 1 MiB and a 64 MiB heap, and for the
+# peer), for that release on a 1 MiB and a 64 MiB heap, for an lrc
+# diff request over 1k and 64k own intervals, and for the
 # read hit from every goroutine at once on one page, where the
 # lock-free hit must not contend.
 bench-alloc:
 	$(GO) test -run 'ZeroAlloc|AllocBudget' -count=1 ./internal/wire/ ./internal/mem/ ./internal/nodecore/ ./internal/trace/ ./internal/kv/ ./internal/metrics/ ./internal/dsync/ ./internal/proto/lrc/
-	$(GO) test -run '^$$' -bench 'Encode|DecodeInto|PackBatch|AppendDiff|ApplyDiff|FrameRoundTrip|ReadHit|ReadHitParallel|WriteHit|EmitDisabled|EmitEnabled|AccessEmit|HistObserve|KVOpRecord|SampleOnce|PromWrite|LockLocal|LockRemoteSim|ReleaseOneDirtyPage' \
+	$(GO) test -run '^$$' -bench 'Encode|DecodeInto|PackBatch|AppendDiff|ApplyDiff|FrameRoundTrip|ReadHit|ReadHitParallel|WriteHit|EmitDisabled|EmitEnabled|AccessEmit|HistObserve|KVOpRecord|SampleOnce|PromWrite|LockLocal|LockRemoteSim|ReleaseOneDirtyPage|DiffReq' \
 		-benchtime 1000x -benchmem -timeout 300s ./internal/wire/ ./internal/mem/ ./internal/nodecore/ ./internal/transport/tcp/ ./internal/trace/ ./internal/kv/ ./internal/metrics/ ./internal/dsync/ ./internal/proto/lrc/
 
 short:

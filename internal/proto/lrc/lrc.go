@@ -18,6 +18,9 @@
 //     so their order is irrelevant; ordered intervals are applied in
 //     causal order (sum of vector-clock components is a valid linear
 //     extension of happens-before).
+//   - A writer keeps its own diffs per page, in interval order, so
+//     serving a request costs a binary search plus the diffs it
+//     returns, however many intervals the range spans.
 //   - Barriers make everyone's new intervals globally known.
 //
 // Compared with eager RC (package erc), synchronization is cheap and
@@ -80,8 +83,8 @@ type Engine struct {
 
 	mu          sync.Mutex
 	vc          vclock.VC
-	log         [][]*interval     // log[node][seq-1]
-	myDiffs     map[uint64][]byte // page<<32|seq -> diff (own intervals)
+	log         [][]*interval            // log[node][seq-1]
+	myDiffs     map[mem.PageID][]seqDiff // own diffs per page, seq-ascending; never changed in place
 	missing     map[mem.PageID][]noticeRef
 	lastBarSent uint32 // own-interval seq already distributed via a barrier
 	lastBarPrev uint32 // own-interval seq distributed at the barrier before that
@@ -123,7 +126,7 @@ func New(rt *nodecore.Runtime, barrierGC bool) *Engine {
 		gc:        barrierGC,
 		vc:        vclock.New(rt.N()),
 		log:       make([][]*interval, rt.N()),
-		myDiffs:   make(map[uint64][]byte),
+		myDiffs:   make(map[mem.PageID][]seqDiff),
 		missing:   make(map[mem.PageID][]noticeRef),
 		interest:  make(map[mem.PageID]map[int32]struct{}),
 		pushCache: make(map[pushKey][]byte),
@@ -142,7 +145,11 @@ func NewHomeBased(rt *nodecore.Runtime) *Engine {
 func (e *Engine) DiffCacheSize() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.myDiffs)
+	n := 0
+	for _, own := range e.myDiffs {
+		n += len(own)
+	}
+	return n
 }
 
 // Name implements nodecore.Engine.
@@ -174,8 +181,6 @@ func (e *Engine) Register(rt *nodecore.Runtime) {
 func (e *Engine) Init() {
 	e.rt.Table().EachLocked(func(p *mem.Page) { p.SetProt(mem.ReadOnly) })
 }
-
-func diffKey(pg mem.PageID, seq uint32) uint64 { return uint64(uint32(pg))<<32 | uint64(seq) }
 
 // ---------------------------------------------------------------
 // Fault side
@@ -372,7 +377,7 @@ func (e *Engine) closeInterval(collect bool) []pushEntry {
 	for _, d := range dirty {
 		iv.pages = append(iv.pages, d.Page)
 		if !e.homeBased {
-			e.myDiffs[diffKey(d.Page, seq)] = d.Diff
+			e.myDiffs[d.Page] = append(e.myDiffs[d.Page], seqDiff{seq, d.Diff})
 		}
 	}
 	e.log[me] = append(e.log[me], iv)
@@ -626,11 +631,15 @@ func (e *Engine) OnBarrierRelease(_ int32, payload []byte) {
 	}
 	// Discard own diffs everyone has validated by now: intervals
 	// distributed at the previous barrier were validated during its
-	// release, which completed before anyone arrived at this one.
+	// release, which completed before anyone arrived at this one. A
+	// page's cut is a prefix, and what is kept is copied: handleDiffReq
+	// encodes a subslice after Unlock, so no entry may change in place.
 	e.mu.Lock()
-	for key := range e.myDiffs {
-		if uint32(key) <= safe {
-			delete(e.myDiffs, key)
+	for pg, own := range e.myDiffs {
+		if k := sort.Search(len(own), func(i int) bool { return own[i].seq > safe }); k == len(own) {
+			delete(e.myDiffs, pg)
+		} else if k > 0 {
+			e.myDiffs[pg] = append([]seqDiff(nil), own[k:]...)
 		}
 	}
 	e.mu.Unlock()
@@ -640,18 +649,18 @@ func (e *Engine) OnBarrierRelease(_ int32, payload []byte) {
 // Diff service
 // ---------------------------------------------------------------
 
-// handleDiffReq serves our own interval diffs for one page across a
-// seq range, and records the requester's interest in the page so
-// future diffs for it can be pushed instead of fetched.
+// handleDiffReq serves our own diffs for one page across the full-width
+// seq range [Arg, B], and records the requester's interest in the page
+// so future diffs for it can be pushed instead of fetched.
 func (e *Engine) handleDiffReq(m *wire.Msg) {
 	e.mu.Lock()
-	me := int(e.rt.ID())
-	var out []seqDiff
-	for s := uint32(m.Arg); s <= uint32(m.B) && s <= uint32(len(e.log[me])); s++ {
-		if d, ok := e.myDiffs[diffKey(m.Page, s)]; ok {
-			out = append(out, seqDiff{seq: s, diff: d})
-		}
+	own := e.myDiffs[m.Page]
+	i := sort.Search(len(own), func(i int) bool { return uint64(own[i].seq) >= m.Arg })
+	j := i
+	for j < len(own) && uint64(own[j].seq) <= m.B {
+		j++
 	}
+	out := own[i:j]
 	if !e.homeBased && m.From != e.rt.ID() {
 		set := e.interest[m.Page]
 		if set == nil {

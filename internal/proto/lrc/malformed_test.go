@@ -2,7 +2,9 @@ package lrc
 
 import (
 	"encoding/binary"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -79,5 +81,36 @@ func TestMalformedPushIgnored(t *testing.T) {
 	e.handleDiffPush(&wire.Msg{Kind: wire.KDiffPush, From: 1, Arg: 1, Data: binary.AppendUvarint(nil, 1<<62)})
 	if len(e.pushCache) != 0 {
 		t.Fatalf("a malformed push cached %d diffs", len(e.pushCache))
+	}
+}
+
+// TestHostileDiffRange: a diff request's range comes from another
+// process and is compared in full width. An inverted range, seq 0, a
+// range past 2^32 (served as [Arg, 3] when the ends were cut to 32
+// bits), a start past 2^32 and a page this node never wrote each get an
+// empty KDiffReply; an end past 2^32 serves every diff from Arg on.
+func TestHostileDiffRange(t *testing.T) {
+	s := newDiffServer(t, 8, false)
+	for i, pg := range []mem.PageID{3, 3, 5, 3} { // page 3's diffs: seqs 1, 2 and 4
+		s.write(t, pg, 0, uint64(i+1))
+		s.e.closeInterval(false)
+	}
+	for _, tc := range []struct {
+		name   string
+		pg     mem.PageID
+		arg, b uint64
+		want   []uint32
+	}{
+		{"inverted range", 3, 4, 1, nil},
+		{"seq 0", 3, 0, 0, nil},
+		{"range past 2^32", 3, 1<<32 + 1, 1<<32 + 3, nil},
+		{"start past 2^32", 3, 1 << 32, math.MaxUint64, nil},
+		{"page never written", 6, 1, 4, nil},
+		{"end past 2^32", 3, 2, 1<<32 + 3, []uint32{2, 4}},
+	} {
+		got, err := replySeqs(s.serve(t, tc.pg, tc.arg, tc.b))
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("%s: page %d [%d, %d] served seqs %v (%v), want %v", tc.name, tc.pg, tc.arg, tc.b, got, err, tc.want)
+		}
 	}
 }
