@@ -15,7 +15,6 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/mem"
 	"repro/internal/metrics"
-	"repro/internal/nodecore"
 	"repro/internal/racecheck"
 	"repro/internal/simnet"
 	"repro/internal/stats"
@@ -54,11 +53,10 @@ type unverified struct{ apps.App }
 func (unverified) Verify(*core.Cluster) error { return nil }
 
 // underChaos returns cfg on the lossy network E13, E15 and E16 share:
-// 2% drops, 1% duplicates, 2% 2ms latency spikes, recovered by a 10ms
-// first retransmission backing off to 80ms, with the watchdog armed.
+// 2% drops, 1% duplicates, 2% 2ms latency spikes, recovered by the
+// simulator's links, with the watchdog armed.
 func underChaos(cfg core.Config) core.Config {
 	cfg.Faults = &simnet.FaultPlan{DropProb: 0.02, DupProb: 0.01, SpikeProb: 0.02, Spike: 2 * time.Millisecond}
-	cfg.Retry = &nodecore.RetryPolicy{AttemptTimeout: 10 * time.Millisecond, BackoffCap: 80 * time.Millisecond}
 	cfg.WatchdogTimeout = 30 * time.Second
 	return cfg
 }

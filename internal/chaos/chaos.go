@@ -13,14 +13,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/nodecore"
 	"repro/internal/simnet"
 )
 
 // Event is one scheduled structural fault. Partitions sever a node
 // pair; stalls freeze one endpoint's receive processing. Both heal
 // after Dur — the harness never injects a permanent failure, since
-// the reliability layer promises liveness only on a network that
+// the simulator's links promise delivery only on a network that
 // eventually delivers.
 type Event struct {
 	At    time.Duration // offset from schedule start
@@ -82,26 +81,11 @@ func DefaultPlan(n int, seed int64) Plan {
 	return p
 }
 
-// Retry is the retransmission policy matched to the plan's fault
-// durations: first retry after 10ms, backing off to 200ms, far more
-// attempts than the longest partition needs.
-func Retry() *nodecore.RetryPolicy {
-	return &nodecore.RetryPolicy{
-		MaxAttempts:    64,
-		AttemptTimeout: 10 * time.Millisecond,
-		BackoffCap:     200 * time.Millisecond,
-	}
-}
-
-// Arm returns cfg running under this plan: fault injection on, the
-// matched reliability policy, and the watchdog armed (a Retry or
-// WatchdogTimeout the caller already set is kept).
+// Arm returns cfg running under this plan: fault injection on and the
+// watchdog armed (a WatchdogTimeout the caller already set is kept).
 func (p *Plan) Arm(cfg core.Config) core.Config {
 	faults := p.Faults
 	cfg.Faults = &faults
-	if cfg.Retry == nil {
-		cfg.Retry = Retry()
-	}
 	if cfg.WatchdogTimeout == 0 {
 		cfg.WatchdogTimeout = 30 * time.Second
 	}

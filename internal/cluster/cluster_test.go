@@ -254,6 +254,44 @@ func TestTCPRunsTheFaultFreeProtocol(t *testing.T) {
 	}
 }
 
+// TestChaosRunsTheFaultFreeProtocol: under chaos.DefaultPlan the links
+// recover every frame beneath the nodes, so the nodes run the
+// fault-free protocol: E11's schedule-independent rows (3 nodes, lrc)
+// send exactly the messages and bytes they send fault-free, whatever
+// the network dropped and the links retransmitted beside them.
+func TestChaosRunsTheFaultFreeProtocol(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		mk           func() apps.App
+		msgs, bytes int64
+	}{
+		{"sor", func() apps.App { return apps.NewSOR(24, 16, 6) }, 152, 19770},
+		{"matmul", func() apps.App { return apps.NewMatMul(24) }, 44, 18310},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := chaos.DefaultPlan(3, 41)
+			res, err := Run(Spec{
+				Cfg:     core.Config{Nodes: 3, Protocol: core.LRC, Seed: 41},
+				App:     tc.mk,
+				Chaos:   &plan,
+				Observe: Observe{Sample: true, SampleInterval: 10 * time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := res.Total()
+			t.Logf("%s: %d msgs / %d B; link: %d dropped, %d duplicated, %d retransmitted, %d discarded, %d acks",
+				tc.name, s.MsgsSent, s.BytesSent, s.MsgsDropped, s.MsgsDuplicated, s.Retries, s.DupRequests, s.LinkAcks)
+			if s.MsgsSent != tc.msgs || s.BytesSent != tc.bytes {
+				t.Fatalf("under chaos: %d msgs / %d B, want the fault-free %d / %d", s.MsgsSent, s.BytesSent, tc.msgs, tc.bytes)
+			}
+			if s.MsgsRecv != s.MsgsSent || s.BytesRecv != s.BytesSent {
+				t.Fatalf("delivered %d msgs / %d B of %d / %d", s.MsgsRecv, s.BytesRecv, s.MsgsSent, s.BytesSent)
+			}
+		})
+	}
+}
+
 // TestRunCollectsStats: a traced, sampled run returns one stream and
 // its counters per node on either transport, and each sampler's last
 // sample equals the counters it is returned with.

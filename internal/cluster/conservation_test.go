@@ -12,14 +12,19 @@ import (
 
 // TestMessageConservation checks the per-node traffic counters against
 // what a network can do to a message, not against a second ledger:
-// summed over the cluster, every message sent is received once, except
-// those the network dropped (never received) and duplicated (received
-// twice). Fault-free, every byte sent is a byte received. Sampling
-// makes drive wait for the counters to stand still on the simulator, so
-// nothing is in flight when they are read; over TCP each node reads its
+// summed over the cluster, every protocol message sent is delivered
+// once, byte for byte, on every network — under chaos because the
+// simulator's links recover every frame. And the frames balance: the
+// frames sent (messages, link retransmissions, acks and NACKs), less
+// those the network dropped, plus those it duplicated, are the frames
+// received (messages delivered, frames the links discarded at the
+// sequence check, acks and NACKs); fault-free and over TCP every term
+// but the messages is zero. Sampling makes drive wait for the counters
+// to stand still on the simulator, so nothing is in flight and no
+// retransmission due when they are read; over TCP each node reads its
 // own after the shutdown barrier, and the balance also shows that the
 // end-of-stream frame Close writes is not a message. A count site that
-// forgets a delivery or a drop path breaks the balance.
+// forgets a delivery, a discard or a drop path breaks a balance.
 func TestMessageConservation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("thirty cluster runs, a third under chaos, a third over TCP")
@@ -48,12 +53,17 @@ func TestMessageConservation(t *testing.T) {
 						t.Fatal(err)
 					}
 					s := res.Total()
-					if s.MsgsSent-s.MsgsDropped+s.MsgsDuplicated != s.MsgsRecv {
-						t.Fatalf("sent %d - dropped %d + duplicated %d != received %d",
-							s.MsgsSent, s.MsgsDropped, s.MsgsDuplicated, s.MsgsRecv)
+					if s.MsgsSent != s.MsgsRecv || s.BytesSent != s.BytesRecv {
+						t.Fatalf("messages: sent %d (%d B), delivered %d (%d B)", s.MsgsSent, s.BytesSent, s.MsgsRecv, s.BytesRecv)
 					}
-					if nw.chaos == nil && s.BytesSent != s.BytesRecv {
-						t.Fatalf("fault-free: %d bytes sent, %d received", s.BytesSent, s.BytesRecv)
+					sent := s.MsgsSent + s.Retries + s.LinkAcks
+					recv := s.MsgsRecv + s.DupRequests + s.LinkAcksRecv
+					if sent-s.MsgsDropped+s.MsgsDuplicated != recv {
+						t.Fatalf("frames: sent %d - dropped %d + duplicated %d != received %d (%v)",
+							sent, s.MsgsDropped, s.MsgsDuplicated, recv, s)
+					}
+					if nw.chaos != nil && (s.MsgsDropped == 0 || s.Retries == 0) {
+						t.Fatalf("chaos cell saw no drop or no retransmission: %v", s)
 					}
 				})
 			}

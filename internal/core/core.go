@@ -199,17 +199,11 @@ type Config struct {
 	BreakCoherence bool
 
 	// Faults injects network faults (drops, duplicates, latency
-	// spikes) per the plan, seeded from Seed. Setting it also enables
-	// the nodes' reliability layer (retry/backoff + duplicate
-	// suppression) so the protocols survive the faults. Simulator-only.
+	// spikes) per the plan, seeded from Seed, beneath a retransmitting
+	// link on every pair of nodes (simnet's link.go): the nodes see
+	// each message once and in order, as over TCP, and run the
+	// fault-free protocol unchanged. Simulator-only.
 	Faults *simnet.FaultPlan
-	// Retry overrides the reliability layer's retransmission policy;
-	// setting it enables the layer even with Faults nil (nothing else
-	// does: TCP cannot lose a message). The first reply wait tracks each
-	// peer's measured round trip (never under 1ms); Retry.AttemptTimeout
-	// is that wait before the peer's round trip is known, and its
-	// ceiling afterwards.
-	Retry *nodecore.RetryPolicy
 	// WatchdogTimeout arms a cluster-wide stall detector during Run:
 	// if no node dispatches any message for this long while requests
 	// are in flight, Run fails with a per-node dump of the stuck
@@ -251,8 +245,7 @@ func (c *Config) fillDefaults() error {
 // memory layout. The TCP handshake exchanges it so a node built with
 // a different page size or protocol is rejected at connect time
 // instead of corrupting the heap mid-run. Timing knobs are excluded:
-// they are simulator-only or node-local — Retry's values, though not
-// whether it is set, which changes the traffic. So are the node-local
+// they are simulator-only or node-local. So are the node-local
 // observers — Advise, EventTrace, AccessTrace, OnStall — which change
 // what a node records, never what it sends.
 func (c Config) Digest() uint64 {
@@ -275,7 +268,7 @@ func (c Config) Digest() uint64 {
 		}
 		return 0
 	}
-	put(bit(c.Retry != nil)<<4 | bit(c.Batch)<<3 | bit(c.TreeBarrier)<<2 | bit(c.LRCBarrierGC)<<1) // bit 0 stays clear: Advise=false digests are unchanged
+	put(bit(c.Batch)<<3 | bit(c.TreeBarrier)<<2 | bit(c.LRCBarrierGC)<<1) // bit 0 stays clear: Advise=false digests are unchanged
 	put(uint64(c.TreeFanout))
 	return h.Sum64()
 }
@@ -365,10 +358,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // modelling, fault injection, BreakCoherence) are rejected: the real
 // network supplies its own latency and faults. Node-local observers
 // (EventTrace, AccessTrace, Advise) are allowed and see this node.
-//
-// The reliability layer stays off unless cfg.Retry is set: a tcp
-// transport delivers every frame it accepted, in order, or else goes
-// down naming the lost peer, so the fault-free protocol is enough.
+// A tcp transport delivers every frame it accepted, in order, or else
+// goes down naming the lost peer, so nodes run the fault-free protocol
+// there as everywhere.
 func NewDistributedNode(cfg Config, tr transport.Transport, self int) (*Cluster, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -431,13 +423,6 @@ func (c *Cluster) addNode(i int) error {
 			sep.SetTracer(tr) // chaos injections land in the stream too
 		}
 		c.tracers = append(c.tracers, tr)
-	}
-	if cfg.Faults != nil || cfg.Retry != nil {
-		var policy nodecore.RetryPolicy
-		if cfg.Retry != nil {
-			policy = *cfg.Retry
-		}
-		rt.EnableReliability(policy, cfg.Seed)
 	}
 	if cfg.Batch {
 		rt.EnableBatching()

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/nodecore"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -287,26 +286,5 @@ func TestDigestIgnoresNodeLocalFields(t *testing.T) {
 	}
 	if a, b := (core.Config{Nodes: 2}).Digest(), (core.Config{Nodes: 2, Batch: true}).Digest(); a == b {
 		t.Error("Batch, which changes the traffic, does not change the digest")
-	}
-}
-
-// TestDigestSeparatesRetry: a node with the reliability layer on sends
-// its token confirmations as KConfirm requests, which a node without it
-// has no handler for, so whether Retry is set must split the digest
-// (and a mixed cluster fail at the handshake). The policy's values are
-// timing and stay out; Retry nil keeps every pinned digest.
-func TestDigestSeparatesRetry(t *testing.T) {
-	base := core.Config{Nodes: 2}
-	if got, want := base.Digest(), uint64(0x5fe0039c6f84b4eb); got != want {
-		t.Fatalf("Retry nil: Digest = %#x, want the pinned %#x", got, want)
-	}
-	on, slow := base, base
-	on.Retry = &nodecore.RetryPolicy{}
-	slow.Retry = &nodecore.RetryPolicy{MaxAttempts: 3, AttemptTimeout: time.Second, BackoffCap: 5 * time.Second}
-	if on.Digest() == base.Digest() {
-		t.Error("Retry set and Retry nil share a digest")
-	}
-	if on.Digest() != slow.Digest() {
-		t.Error("two retry policies differ in digest: their values are timing, node-local")
 	}
 }

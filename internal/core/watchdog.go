@@ -8,13 +8,12 @@ import (
 )
 
 // watchdog detects cluster-wide stalls: if no node's runtime is
-// delivered any *useful* message for the configured window while
-// requests are in flight, the run is declared stuck. Retransmissions
-// that actually deliver count as progress, but retransmits suppressed
-// as duplicates and late-discarded replies do not — a cluster
-// spinning on a dead peer is loud but goes nowhere, and the watchdog
-// must see through that chatter. Its report dumps every node's
-// pending calls, which is usually enough to see the dependency cycle.
+// delivered any message for the configured window while requests are
+// in flight, the run is declared stuck. A link retransmitting into a
+// partition that never heals is loud but delivers nothing, so the count
+// sees through it. The report dumps every node's pending calls and the
+// links they wait on, which is usually enough to see the dependency
+// cycle or the dead pair.
 type watchdog struct {
 	c       *Cluster
 	timeout time.Duration
@@ -53,7 +52,7 @@ func (w *watchdog) halt() error {
 func (w *watchdog) progress() int64 {
 	var sum int64
 	for _, n := range w.c.nodes {
-		sum += n.rt.UsefulDispatched()
+		sum += n.rt.Dispatched()
 	}
 	return sum
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/nodecore"
+	"repro/internal/simnet"
 )
 
 // TestWatchdogDetectsStall: a held-forever lock stalls the cluster
@@ -40,70 +40,57 @@ func TestWatchdogDetectsStall(t *testing.T) {
 	}
 }
 
-// TestWatchdogSeesThroughDuplicateChatter: with an aggressive retry
-// policy, a node stuck on a never-released lock keeps retransmitting
-// its lock-req, and the manager suppresses every retransmit as a
-// duplicate. That traffic is dispatched but useless — the watchdog's
-// progress signal (UsefulDispatched) must exclude it and still fire,
-// and the stall report must name the stuck call and the peer it waits
-// on.
+// TestWatchdogSeesThroughDuplicateChatter: a lock request sent into a
+// partition that never heals is retransmitted by its link for as long
+// as the run lasts. That chatter never reaches a runtime, so the
+// watchdog still sees no progress and fires, and the stall report names
+// the stuck call and the link it waits on, frames unacknowledged: the
+// network, not the peer, is the holdup.
 func TestWatchdogSeesThroughDuplicateChatter(t *testing.T) {
 	c, err := NewCluster(Config{
 		Nodes:           2,
 		WatchdogTimeout: 400 * time.Millisecond,
-		Retry: &nodecore.RetryPolicy{
-			AttemptTimeout: 25 * time.Millisecond,
-			BackoffCap:     50 * time.Millisecond,
-		},
+		Faults:          &simnet.FaultPlan{}, // links on, nothing injected but the partition
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	start := time.Now()
 	err = c.Run(func(n *Node) error {
 		// Lock 2's manager is node 0 (2 % 2), so node 1's stuck
 		// acquire shows up in the report as "lock-req to 0".
 		if n.ID() == 0 {
-			if err := n.Acquire(2); err != nil {
-				return err
-			}
-			<-n.Runtime().Done() // hold until shutdown
+			c.Partition(0, 1, time.Hour)
 			return nil
 		}
-		time.Sleep(50 * time.Millisecond) // let node 0 win the lock
+		time.Sleep(50 * time.Millisecond) // after the partition
 		return n.Acquire(2)
 	})
 	if err == nil {
 		t.Fatal("stalled run returned nil")
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("watchdog fired after %v, window 400ms", el)
 	}
 	for _, want := range []string{"watchdog", "no message progress", "lock-req to 0"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q missing %q", err, want)
 		}
 	}
-	// The report says why the call is slow: it has been retransmitted
-	// (so the network was given its chances — the peer is not answering)
-	// and names the timeout those retransmissions started from.
-	m := regexp.MustCompile(`\[lock-req to 0 req=[0-9a-f]+ age=\S+ attempt=(\d+) rto=(\S+)\]`).FindStringSubmatch(err.Error())
+	m := regexp.MustCompile(`link 1->0: unacked=(\d+) oldest=\S+ rto=(\S+)`).FindStringSubmatch(err.Error())
 	if m == nil {
-		t.Fatalf("stall report %q does not give the stuck call's attempt and rto", err)
+		t.Fatalf("stall report %q does not give the stuck call's link", err)
 	}
-	if attempt, _ := strconv.Atoi(m[1]); attempt < 2 {
-		t.Fatalf("stuck call reported at attempt %d after 400ms of 25-50ms waits", attempt)
+	if unacked, _ := strconv.Atoi(m[1]); unacked < 1 {
+		t.Fatalf("stuck call's link reports %d unacked frames, want the request", unacked)
 	}
-	if rto, perr := time.ParseDuration(m[2]); perr != nil || rto < time.Millisecond || rto > 25*time.Millisecond {
-		t.Fatalf("stuck call's rto = %q, want between the 1ms floor and AttemptTimeout (25ms)", m[2])
+	if rto, perr := time.ParseDuration(m[2]); perr != nil || rto < time.Millisecond || rto > 20*time.Millisecond {
+		t.Fatalf("stuck call's link rto = %q, want between the 1ms floor and the 20ms cap", m[2])
 	}
-	// The chatter really happened: the manager must have suppressed
-	// retransmitted requests as duplicates while the watchdog counted
-	// no progress. Retries without DupRequests would mean the dedup
-	// table isn't seeing the traffic this test is about.
-	total := c.TotalStats()
-	if total.Retries == 0 {
-		t.Fatal("retry policy produced no retransmissions; test scenario broken")
-	}
-	if total.DupRequests == 0 {
-		t.Fatalf("no duplicate-suppressed requests recorded (retries=%d); watchdog was not exercised against chatter", total.Retries)
+	// The chatter really happened while the watchdog counted no progress.
+	if total := c.TotalStats(); total.Retries < 5 || total.MsgsDropped < total.Retries {
+		t.Fatalf("retries=%d dropped=%d: the link did not keep retransmitting into the partition", total.Retries, total.MsgsDropped)
 	}
 }
 

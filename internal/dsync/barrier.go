@@ -78,26 +78,8 @@ func (s *Service) expectedArrivals(id int32) int {
 func (s *Service) handleBarArrive(m *wire.Msg) {
 	bs := s.barState(m.Lock)
 	bs.mu.Lock()
-	// Dedupe arrivals by sender: a retransmitted KBarArrive that
-	// outlives the dedup table's eviction window would otherwise append
-	// a second waiter+payload for the same node, releasing the next
-	// episode one arrival early and cross-mixing its payloads. Within an
-	// episode each node arrives once, so a repeat from the same sender
-	// replaces the recorded request (the release answers the latest
-	// retransmission) instead of appending.
-	dup := false
-	for i := range bs.waiters {
-		if bs.waiters[i].from == m.From {
-			bs.waiters[i].req = m.Req
-			bs.payloads[i] = m.Data
-			dup = true
-			break
-		}
-	}
-	if !dup {
-		bs.payloads = append(bs.payloads, m.Data)
-		bs.waiters = append(bs.waiters, pendGrant{from: m.From, req: m.Req})
-	}
+	bs.payloads = append(bs.payloads, m.Data)
+	bs.waiters = append(bs.waiters, pendGrant{from: m.From, req: m.Req})
 	if len(bs.waiters) < s.expectedArrivals(m.Lock) {
 		bs.mu.Unlock()
 		return

@@ -165,15 +165,14 @@ func New(rt *nodecore.Runtime, hooks Hooks, cfg Config) *Service {
 	}
 	// Lock and event handlers only take their state's mutex, call the
 	// local GrantPayload hook and Send/Forward/Reply: HandleInline's
-	// rule holds (a request's *reply* is what waits, hence blocking; an
-	// invalidation's ack waits on the reader's release). The barrier
-	// handler's tree variant calls its parent, so it keeps a goroutine.
+	// rule holds (a request's *reply* is what waits; an invalidation's
+	// ack waits on the reader's release). The barrier handler's tree
+	// variant calls its parent, so it keeps a goroutine.
 	rt.HandleInline(wire.KLockReq, s.handleLockReq)
 	rt.HandleInline(wire.KLockInval, s.handleLockInval)
 	rt.Handle(wire.KBarArrive, s.handleBarArrive)
 	rt.HandleInline(wire.KEvtWait, s.handleEvtWait)
 	rt.HandleInline(wire.KEvtSet, s.handleEvtSet)
-	rt.MarkBlocking(wire.KLockReq, wire.KLockInval, wire.KBarArrive, wire.KEvtWait)
 	return s
 }
 

@@ -30,13 +30,6 @@ type fixture struct {
 
 func newFixture(t testing.TB, n int, cfg Config, hooks func(i int) Hooks) *fixture {
 	t.Helper()
-	return newFixtureWith(t, n, cfg, hooks, nil)
-}
-
-// newFixtureWith is newFixture with a hook that sees each runtime
-// before it starts (to enable reliability, say).
-func newFixtureWith(t testing.TB, n int, cfg Config, hooks func(i int) Hooks, prep func(*nodecore.Runtime)) *fixture {
-	t.Helper()
 	net, err := simnet.New(simnet.Config{Nodes: n})
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +52,6 @@ func newFixtureWith(t testing.TB, n int, cfg Config, hooks func(i int) Hooks, pr
 			h = hooks(i)
 		}
 		rt.SetCallTimeout(5 * time.Second)
-		if prep != nil {
-			prep(rt)
-		}
 		svc := New(rt, h, cfg)
 		rt.SetEngine(nopEngine{})
 		f.rts = append(f.rts, rt)
@@ -434,87 +424,3 @@ func TestManyLocksManyNodes(t *testing.T) {
 	wg.Wait()
 }
 
-// TestQueuedWaiterSurvivesDedupEviction: a waiter queued on a held lock
-// keeps retransmitting its request while more than a dedup table's
-// worth of other requests pass through the same manager and the same
-// owner. Every retransmission must still be recognized as a duplicate
-// — at the manager, which relayed it to the token's owner, and at the
-// owner, where it waits. A forgotten request would be relayed or queued
-// a second time, granted a second time to a node that is no longer
-// asking, and the token would be lost.
-func TestQueuedWaiterSurvivesDedupEviction(t *testing.T) {
-	// The waiter waits out ~8400 other lock operations: well past the
-	// fixture's default under the race detector.
-	f := newFixtureWith(t, 3, Config{AcquireTimeout: time.Minute}, nil, func(rt *nodecore.Runtime) {
-		// Retransmit every <= 4ms for as long as the test takes.
-		rt.EnableReliability(nodecore.RetryPolicy{BackoffCap: 4 * time.Millisecond, MaxAttempts: 1 << 20}, 1)
-	})
-	const held, busy = 0, 3 // both managed by node 0
-	mgr := f.rts[0].Stats()
-	if err := f.svcs[1].Acquire(held); err != nil {
-		t.Fatal(err)
-	}
-	granted := make(chan error, 1)
-	go func() { granted <- f.svcs[2].Acquire(held) }()
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitFor("the waiter's first retransmission", func() bool { return mgr.DupRequests.Load() > 0 })
-	// Nodes 0 and 1 pass lock busy back and forth 4200 times: every
-	// hand-off is a request through node 0 and one forwarded to the
-	// token's owner, more than the 4096 each dedup table holds.
-	for i := 0; i < 4200; i++ {
-		for _, svc := range []*Service{f.svcs[1], f.svcs[0]} {
-			if err := svc.Acquire(busy); err != nil {
-				t.Fatal(err)
-			}
-			if err := svc.Release(busy); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	dups := mgr.DupRequests.Load()
-	waitFor("a retransmission after the tables turned over", func() bool { return mgr.DupRequests.Load() >= dups+2 })
-	select {
-	case err := <-granted:
-		t.Fatalf("waiter returned while the lock was held: %v", err)
-	default:
-	}
-	if err := f.svcs[1].Release(held); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-granted; err != nil {
-		t.Fatal(err)
-	}
-	if err := f.svcs[2].Release(held); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []tokState{tokAway, tokAway, tokOwned} {
-		ls := f.svcs[i].lockState(held)
-		ls.mu.Lock()
-		tok, queued := ls.tok, len(ls.q)
-		ls.mu.Unlock()
-		if tok != want || queued != 0 {
-			t.Fatalf("node %d: token state %d with %d queued, want %d and none: the waiter was granted twice", i, tok, queued, want)
-		}
-	}
-	if got := f.rts[2].Stats().LockAcquires.Load(); got != 1 {
-		t.Fatalf("waiter counted %d grants, want 1", got)
-	}
-	// And the lock still works.
-	for _, svc := range f.svcs {
-		if err := svc.Acquire(held); err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.Release(held); err != nil {
-			t.Fatal(err)
-		}
-	}
-}

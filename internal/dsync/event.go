@@ -120,7 +120,6 @@ func (s *Service) handleEvtSet(m *wire.Msg) {
 	waiters := es.waiters
 	es.waiters = nil
 	es.mu.Unlock()
-	s.ackIfAsked(m)
 	for _, pg := range waiters {
 		s.fireEvent(m.Lock, pg, es.setter)
 	}
@@ -151,25 +150,7 @@ func (s *Service) fireEvent(id int32, pg pendGrant, setter transport.NodeID) {
 	})
 }
 
-// notifyManager tells id's manager of an event set. Fault-free mode
-// sends it one-way; a lost one would strand every waiter, so reliable
-// mode upgrades it to an acknowledged, retried request — the
-// receive-side dedup table keeps a retransmitted set from tripping the
-// set-once check (see ackIfAsked).
+// notifyManager tells id's manager of an event set, one-way.
 func (s *Service) notifyManager(id int32) error {
-	m := &wire.Msg{Kind: wire.KEvtSet, To: s.managerOf(id), Lock: id}
-	if s.rt.Reliable() {
-		_, err := s.rt.CallT(m, s.cfg.AcquireTimeout)
-		return err
-	}
-	return s.rt.Send(m)
-}
-
-// ackIfAsked acknowledges requests that carry a request id — i.e.
-// event sets sent through the reliable Call path. The fault-free
-// one-way form has Req == 0 and gets no (billed) reply.
-func (s *Service) ackIfAsked(m *wire.Msg) {
-	if m.Req != 0 {
-		_ = s.rt.Ack(m)
-	}
+	return s.rt.Send(&wire.Msg{Kind: wire.KEvtSet, To: s.managerOf(id), Lock: id})
 }

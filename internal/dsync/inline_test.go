@@ -36,8 +36,8 @@ func TestInlineSelfManagedLockIsSynchronous(t *testing.T) {
 	if st.MsgsSent.Load() != 0 || st.LockAcquires.Load() != 100 {
 		t.Fatalf("100 self-managed lock pairs: %d messages sent, %d acquires counted", st.MsgsSent.Load(), st.LockAcquires.Load())
 	}
-	if got := f.rts[0].UsefulDispatched(); got != 0 {
-		t.Fatalf("UsefulDispatched = %d, want 0 (a cached token delivers nothing)", got)
+	if got := f.rts[0].Dispatched(); got != 0 {
+		t.Fatalf("Dispatched = %d, want 0 (a cached token delivers nothing)", got)
 	}
 }
 

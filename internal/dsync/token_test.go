@@ -311,8 +311,9 @@ func TestTokenMutualExclusionGoroutines(t *testing.T) {
 	hammer(t, f, 1, 4, 300, 0)
 }
 
-// TestTokenSurvivesLoss: with 15% of messages dropped and retransmitted
-// (forwards, relays, grants, invalidations and their acks among them),
+// TestTokenSurvivesLoss: with 15% of frames dropped and retransmitted by
+// the links (forwards, relays, grants, invalidations and their acks
+// among them),
 // readers-writer exclusion holds and exactly one node owns the token.
 // The pauses keep the token moving: without them one node can finish
 // its share on cached re-acquires before another's request arrives.
@@ -339,13 +340,11 @@ func newLossyFixture(t *testing.T, n int, drop float64, seed int64) *fixture {
 	for i := range eps {
 		eps[i] = net.Endpoint(simnet.NodeID(i))
 	}
-	return startFixture(t, eps, net.Close, func(rt *nodecore.Runtime) {
-		rt.EnableReliability(nodecore.RetryPolicy{AttemptTimeout: 2 * time.Millisecond, BackoffCap: 8 * time.Millisecond, MaxAttempts: 1 << 20}, seed)
-	})
+	return startFixture(t, eps, net.Close)
 }
 
 // startFixture attaches a runtime and a Service to each endpoint.
-func startFixture(t *testing.T, eps []transport.Endpoint, closeNet func(), prep func(*nodecore.Runtime)) *fixture {
+func startFixture(t *testing.T, eps []transport.Endpoint, closeNet func()) *fixture {
 	t.Helper()
 	f := &fixture{}
 	for i, ep := range eps {
@@ -355,9 +354,6 @@ func startFixture(t *testing.T, eps []transport.Endpoint, closeNet func(), prep 
 		}
 		rt := nodecore.New(transport.NodeID(i), len(eps), ep, tbl, &stats.Node{})
 		rt.SetCallTimeout(5 * time.Second)
-		if prep != nil {
-			prep(rt)
-		}
 		f.svcs = append(f.svcs, New(rt, nil, Config{AcquireTimeout: 10 * time.Second}))
 		rt.SetEngine(nopEngine{})
 		f.rts = append(f.rts, rt)
@@ -398,7 +394,7 @@ func newTCPFixture(t *testing.T, n int) *fixture {
 		for _, tr := range trs {
 			tr.Close()
 		}
-	}, nil)
+	})
 }
 
 // TestBadReleaseFailsAtCaller: releasing a lock the node does not hold

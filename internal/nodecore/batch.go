@@ -20,12 +20,9 @@ import (
 // piggyback on that send's frame, which also preserves per-pair FIFO
 // order between queued and direct traffic.
 //
-// Batching composes with the reliability layer because members keep
-// their own request ids and Attempt counters: the receiving runtime
-// unpacks a batch and runs every member through the same
-// reply-routing and duplicate-suppression path as a lone message. The
-// batch frame itself carries no request id and is never deduplicated;
-// retransmissions travel per member.
+// Members keep their own request ids: the receiving runtime unpacks a
+// batch and runs every member through the same reply-routing path as a
+// lone message. The batch frame itself carries no request id.
 
 const (
 	batchMaxMsgs  = 32               // a queue flushes at this many members

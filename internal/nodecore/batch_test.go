@@ -196,13 +196,10 @@ func TestMalformedBatchDropped(t *testing.T) {
 	}
 }
 
-// TestRetryLoopHonorsDeadline: once the overall deadline is spent, a
-// reliable call reports the timeout instead of cycling through
-// minimum-wait retransmissions (the old behaviour could spin on a
-// 1ms-floor retransmit loop well past the deadline).
+// TestRetryLoopHonorsDeadline: a call to a silent handler reports the
+// timeout, naming it, once its deadline is spent, and no later.
 func TestRetryLoopHonorsDeadline(t *testing.T) {
-	a, b := reliablePair(t, nil,
-		RetryPolicy{AttemptTimeout: 5 * time.Millisecond, BackoffCap: 10 * time.Millisecond, MaxAttempts: 100})
+	a, b, _, _ := pair(t)
 	b.Handle(wire.KDiffReq, func(m *wire.Msg) {}) // never replies
 	start := time.Now()
 	_, err := a.CallT(&wire.Msg{Kind: wire.KDiffReq, To: 1}, 40*time.Millisecond)
@@ -210,11 +207,11 @@ func TestRetryLoopHonorsDeadline(t *testing.T) {
 	if err == nil {
 		t.Fatal("call to a silent handler succeeded")
 	}
-	if !strings.Contains(err.Error(), "timed out") || !strings.Contains(err.Error(), "attempts") {
+	if !strings.Contains(err.Error(), "timed out after 40ms") {
 		t.Fatalf("error %q does not describe the timeout", err)
 	}
-	if elapsed > 500*time.Millisecond {
-		t.Fatalf("deadline 40ms but call held on for %v", elapsed)
+	if elapsed < 40*time.Millisecond || elapsed > 500*time.Millisecond {
+		t.Fatalf("deadline 40ms but call returned after %v", elapsed)
 	}
 }
 

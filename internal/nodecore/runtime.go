@@ -11,7 +11,7 @@
 //   - No receive goroutine: Start attaches deliver to the endpoint and
 //     the transport calls it (HandleInline says on which goroutine).
 //     Replies are routed synchronously to the caller's registered slot,
-//     which one loop (retryLoop) waits on for every call; a request kind
+//     which one wait (exchange) serves for every call; a request kind
 //     installed with Handle gets a goroutine per message, so a handler
 //     that performs nested RPC (a manager forwarding, a home node
 //     propagating) never holds up a delivery; a kind installed with
@@ -93,7 +93,6 @@ type Runtime struct {
 	hooked   bool
 	handlers []func(*wire.Msg)
 	inline   []bool // kinds handled on the delivering goroutine itself (HandleInline)
-	blocking []bool // kinds whose reply waits on other nodes (MarkBlocking)
 
 	pendMu  sync.Mutex
 	pending map[uint64]*pendingCall
@@ -108,15 +107,6 @@ type Runtime struct {
 	// otherwise start from zero while Close is already in Wait.
 	closeMu   sync.Mutex
 	handlerWG sync.WaitGroup
-
-	// Reliability layer (inactive — and pay-for-what-you-use free —
-	// unless EnableReliability was called).
-	reliable bool
-	retry    RetryPolicy
-	retryMu  sync.Mutex     // guards retryRng and rtt
-	retryRng uint64         // jitter stream, one seeded sequence per node
-	rtt      []rttEstimator // per destination
-	dedup    *dedupTable
 
 	// Batching layer (inactive unless EnableBatching was called).
 	batcher *batcher
@@ -139,51 +129,18 @@ type Runtime struct {
 // pendingCall is one outstanding request awaiting its reply, with
 // enough metadata for the watchdog's in-flight dump.
 type pendingCall struct {
-	ch      chan *wire.Msg
-	kind    wire.Kind
-	to      transport.NodeID
-	since   time.Time
-	attempt atomic.Int32 // retransmissions so far (retryLoop)
+	ch    chan *wire.Msg
+	kind  wire.Kind
+	to    transport.NodeID
+	since time.Time
 }
 
 // PendingCall describes one in-flight request, for diagnostics.
-// Attempt counts retransmissions so far; RTO is the destination's
-// current first-attempt reply wait (zero with reliability off and for
-// tokens) — together they say whether a slow call is waiting on the
-// network or on the peer.
 type PendingCall struct {
-	Req     uint64
-	Kind    wire.Kind
-	To      transport.NodeID
-	Since   time.Time
-	Attempt int
-	RTO     time.Duration
-}
-
-// RetryPolicy tunes CallT's retransmission behaviour once
-// EnableReliability is active. The first reply wait follows the
-// destination's measured round trip (rtt.go): srtt + 4*rttvar with a
-// margin, no shorter than 1ms and no longer than AttemptTimeout, and
-// AttemptTimeout itself until the peer has answered a first
-// transmission. The wait doubles per retry up to BackoffCap, with a
-// deterministic +/-25% jitter; MaxAttempts bounds transmissions.
-type RetryPolicy struct {
-	MaxAttempts    int           // total transmissions per call (default 64)
-	AttemptTimeout time.Duration // first reply wait before the peer's RTT is known, and its ceiling afterwards (default 50ms)
-	BackoffCap     time.Duration // upper bound on per-attempt wait (default 1s)
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 64
-	}
-	if p.AttemptTimeout <= 0 {
-		p.AttemptTimeout = 50 * time.Millisecond
-	}
-	if p.BackoffCap <= 0 {
-		p.BackoffCap = time.Second
-	}
-	return p
+	Req   uint64
+	Kind  wire.Kind
+	To    transport.NodeID
+	Since time.Time
 }
 
 // New builds a runtime for node id of an n-node cluster.
@@ -197,47 +154,10 @@ func New(id transport.NodeID, n int, ep transport.Endpoint, tbl *mem.Table, st *
 		st:          st,
 		handlers:    make([]func(*wire.Msg), wire.NumKinds()),
 		inline:      make([]bool, wire.NumKinds()),
-		blocking:    make([]bool, wire.NumKinds()),
 		pending:     make(map[uint64]*pendingCall),
 		callTimeout: 30 * time.Second,
 		done:        make(chan struct{}),
 	}
-}
-
-// EnableReliability turns on the at-least-once RPC machinery: CallT
-// retransmits timed-out requests with capped exponential backoff and
-// deterministic jitter, the receive side suppresses duplicate
-// requests and re-serves cached replies (making retried requests
-// idempotent), and token confirmations travel as acknowledged
-// KConfirm requests instead of bare one-way acks. Must be called
-// before Start. With reliability off, every path behaves — and
-// counts messages — exactly as the fault-free substrate always has.
-func (r *Runtime) EnableReliability(p RetryPolicy, seed int64) {
-	if r.reliable {
-		return
-	}
-	r.reliable = true
-	r.retry = p.withDefaults()
-	r.retryRng = uint64(seed)*0x9e3779b97f4a7c15 + uint64(r.id)*2654435761 + 1
-	r.rtt = make([]rttEstimator, r.n)
-	// A waiting caller retransmits at least every 1.25 BackoffCaps.
-	r.dedup = newDedupTable(0, 8*r.retry.BackoffCap)
-	r.Handle(wire.KConfirm, r.handleConfirm)
-}
-
-// Reliable reports whether the reliability layer is active.
-func (r *Runtime) Reliable() bool { return r.reliable }
-
-// handleConfirm serves a reliable token confirmation: release the
-// local waiter (if still waiting) and acknowledge so the sender
-// stops retransmitting. Idempotent by construction — a confirm for
-// an already-released or timed-out token just acks.
-func (r *Runtime) handleConfirm(m *wire.Msg) {
-	tok := m.Arg
-	if pc := r.takePending(tok); pc != nil {
-		pc.ch <- &wire.Msg{Kind: wire.KAck, From: m.From, To: r.id, Req: tok}
-	}
-	_ = r.Ack(m)
 }
 
 // takePending removes and returns the reply slot of req, nil if there
@@ -330,7 +250,7 @@ func (r *Runtime) EnableAccessTrace() {
 
 // emitMsg records an RPC event for m. Callers guard r.tracer != nil.
 func (r *Runtime) emitMsg(typ trace.Type, peer int32, m *wire.Msg) {
-	r.tracer.Emit(typ, peer, m.Req, m.Page, m.Lock, trace.MsgArg(uint8(m.Kind), m.Attempt), 0)
+	r.tracer.Emit(typ, peer, m.Req, m.Page, m.Lock, trace.MsgArg(uint8(m.Kind)), 0)
 }
 
 // SetEngine attaches the protocol engine and installs its handlers.
@@ -374,18 +294,6 @@ func (r *Runtime) HandleInline(k wire.Kind, fn func(*wire.Msg)) {
 	r.inline[k] = true
 }
 
-// MarkBlocking marks kinds whose reply waits on other nodes' actions —
-// a lock's holder, a barrier's last arrival, an event's setter. Calls
-// of such a kind are timed by the destination's round-trip estimate
-// but never train it: their reply time is queue wait, not network
-// time. Where the handler runs is a separate choice (Handle or
-// HandleInline): a lock request's handler only queues it and returns.
-func (r *Runtime) MarkBlocking(kinds ...wire.Kind) {
-	for _, k := range kinds {
-		r.blocking[k] = true
-	}
-}
-
 // Start attaches deliver to the endpoint.
 func (r *Runtime) Start() {
 	r.attached.Add(1)
@@ -419,9 +327,8 @@ func (r *Runtime) closeDone() {
 }
 
 // deliver routes one message: replies to their waiting caller,
-// requests (after duplicate suppression) to their handler. Batch
-// members pass through here individually, so every reliability
-// mechanism sees them exactly as it would lone messages.
+// requests to their handler. Batch members pass through here
+// individually, exactly as lone messages would.
 func (r *Runtime) deliver(m *wire.Msg) {
 	if m.Kind == wire.KBatch {
 		members, err := wire.UnpackBatch(m.Data)
@@ -450,29 +357,6 @@ func (r *Runtime) deliver(m *wire.Msg) {
 		}
 		return
 	}
-	if r.reliable && m.Req != 0 {
-		if dup, state, fwd, cached := r.dedup.admit(m.From, m.Req, m.B); dup {
-			r.st.DupRequests.Add(1)
-			switch state {
-			case dedupDone:
-				// Transaction finished; re-serve the cached reply
-				// (the original may have been lost).
-				r.st.CachedReplies.Add(1)
-				cp := *cached
-				_ = r.Send(&cp)
-			case dedupForwarded:
-				// We relayed this request; re-send the recorded
-				// relay copy and let its table take over.
-				cp := *fwd
-				if r.tracer != nil && cp.To != r.id {
-					r.emitMsg(trace.EvSend, cp.To, &cp)
-				}
-				_ = r.xmit(&cp)
-			}
-			// Inflight: the first copy's handler will reply.
-			return
-		}
-	}
 	h := r.handlers[m.Kind]
 	if h == nil {
 		panic(fmt.Sprintf("nodecore: node %d: no handler for %v (engine %s)", r.id, m.Kind, r.engine.Name()))
@@ -499,8 +383,8 @@ func (r *Runtime) deliver(m *wire.Msg) {
 
 // xmit is the one place a message leaves the runtime: for a peer, to
 // the endpoint; for this node itself, into deliver on the calling
-// goroutine — same reply routing, duplicate suppression and handler
-// table as a message off the wire, and an inline handler has run when
+// goroutine — same reply routing and handler table as a message off
+// the wire, and an inline handler has run when
 // xmit returns. The receiver gets a private copy, the isolation the
 // wire round trip gave: the sender may reuse m and its buffers, a
 // handler may scribble on its own. Self traffic is neither counted nor
@@ -520,16 +404,12 @@ func (r *Runtime) xmit(m *wire.Msg) error {
 	return nil
 }
 
-// UsefulDispatched counts the messages this node has delivered (off
-// the endpoint or self-addressed) minus those that advanced nothing:
-// retransmitted requests suppressed as duplicates and replies
-// discarded as late. It is the watchdog's progress signal: a cluster
-// stuck waiting on a dead or unreachable peer keeps retransmitting
-// (and keeps suppressing those retransmits) forever — only subtracting
-// them lets the watchdog see through that chatter to the stall.
-func (r *Runtime) UsefulDispatched() int64 {
-	return r.dispatched.Load() - r.st.DupRequests.Load() - r.st.LateReplies.Load()
-}
+// Dispatched counts the messages this node has delivered (off the
+// endpoint or self-addressed): the watchdog's progress signal. What a
+// link does to recover a frame never reaches the runtime, so a cluster
+// stuck on an unreachable peer stops this count however loud its links
+// are.
+func (r *Runtime) Dispatched() int64 { return r.dispatched.Load() }
 
 // PendingCalls snapshots the in-flight requests (and awaited
 // tokens), oldest first, for the watchdog's stall dump.
@@ -537,21 +417,17 @@ func (r *Runtime) PendingCalls() []PendingCall {
 	r.pendMu.Lock()
 	out := make([]PendingCall, 0, len(r.pending))
 	for req, pc := range r.pending {
-		out = append(out, PendingCall{Req: req, Kind: pc.kind, To: pc.to, Since: pc.since, Attempt: int(pc.attempt.Load())})
+		out = append(out, PendingCall{Req: req, Kind: pc.kind, To: pc.to, Since: pc.since})
 	}
 	r.pendMu.Unlock()
-	if rtts := r.PeerRTTs(); rtts != nil {
-		for i := range out {
-			if to := out[i].To; to >= 0 {
-				out[i].RTO = rtts[to].RTO
-			}
-		}
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Since.Before(out[j].Since) })
 	return out
 }
 
-// DumpPending renders the in-flight requests for diagnostics.
+// DumpPending renders the in-flight requests for diagnostics and, on
+// an endpoint with links, one line per link the requests wait on: its
+// unacknowledged frames say whether a call waits on the network or,
+// with none, on the peer.
 func (r *Runtime) DumpPending() string {
 	calls := r.PendingCalls()
 	if len(calls) == 0 {
@@ -559,15 +435,21 @@ func (r *Runtime) DumpPending() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "node %d: %d pending:", r.id, len(calls))
+	links := make(map[transport.NodeID]bool)
 	for _, c := range calls {
 		age := time.Since(c.Since).Round(time.Millisecond)
-		switch {
-		case c.To < 0:
+		if c.To < 0 {
 			fmt.Fprintf(&b, " [token %x age=%v]", c.Req, age)
-		case c.RTO > 0:
-			fmt.Fprintf(&b, " [%v to %d req=%x age=%v attempt=%d rto=%v]", c.Kind, c.To, c.Req, age, c.Attempt, c.RTO.Round(time.Microsecond))
-		default:
-			fmt.Fprintf(&b, " [%v to %d req=%x age=%v]", c.Kind, c.To, c.Req, age)
+			continue
+		}
+		fmt.Fprintf(&b, " [%v to %d req=%x age=%v]", c.Kind, c.To, c.Req, age)
+		links[c.To] = true
+	}
+	if lr, ok := r.ep.(interface{ LinkReport(transport.NodeID) string }); ok {
+		for to := transport.NodeID(0); int(to) < r.n; to++ {
+			if line := lr.LinkReport(to); links[to] && line != "" {
+				fmt.Fprintf(&b, "\n    %s", line)
+			}
 		}
 	}
 	return b.String()
@@ -587,7 +469,7 @@ const reqSeqBits = 40
 
 // issued reports whether req is an id this node has handed out. A
 // reply carrying such an id with no call waiting for it is late — its
-// call completed or gave up, expected under retransmission — while
+// call gave up before the reply came — while
 // any other unmatched reply is a stray, a protocol bug. Exact at any
 // call rate and any lateness, with nothing to remember or evict.
 func (r *Runtime) issued(req uint64) bool {
@@ -606,20 +488,11 @@ func (r *Runtime) register(req uint64, kind wire.Kind, to transport.NodeID) *pen
 }
 
 // Send stamps the message with this node as origin and transmits it.
-// Under reliability, outgoing replies are recorded in the dedup
-// table so a retransmitted request can be answered from cache. With
-// batching enabled, any messages queued for the same destination
+// With batching enabled, any messages queued for the same destination
 // piggyback on this send's frame. A message addressed to this node
 // itself is delivered before Send returns (see xmit).
 func (r *Runtime) Send(m *wire.Msg) error {
 	m.From = r.id
-	if r.reliable && m.Req != 0 && m.Kind.IsReply() {
-		// Deep-copy the payload: the cached reply may be re-served
-		// long after the caller has reused or pooled its buffer.
-		cp := *m
-		cp.Data = append([]byte(nil), m.Data...)
-		r.dedup.completed(m.To, m.Req, &cp)
-	}
 	if r.tracer != nil && m.To != r.id {
 		// Emitted before the transmission so a zero-latency delivery
 		// cannot timestamp the recv ahead of its send.
@@ -672,19 +545,14 @@ func (r *Runtime) FlushBatches() {
 	}
 }
 
-// Forward retransmits m to a new destination, preserving the
+// Forward sends m on to a new destination, preserving the
 // original From and Req so the eventual replier answers the origin
-// directly. Used by manager relays and probable-owner chains. Under
-// reliability the relay is recorded so a duplicate of the original
-// request is re-relayed instead of dropped. Forwarding to this node
-// itself delivers on the calling goroutine, like Send.
+// directly. Used by manager relays and probable-owner chains.
+// Forwarding to this node itself delivers on the calling goroutine,
+// like Send.
 func (r *Runtime) Forward(m *wire.Msg, to transport.NodeID) error {
 	fwd := *m
 	fwd.To = to
-	if r.reliable && m.Req != 0 && !m.Kind.IsReply() {
-		cp := fwd
-		r.dedup.forwarded(m.From, m.Req, &cp, r.blocking[m.Kind])
-	}
 	r.st.Forwards.Add(1)
 	if r.tracer != nil && fwd.To != r.id {
 		r.emitMsg(trace.EvSend, fwd.To, &fwd)
@@ -698,11 +566,11 @@ func (r *Runtime) Call(m *wire.Msg) (*wire.Msg, error) {
 }
 
 // CallT is Call with an explicit overall timeout. Every request/reply
-// exchange — a Call, each member of a CallBatched, reliability on or
-// off — is a registered reply slot waited on by retryLoop.
+// exchange — a Call, each member of a CallBatched — is a registered
+// reply slot waited on by exchange.
 func (r *Runtime) CallT(m *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
 	m.Req = r.NewReq()
-	return r.retryLoop(m, r.register(m.Req, m.Kind, m.To), timeout, false)
+	return r.exchange(m, r.register(m.Req, m.Kind, m.To), timeout, false)
 }
 
 // CallBatched is the fan-out: it issues several requests at once and
@@ -711,10 +579,7 @@ func (r *Runtime) CallT(m *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
 // timed-out Call would be — and err is the first failure in input
 // order. Members wait on a goroutine each, the last on the caller's; a
 // lone member is a plain Call. With batching enabled, requests that
-// share a destination travel in one KBatch frame — their first
-// transmission only; under reliability each member retransmits on its
-// own, since loss and duplication are per member once the frame is
-// unpacked.
+// share a destination travel in one KBatch frame.
 func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 	switch len(msgs) {
 	case 0:
@@ -726,7 +591,6 @@ func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 	pcs := make([]*pendingCall, len(msgs))
 	for i, m := range msgs {
 		m.From = r.id
-		m.Attempt = 0
 		m.Req = r.NewReq()
 		pcs[i] = r.register(m.Req, m.Kind, m.To)
 	}
@@ -767,7 +631,7 @@ func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 	var wg sync.WaitGroup
 	wait := func(i int) {
 		defer wg.Done()
-		replies[i], errs[i] = r.retryLoop(msgs[i], pcs[i], r.callTimeout, preSent[i])
+		replies[i], errs[i] = r.exchange(msgs[i], pcs[i], r.callTimeout, preSent[i])
 	}
 	wg.Add(len(msgs))
 	for i := 0; i < len(msgs)-1; i++ {
@@ -783,92 +647,38 @@ func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 	return replies, nil
 }
 
-// retryLoop is the one reply wait: transmit, wait, retransmit, until
-// the already-registered call is answered, its overall deadline runs
-// out or the runtime shuts down. Every transmission shares the request
-// id, which is what lets the receiver deduplicate. MaxAttempts bounds
-// transmissions, not the wait: the last one waits out the remaining
-// deadline (locks, barriers and events legitimately reply much later
-// than any loss-recovery window, and their retransmits are cheaply
-// suppressed as duplicates in the meantime). Without reliability a call
-// is exactly that last attempt, and touches neither the estimator nor
-// the jitter stream.
-//
-// With preSent, the first transmission already happened (as a member of
-// a batch frame) and the loop starts by waiting. A reply that is
-// already there (always, for a self-addressed call) costs no clock read
-// and no timer. Otherwise the first wait is the destination's
-// retransmission timeout (rtt.go), and a reply to the first
-// transmission is its estimator's next sample — a reply after a
-// retransmission is not (Karn's rule: it could answer either copy), nor
-// is the reply to a blocking kind (queue wait, not network time). One
-// timer serves every attempt; it needs no draining because the loop
-// only comes around after it has fired.
-func (r *Runtime) retryLoop(m *wire.Msg, pc *pendingCall, timeout time.Duration, preSent bool) (*wire.Msg, error) {
-	maxAttempts := 1
-	if r.reliable {
-		maxAttempts = r.retry.MaxAttempts
-	}
-	deadline := pc.since.Add(timeout)
-	var wait time.Duration
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			// The deadline may have expired while the previous
-			// attempt's timer ran; give up here rather than pay for
-			// one more pointless retransmission and timer cycle.
-			if !time.Now().Before(deadline) {
-				return nil, r.giveUp(m, timeout, attempt)
-			}
-			r.st.Retries.Add(1)
-			pc.attempt.Store(int32(attempt))
-		}
-		m.Attempt = uint8(min(attempt, 255))
-		if attempt > 0 && r.tracer != nil {
-			r.emitMsg(trace.EvRetry, m.To, m)
-		}
-		if attempt > 0 || !preSent {
-			if err := r.Send(m); err != nil {
-				r.takePending(m.Req)
-				return nil, err
-			}
-		}
-		select {
-		case reply := <-pc.ch:
-			r.answered(m, attempt, pc.since)
-			return reply, nil
-		default:
-		}
-		w := time.Until(deadline) // the last transmission waits out the rest
-		if attempt+1 < maxAttempts {
-			var aw time.Duration
-			wait, aw = r.attemptWait(m, attempt, wait)
-			w = min(w, aw)
-		}
-		w = max(w, rtoFloor)
-		if timer == nil {
-			timer = time.NewTimer(w)
-		} else {
-			timer.Reset(w)
-		}
-		reply, down := r.await(pc.ch, timer)
-		if reply != nil {
-			r.answered(m, attempt, pc.since)
-			return reply, nil
-		}
-		if down {
+// exchange is the one reply wait: send the already-registered call
+// (unless preSent: it went out as a member of a batch frame) and wait
+// until it is answered, its overall deadline runs out or the runtime
+// shuts down. The network below delivers what it accepts once, or goes
+// down, so there is nothing to re-send. A reply that is already there
+// (always, for a self-addressed call) costs no clock read and no timer.
+func (r *Runtime) exchange(m *wire.Msg, pc *pendingCall, timeout time.Duration, preSent bool) (*wire.Msg, error) {
+	if !preSent {
+		if err := r.Send(m); err != nil {
 			r.takePending(m.Req)
-			return nil, fmt.Errorf("nodecore: node %d: shutdown while waiting for %v reply", r.id, m.Kind)
-		}
-		if attempt+1 >= maxAttempts {
-			return nil, r.giveUp(m, timeout, attempt+1)
+			return nil, err
 		}
 	}
+	select {
+	case reply := <-pc.ch:
+		r.answered(pc.since)
+		return reply, nil
+	default:
+	}
+	timer := time.NewTimer(max(time.Until(pc.since.Add(timeout)), 0))
+	defer timer.Stop()
+	reply, down := r.await(pc.ch, timer)
+	if reply != nil {
+		r.answered(pc.since)
+		return reply, nil
+	}
+	r.takePending(m.Req)
+	if down {
+		return nil, fmt.Errorf("nodecore: node %d: shutdown while waiting for %v reply", r.id, m.Kind)
+	}
+	return nil, fmt.Errorf("nodecore: node %d: %v to %d (page %d, lock %d) timed out after %v",
+		r.id, m.Kind, m.To, m.Page, m.Lock, timeout)
 }
 
 // await blocks on a reply slot until its message arrives, the timer
@@ -884,64 +694,11 @@ func (r *Runtime) await(ch chan *wire.Msg, timer *time.Timer) (reply *wire.Msg, 
 	}
 }
 
-// attemptWait returns the base reply wait of this attempt and the
-// wait to sleep: the base with the node's deterministic +/-25% jitter,
-// which desynchronizes retry storms. Attempt 0 takes its base from the
-// destination's estimator; later attempts double the previous one up
-// to BackoffCap and leave it with the estimator for the next call —
-// unless the kind is blocking, whose timeouts say nothing about the
-// network. One critical section covers the estimator and the jitter
-// stream.
-func (r *Runtime) attemptWait(m *wire.Msg, attempt int, prev time.Duration) (base, w time.Duration) {
-	r.retryMu.Lock()
-	defer r.retryMu.Unlock()
-	e := &r.rtt[m.To]
-	if attempt == 0 {
-		base = e.rto(r.retry.AttemptTimeout)
-	} else {
-		base = min(2*prev, r.retry.BackoffCap)
-		if !r.blocking[m.Kind] {
-			e.backed = max(e.backed, base)
-		}
-	}
-	jit := time.Duration(xorshift64(&r.retryRng) % uint64(base/2+1))
-	return base, base - base/4 + jit
-}
-
-// answered records a completed call: its latency, and — if the reply
-// qualifies (see retryLoop) — its round trip as the destination's next
-// estimator sample.
-func (r *Runtime) answered(m *wire.Msg, attempt int, start time.Time) {
+// answered records a completed call's latency.
+func (r *Runtime) answered(start time.Time) {
 	if r.st.Lat != nil {
 		r.st.Lat.RPC.Observe(time.Since(start).Nanoseconds())
 	}
-	if r.reliable && attempt == 0 && !r.blocking[m.Kind] {
-		r.observeRTT(m.To, time.Since(start))
-	}
-}
-
-// observeRTT feeds one first-transmission round trip to the
-// destination's estimator.
-func (r *Runtime) observeRTT(to transport.NodeID, rtt time.Duration) {
-	r.retryMu.Lock()
-	r.rtt[to].sample(rtt)
-	r.retryMu.Unlock()
-}
-
-// giveUp abandons a call whose deadline or attempts ran out.
-func (r *Runtime) giveUp(m *wire.Msg, timeout time.Duration, attempts int) error {
-	r.takePending(m.Req)
-	return fmt.Errorf("nodecore: node %d: %v to %d (page %d, lock %d) timed out after %v (attempts: %d)",
-		r.id, m.Kind, m.To, m.Page, m.Lock, timeout, attempts)
-}
-
-func xorshift64(s *uint64) uint64 {
-	x := *s
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	*s = x
-	return x
 }
 
 // Reply answers a request: it copies the request id and addresses the
@@ -962,9 +719,8 @@ func (r *Runtime) Ack(req *wire.Msg) error {
 
 // NewToken allocates a wait token: the local side blocks in
 // AwaitToken until a remote side releases it with ReleaseToken, which
-// sends a KAck carrying the token as Req (a KConfirm request under
-// reliability). Tokens implement the requester-confirmation step that
-// ends page transactions.
+// sends a KAck carrying the token as Req. Tokens implement the
+// requester-confirmation step that ends page transactions.
 func (r *Runtime) NewToken() (uint64, chan *wire.Msg) {
 	tok := r.NewReq()
 	return tok, r.register(tok, wire.KAck, -1).ch
@@ -985,16 +741,9 @@ func (r *Runtime) AwaitToken(tok uint64, ch chan *wire.Msg, timeout time.Duratio
 	return fmt.Errorf("nodecore: node %d: token %x confirmation timed out after %v", r.id, tok, timeout)
 }
 
-// ReleaseToken notifies a remote waiter. Fault-free mode sends a
-// bare one-way ack addressed by token — losing it would strand the
-// waiter's transaction, so reliable mode upgrades the notification
-// to a retried KConfirm request, acknowledged by the waiter's
-// runtime (handleConfirm) once the token is delivered.
+// ReleaseToken notifies a remote waiter with a bare one-way ack
+// addressed by token.
 func (r *Runtime) ReleaseToken(to transport.NodeID, tok uint64) error {
-	if r.reliable {
-		_, err := r.Call(&wire.Msg{Kind: wire.KConfirm, To: to, Arg: tok})
-		return err
-	}
 	return r.Send(&wire.Msg{Kind: wire.KAck, To: to, Req: tok})
 }
 

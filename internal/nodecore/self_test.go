@@ -61,7 +61,7 @@ func TestSelfDeliverPayloadIsolation(t *testing.T) {
 	}
 	copy(buf, "SCRIBBL")
 	close(sent)
-	reply, err := a.retryLoop(m, pc, 5*time.Second, true) // sent above: only wait
+	reply, err := a.exchange(m, pc, 5*time.Second, true) // sent above: only wait
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,39 +70,6 @@ func TestSelfDeliverPayloadIsolation(t *testing.T) {
 	}
 	if !bytes.Equal(buf, []byte("SCRIBBL")) {
 		t.Fatalf("sender's buffer is %q: the handler wrote through to it", buf)
-	}
-}
-
-// Under reliability a retransmitted self-request is admitted once and
-// answered from the dedup cache.
-func TestSelfDeliverReliableDedup(t *testing.T) {
-	a, _ := reliablePair(t, nil, RetryPolicy{})
-	var runs atomic.Int64
-	a.Handle(wire.KDiffReq, func(m *wire.Msg) {
-		runs.Add(1)
-		_ = a.Reply(m, &wire.Msg{Kind: wire.KDiffReply, Arg: 99})
-	})
-	m := &wire.Msg{Kind: wire.KDiffReq, To: 0}
-	reply, err := a.Call(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Arg != 99 {
-		t.Fatalf("reply = %+v", reply)
-	}
-	// The retransmission retryLoop would make: same message, same id.
-	m.Attempt = 1
-	if err := a.Send(m); err != nil {
-		t.Fatal(err)
-	}
-	st := a.Stats()
-	if runs.Load() != 1 || st.DupRequests.Load() != 1 || st.CachedReplies.Load() != 1 {
-		t.Fatalf("handler ran %d times, dup=%d cached=%d; want 1, 1, 1",
-			runs.Load(), st.DupRequests.Load(), st.CachedReplies.Load())
-	}
-	// The re-served reply found no caller: late, not stray.
-	if st.LateReplies.Load() != 1 || st.StrayReplies.Load() != 0 {
-		t.Fatalf("late=%d stray=%d, want 1 and 0", st.LateReplies.Load(), st.StrayReplies.Load())
 	}
 }
 

@@ -133,8 +133,8 @@ func TestJoinMarksOrderAccesses(t *testing.T) {
 func TestProtocolMessagesDoNotHideRaces(t *testing.T) {
 	// A coherence message (send->recv) connects the two writers, but
 	// messages are not synchronization: the race must still be flagged.
-	send := trace.Event{TS: 1, Type: trace.EvSend, Req: 7, Arg: trace.MsgArg(3, 0), Peer: 1, Page: -1, Lock: -1}
-	recv := trace.Event{TS: 2, Type: trace.EvRecv, Req: 7, Arg: trace.MsgArg(3, 0), Peer: 0, Page: -1, Lock: -1}
+	send := trace.Event{TS: 1, Type: trace.EvSend, Req: 7, Arg: trace.MsgArg(3), Peer: 1, Page: -1, Lock: -1}
+	recv := trace.Event{TS: 2, Type: trace.EvRecv, Req: 7, Arg: trace.MsgArg(3), Peer: 0, Page: -1, Lock: -1}
 	streams := []trace.Stream{
 		stream(0, write(0, 1, 0, 8, 0xaa), send),
 		stream(1, recv, write(3, 1, 0, 8, 0xbb)),
@@ -149,8 +149,8 @@ func TestProtocolMessagesDoNotHideRaces(t *testing.T) {
 func TestValueCheckCatchesStaleRead(t *testing.T) {
 	// Node 0 writes, the write's existence causally reaches node 1 via
 	// a message, yet node 1 still reads the initial zero bytes: stale.
-	send := trace.Event{TS: 1, Type: trace.EvSend, Req: 7, Arg: trace.MsgArg(3, 0), Peer: 1, Page: -1, Lock: -1}
-	recv := trace.Event{TS: 2, Type: trace.EvRecv, Req: 7, Arg: trace.MsgArg(3, 0), Peer: 0, Page: -1, Lock: -1}
+	send := trace.Event{TS: 1, Type: trace.EvSend, Req: 7, Arg: trace.MsgArg(3), Peer: 1, Page: -1, Lock: -1}
+	recv := trace.Event{TS: 2, Type: trace.EvRecv, Req: 7, Arg: trace.MsgArg(3), Peer: 0, Page: -1, Lock: -1}
 	streams := []trace.Stream{
 		stream(0, write(0, 1, 0, 8, 0xaa), send),
 		stream(1, recv, read(3, 1, 0, 8, trace.HashZero(8))),

@@ -111,6 +111,9 @@ func TestPairFIFOMixedDirectAndQueued(t *testing.T) {
 	for i := range sts {
 		sts[i] = &stats.Node{}
 		n.Endpoint(NodeID(i)).SetStats(sts[i])
+		if i > 0 {
+			n.Endpoint(NodeID(i)).Recv() // the acks of its link arrive there
+		}
 	}
 	var wg sync.WaitGroup
 	for s := 1; s <= senders; s++ {

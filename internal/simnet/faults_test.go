@@ -36,63 +36,71 @@ func TestConfigValidationRejectsBadValues(t *testing.T) {
 	_ = n
 }
 
-// TestDropAndDupCounted: with heavy probabilities, sends are dropped
-// and duplicated, the counters move, and delivered+dropped+extra
-// copies reconcile with the send count.
+// TestDropAndDupCounted: with heavy probabilities, frames are dropped
+// and duplicated and the counters move, yet the link delivers every
+// message exactly once, and the frames reconcile: sent, retransmitted
+// and acks, less the dropped, plus the duplicated, are the delivered,
+// the discarded and the acks received.
 func TestDropAndDupCounted(t *testing.T) {
 	n := newNet(t, Config{Nodes: 2, Seed: 3, Faults: &FaultPlan{DropProb: 0.3, DupProb: 0.3}})
 	a, b := n.Endpoint(0), n.Endpoint(1)
+	a.Recv() // its acks arrive there
 	const total = 400
 	for i := 0; i < total; i++ {
 		if err := a.Send(&wire.Msg{Kind: wire.KAck, From: 0, To: 1, Req: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := counted(n)
-	dropped, duplicated := s.MsgsDropped, s.MsgsDuplicated
-	if dropped == 0 || duplicated == 0 {
-		t.Fatalf("faults not injected: dropped=%d duplicated=%d", dropped, duplicated)
-	}
-	want := int64(total) - dropped + duplicated
-	for i := int64(0); i < want; i++ {
+	for i := 0; i < total; i++ {
 		select {
-		case <-b.Recv():
-		case <-time.After(2 * time.Second):
-			t.Fatalf("delivered %d of %d expected (dropped=%d dup=%d)", i, want, dropped, duplicated)
+		case m := <-b.Recv():
+			if m.Req != uint64(i) {
+				t.Fatalf("message %d arrived as %d", i, m.Req)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("delivered %d of %d", i, total)
 		}
 	}
 	select {
 	case m := <-b.Recv():
-		t.Fatalf("extra message %v beyond reconciled count", m)
+		t.Fatalf("extra message %v", m)
 	case <-time.After(50 * time.Millisecond):
 	}
+	s := settled(t, n)
+	if s.MsgsDropped == 0 || s.MsgsDuplicated == 0 || s.Retries == 0 || s.DupRequests == 0 {
+		t.Fatalf("faults not injected or not recovered: %v", s)
+	}
+	checkFrames(t, s)
 }
 
-// TestDuplicatesPreserveFIFO: a duplicated message arrives
-// immediately after its original; order of distinct messages holds.
+// TestDuplicatesPreserveFIFO: duplicated frames are discarded and
+// distinct messages keep their order.
 func TestDuplicatesPreserveFIFO(t *testing.T) {
 	n := newNet(t, Config{Nodes: 2, Seed: 11, Faults: &FaultPlan{DupProb: 0.4}})
 	a, b := n.Endpoint(0), n.Endpoint(1)
+	a.Recv() // its acks arrive there
 	const total = 200
 	for i := 0; i < total; i++ {
 		if err := a.Send(&wire.Msg{Kind: wire.KAck, From: 0, To: 1, Req: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := int64(total) + n.eps[0].st.MsgsDuplicated.Load()
-	last := uint64(0)
-	for i := int64(0); i < want; i++ {
-		m := <-b.Recv()
-		if m.Req < last {
-			t.Fatalf("out of order: %d after %d", m.Req, last)
+	for i := 0; i < total; i++ {
+		if m := <-b.Recv(); m.Req != uint64(i) {
+			t.Fatalf("message %d arrived as %d", i, m.Req)
 		}
-		last = m.Req
 	}
+	s := settled(t, n)
+	if s.MsgsDuplicated == 0 || s.DupRequests == 0 {
+		t.Fatalf("duplicates not injected or not discarded: %v", s)
+	}
+	checkFrames(t, s)
 }
 
 func TestSpikeDelaysDelivery(t *testing.T) {
 	n := newNet(t, Config{Nodes: 2, Seed: 5, Faults: &FaultPlan{SpikeProb: 1, Spike: 30 * time.Millisecond}})
 	a, b := n.Endpoint(0), n.Endpoint(1)
+	a.Recv() // its acks arrive there
 	start := time.Now()
 	if err := a.Send(&wire.Msg{Kind: wire.KAck, From: 0, To: 1}); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,9 @@
 // delivered on the sender's goroutine (dqueue.push), so the receiver's
 // inline handlers run there; the receiver's delivery-queue goroutine is
 // for messages that must wait — for latency, jitter, a spike, a stall
-// or an earlier message. Net implements
+// or an earlier message. Under a fault plan every pair runs a
+// retransmitting link beneath the injector (link.go), so the nodes see
+// each message once and in order, as over TCP. Net implements
 // transport.Transport, making the simulator one backend among several
 // (see internal/transport and internal/transport/tcp); it remains the
 // default and the only backend with latency/fault modeling.
@@ -60,10 +62,13 @@ type Config struct {
 	Jitter time.Duration
 	Seed   int64
 	// Faults, if non-nil, enables probabilistic fault injection on
-	// every directed pair: message drops, duplication, and latency
+	// every directed pair: frame drops, duplication, and latency
 	// spikes, all deterministically derived from Seed. Transient
 	// partitions and endpoint stalls are injected at runtime with
-	// Net.Partition and Net.StallNode.
+	// Net.Partition and Net.StallNode. Every pair then runs the link
+	// (link.go), which recovers what the injector does to its frames.
+	// The acks that complete a node's sends arrive with its deliveries,
+	// so a sending endpoint must be attached too.
 	Faults *FaultPlan
 }
 
@@ -135,6 +140,7 @@ type pairState struct {
 	last         time.Time
 	rng          uint64    // xorshift state for jitter and fault draws
 	blockedUntil time.Time // transient partition: drop until this instant
+	lk           *link     // the pair's link; nil without a fault plan
 }
 
 // New builds a network with n fully connected nodes.
@@ -156,6 +162,9 @@ func New(cfg Config) (*Net, error) {
 			// Distinct non-zero xorshift seeds per directed pair.
 			net.pairs[i][j].rng = uint64(cfg.Seed)*2654435761 + uint64(i*n+j)*0x9e3779b97f4a7c15 + 1
 		}
+	}
+	if cfg.Faults != nil {
+		newLinks(net)
 	}
 	for i := 0; i < n; i++ {
 		ep := &Endpoint{net: net, id: NodeID(i), st: &stats.Node{}}
@@ -216,13 +225,21 @@ func (n *Net) StallNode(id NodeID, d time.Duration) {
 }
 
 // Close shuts the network down. Messages still in flight are
-// discarded; subsequent sends are dropped. Each endpoint's down runs
-// once its deliveries in progress have returned.
+// discarded; subsequent sends are dropped, and the links stop
+// retransmitting. Each endpoint's down runs once its deliveries in
+// progress have returned.
 func (n *Net) Close() {
 	n.closeOnce.Do(func() {
 		close(n.closed)
 		for _, q := range n.queues {
 			q.stop()
+		}
+		for i := range n.pairs {
+			for j := range n.pairs[i] {
+				if lk := n.pairs[i][j].lk; lk != nil {
+					lk.stop()
+				}
+			}
 		}
 	})
 }
@@ -281,13 +298,26 @@ func (e *Endpoint) Send(m *wire.Msg) error {
 	if to == e.id {
 		return fmt.Errorf("simnet: node %d: send to itself", to)
 	}
-	// Encode into a pooled buffer; ownership passes to the delivery
-	// queue, which returns it after decoding (Decode copies payloads).
+	// Encode into a pooled buffer; ownership passes to the link, or to
+	// the delivery queue, which returns it after decoding (Decode copies
+	// payloads).
 	bp := wire.GetBuf()
-	raw := m.Encode(*bp)
-	*bp = raw
+	*bp = m.Encode(*bp)
 	e.st.MsgsSent.Add(1)
-	e.st.BytesSent.Add(int64(len(raw)))
+	e.st.BytesSent.Add(int64(len(*bp)))
+	if lk := e.net.pairs[e.id][to].lk; lk != nil {
+		lk.send(bp)
+	} else {
+		e.inject(to, bp)
+	}
+	return nil
+}
+
+// inject puts one frame (bp, pooled) on the wire to node to: the
+// partition, latency, jitter and fault plan decide when it arrives, if
+// at all, and whether twice.
+func (e *Endpoint) inject(to NodeID, bp *[]byte) {
+	raw := *bp
 	duplicate := false
 	pair := &e.net.pairs[e.id][to]
 	pair.mu.Lock()
@@ -296,7 +326,7 @@ func (e *Endpoint) Send(m *wire.Msg) error {
 		// Transient partition: the link is down in this direction.
 		pair.mu.Unlock()
 		e.drop(to, bp)
-		return nil
+		return
 	}
 	delay := time.Duration(0)
 	if lat := e.net.cfg.Latency; lat != nil {
@@ -309,7 +339,7 @@ func (e *Endpoint) Send(m *wire.Msg) error {
 		if fp.DropProb > 0 && probDraw(&pair.rng) < fp.DropProb {
 			pair.mu.Unlock()
 			e.drop(to, bp)
-			return nil
+			return
 		}
 		if fp.SpikeProb > 0 && probDraw(&pair.rng) < fp.SpikeProb {
 			delay += fp.Spike
@@ -335,18 +365,17 @@ func (e *Endpoint) Send(m *wire.Msg) error {
 		dupBp = wire.GetBuf()
 		*dupBp = append(*dupBp, raw...)
 	}
-	e.net.queues[to].push(now, at, raw, bp)
+	e.net.queues[to].push(now, at, e.id, raw, bp)
 	if duplicate {
 		// The copy arrives immediately after the original (same due
 		// time, later heap sequence), preserving per-pair FIFO order.
 		e.st.MsgsDuplicated.Add(1)
 		e.tr.Emit(trace.EvChaos, int32(to), 0, -1, -1, trace.ChaosDup, 0)
-		e.net.queues[to].push(now, at, *dupBp, dupBp)
+		e.net.queues[to].push(now, at, e.id, *dupBp, dupBp)
 	}
-	return nil
 }
 
-// drop discards a message to node to that a partition or the drop
+// drop discards a frame to node to that a partition or the drop
 // probability claimed, counting and tracing it.
 func (e *Endpoint) drop(to NodeID, bp *[]byte) {
 	e.st.MsgsDropped.Add(1)
@@ -393,24 +422,25 @@ type dqueue struct {
 }
 
 type item struct {
-	at  time.Time
-	seq uint64
-	raw []byte
-	buf *[]byte // pooled backing buffer, returned after decode
+	at   time.Time
+	seq  uint64
+	from NodeID
+	raw  []byte
+	buf  *[]byte // pooled backing buffer, returned after decode
 }
 
 func newDQueue(ep *Endpoint) *dqueue {
 	return &dqueue{ep: ep, wake: make(chan struct{}, 1)}
 }
 
-// push queues a message sent at now and due at at. If nothing stands
+// push queues a frame from node from, sent at now and due at at. If nothing stands
 // between it and the receiver — it is attached and not stalled, the
 // message is due, none is queued or in run's hands — the sender
 // delivers it, after releasing q.mu so a delivery chain may push here
 // again. A queued or running message sends later ones to the queue, so
 // deliveries on a pair start in send order; the queue never blocks.
-func (q *dqueue) push(now, at time.Time, raw []byte, buf *[]byte) {
-	it := item{at: at, raw: raw, buf: buf}
+func (q *dqueue) push(now, at time.Time, from NodeID, raw []byte, buf *[]byte) {
+	it := item{at: at, from: from, raw: raw, buf: buf}
 	q.mu.Lock()
 	if q.stopped.Load() {
 		q.mu.Unlock()
@@ -421,7 +451,9 @@ func (q *dqueue) push(now, at time.Time, raw []byte, buf *[]byte) {
 		!at.After(now) && !now.Before(q.stallUntil) {
 		q.direct++
 		q.mu.Unlock()
-		deliver(q.receive(it))
+		if m := q.receive(it); m != nil {
+			deliver(m)
+		}
 		q.directDone.Add(1)
 		if q.stopped.Load() {
 			q.poke() // run calls down after the last delivery
@@ -464,17 +496,26 @@ func (e *Endpoint) Attach(deliver func(*wire.Msg), down func()) error {
 	return nil
 }
 
-// receive turns a due item into the endpoint's message: decode,
-// account, recycle the wire buffer (Decode copied the payloads).
+// receive turns a due item into the endpoint's message: past the link,
+// if there is one, then decode, account, recycle the wire buffer
+// (Decode copied the payloads). Nil: the link kept the frame.
 func (q *dqueue) receive(it item) *wire.Msg {
-	m, err := wire.Decode(it.raw)
+	raw := it.raw
+	if lk := q.ep.net.pairs[it.from][q.ep.id].lk; lk != nil {
+		var ok bool
+		if raw, ok = lk.accept(raw, q.ep.st); !ok {
+			wire.PutBuf(it.buf)
+			return nil
+		}
+	}
+	m, err := wire.Decode(raw)
 	if err != nil {
 		// A decode failure is a bug in this repository, not a
 		// runtime condition: the bytes never left the process.
 		panic(fmt.Sprintf("simnet: decode at node %d: %v", q.ep.id, err))
 	}
 	q.ep.st.MsgsRecv.Add(1)
-	q.ep.st.BytesRecv.Add(int64(len(it.raw)))
+	q.ep.st.BytesRecv.Add(int64(len(raw)))
 	wire.PutBuf(it.buf)
 	return m
 }
@@ -537,7 +578,9 @@ func (q *dqueue) run() {
 		q.delivering = true
 		deliver := q.deliver
 		q.mu.Unlock()
-		deliver(q.receive(it))
+		if m := q.receive(it); m != nil {
+			deliver(m)
+		}
 	}
 }
 

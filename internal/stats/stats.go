@@ -41,16 +41,20 @@ type Node struct {
 	SendErrors atomic.Int64 // sends that failed at the substrate (a lost peer fails every later one)
 
 	// Fault injection and recovery (all zero on a fault-free network).
-	MsgsDropped    atomic.Int64 // messages this node sent that the network dropped
-	MsgsDuplicated atomic.Int64 // messages this node sent that the network duplicated
-	MsgsSpiked     atomic.Int64 // messages this node sent that the network delayed by a latency spike
+	// Under a fault plan the simulator's links carry every message in
+	// frames; these count frames, acks and NACKs included.
+	MsgsDropped    atomic.Int64 // frames this node sent that the network dropped
+	MsgsDuplicated atomic.Int64 // frames this node sent that the network duplicated
+	MsgsSpiked     atomic.Int64 // frames this node sent that the network delayed by a latency spike
 	Partitions     atomic.Int64 // transient partitions opened on a link this node is an end of
 	Stalls         atomic.Int64 // endpoint stalls injected at this node
-	Retries        atomic.Int64 // request retransmissions issued by this node
-	DupRequests    atomic.Int64 // duplicate requests suppressed by the dedup table
-	CachedReplies  atomic.Int64 // replies re-sent from the dedup cache
-	LateReplies    atomic.Int64 // duplicate/late replies discarded (expected under retry)
+	Retries        atomic.Int64 // data frames this node's links retransmitted
+	DupRequests    atomic.Int64 // data frames this node's links discarded at the sequence check
+	CachedReplies  atomic.Int64 // always 0: nothing re-serves replies since the links deliver once (kept for the benchmark's metric)
+	LateReplies    atomic.Int64 // replies whose call had given up (timed out) by the time they came
 	StrayReplies   atomic.Int64 // replies with no matching call ever made (protocol bug)
+	LinkAcks       atomic.Int64 // ack and NACK frames this node's links sent
+	LinkAcksRecv   atomic.Int64 // ack and NACK frames this node's links received
 
 	// Message batching (all zero unless batching is enabled).
 	BatchedMsgs    atomic.Int64 // messages that travelled as members of a batch frame
@@ -109,6 +113,8 @@ type Snapshot struct {
 	CachedReplies     int64 `stats:"cached_replies"`
 	LateReplies       int64 `stats:"late_replies"`
 	StrayReplies      int64 `stats:"stray_replies"`
+	LinkAcks          int64 `stats:"link_acks"`
+	LinkAcksRecv      int64 `stats:"link_acks_recv"`
 	BatchedMsgs       int64 `stats:"batched_msgs"`
 	FlushedBatches    int64 `stats:"flushed_batches"`
 	DiffPushes        int64 `stats:"diff_pushes"`

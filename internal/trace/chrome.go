@@ -82,9 +82,6 @@ func WriteChrome(w io.Writer, streams []Stream) error {
 				ce.Ph, ce.Cat, ce.S = "i", "rpc", "t"
 				ce.Name = wire.Kind(e.MsgKind()).String()
 				ce.Args = map[string]any{"peer": e.Peer}
-				if a := e.MsgAttempt(); a > 0 {
-					ce.Args["attempt"] = a
-				}
 				evs = append(evs, ce)
 				if e.Req == 0 {
 					continue
@@ -112,7 +109,7 @@ func WriteChrome(w io.Writer, streams []Stream) error {
 				case EvRetry:
 					ce.Cat = "rpc"
 					ce.Name = "retry " + wire.Kind(e.MsgKind()).String()
-					ce.Args = map[string]any{"peer": e.Peer, "attempt": e.MsgAttempt()}
+					ce.Args = map[string]any{"peer": e.Peer, "req": fmt.Sprintf("%x", e.Req)}
 				case EvBatchFlush:
 					ce.Cat = "batch"
 					ce.Args = map[string]any{"peer": e.Peer, "members": e.Arg}

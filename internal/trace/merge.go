@@ -21,12 +21,13 @@ import (
 //
 // Matching key: (Req, wire kind). Request ids are globally unique and
 // the kind separates a request from its reply (which reuses the Req).
-// Retransmissions and network duplicates are multiset-matched: a recv
-// is ready once the number of emitted sends with its key exceeds the
-// recvs already consumed, or once no unemitted matching send exists
-// anywhere (the send may predate the ring's retention window, or the
-// sender may not be traced). One-way messages with Req 0 carry no
-// obligation.
+// A forwarded request keeps its key, so sends and recvs are
+// multiset-matched: a recv is ready once the number of emitted sends
+// with its key exceeds the recvs already consumed, or once no unemitted
+// matching send exists anywhere (the send may predate the ring's
+// retention window, or the sender may not be traced). One-way messages
+// with Req 0 carry no obligation. Link retransmissions are EvRetry
+// events, outside the matching: each message is sent and received once.
 //
 // During replay the merge also reconstructs full-width vector clocks
 // (tick the emitter's component per event; on a matched recv, join
@@ -213,9 +214,6 @@ func Describe(e Event) string {
 		s := fmt.Sprintf("%v "+dir, wire.Kind(e.MsgKind()), e.Peer)
 		if e.Req != 0 {
 			s += fmt.Sprintf(" req=%x", e.Req)
-		}
-		if a := e.MsgAttempt(); a > 0 {
-			s += fmt.Sprintf(" attempt=%d", a)
 		}
 		return s
 	case EvLockAcquire:

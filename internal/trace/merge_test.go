@@ -18,10 +18,10 @@ func TestMergeUncountsDroppedMalformedSend(t *testing.T) {
 		// The malformed event: recorded in stream 0 but stamped with a
 		// nonsense node id, as a corrupted ring slot would be.
 		{Node: 0, EpochUnixNs: 0, Events: []Event{
-			{TS: 0, Req: 42, Arg: MsgArg(kind, 0), Node: 99, Peer: 1, Type: EvSend},
+			{TS: 0, Req: 42, Arg: MsgArg(kind), Node: 99, Peer: 1, Type: EvSend},
 		}},
 		{Node: 1, EpochUnixNs: 0, Events: []Event{
-			{TS: 2, Req: 42, Arg: MsgArg(kind, 0), Node: 1, Peer: 0, Type: EvRecv},
+			{TS: 2, Req: 42, Arg: MsgArg(kind), Node: 1, Peer: 0, Type: EvRecv},
 		}},
 		{Node: 2, EpochUnixNs: 0, Events: []Event{
 			{TS: 5, Page: 1, Peer: -1, Lock: -1, Node: 2, Type: EvFaultBegin},
@@ -62,8 +62,8 @@ func TestCheckCausalClockRegression(t *testing.T) {
 func TestCheckCausalRecvBeforeSend(t *testing.T) {
 	kind := uint8(wire.KAck)
 	merged := []MergedEvent{
-		{Event: Event{Node: 1, Req: 7, Arg: MsgArg(kind, 0), Type: EvRecv}, VC: vclock.VC{0, 1}},
-		{Event: Event{Node: 0, Req: 7, Arg: MsgArg(kind, 0), Type: EvSend}, VC: vclock.VC{1, 0}},
+		{Event: Event{Node: 1, Req: 7, Arg: MsgArg(kind), Type: EvRecv}, VC: vclock.VC{0, 1}},
+		{Event: Event{Node: 0, Req: 7, Arg: MsgArg(kind), Type: EvSend}, VC: vclock.VC{1, 0}},
 	}
 	err := CheckCausal(merged)
 	if err == nil || !strings.Contains(err.Error(), "before any matching send") {
@@ -74,8 +74,8 @@ func TestCheckCausalRecvBeforeSend(t *testing.T) {
 func TestCheckCausalRecvNotCoveringSend(t *testing.T) {
 	kind := uint8(wire.KAck)
 	merged := []MergedEvent{
-		{Event: Event{Node: 0, Req: 9, Arg: MsgArg(kind, 0), Type: EvSend}, VC: vclock.VC{1, 0}},
-		{Event: Event{Node: 1, Req: 9, Arg: MsgArg(kind, 0), Type: EvRecv}, VC: vclock.VC{0, 1}},
+		{Event: Event{Node: 0, Req: 9, Arg: MsgArg(kind), Type: EvSend}, VC: vclock.VC{1, 0}},
+		{Event: Event{Node: 1, Req: 9, Arg: MsgArg(kind), Type: EvRecv}, VC: vclock.VC{0, 1}},
 	}
 	err := CheckCausal(merged)
 	if err == nil || !strings.Contains(err.Error(), "does not cover") {

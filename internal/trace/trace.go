@@ -38,13 +38,14 @@ const (
 	// EvFaultEnd marks fault completion; Dur is the service time.
 	EvFaultEnd
 	// EvSend marks a message transmission. Peer is the destination,
-	// Req the request id (0 for one-ways), Arg packs kind+attempt.
+	// Req the request id (0 for one-ways), Arg the wire kind.
 	EvSend
 	// EvRecv marks a message delivery to the runtime. Peer is
-	// the origin; Arg packs kind+attempt.
+	// the origin; Arg the wire kind.
 	EvRecv
-	// EvRetry marks a retransmission decision (the re-send itself
-	// also appears as EvSend with a non-zero attempt).
+	// EvRetry marks a link retransmission of a message, emitted by the
+	// sending endpoint (simulator under a fault plan only); fields as
+	// EvSend. The message still has one EvSend and one EvRecv.
 	EvRetry
 	// EvLockAcquire marks a lock (or event-wait) request being issued;
 	// Lock is the id, Arg the mode.
@@ -141,9 +142,9 @@ func ChaosName(code uint64) string {
 	return "unknown"
 }
 
-// MsgArg packs a wire message's kind and attempt counter into an
-// Event.Arg for EvSend/EvRecv/EvRetry events.
-func MsgArg(kind, attempt uint8) uint64 { return uint64(kind) | uint64(attempt)<<8 }
+// MsgArg packs a wire message's kind into an Event.Arg for
+// EvSend/EvRecv/EvRetry events.
+func MsgArg(kind uint8) uint64 { return uint64(kind) }
 
 // AccessArg packs a page-relative offset and byte length into an
 // Event.Arg for EvRead/EvWrite events.
@@ -228,9 +229,6 @@ type Event struct {
 
 // MsgKind extracts the wire kind from an RPC event's Arg.
 func (e Event) MsgKind() uint8 { return uint8(e.Arg) }
-
-// MsgAttempt extracts the attempt counter from an RPC event's Arg.
-func (e Event) MsgAttempt() uint8 { return uint8(e.Arg >> 8) }
 
 // DefaultCapacity is the per-node ring capacity when
 // core.Config.TraceCapacity is zero.

@@ -33,7 +33,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 func TestRingRecordsAndOrders(t *testing.T) {
 	tr := New(2, 4, 64)
 	for i := 0; i < 10; i++ {
-		tr.Emit(EvSend, int32(i%4), uint64(i+1), -1, -1, MsgArg(uint8(wire.KReadReq), 0), 0)
+		tr.Emit(EvSend, int32(i%4), uint64(i+1), -1, -1, MsgArg(uint8(wire.KReadReq)), 0)
 	}
 	evs := tr.Events()
 	if len(evs) != 10 {
@@ -95,8 +95,8 @@ func TestMergeClockAdvancesStamps(t *testing.T) {
 // orders by causality, not wall clock.
 func twoNodeStreams() []Stream {
 	kind := uint8(wire.KReadReq)
-	send := Event{TS: 100, Req: 7, Arg: MsgArg(kind, 0), Node: 0, Peer: 1, Type: EvSend}
-	recv := Event{TS: 50, Req: 7, Arg: MsgArg(kind, 0), Node: 1, Peer: 0, Type: EvRecv}
+	send := Event{TS: 100, Req: 7, Arg: MsgArg(kind), Node: 0, Peer: 1, Type: EvSend}
+	recv := Event{TS: 50, Req: 7, Arg: MsgArg(kind), Node: 1, Peer: 0, Type: EvRecv}
 	return []Stream{
 		{Node: 0, EpochUnixNs: 1000, Events: []Event{send}},
 		{Node: 1, EpochUnixNs: 1000, Events: []Event{recv}},
@@ -123,7 +123,7 @@ func TestMergeToleratesUnmatchedRecv(t *testing.T) {
 	// A recv whose send predates the ring window must not deadlock the
 	// merge: with no available send, the recv is ready immediately.
 	streams := []Stream{{Node: 1, EpochUnixNs: 0, Events: []Event{
-		{TS: 10, Req: 99, Arg: MsgArg(uint8(wire.KAck), 0), Node: 1, Peer: 0, Type: EvRecv},
+		{TS: 10, Req: 99, Arg: MsgArg(uint8(wire.KAck)), Node: 1, Peer: 0, Type: EvRecv},
 	}}}
 	merged := Merge(streams)
 	if len(merged) != 1 {
@@ -138,12 +138,12 @@ func TestMergeMatchesRetransmissions(t *testing.T) {
 	kind := uint8(wire.KWriteReq)
 	streams := []Stream{
 		{Node: 0, EpochUnixNs: 0, Events: []Event{
-			{TS: 10, Req: 5, Arg: MsgArg(kind, 0), Node: 0, Peer: 1, Type: EvSend},
-			{TS: 30, Req: 5, Arg: MsgArg(kind, 1), Node: 0, Peer: 1, Type: EvSend},
+			{TS: 10, Req: 5, Arg: MsgArg(kind), Node: 0, Peer: 1, Type: EvSend},
+			{TS: 30, Req: 5, Arg: MsgArg(kind), Node: 0, Peer: 1, Type: EvSend},
 		}},
 		{Node: 1, EpochUnixNs: 0, Events: []Event{
-			{TS: 20, Req: 5, Arg: MsgArg(kind, 0), Node: 1, Peer: 0, Type: EvRecv},
-			{TS: 40, Req: 5, Arg: MsgArg(kind, 1), Node: 1, Peer: 0, Type: EvRecv},
+			{TS: 20, Req: 5, Arg: MsgArg(kind), Node: 1, Peer: 0, Type: EvRecv},
+			{TS: 40, Req: 5, Arg: MsgArg(kind), Node: 1, Peer: 0, Type: EvRecv},
 		}},
 	}
 	merged := Merge(streams)

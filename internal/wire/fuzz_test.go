@@ -3,13 +3,15 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 )
 
 // fuzzSeeds returns a nontrivial corpus: well-formed encodings of
 // every kind and payload shape, plus systematically corrupted
-// variants (truncations, flipped length fields, bad kinds, stray
-// extended flags).
+// variants (truncations, flipped length fields, bad kinds: the high
+// bit on the kind byte, which flagged an attempt byte before v5, and
+// the reserved kind number).
 func fuzzSeeds() [][]byte {
 	var seeds [][]byte
 	msgs := []*Msg{
@@ -18,8 +20,8 @@ func fuzzSeeds() [][]byte {
 		{Kind: KReadGrant, From: 1, To: 3, Req: 1 << 41, Page: 12, Data: bytes.Repeat([]byte{0xAB}, 1024)},
 		{Kind: KDiffReply, From: 3, To: 0, Req: 99, Data: []byte{1, 2, 3, 4, 5}},
 		{Kind: KBarArrive, From: 5, To: 2, Lock: -1, B: ^uint64(0)},
-		{Kind: KConfirm, From: 1, To: 1, Arg: 0xdeadbeef, Attempt: 3},
-		{Kind: KErcFlush, From: 0, To: 7, Page: 1 << 20, Data: make([]byte, 4096), Attempt: 255},
+		{Kind: KEvtSet, From: 1, To: 1, Lock: 3, Arg: 0xdeadbeef},
+		{Kind: KErcFlush, From: 0, To: 7, Page: 1 << 20, Data: make([]byte, 4096)},
 		{Kind: KBatch, From: 1, To: 2, Data: PackBatch(nil, []*Msg{{Kind: KLockInval, To: 2, Lock: 4}, {Kind: KAck, To: 2, Req: 7}})},
 	}
 	for _, m := range msgs {
@@ -37,9 +39,12 @@ func fuzzSeeds() [][]byte {
 			cp[i] ^= 0xFF
 			seeds = append(seeds, cp)
 		}
-		// Stray extended flag and oversized length claims.
+		// The kind byte's high bit, and the reserved kind.
 		cp := append([]byte(nil), enc...)
-		cp[0] |= kindExtended
+		cp[0] |= 0x80
+		seeds = append(seeds, cp)
+		cp = append([]byte(nil), enc...)
+		cp[0] = byte(kReserved)
 		seeds = append(seeds, cp)
 	}
 	seeds = append(seeds,
@@ -72,7 +77,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		if m.Kind != m2.Kind || m.From != m2.From || m.To != m2.To || m.Req != m2.Req ||
 			m.Page != m2.Page || m.Lock != m2.Lock || m.Arg != m2.Arg || m.B != m2.B ||
-			m.Attempt != m2.Attempt || !bytes.Equal(m.Data, m2.Data) {
+			!bytes.Equal(m.Data, m2.Data) {
 			t.Fatalf("round trip mismatch:\n  first  %+v\n  second %+v", m, m2)
 		}
 	})
@@ -98,10 +103,15 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	hugeLen[headerSize-2] = 0xFF
 	hugeLen[headerSize-1] = 0xFF
 	cases["huge data length"] = hugeLen
-	// Extended flag set but no room for the attempt byte.
-	ext := append([]byte(nil), good[:headerSize]...)
-	ext[0] |= kindExtended
-	cases["extended without room"] = ext[:headerSize]
+	// The high bit flagged an attempt byte before v5; the reserved
+	// kind was the confirmation. Both are unknown kinds now.
+	cases["high-bit kind"] = append([]byte{byte(KReadGrant) | 0x80}, good[1:]...)
+	cases["reserved kind"] = append([]byte{byte(kReserved)}, good[1:]...)
+	for _, name := range []string{"high-bit kind", "reserved kind"} {
+		if _, err := Decode(cases[name]); err == nil || !strings.Contains(err.Error(), "unknown kind") {
+			t.Errorf("%s: err = %v, want an unknown kind", name, err)
+		}
+	}
 	for name, buf := range cases {
 		if _, err := Decode(buf); err == nil {
 			t.Errorf("%s: Decode accepted corrupt input", name)

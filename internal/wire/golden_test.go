@@ -7,40 +7,24 @@ import (
 	"testing"
 )
 
-// TestGoldenFrame pins the v4 frame byte for byte: a 45-byte header of
+// TestGoldenFrame pins the v5 frame byte for byte: a 45-byte header of
 // kind, From, To, Req, Page, Lock, Arg, B and the payload length, all
-// little-endian, then the payload; a retransmission inserts its attempt
-// byte after the kind, whose high bit it sets. Any change here is a
-// wire format change and needs a Version bump.
+// little-endian, then the payload. Any change here is a wire format
+// change and needs a Version bump.
 func TestGoldenFrame(t *testing.T) {
 	m := &Msg{Kind: KWriteGrant, From: 3, To: 7, Req: 0x0102030405060708, Page: 42, Lock: -1,
 		Arg: FlagNoData, B: 999, Data: []byte{0xaa, 0xbb, 0xcc}}
-	const (
-		kind   = "0d"
-		fields = "03000000" + "07000000" + "0807060504030201" + "2a000000" + "ffffffff" +
-			"0100000000000000" + "e703000000000000" + "03000000"
-		data = "aabbcc"
-	)
-	retry := *m
-	retry.Attempt = 5
-	for _, tc := range []struct {
-		m    *Msg
-		want string
-	}{
-		{m, kind + fields + data},
-		{&retry, "8d05" + fields + data},
-	} {
-		got := tc.m.Encode(nil)
-		want, _ := hex.DecodeString(tc.want)
-		if !bytes.Equal(got, want) {
-			t.Errorf("attempt %d encodes to\n%x\nwant\n%x", tc.m.Attempt, got, want)
-		}
-		if hdr := len(got) - len(tc.m.Data); hdr != 45+min(int(tc.m.Attempt), 1) || hdr != tc.m.EncodedSize()-len(tc.m.Data) {
-			t.Errorf("attempt %d: header is %d bytes", tc.m.Attempt, hdr)
-		}
+	const want = "0d" + "03000000" + "07000000" + "0807060504030201" + "2a000000" + "ffffffff" +
+		"0100000000000000" + "e703000000000000" + "03000000" + "aabbcc"
+	got := m.Encode(nil)
+	if w, _ := hex.DecodeString(want); !bytes.Equal(got, w) {
+		t.Errorf("encodes to\n%x\nwant\n%s", got, want)
 	}
-	if Version != 4 {
-		t.Errorf("Version = %d: the frame above is v4", Version)
+	if hdr := len(got) - len(m.Data); hdr != 45 || hdr != m.EncodedSize()-len(m.Data) {
+		t.Errorf("header is %d bytes", hdr)
+	}
+	if Version != 5 {
+		t.Errorf("Version = %d: the frame above is v5", Version)
 	}
 }
 

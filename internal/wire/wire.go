@@ -28,7 +28,10 @@ import (
 // owner's invalidation of a read copy (KLockInval), a lock request
 // may be relayed along the owners' succession (B counts its hops),
 // and no release message exists.
-const Version byte = 4
+// v5: no retransmission metadata. The kind byte's high bit no longer
+// flags an attempt byte, and the confirmation kind's number is
+// reserved: both are unknown kinds.
+const Version byte = 5
 
 // MaxEncodedSize caps one encoded message (64 MiB). Real-socket
 // transports reject longer frames before allocating, so a corrupt or
@@ -68,7 +71,7 @@ const (
 	KWriteGrant // reply: Data=page bytes unless Arg&FlagNoData
 	KInval      // invalidate: Page
 	KInvalAck   // reply to KInval; Data optionally carries a diff (ERC)
-	KConfirm    // requester -> manager: transaction complete; Page
+	kReserved   // was KConfirm (v4 and earlier); never sent, rejected by DecodeInto
 	KNotOwner   // reply in broadcast mode: receiver does not own Page
 
 	// Classic algorithm classes (proto/classic).
@@ -127,7 +130,7 @@ var kindNames = [...]string{
 	KWriteGrant:   "write-grant",
 	KInval:        "inval",
 	KInvalAck:     "inval-ack",
-	KConfirm:      "confirm",
+	kReserved:     "reserved",
 	KNotOwner:     "not-owner",
 	KDirRead:      "dir-read",
 	KDirReadReply: "dir-read-reply",
@@ -196,50 +199,28 @@ const (
 // Msg is a protocol message. The scalar fields are a small fixed
 // vocabulary shared by all protocols (interpreted per Kind); Data
 // carries the variable payload (page contents, diffs, piggybacked
-// consistency information). Attempt is retry metadata: 0 for a first
-// transmission, n for the n-th retransmission of the same request id.
+// consistency information).
 type Msg struct {
-	Kind    Kind
-	From    int32 // logical originator (preserved across forwarding)
-	To      int32
-	Req     uint64 // request id, echoed by replies; globally unique per request
-	Page    int32
-	Lock    int32
-	Arg     uint64
-	B       uint64
-	Attempt uint8
-	Data    []byte
+	Kind Kind
+	From int32 // logical originator (preserved across forwarding)
+	To   int32
+	Req  uint64 // request id, echoed by replies; globally unique per request
+	Page int32
+	Lock int32
+	Arg  uint64
+	B    uint64
+	Data []byte
 }
 
 const headerSize = 1 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 4 // fields + payload length
 
-// kindExtended flags an extended header carrying retry metadata. The
-// flag lives in the high bit of the kind byte so that messages with
-// Attempt == 0 (all traffic on a fault-free network) encode exactly
-// as they did before retransmission support existed — byte counts in
-// the benchmarks are unchanged unless retries actually happen.
-const kindExtended = 0x80
-
 // EncodedSize returns the number of bytes Encode will produce.
-func (m *Msg) EncodedSize() int {
-	n := headerSize + len(m.Data)
-	if m.Attempt != 0 {
-		n++
-	}
-	return n
-}
+func (m *Msg) EncodedSize() int { return headerSize + len(m.Data) }
 
 // Encode appends the wire form of m to buf and returns the extended
 // slice.
 func (m *Msg) Encode(buf []byte) []byte {
-	k := byte(m.Kind)
-	if m.Attempt != 0 {
-		k |= kindExtended
-	}
-	buf = append(buf, k)
-	if m.Attempt != 0 {
-		buf = append(buf, m.Attempt)
-	}
+	buf = append(buf, byte(m.Kind))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.From))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.To))
 	buf = binary.LittleEndian.AppendUint64(buf, m.Req)
@@ -281,27 +262,19 @@ func DecodeInto(m *Msg, buf []byte) error {
 		return fmt.Errorf("wire: oversized message: %d bytes exceeds cap %d", len(buf), MaxEncodedSize)
 	}
 	*m = Msg{}
-	m.Kind = Kind(buf[0] &^ kindExtended)
-	off := 1
-	if buf[0]&kindExtended != 0 {
-		if len(buf) < headerSize+1 {
-			return fmt.Errorf("wire: short extended message: %d bytes", len(buf))
-		}
-		m.Attempt = buf[1]
-		off = 2
-	}
-	if m.Kind == KInvalid || m.Kind >= kindCount {
+	m.Kind = Kind(buf[0])
+	if m.Kind == KInvalid || m.Kind == kReserved || m.Kind >= kindCount {
 		return fmt.Errorf("wire: unknown kind %d", buf[0])
 	}
-	m.From = int32(binary.LittleEndian.Uint32(buf[off:]))
-	m.To = int32(binary.LittleEndian.Uint32(buf[off+4:]))
-	m.Req = binary.LittleEndian.Uint64(buf[off+8:])
-	m.Page = int32(binary.LittleEndian.Uint32(buf[off+16:]))
-	m.Lock = int32(binary.LittleEndian.Uint32(buf[off+20:]))
-	m.Arg = binary.LittleEndian.Uint64(buf[off+24:])
-	m.B = binary.LittleEndian.Uint64(buf[off+32:])
-	nd := binary.LittleEndian.Uint32(buf[off+40:])
-	rest := buf[off+44:]
+	m.From = int32(binary.LittleEndian.Uint32(buf[1:]))
+	m.To = int32(binary.LittleEndian.Uint32(buf[5:]))
+	m.Req = binary.LittleEndian.Uint64(buf[9:])
+	m.Page = int32(binary.LittleEndian.Uint32(buf[17:]))
+	m.Lock = int32(binary.LittleEndian.Uint32(buf[21:]))
+	m.Arg = binary.LittleEndian.Uint64(buf[25:])
+	m.B = binary.LittleEndian.Uint64(buf[33:])
+	nd := binary.LittleEndian.Uint32(buf[41:])
+	rest := buf[45:]
 	if uint64(nd) != uint64(len(rest)) {
 		return fmt.Errorf("wire: payload length mismatch: header says %d, have %d", nd, len(rest))
 	}
@@ -322,9 +295,6 @@ func (m *Msg) String() string {
 	}
 	if m.Lock != 0 {
 		s += fmt.Sprintf(" lock=%d", m.Lock)
-	}
-	if m.Attempt != 0 {
-		s += fmt.Sprintf(" attempt=%d", m.Attempt)
 	}
 	if m.Arg != 0 {
 		s += fmt.Sprintf(" arg=%#x", m.Arg)

@@ -123,54 +123,22 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestAttemptEncoding: the retransmission counter rides in an
-// extension byte flagged by the kind's high bit, so messages with
-// Attempt == 0 — every message on a fault-free network — stay
-// byte-identical to the original format.
-func TestAttemptEncoding(t *testing.T) {
-	base := &Msg{Kind: KReadReq, From: 1, To: 2, Req: 7, Page: 3, Data: []byte{9}}
-	plain := base.Encode(nil)
-	if plain[0]&kindExtended != 0 {
-		t.Fatal("attempt-free message has extended bit set")
-	}
-	retry := *base
-	retry.Attempt = 3
-	ext := retry.Encode(nil)
-	if len(ext) != len(plain)+1 {
-		t.Fatalf("extended size = %d, want %d", len(ext), len(plain)+1)
-	}
-	if retry.EncodedSize() != base.EncodedSize()+1 {
-		t.Fatalf("EncodedSize = %d, want %d", retry.EncodedSize(), base.EncodedSize()+1)
-	}
-	got, err := Decode(ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, &retry) {
-		t.Fatalf("decode = %+v, want %+v", got, &retry)
-	}
-	if !contains(retry.String(), "attempt=3") {
-		t.Fatalf("String %q missing attempt", retry.String())
-	}
-	if contains(base.String(), "attempt") {
-		t.Fatalf("String %q renders zero attempt", base.String())
-	}
-}
-
 // TestRoundTripQuick fuzzes the codec.
 func TestRoundTripQuick(t *testing.T) {
-	f := func(seed int64, nd, attempt uint8) bool {
+	f := func(seed int64, nd uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		m := &Msg{
-			Kind:    Kind(1 + r.Intn(NumKinds()-1)),
-			From:    int32(r.Int31()),
-			To:      int32(r.Int31()),
-			Req:     r.Uint64(),
-			Page:    int32(r.Int31()),
-			Lock:    int32(r.Int31()),
-			Arg:     r.Uint64(),
-			B:       r.Uint64(),
-			Attempt: attempt,
+			Kind: Kind(1 + r.Intn(NumKinds()-1)),
+			From: int32(r.Int31()),
+			To:   int32(r.Int31()),
+			Req:  r.Uint64(),
+			Page: int32(r.Int31()),
+			Lock: int32(r.Int31()),
+			Arg:  r.Uint64(),
+			B:    r.Uint64(),
+		}
+		if m.Kind == kReserved {
+			m.Kind = KAck
 		}
 		if nd > 0 {
 			m.Data = make([]byte, nd)
