@@ -29,8 +29,11 @@ build:
 # token (local re-grants, read copies and their invalidation, upgrades,
 # hand-offs, relays along the owners' chain, writers excluding readers),
 # and of lrc's diff service (a reply encoding a page's diffs while the
-# writer appends to them and barrier GC cuts them), whose failures would
-# be scheduling-dependent.
+# writer appends to them and barrier GC cuts them), and of the
+# simulator's per-pair links under loss (exactly-once in-order delivery
+# through drops, duplicates, spikes, partitions and stalls; the cluster's
+# message and frame balances; chaos runs sending the fault-free
+# protocol's exact counts), whose failures would be scheduling-dependent.
 test: vet smoke bench-alloc
 	$(GO) test ./... -timeout 1200s
 	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/dsync ./internal/core ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace ./internal/mem ./internal/proto/lrc ./internal/proto/erc ./internal/proto/sc ./internal/proto/classic ./internal/proto/ec ./internal/wire
@@ -41,6 +44,7 @@ test: vet smoke bench-alloc
 	$(GO) test -race -count=20 -run 'OptimisticRead|ReadHitSeesInvalidation|UnalignedWord' ./internal/mem ./internal/nodecore ./internal/core
 	$(GO) test -race -count=20 -run 'Token|Reacquire|Shared|Upgrade|Handoff|Relay|Writer' ./internal/dsync ./internal/kv ./internal/proto/ec ./internal/proto/lrc
 	$(GO) test -race -count=20 -run 'DiffReq|BarrierGC' ./internal/proto/lrc
+	$(GO) test -race -count=20 -run 'Link|Partition|Conservation|FaultFreeProtocol' ./internal/simnet ./internal/cluster
 
 # Allocation regression gate. The thresholds are checked into the
 # tests themselves: the ZeroAlloc tests assert 0 allocs/op in steady
@@ -48,9 +52,8 @@ test: vet smoke bench-alloc
 # with GC parked) and for the tracing layer both disabled (nil tracer,
 # nil histograms — the default hot path) and enabled (ring emit,
 # histogram observe), for the shared-memory local hit (a typed
-# access or single-page ReadAt/WriteAt on a valid page), for what
-# the retransmission timer adds to a reliable call (timeout + jitter
-# draw, RTT sample), and for refreshing a twin in place; the
+# access or single-page ReadAt/WriteAt on a valid page), and for
+# refreshing a twin in place; the
 # AllocBudget tests hold an uncontended self-managed lock pair, an lrc
 # release of one dirty page and the decode of a grant's interval list
 # at their current counts. The

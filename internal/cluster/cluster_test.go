@@ -261,8 +261,8 @@ func TestTCPRunsTheFaultFreeProtocol(t *testing.T) {
 // the network dropped and the links retransmitted beside them.
 func TestChaosRunsTheFaultFreeProtocol(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		mk           func() apps.App
+		name        string
+		mk          func() apps.App
 		msgs, bytes int64
 	}{
 		{"sor", func() apps.App { return apps.NewSOR(24, 16, 6) }, 152, 19770},

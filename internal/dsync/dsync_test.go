@@ -423,4 +423,3 @@ func TestManyLocksManyNodes(t *testing.T) {
 	}
 	wg.Wait()
 }
-

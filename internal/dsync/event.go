@@ -76,7 +76,7 @@ func (s *Service) EventWait(id int32) error {
 func (s *Service) EventSet(id int32) error {
 	s.hooks.OnEventSet(eventHookID(id))
 	s.rt.Tracer().Emit(trace.EvLockRelease, int32(s.managerOf(id)), 0, -1, eventHookID(id), 0, 0)
-	return s.notifyManager(id)
+	return s.rt.Send(&wire.Msg{Kind: wire.KEvtSet, To: s.managerOf(id), Lock: id})
 }
 
 // eventHookID maps the event id into a hook-visible id distinct from
@@ -148,9 +148,4 @@ func (s *Service) fireEvent(id int32, pg pendGrant, setter transport.NodeID) {
 		Lock: id,
 		Data: payload,
 	})
-}
-
-// notifyManager tells id's manager of an event set, one-way.
-func (s *Service) notifyManager(id int32) error {
-	return s.rt.Send(&wire.Msg{Kind: wire.KEvtSet, To: s.managerOf(id), Lock: id})
 }

@@ -567,19 +567,25 @@ func (r *Runtime) Call(m *wire.Msg) (*wire.Msg, error) {
 
 // CallT is Call with an explicit overall timeout. Every request/reply
 // exchange — a Call, each member of a CallBatched — is a registered
-// reply slot waited on by exchange.
+// reply slot, one transmission and one waitReply.
 func (r *Runtime) CallT(m *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
 	m.Req = r.NewReq()
-	return r.exchange(m, r.register(m.Req, m.Kind, m.To), timeout, false)
+	pc := r.register(m.Req, m.Kind, m.To)
+	if err := r.Send(m); err != nil {
+		r.takePending(m.Req)
+		return nil, err
+	}
+	return r.waitReply(m, pc, timeout)
 }
 
 // CallBatched is the fan-out: it issues several requests at once and
 // waits for every one of them. replies[i] answers msgs[i] and is nil
 // where that member failed — each failure abandoned exactly as a
 // timed-out Call would be — and err is the first failure in input
-// order. Members wait on a goroutine each, the last on the caller's; a
-// lone member is a plain Call. With batching enabled, requests that
-// share a destination travel in one KBatch frame.
+// order. The caller sends every member, then waits for each in turn —
+// all share one deadline; a lone member is a plain Call. With batching
+// enabled, requests that share a destination travel in one KBatch
+// frame.
 func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 	switch len(msgs) {
 	case 0:
@@ -626,40 +632,34 @@ func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 			// On error the members go out individually below.
 		}
 	}
-	replies := make([]*wire.Msg, len(msgs))
 	errs := make([]error, len(msgs))
-	var wg sync.WaitGroup
-	wait := func(i int) {
-		defer wg.Done()
-		replies[i], errs[i] = r.exchange(msgs[i], pcs[i], r.callTimeout, preSent[i])
-	}
-	wg.Add(len(msgs))
-	for i := 0; i < len(msgs)-1; i++ {
-		go wait(i)
-	}
-	wait(len(msgs) - 1)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return replies, err
+	for i, m := range msgs {
+		if !preSent[i] {
+			if errs[i] = r.Send(m); errs[i] != nil {
+				r.takePending(m.Req)
+			}
 		}
 	}
-	return replies, nil
+	replies := make([]*wire.Msg, len(msgs))
+	var first error
+	for i, m := range msgs {
+		if errs[i] == nil {
+			replies[i], errs[i] = r.waitReply(m, pcs[i], r.callTimeout)
+		}
+		if first == nil {
+			first = errs[i]
+		}
+	}
+	return replies, first
 }
 
-// exchange is the one reply wait: send the already-registered call
-// (unless preSent: it went out as a member of a batch frame) and wait
-// until it is answered, its overall deadline runs out or the runtime
-// shuts down. The network below delivers what it accepts once, or goes
-// down, so there is nothing to re-send. A reply that is already there
-// (always, for a self-addressed call) costs no clock read and no timer.
-func (r *Runtime) exchange(m *wire.Msg, pc *pendingCall, timeout time.Duration, preSent bool) (*wire.Msg, error) {
-	if !preSent {
-		if err := r.Send(m); err != nil {
-			r.takePending(m.Req)
-			return nil, err
-		}
-	}
+// waitReply is the one reply wait: until the already-registered and
+// transmitted call is answered, its overall deadline runs out or the
+// runtime shuts down. The network below delivers what it accepted once,
+// or goes down, so there is nothing to re-send. A reply that is already
+// there (always, for a self-addressed call) costs no clock read and no
+// timer.
+func (r *Runtime) waitReply(m *wire.Msg, pc *pendingCall, timeout time.Duration) (*wire.Msg, error) {
 	select {
 	case reply := <-pc.ch:
 		r.answered(pc.since)

@@ -61,7 +61,7 @@ func TestSelfDeliverPayloadIsolation(t *testing.T) {
 	}
 	copy(buf, "SCRIBBL")
 	close(sent)
-	reply, err := a.exchange(m, pc, 5*time.Second, true) // sent above: only wait
+	reply, err := a.waitReply(m, pc, 5*time.Second) // sent above: only wait
 	if err != nil {
 		t.Fatal(err)
 	}

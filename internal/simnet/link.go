@@ -113,19 +113,11 @@ type outFrame struct {
 
 // newLinks gives every directed pair of net its link.
 func newLinks(net *Net) {
-	n := net.cfg.Nodes
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				net.pairs[i][j].lk = &link{net: net, from: NodeID(i), to: NodeID(j), nextTx: 1, cwnd: window, expect: 1}
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				net.pairs[i][j].lk.rev = net.pairs[j][i].lk
-			}
+	for i := range net.pairs {
+		for j := 0; j < i; j++ {
+			a := &link{net: net, from: NodeID(i), to: NodeID(j), nextTx: 1, cwnd: window, expect: 1}
+			b := &link{net: net, from: NodeID(j), to: NodeID(i), nextTx: 1, cwnd: window, expect: 1, rev: a}
+			a.rev, net.pairs[i][j].lk, net.pairs[j][i].lk = b, a, b
 		}
 	}
 }
@@ -352,33 +344,21 @@ func (l *link) arm(now time.Time) {
 	}
 }
 
-// stop halts the timer for good (the network is closed).
-func (l *link) stop() {
-	l.mu.Lock()
-	if l.timer != nil {
-		l.timer.Stop()
+// LinkReport describes the sender's half of the link from this
+// endpoint to peer for a stall dump: how much is unacknowledged, for
+// how long, and the timeout it waits out. Frames waiting say the
+// network is the holdup; none say the peer is. "" without a fault plan,
+// when there is no link.
+func (e *Endpoint) LinkReport(peer NodeID) string {
+	if peer < 0 || int(peer) >= e.net.cfg.Nodes || e.net.pairs[e.id][peer].lk == nil {
+		return ""
 	}
-	l.mu.Unlock()
-}
-
-// report describes the sender's half for a stall dump: how much is
-// unacknowledged, for how long, and the timeout it waits out. Frames
-// waiting say the network is the holdup; none say the peer is.
-func (l *link) report(now time.Time) string {
+	l := e.net.pairs[e.id][peer].lk
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := fmt.Sprintf("link %d->%d: unacked=%d", l.from, l.to, len(l.unacked))
 	if len(l.unacked) > 0 {
-		s += fmt.Sprintf(" oldest=%v", now.Sub(l.unacked[0].sent).Round(time.Millisecond))
+		s += fmt.Sprintf(" oldest=%v", time.Since(l.unacked[0].sent).Round(time.Millisecond))
 	}
 	return s + fmt.Sprintf(" rto=%v", l.est.rto().Round(time.Microsecond))
-}
-
-// LinkReport describes the link from this endpoint to peer for a stall
-// dump ("" without a fault plan, when there is no link).
-func (e *Endpoint) LinkReport(peer NodeID) string {
-	if peer < 0 || int(peer) >= e.net.cfg.Nodes || peer == e.id || e.net.pairs[e.id][peer].lk == nil {
-		return ""
-	}
-	return e.net.pairs[e.id][peer].lk.report(time.Now())
 }

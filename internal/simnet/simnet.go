@@ -236,8 +236,12 @@ func (n *Net) Close() {
 		}
 		for i := range n.pairs {
 			for j := range n.pairs[i] {
-				if lk := n.pairs[i][j].lk; lk != nil {
-					lk.stop()
+				if l := n.pairs[i][j].lk; l != nil {
+					l.mu.Lock()
+					if l.timer != nil {
+						l.timer.Stop()
+					}
+					l.mu.Unlock()
 				}
 			}
 		}
@@ -433,9 +437,9 @@ func newDQueue(ep *Endpoint) *dqueue {
 	return &dqueue{ep: ep, wake: make(chan struct{}, 1)}
 }
 
-// push queues a frame from node from, sent at now and due at at. If nothing stands
-// between it and the receiver — it is attached and not stalled, the
-// message is due, none is queued or in run's hands — the sender
+// push queues a frame from node from, sent at now and due at at. If
+// nothing stands between it and the receiver — it is attached and not
+// stalled, the message is due, none is queued or in run's hands — the sender
 // delivers it, after releasing q.mu so a delivery chain may push here
 // again. A queued or running message sends later ones to the queue, so
 // deliveries on a pair start in send order; the queue never blocks.

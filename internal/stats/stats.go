@@ -53,8 +53,6 @@ type Node struct {
 	CachedReplies  atomic.Int64 // always 0: nothing re-serves replies since the links deliver once (kept for the benchmark's metric)
 	LateReplies    atomic.Int64 // replies whose call had given up (timed out) by the time they came
 	StrayReplies   atomic.Int64 // replies with no matching call ever made (protocol bug)
-	LinkAcks       atomic.Int64 // ack and NACK frames this node's links sent
-	LinkAcksRecv   atomic.Int64 // ack and NACK frames this node's links received
 
 	// Message batching (all zero unless batching is enabled).
 	BatchedMsgs    atomic.Int64 // messages that travelled as members of a batch frame
@@ -81,6 +79,10 @@ type Node struct {
 	LockWaitNs      atomic.Int64
 	BarrierWaits    atomic.Int64
 	BarrierWaitNs   atomic.Int64
+
+	// The simulator's links under a fault plan (zero otherwise).
+	LinkAcks     atomic.Int64 // ack and NACK frames this node's links sent
+	LinkAcksRecv atomic.Int64 // ack and NACK frames this node's links received
 
 	// Lat holds the latency histograms, non-nil only when event
 	// tracing is enabled (core.Config.EventTrace). It is not a
@@ -113,8 +115,6 @@ type Snapshot struct {
 	CachedReplies     int64 `stats:"cached_replies"`
 	LateReplies       int64 `stats:"late_replies"`
 	StrayReplies      int64 `stats:"stray_replies"`
-	LinkAcks          int64 `stats:"link_acks"`
-	LinkAcksRecv      int64 `stats:"link_acks_recv"`
 	BatchedMsgs       int64 `stats:"batched_msgs"`
 	FlushedBatches    int64 `stats:"flushed_batches"`
 	DiffPushes        int64 `stats:"diff_pushes"`
@@ -135,6 +135,8 @@ type Snapshot struct {
 	LockWaitNs        int64 `stats:"lock_wait_ns"`
 	BarrierWaits      int64 `stats:"barrier_waits"`
 	BarrierWaitNs     int64 `stats:"barrier_wait_ns"`
+	LinkAcks          int64 `stats:"link_acks"`
+	LinkAcksRecv      int64 `stats:"link_acks_recv"`
 
 	// Lat carries the latency histograms when tracing was enabled on
 	// the source node; nil otherwise.

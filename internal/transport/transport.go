@@ -23,9 +23,9 @@
 // node's messages to itself without a transport). The backend chooses
 // the delivering goroutine: the simulator's sender for a message due
 // now at an idle receiver, else its queue goroutine; TCP's one delivery
-// goroutine per endpoint. Only the simulator loses messages (by
-// injection, which nodecore's reliability layer recovers); any other
-// backend delivers in order or goes down.
+// goroutine per endpoint. Only the simulator loses frames (by
+// injection, which its own links recover beneath the endpoint); every
+// backend delivers each message once, in order, or goes down.
 package transport
 
 import (

@@ -123,6 +123,23 @@ func contains(s, sub string) bool {
 	return false
 }
 
+// TestAttemptEncoding: v5 carries no retransmission metadata. No
+// message encodes with the kind byte's high bit, which flagged an
+// attempt byte until v4, and a v4 retransmission — high bit set, the
+// attempt byte after the kind — is refused as an unknown kind.
+func TestAttemptEncoding(t *testing.T) {
+	for k := Kind(1); int(k) < NumKinds(); k++ {
+		if b := (&Msg{Kind: k}).Encode(nil); b[0]&0x80 != 0 {
+			t.Fatalf("%v encodes with the high bit set", k)
+		}
+	}
+	base := (&Msg{Kind: KReadReq, From: 1, To: 2, Req: 7, Page: 3, Data: []byte{9}}).Encode(nil)
+	v4 := append([]byte{base[0] | 0x80, 3}, base[1:]...)
+	if _, err := Decode(v4); err == nil || !contains(err.Error(), "unknown kind") {
+		t.Fatalf("v4 retransmission frame: err = %v, want an unknown kind", err)
+	}
+}
+
 // TestRoundTripQuick fuzzes the codec.
 func TestRoundTripQuick(t *testing.T) {
 	f := func(seed int64, nd uint8) bool {
