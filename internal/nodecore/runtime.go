@@ -582,10 +582,10 @@ func (r *Runtime) CallT(m *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
 // waits for every one of them. replies[i] answers msgs[i] and is nil
 // where that member failed — each failure abandoned exactly as a
 // timed-out Call would be — and err is the first failure in input
-// order. The caller sends every member, then waits for each in turn —
-// all share one deadline; a lone member is a plain Call. With batching
-// enabled, requests that share a destination travel in one KBatch
-// frame.
+// order. Each member is sent and waited for on a goroutine of its own,
+// the last on the caller's; a lone member is a plain Call. With
+// batching enabled, requests that share a destination travel in one
+// KBatch frame.
 func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 	switch len(msgs) {
 	case 0:
@@ -632,25 +632,31 @@ func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 			// On error the members go out individually below.
 		}
 	}
+	replies := make([]*wire.Msg, len(msgs))
 	errs := make([]error, len(msgs))
-	for i, m := range msgs {
+	var wg sync.WaitGroup
+	call := func(i int) {
+		defer wg.Done()
 		if !preSent[i] {
-			if errs[i] = r.Send(m); errs[i] != nil {
-				r.takePending(m.Req)
+			if errs[i] = r.Send(msgs[i]); errs[i] != nil {
+				r.takePending(msgs[i].Req)
+				return
 			}
 		}
+		replies[i], errs[i] = r.waitReply(msgs[i], pcs[i], r.callTimeout)
 	}
-	replies := make([]*wire.Msg, len(msgs))
-	var first error
-	for i, m := range msgs {
-		if errs[i] == nil {
-			replies[i], errs[i] = r.waitReply(m, pcs[i], r.callTimeout)
-		}
-		if first == nil {
-			first = errs[i]
+	wg.Add(len(msgs))
+	for i := 0; i < len(msgs)-1; i++ {
+		go call(i)
+	}
+	call(len(msgs) - 1)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return replies, err
 		}
 	}
-	return replies, first
+	return replies, nil
 }
 
 // waitReply is the one reply wait: until the already-registered and
