@@ -11,7 +11,7 @@
 //   - No receive goroutine: Start attaches deliver to the endpoint and
 //     the transport calls it (HandleInline says on which goroutine).
 //     Replies are routed synchronously to the caller's registered slot,
-//     which one wait (exchange) serves for every call; a request kind
+//     which one wait (waitReply) serves for every call; a request kind
 //     installed with Handle gets a goroutine per message, so a handler
 //     that performs nested RPC (a manager forwarding, a home node
 //     propagating) never holds up a delivery; a kind installed with
