@@ -231,9 +231,11 @@ var sweeps = map[string]sweep{
 	// E3 compares Li & Hudak's four page-locating strategies on
 	// identical workloads with a zero-latency network, counting the
 	// protocol's intrinsic message costs. Expected shape: broadcast
-	// floods requests, central doubles per-fault messages versus fixed
-	// (every transaction detours through node 0 and confirms), dynamic
-	// pays occasional forwarding hops but no manager detour.
+	// floods requests; central and fixed run the improved manager, a
+	// request to the manager and its forward to the owner, and central
+	// forwards more (node 0 rarely owns the page, a page's home more
+	// often does); dynamic pays occasional forwarding hops but no
+	// manager detour.
 	"e3": {
 		header: "E3: manager algorithms (zero latency, message counts)",
 		cfg:    core.Config{Nodes: 6, PageSize: 512, HeapBytes: 1 << 20},

@@ -21,18 +21,19 @@ import (
 	"time"
 
 	"repro/internal/nodecore"
+	"repro/internal/own"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // Mode distinguishes lock acquisition modes.
-type Mode uint64
+type Mode = own.Mode
 
 const (
 	// Exclusive grants one holder with write intent.
-	Exclusive Mode = 0
+	Exclusive = own.Exclusive
 	// Shared grants any number of concurrent readers.
-	Shared Mode = 1
+	Shared = own.Shared
 )
 
 // Hooks is implemented by consistency engines to piggyback protocol
@@ -125,8 +126,10 @@ type Service struct {
 	hooks Hooks
 	cfg   Config
 
+	tokens *own.Protocol // the lock instance of the ownership protocol
+
 	mu     sync.Mutex
-	locks  map[int32]*lockState
+	locks  map[int32]*own.State
 	bars   map[int32]*barState
 	events map[int32]*evtState
 }
@@ -159,17 +162,18 @@ func New(rt *nodecore.Runtime, hooks Hooks, cfg Config) *Service {
 		rt:     rt,
 		hooks:  hooks,
 		cfg:    cfg,
-		locks:  make(map[int32]*lockState),
+		locks:  make(map[int32]*own.State),
 		bars:   make(map[int32]*barState),
 		events: make(map[int32]*evtState),
 	}
+	s.tokens = own.New(rt, lockRes{s}, own.Config{Manager: s.managerOf, Timeout: cfg.AcquireTimeout})
 	// Lock and event handlers only take their state's mutex, call the
 	// local GrantPayload hook and Send/Forward/Reply: HandleInline's
 	// rule holds (a request's *reply* is what waits; an invalidation's
 	// ack waits on the reader's release). The barrier handler's tree
 	// variant calls its parent, so it keeps a goroutine.
-	rt.HandleInline(wire.KLockReq, s.handleLockReq)
-	rt.HandleInline(wire.KLockInval, s.handleLockInval)
+	rt.HandleInline(wire.KLockReq, func(m *wire.Msg) { s.tokens.Serve(s.lockState(m.Lock), m.Lock, m) })
+	rt.HandleInline(wire.KLockInval, func(m *wire.Msg) { s.tokens.Invalidated(s.lockState(m.Lock), m.Lock, m) })
 	rt.Handle(wire.KBarArrive, s.handleBarArrive)
 	rt.HandleInline(wire.KEvtWait, s.handleEvtWait)
 	rt.HandleInline(wire.KEvtSet, s.handleEvtSet)

@@ -13,11 +13,7 @@ func TestInlineSelfManagedLockIsSynchronous(t *testing.T) {
 	f := newFixture(t, 2, Config{}, nil)
 	const lock = 0 // managed by node 0
 	ls := f.svcs[0].lockState(lock)
-	held := func() bool {
-		ls.mu.Lock()
-		defer ls.mu.Unlock()
-		return ls.held > 0
-	}
+	held := ls.Holding
 	for i := 0; i < 100; i++ {
 		if err := f.svcs[0].Acquire(lock); err != nil {
 			t.Fatal(err)

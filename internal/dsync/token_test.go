@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/nodecore"
+	"repro/internal/own"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/transport"
@@ -28,18 +29,16 @@ func (f *fixture) msgs() int64 {
 
 // tokens reports each node's token state, failing t unless the lock is
 // quiet: nothing held, queued, asked for or being invalidated.
-func (f *fixture) tokens(t *testing.T, id int32) []tokState {
+func (f *fixture) tokens(t *testing.T, id int32) []own.Tok {
 	t.Helper()
-	out := make([]tokState, len(f.svcs))
+	out := make([]own.Tok, len(f.svcs))
 	for i, svc := range f.svcs {
-		ls := svc.lockState(id)
-		ls.mu.Lock()
-		out[i] = ls.tok
-		if ls.held != 0 || len(ls.q) != 0 || ls.asking || ls.busy || len(ls.invals) != 0 {
+		ls := svc.lockState(id).View()
+		out[i] = ls.Tok
+		if ls.Held != 0 || ls.Queued != 0 || ls.Asking || ls.Busy || ls.Invals != 0 {
 			t.Errorf("node %d: lock %d not quiet: held %d, %d queued, asking %v, busy %v, %d invalidations pending",
-				i, id, ls.held, len(ls.q), ls.asking, ls.busy, len(ls.invals))
+				i, id, ls.Held, ls.Queued, ls.Asking, ls.Busy, ls.Invals)
 		}
-		ls.mu.Unlock()
 	}
 	return out
 }
@@ -49,7 +48,7 @@ func (f *fixture) owners(t *testing.T, id int32) int {
 	t.Helper()
 	n := 0
 	for _, tok := range f.tokens(t, id) {
-		if tok == tokOwned {
+		if tok == own.Owned {
 			n++
 		}
 	}
@@ -111,9 +110,7 @@ func TestTokenHolderYieldsToForeignRequest(t *testing.T) {
 	ls := f.svcs[0].lockState(id)
 	for queued := false; !queued; {
 		time.Sleep(time.Millisecond)
-		ls.mu.Lock()
-		queued = len(ls.q) > 0
-		ls.mu.Unlock()
+		queued = ls.View().Queued > 0
 	}
 	if err := f.svcs[0].Release(id); err != nil {
 		t.Fatal(err)
@@ -154,16 +151,13 @@ func TestTokenRelayOutOfOrderForward(t *testing.T) {
 	if got := f.rts[1].Stats().Forwards.Load(); got != 1 {
 		t.Fatalf("node 1 relayed %d times, want 1", got)
 	}
-	ls := f.svcs[2].lockState(id)
-	ls.mu.Lock()
-	copyset := append([]transport.NodeID(nil), ls.copyset...)
-	ls.mu.Unlock()
+	copyset := f.svcs[2].lockState(id).View().Copyset
 	if len(copyset) != 1 || copyset[0] != 0 {
 		t.Fatalf("owner's copyset = %v, want [0]", copyset)
 	}
 	// The copy is invalidated like any other when the token moves on.
 	pairOf(t, f.svcs[1], id, Exclusive)
-	if got := f.tokens(t, id); got[1] != tokOwned || f.owners(t, id) != 1 {
+	if got := f.tokens(t, id); got[1] != own.Owned || f.owners(t, id) != 1 {
 		t.Fatalf("token states %v, want node 1 the only owner", got)
 	}
 }

@@ -21,11 +21,12 @@
 //     the sending goroutine delivers it (see xmit).
 //   - Fault transactions hold a per-page latch (local accesses wait)
 //     but not the page mutex, so remote invalidations stay servable.
-//   - Engines serialize conflicting transactions per page at the
-//     page's manager/owner using TxLocks, and end each data-granting
-//     transaction only after the requester confirms installation
-//     (token mechanism), which closes grant/invalidate reordering
-//     races.
+//   - Page and lock ownership runs one protocol (package own): the
+//     owner serializes requests and nothing confirms a grant. Engines
+//     that still serialize whole page transactions at a page's home or
+//     owner (erc, classic, sc's broadcast locator) use TxLocks; erc and
+//     broadcast end each one only when the requester confirms
+//     installation (tokens).
 package nodecore
 
 import (
@@ -341,6 +342,11 @@ func (r *Runtime) deliver(m *wire.Msg) {
 		for _, mm := range members {
 			r.deliver(mm)
 		}
+		return
+	}
+	if m.Page < 0 || int(m.Page) >= r.tbl.NumPages() || m.Lock < 0 {
+		// Out of range ids can only come from a broken or hostile peer;
+		// every handler may index by them. Dropped like a bad batch.
 		return
 	}
 	r.dispatched.Add(1)
@@ -726,7 +732,8 @@ func (r *Runtime) Ack(req *wire.Msg) error {
 // NewToken allocates a wait token: the local side blocks in
 // AwaitToken until a remote side releases it with ReleaseToken, which
 // sends a KAck carrying the token as Req. Tokens implement the
-// requester-confirmation step that ends page transactions.
+// requester's confirmation that ends a page transaction at erc's home
+// and at sc's broadcast owner.
 func (r *Runtime) NewToken() (uint64, chan *wire.Msg) {
 	tok := r.NewReq()
 	return tok, r.register(tok, wire.KAck, -1).ch
