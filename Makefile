@@ -29,9 +29,11 @@ build:
 # protocol that locks and sc pages share (local re-grants, read copies
 # and their invalidation, an invalidation that overtakes its copy's
 # grant, upgrades with and without data, hand-offs, relays along the
-# owners' chain, writers excluding readers, out-of-range ids dropped),
-# and of lrc's diff service (a reply encoding a page's diffs while the
-# writer appends to them and barrier GC cuts them), and of the
+# owners' chain, writers excluding readers, out-of-range ids and
+# requests from the node the manager's tail names dropped), and of
+# lrc's diff service (a reply encoding a page's diffs while the writer
+# appends to them and barrier GC cuts them; grants carrying the
+# granter's diffs into the acquirer's push cache), and of the
 # simulator's per-pair links under loss (exactly-once in-order delivery
 # through drops, duplicates, spikes, partitions and stalls; the cluster's
 # message and frame balances; chaos runs sending the fault-free
@@ -45,7 +47,7 @@ test: vet smoke bench-alloc
 	$(GO) test -race -count=20 -run 'PeerLost|OrderlyClose' ./internal/transport/tcp
 	$(GO) test -race -count=20 -run 'OptimisticRead|ReadHitSeesInvalidation|UnalignedWord' ./internal/mem ./internal/nodecore ./internal/core
 	$(GO) test -race -count=20 -run 'Token|Reacquire|Shared|Upgrade|Handoff|Relay|Writer|InvalBeforeInstall|IdleHold|Hostile' ./internal/own ./internal/dsync ./internal/proto/sc ./internal/nodecore ./internal/kv ./internal/proto/ec ./internal/proto/lrc
-	$(GO) test -race -count=20 -run 'DiffReq|BarrierGC' ./internal/proto/lrc
+	$(GO) test -race -count=20 -run 'DiffReq|BarrierGC|Grant' ./internal/proto/lrc
 	$(GO) test -race -count=20 -run 'Link|Partition|Conservation|FaultFreeProtocol' ./internal/simnet ./internal/cluster
 
 # Allocation regression gate. The thresholds are checked into the

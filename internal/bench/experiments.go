@@ -582,9 +582,9 @@ func E11Transport(w io.Writer) error {
 // core.Config.Batch on, one-way messages share transport frames with
 // other traffic to the same destination, same-destination request
 // groups (HLRC/ERC home flushes) travel as one KBatch frame, and
-// homeless LRC pushes interval diffs to the readers that fetched them
-// before, turning most diff request/reply round trips into single
-// one-way pushes. Expected shape: SOR+lrc drops well over 30% of its
+// homeless LRC's barrier arrivals and releases carry interval diffs to
+// the readers that fetched them before, turning most diff
+// request/reply round trips into no message at all. Expected shape: SOR+lrc drops well over 30% of its
 // transport messages (the diff round trips dominate its traffic);
 // hlrc and erc-invalidate save by merging their per-page release
 // flushes. The TCP loopback rows show the same batched protocol on

@@ -279,8 +279,8 @@ func drive(c *core.Cluster, app apps.App, plan *chaos.Plan, ob *observers) (*Res
 }
 
 // quiesce returns once the counters of the nodes c hosts have stood
-// still for 100ms, or after five seconds. One-way traffic (lrc's diff
-// pushes, token acks, a spiked or duplicated message) is still being
+// still for 100ms, or after five seconds. One-way traffic (token acks,
+// a spiked or duplicated message) is still being
 // received when the app returns, over TCP too: its shutdown barrier
 // orders nothing on other pairs. 100ms is longer than any delivery
 // delay the fault plans in this tree inject; 20ms was measured too

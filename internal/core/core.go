@@ -163,8 +163,8 @@ type Config struct {
 	// Batch enables the message-batching layer: one-way messages may
 	// wait up to ~1ms to share a transport frame with other traffic to
 	// the same destination, same-destination request groups travel as
-	// one frame, and LRC pushes interval diffs to interested readers
-	// (experiment E12 measures the message savings). Off by default so
+	// one frame, and LRC's barrier traffic carries interval diffs to
+	// interested readers (experiment E12 measures the message savings). Off by default so
 	// message and byte counts stay directly comparable with the
 	// unbatched protocol analyses.
 	Batch bool

@@ -21,13 +21,13 @@ func TestSendBatchedFlushDeliversInOrder(t *testing.T) {
 	batchByHand(a)
 	var mu sync.Mutex
 	var got []uint64
-	b.HandleInline(wire.KDiffPush, func(m *wire.Msg) {
+	b.HandleInline(wire.KEvtSet, func(m *wire.Msg) {
 		mu.Lock()
 		got = append(got, m.Arg)
 		mu.Unlock()
 	})
 	for i := 0; i < 3; i++ {
-		if err := a.SendBatched(&wire.Msg{Kind: wire.KDiffPush, To: 1, Arg: uint64(i)}); err != nil {
+		if err := a.SendBatched(&wire.Msg{Kind: wire.KEvtSet, To: 1, Arg: uint64(i)}); err != nil {
 			t.Fatalf("SendBatched %d: %v", i, err)
 		}
 	}
@@ -66,8 +66,8 @@ func TestSingleMemberFlushSkipsFraming(t *testing.T) {
 	a, b, _, _ := pair(t)
 	batchByHand(a)
 	delivered := make(chan uint64, 1)
-	b.HandleInline(wire.KDiffPush, func(m *wire.Msg) { delivered <- m.Arg })
-	if err := a.SendBatched(&wire.Msg{Kind: wire.KDiffPush, To: 1, Arg: 7}); err != nil {
+	b.HandleInline(wire.KEvtSet, func(m *wire.Msg) { delivered <- m.Arg })
+	if err := a.SendBatched(&wire.Msg{Kind: wire.KEvtSet, To: 1, Arg: 7}); err != nil {
 		t.Fatal(err)
 	}
 	a.FlushBatches()
@@ -90,19 +90,19 @@ func TestDirectSendPiggybacksPending(t *testing.T) {
 	a, b, _, _ := pair(t)
 	batchByHand(a)
 	var mu sync.Mutex
-	var pushes []uint64
-	b.HandleInline(wire.KDiffPush, func(m *wire.Msg) {
+	var sets []uint64
+	b.HandleInline(wire.KEvtSet, func(m *wire.Msg) {
 		mu.Lock()
-		pushes = append(pushes, m.Arg)
+		sets = append(sets, m.Arg)
 		mu.Unlock()
 	})
 	for i := 0; i < 2; i++ {
-		if err := a.SendBatched(&wire.Msg{Kind: wire.KDiffPush, To: 1, Arg: uint64(i)}); err != nil {
+		if err := a.SendBatched(&wire.Msg{Kind: wire.KEvtSet, To: 1, Arg: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The call's request is a direct Send; its reply proves the shared
-	// frame arrived, and the inline push handlers ran while the frame's
+	// frame arrived, and the inline one-way handlers ran while the frame's
 	// members were dispatched — before the request's own handler.
 	reply, err := a.Call(&wire.Msg{Kind: wire.KPageReq, To: 1, Arg: 41})
 	if err != nil {
@@ -113,8 +113,8 @@ func TestDirectSendPiggybacksPending(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(pushes) != 2 || pushes[0] != 0 || pushes[1] != 1 {
-		t.Fatalf("pushes = %v, want [0 1] delivered ahead of the call", pushes)
+	if len(sets) != 2 || sets[0] != 0 || sets[1] != 1 {
+		t.Fatalf("sets = %v, want [0 1] delivered ahead of the call", sets)
 	}
 	if n := a.Stats().BatchedMsgs.Load(); n != 3 {
 		t.Fatalf("BatchedMsgs = %d, want 3 (2 pending + 1 direct)", n)
@@ -227,7 +227,7 @@ func TestBatchedFlushReentry(t *testing.T) {
 	batchByHand(b)
 	var mu sync.Mutex
 	var got []uint64
-	b.HandleInline(wire.KDiffPush, func(m *wire.Msg) {
+	b.HandleInline(wire.KEvtSet, func(m *wire.Msg) {
 		mu.Lock()
 		got = append(got, m.Arg)
 		mu.Unlock()
@@ -236,12 +236,12 @@ func TestBatchedFlushReentry(t *testing.T) {
 		}
 	})
 	a.HandleInline(wire.KEvtSet, func(*wire.Msg) {
-		m := &wire.Msg{Kind: wire.KDiffPush, To: 1, Arg: 2}
+		m := &wire.Msg{Kind: wire.KEvtSet, To: 1, Arg: 2}
 		_ = a.Send(m)
 		m.Arg = 99 // Send has returned: m is the caller's to reuse
 	})
 	for i := 0; i < 2; i++ {
-		if err := a.SendBatched(&wire.Msg{Kind: wire.KDiffPush, To: 1, Arg: uint64(i)}); err != nil {
+		if err := a.SendBatched(&wire.Msg{Kind: wire.KEvtSet, To: 1, Arg: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

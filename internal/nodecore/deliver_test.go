@@ -20,8 +20,8 @@ import (
 func TestDirectDeliveryRunsOnSender(t *testing.T) {
 	a, b, _, _ := pair(t)
 	var ran atomic.Bool
-	b.HandleInline(wire.KDiffPush, func(*wire.Msg) { ran.Store(true) })
-	if err := a.Send(&wire.Msg{Kind: wire.KDiffPush, To: 1}); err != nil {
+	b.HandleInline(wire.KEvtSet, func(*wire.Msg) { ran.Store(true) })
+	if err := a.Send(&wire.Msg{Kind: wire.KEvtSet, To: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !ran.Load() {
@@ -60,7 +60,7 @@ func TestInlineChainThreeNodes(t *testing.T) {
 	for _, batched := range []bool{false, true} {
 		t.Run(fmt.Sprintf("batch=%v", batched), func(t *testing.T) {
 			_, rts, _ := echoNet(t, 3)
-			var pushes atomic.Int64
+			var sets atomic.Int64
 			for _, r := range rts {
 				if batched {
 					batchByHand(r)
@@ -75,13 +75,13 @@ func TestInlineChainThreeNodes(t *testing.T) {
 						_ = r.Reply(m, &wire.Msg{Kind: wire.KDiffReply, Arg: m.Arg + 1})
 					}
 				})
-				r.HandleInline(wire.KDiffPush, func(*wire.Msg) { pushes.Add(1) })
+				r.HandleInline(wire.KEvtSet, func(*wire.Msg) { sets.Add(1) })
 			}
 			a := rts[0]
 			const calls = 1000
 			for i := uint64(0); i < calls; i++ {
 				if batched {
-					if err := a.SendBatched(&wire.Msg{Kind: wire.KDiffPush, To: 1}); err != nil {
+					if err := a.SendBatched(&wire.Msg{Kind: wire.KEvtSet, To: 1}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -93,8 +93,8 @@ func TestInlineChainThreeNodes(t *testing.T) {
 					t.Fatalf("call %d: reply %+v", i, reply)
 				}
 			}
-			if batched && pushes.Load() != calls {
-				t.Fatalf("%d of %d queued messages delivered with the calls", pushes.Load(), calls)
+			if batched && sets.Load() != calls {
+				t.Fatalf("%d of %d queued messages delivered with the calls", sets.Load(), calls)
 			}
 			if n := a.Stats().Forwards.Load() + rts[1].Stats().Forwards.Load() + rts[2].Stats().Forwards.Load(); n != 2*calls {
 				t.Fatalf("forwards = %d, want %d", n, 2*calls)

@@ -421,8 +421,11 @@ func (p *Protocol) Serve(st *State, id int32, m *wire.Msg) {
 	st.mu.Lock()
 	if tail := st.tail; m.B == 0 {
 		if tail == m.From {
+			// The node already owns or awaits the token, so it sends no
+			// request: only a broken or hostile peer does. Dropped, as
+			// nodecore drops out-of-range ids.
 			st.mu.Unlock()
-			panic(fmt.Sprintf("own: node %d: id %d: request from node %d, which already owns or awaits the token", p.rt.ID(), id, m.From))
+			return
 		}
 		if mode == Exclusive {
 			st.tail = m.From

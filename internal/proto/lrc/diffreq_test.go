@@ -125,7 +125,7 @@ func TestDiffReqServesExactRange(t *testing.T) {
 					}
 				}
 			}
-			s.e.closeInterval(false)
+			s.e.closeInterval()
 			seq := uint32(len(s.e.log[0]))
 			for pg, b := range before {
 				if b == nil {
@@ -187,7 +187,7 @@ func diffReqLog(tb testing.TB, n int) *diffServer {
 	s := newDiffServer(tb, 64, false)
 	for i := 1; i <= n; i++ {
 		s.write(tb, mem.PageID(i%64), 0, uint64(i))
-		s.e.closeInterval(false)
+		s.e.closeInterval()
 	}
 	return s
 }
@@ -272,7 +272,7 @@ func TestDiffReqRacesIntervalClose(t *testing.T) {
 	}()
 	for i := 1; i <= 3000; i++ {
 		s.write(t, 0, i%4, uint64(i))
-		s.e.closeInterval(false)
+		s.e.closeInterval()
 		if i%40 == 0 {
 			s.barrier()
 		}

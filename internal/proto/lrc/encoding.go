@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"repro/internal/mem"
-	"repro/internal/nodecore"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -39,6 +38,11 @@ func decodeIntervals(buf []byte) ([]*interval, error) {
 		return nil, nil
 	}
 	d := wire.NewDec(buf)
+	out := readIntervals(&d)
+	return out, d.Done()
+}
+
+func readIntervals(d *wire.Dec) []*interval {
 	n := d.Count()
 	out := make([]*interval, 0, n)
 	for ; n > 0 && d.Ok(); n-- {
@@ -52,7 +56,30 @@ func decodeIntervals(buf []byte) ([]*interval, error) {
 		}
 		out = append(out, iv)
 	}
-	return out, d.Done()
+	return out
+}
+
+// Grant payload: an interval set, then, only when the granter carries
+// some of its own diffs, a push section (see appendPushes). A grant
+// that carries none is the bare interval set.
+func encodeGrant(ivs []*interval, pushes []pushEntry) []byte {
+	buf := encodeIntervals(ivs)
+	if len(pushes) > 0 {
+		buf = appendPushes(buf, pushes)
+	}
+	return buf
+}
+
+func decodeGrant(buf []byte) (ivs []*interval, pushes []pushEntry, err error) {
+	if len(buf) == 0 {
+		return nil, nil, nil
+	}
+	d := wire.NewDec(buf)
+	ivs = readIntervals(&d)
+	if len(d.Rest()) > 0 {
+		pushes = readPushes(&d)
+	}
+	return ivs, pushes, d.Done()
 }
 
 // seqDiff pairs an interval seq with a page diff.
@@ -84,32 +111,10 @@ func decodeDiffList(buf []byte) (map[uint32][]byte, error) {
 	return out, d.Done()
 }
 
-// Push list encoding: uvarint count, count × { uvarint page,
-// uvarint len, len bytes }.
-func encodePushList(ds []nodecore.PageDiff) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(ds)))
-	for _, d := range ds {
-		buf = wire.AppendBytes(binary.AppendUvarint(buf, uint64(d.Page)), d.Diff)
-	}
-	return buf
-}
-
-func decodePushList(buf []byte) ([]nodecore.PageDiff, error) {
-	if len(buf) == 0 {
-		return nil, nil
-	}
-	d := wire.NewDec(buf)
-	n := d.Count()
-	out := make([]nodecore.PageDiff, 0, n)
-	for ; n > 0 && d.Ok(); n-- {
-		out = append(out, nodecore.PageDiff{Page: mem.PageID(d.Uvarint()), Diff: d.Bytes()})
-	}
-	return out, d.Done()
-}
-
-// pushEntry is one diff addressed to one reader, piggybacked on
-// barrier traffic: writer's interval (writer, seq) touched page pg,
-// and reader has previously fetched that page's diffs from us.
+// pushEntry is one diff addressed to one reader, carried by a lock
+// grant or piggybacked on barrier traffic: writer's interval (writer,
+// seq) touched page pg, and reader has previously fetched that page's
+// diffs from the writer.
 type pushEntry struct {
 	reader int32
 	writer int32
@@ -118,18 +123,12 @@ type pushEntry struct {
 	diff   []byte
 }
 
-// Barrier payload envelope:
+// Push section, shared by grants and barrier payloads:
 //
-//	uvarint len(interval section) || interval section ||
 //	uvarint count || count × { uvarint reader, uvarint writer,
 //	                           uvarint seq, uvarint page,
 //	                           uvarint len, len bytes }
-//
-// The interval section is an encodeIntervals blob; length-prefixing it
-// lets the push section follow without decodeIntervals seeing trailing
-// bytes.
-func encodeBarrierPayload(ivsRaw []byte, pushes []pushEntry) []byte {
-	buf := wire.AppendBytes(nil, ivsRaw)
+func appendPushes(buf []byte, pushes []pushEntry) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(pushes)))
 	for _, pe := range pushes {
 		buf = binary.AppendUvarint(buf, uint64(pe.reader))
@@ -141,12 +140,7 @@ func encodeBarrierPayload(ivsRaw []byte, pushes []pushEntry) []byte {
 	return buf
 }
 
-func decodeBarrierPayload(buf []byte) (ivsRaw []byte, pushes []pushEntry, err error) {
-	if len(buf) == 0 {
-		return nil, nil, nil
-	}
-	d := wire.NewDec(buf)
-	ivsRaw = d.Bytes()
+func readPushes(d *wire.Dec) (pushes []pushEntry) {
 	for n := d.Count(); n > 0 && d.Ok(); n-- {
 		pushes = append(pushes, pushEntry{
 			reader: int32(d.Uvarint()),
@@ -156,5 +150,22 @@ func decodeBarrierPayload(buf []byte) (ivsRaw []byte, pushes []pushEntry, err er
 			diff:   d.Bytes(),
 		})
 	}
+	return pushes
+}
+
+// Barrier payload envelope: uvarint len(interval section) || interval
+// section || push section. Length-prefixing the interval set lets the
+// push section follow without decodeIntervals seeing trailing bytes.
+func encodeBarrierPayload(ivsRaw []byte, pushes []pushEntry) []byte {
+	return appendPushes(wire.AppendBytes(nil, ivsRaw), pushes)
+}
+
+func decodeBarrierPayload(buf []byte) (ivsRaw []byte, pushes []pushEntry, err error) {
+	if len(buf) == 0 {
+		return nil, nil, nil
+	}
+	d := wire.NewDec(buf)
+	ivsRaw = d.Bytes()
+	pushes = readPushes(&d)
 	return ivsRaw, pushes, d.Done()
 }

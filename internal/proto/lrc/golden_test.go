@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/nodecore"
 	"repro/internal/vclock"
 )
 
@@ -30,7 +29,8 @@ func TestEncodersGoldenBytes(t *testing.T) {
 		{"intervals", encodeIntervals(ivs), "0201030300000000000300000001000000030207ac0202c80103000000000000000000c800000000"},
 		{"no intervals", encodeIntervals(nil), "00"},
 		{"diff list", encodeDiffList([]seqDiff{{seq: 1, diff: []byte{1, 2}}, {seq: 300, diff: nil}}), "0201020102ac0200"},
-		{"push list", encodePushList([]nodecore.PageDiff{{Page: 5, Diff: []byte{4, 5, 6}}, {Page: 129, Diff: []byte{}}}), "020503040506810100"},
+		{"grant", encodeGrant(ivs, pushes), "0201030300000000000300000001000000030207ac0202c80103000000000000000000c80000000002000103020309090902018201bc0500"},
+		{"grant carrying nothing", encodeGrant(ivs, nil), "0201030300000000000300000001000000030207ac0202c80103000000000000000000c800000000"},
 		{"barrier payload", encodeBarrierPayload(encodeIntervals(ivs), pushes), "280201030300000000000300000001000000030207ac0202c80103000000000000000000c80000000002000103020309090902018201bc0500"},
 		{"empty barrier payload", encodeBarrierPayload(nil, nil), "0000"},
 	} {

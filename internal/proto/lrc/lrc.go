@@ -10,10 +10,13 @@
 //     wrote, whatever the heap holds.
 //   - A lock grant carries exactly the write notices the acquirer has
 //     not seen (vector-clock comparison); the acquirer invalidates
-//     the noticed pages. No data moves at synchronization time.
-//   - A fault on an invalidated page fetches the missing diffs from
-//     their writers (one round trip each, all in one CallBatched
-//     round) and applies them in a happens-before-consistent order.
+//     the noticed pages. The only data a grant moves is the granter's
+//     own diffs of pages the acquirer has fetched from it before (the
+//     lazy-hybrid variant): they wait in the acquirer's push cache.
+//   - A fault on an invalidated page takes what the push cache holds
+//     and fetches the rest from their writers (one round trip each,
+//     all in one CallBatched round), then applies them in a
+//     happens-before-consistent order.
 //     Concurrent intervals write disjoint bytes (data-race freedom),
 //     so their order is irrelevant; ordered intervals are applied in
 //     causal order (sum of vector-clock components is a valid linear
@@ -21,7 +24,9 @@
 //   - A writer keeps its own diffs per page, in interval order, so
 //     serving a request costs a binary search plus the diffs it
 //     returns, however many intervals the range spans.
-//   - Barriers make everyone's new intervals globally known.
+//   - Barriers make everyone's new intervals globally known; with
+//     batching on, the arrive payloads also carry the closing
+//     interval's diffs to the readers that fetched them before.
 //
 // Compared with eager RC (package erc), synchronization is cheap and
 // data moves at most once, to nodes that actually touch it —
@@ -89,15 +94,16 @@ type Engine struct {
 	lastBarSent uint32 // own-interval seq already distributed via a barrier
 	lastBarPrev uint32 // own-interval seq distributed at the barrier before that
 
-	// Interest-based diff push (active only with batching enabled).
-	// Serving a diff request records the requester's interest in the
-	// page; each subsequent interval close pushes the page's new diff
-	// to interested readers, saving them the fetch round trip. Pushes
-	// are purely advisory: receivers cache them keyed by (writer, seq,
-	// page) and the fetch path covers anything lost or evicted.
+	// Interest-based diff push. Serving a diff request records the
+	// requester's interest in the page; a later grant to that node
+	// carries this node's diffs of the page that the acquirer has not
+	// seen, and (with batching on) a barrier arrival carries the
+	// closing interval's, saving the reader the fetch round trip.
+	// Pushes are purely advisory: receivers cache them keyed by
+	// (writer, seq, page) and the fetch path covers anything evicted.
 	interest  map[mem.PageID]map[int32]struct{}
 	pushCache map[pushKey][]byte
-	pushOrder []pushKey // FIFO eviction order
+	pushOrder []pushKey // FIFO eviction order; may hold consumed keys
 }
 
 // pushKey identifies one pushed diff: interval (node, seq) and page.
@@ -168,11 +174,6 @@ func (e *Engine) Register(rt *nodecore.Runtime) {
 	if e.homeBased {
 		rt.Handle(wire.KErcFlush, e.handleHomeFlush)
 		rt.Handle(wire.KPageReq, e.handleHomePageReq)
-	} else {
-		// Inline: caching a push must be ordered before the barrier
-		// release or lock grant that makes its reader fault, or the
-		// reader races the handler goroutine and fetches anyway.
-		rt.HandleInline(wire.KDiffPush, e.handleDiffPush)
 	}
 }
 
@@ -345,15 +346,9 @@ func vcSum(v vclock.VC) uint64 {
 
 // closeInterval ends the current write interval if any page was
 // written: it ticks the vector clock, records per-page diffs, and
-// appends the interval (with its write notices) to the local log.
-//
-// With batching enabled it also builds one pushEntry per (interested
-// reader, dirty page). collect=true returns them to the caller
-// (BarrierArrive piggybacks them on the arrive payload, costing zero
-// messages); collect=false sends them as direct KDiffPush messages,
-// the only option at lock releases and event sets, which have no
-// all-to-all payload to ride.
-func (e *Engine) closeInterval(collect bool) []pushEntry {
+// appends the interval (with its write notices) to the local log. It
+// returns the interval, or nil if nothing was written.
+func (e *Engine) closeInterval() *interval {
 	dirty := e.rt.CloseWrites()
 	if len(dirty) == 0 {
 		return nil
@@ -384,45 +379,8 @@ func (e *Engine) closeInterval(collect bool) []pushEntry {
 	if uint32(len(e.log[me])) != seq {
 		panic(fmt.Sprintf("lrc: node %d: interval log out of sync: len %d, seq %d", me, len(e.log[me]), seq))
 	}
-	// Interest-based push: give every reader who has fetched a dirty
-	// page's diffs before this interval's diff for it.
-	var entries []pushEntry
-	if !e.homeBased && e.rt.BatchingEnabled() {
-		for _, d := range dirty {
-			for node := range e.interest[d.Page] {
-				entries = append(entries, pushEntry{
-					reader: node, writer: iv.node, seq: seq, pg: d.Page, diff: d.Diff,
-				})
-			}
-		}
-	}
 	e.mu.Unlock()
-	if len(entries) == 0 {
-		return nil
-	}
-	e.rt.Stats().DiffPushes.Add(int64(len(entries)))
-	if collect {
-		return entries
-	}
-	byReader := make(map[transport.NodeID][]nodecore.PageDiff)
-	for _, pe := range entries {
-		to := transport.NodeID(pe.reader)
-		byReader[to] = append(byReader[to], nodecore.PageDiff{Page: pe.pg, Diff: pe.diff})
-	}
-	for to, list := range byReader {
-		if tr := e.rt.Tracer(); tr != nil {
-			for _, pd := range list {
-				tr.Emit(trace.EvDiffPush, int32(to), 0, pd.Page, -1, uint64(seq), 0)
-			}
-		}
-		_ = e.rt.SendBatched(&wire.Msg{Kind: wire.KDiffPush, To: to, Arg: uint64(seq), Data: encodePushList(list)})
-	}
-	// Flush now rather than ride the latency cap: the peers these
-	// diffs are for may fault the instant the coming release
-	// completes, and a push that loses that race is pure overhead
-	// (the fault falls back to fetching).
-	e.rt.FlushBatches()
-	return nil
+	return iv
 }
 
 // insert adds a remote interval to the log if unknown, invalidating
@@ -496,35 +454,51 @@ func (e *Engine) AcquirePayload(int32) []byte {
 }
 
 // GrantPayload implements dsync.Hooks: ship the write notices of
-// every interval the acquirer has not seen.
-func (e *Engine) GrantPayload(_ int32, _ transport.NodeID, _ dsync.Mode, reqPayload []byte) []byte {
+// every interval the acquirer has not seen, and this node's own diffs
+// in them of pages the acquirer has fetched from it before, at most
+// pushCacheCap of them (more would only be evicted on arrival).
+func (e *Engine) GrantPayload(_ int32, to transport.NodeID, _ dsync.Mode, reqPayload []byte) []byte {
 	acqVC, _, err := vclock.Decode(reqPayload)
 	e.must(err, "acquire payload")
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return encodeIntervals(e.unseenBy(acqVC))
+	ivs := e.unseenBy(acqVC)
+	var pushes []pushEntry
+	for _, iv := range ivs {
+		if iv.node != e.rt.ID() {
+			continue
+		}
+		for _, pg := range iv.pages {
+			if _, ok := e.interest[pg][to]; ok && len(pushes) < pushCacheCap {
+				pushes = e.pushLocked(pushes, to, pg, iv.seq)
+			}
+		}
+	}
+	return encodeGrant(ivs, pushes)
 }
 
-// OnGranted implements dsync.Hooks: insert the received notices.
+// OnGranted implements dsync.Hooks: insert the received notices and
+// cache the granter's diffs under the same lock, so the acquirer's
+// first fault finds them.
 func (e *Engine) OnGranted(_ int32, _ dsync.Mode, payload []byte) {
-	ivs, err := decodeIntervals(payload)
+	ivs, pushes, err := decodeGrant(payload)
 	e.must(err, "grant payload")
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, iv := range ivs {
 		e.insert(iv)
 	}
+	e.cachePushesLocked(pushes)
 }
 
 // OnRelease implements dsync.Hooks: close the current interval. No
-// data or notices move — that is the laziness. (With batching on,
-// interest-targeted diffs are pushed directly; a lock release has no
-// barrier payload to piggyback them on.)
-func (e *Engine) OnRelease(int32) { e.closeInterval(false) }
+// data or notices move — that is the laziness; the next grant
+// carries them.
+func (e *Engine) OnRelease(int32) { e.closeInterval() }
 
 // OnEventSet implements dsync.Hooks: firing an event is a release —
 // the waiters' grants will carry the closed interval's notices.
-func (e *Engine) OnEventSet(int32) { e.closeInterval(false) }
+func (e *Engine) OnEventSet(int32) { e.closeInterval() }
 
 // BarrierArrive implements dsync.Hooks: close the interval and send
 // our own not-yet-broadcast intervals to the barrier manager. With
@@ -532,9 +506,17 @@ func (e *Engine) OnEventSet(int32) { e.closeInterval(false) }
 // the same arrive payload; the release fans them out to their readers
 // (see BarrierReleaseFor), so the whole push costs zero messages.
 func (e *Engine) BarrierArrive(int32) []byte {
-	entries := e.closeInterval(true)
+	iv := e.closeInterval()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	var entries []pushEntry
+	if iv != nil && e.rt.BatchingEnabled() {
+		for _, pg := range iv.pages {
+			for node := range e.interest[pg] {
+				entries = e.pushLocked(entries, node, pg, iv.seq)
+			}
+		}
+	}
 	me := int(e.rt.ID())
 	var own []*interval
 	for s := e.lastBarSent; s < uint32(len(e.log[me])); s++ {
@@ -596,20 +578,13 @@ func (e *Engine) OnBarrierRelease(_ int32, payload []byte) {
 	e.must(err, "barrier release payload")
 	ivs, err := decodeIntervals(ivsRaw)
 	e.must(err, "barrier release payload")
-	me := int32(e.rt.ID())
 	e.mu.Lock()
 	for _, iv := range ivs {
 		e.insert(iv)
 	}
 	// Piggybacked diffs land in the push cache under the same lock
-	// that queued their write notices, so the first post-barrier fault
-	// is guaranteed to find them — no fetch, no handler race.
-	for _, pe := range pushes {
-		if pe.reader != me || pe.writer == me {
-			continue
-		}
-		e.cachePushLocked(pushKey{node: pe.writer, seq: pe.seq, pg: pe.pg}, pe.diff)
-	}
+	// that queued their write notices, as a grant's do (OnGranted).
+	e.cachePushesLocked(pushes)
 	if !e.gc {
 		e.mu.Unlock()
 		return
@@ -673,33 +648,43 @@ func (e *Engine) handleDiffReq(m *wire.Msg) {
 	_ = e.rt.Reply(m, &wire.Msg{Kind: wire.KDiffReply, Page: m.Page, Data: encodeDiffList(out)})
 }
 
-// handleDiffPush caches a writer's pushed diffs. Pushes are advisory,
-// so a malformed or duplicate push is simply ignored; overflow evicts
-// the oldest entries (their readers fall back to fetching).
-func (e *Engine) handleDiffPush(m *wire.Msg) {
-	list, err := decodePushList(m.Data)
-	if err != nil {
-		return
+// pushLocked appends this node's diff of pg in its interval seq,
+// addressed to reader, if it still holds it. Caller holds e.mu.
+func (e *Engine) pushLocked(pushes []pushEntry, reader int32, pg mem.PageID, seq uint32) []pushEntry {
+	own := e.myDiffs[pg]
+	i := sort.Search(len(own), func(i int) bool { return own[i].seq >= seq })
+	if i == len(own) || own[i].seq != seq {
+		return pushes
 	}
-	seq := uint32(m.Arg)
-	e.mu.Lock()
-	for _, d := range list {
-		e.cachePushLocked(pushKey{node: int32(m.From), seq: seq, pg: d.Page}, d.Diff)
-	}
-	e.mu.Unlock()
+	e.rt.Stats().DiffPushes.Add(1)
+	e.rt.Tracer().Emit(trace.EvDiffPush, reader, 0, pg, -1, uint64(seq), 0)
+	return append(pushes, pushEntry{reader: reader, writer: e.rt.ID(), seq: seq, pg: pg, diff: own[i].diff})
 }
 
-// cachePushLocked inserts one pushed diff, dropping duplicates and
-// evicting oldest-first past the cap. Caller holds e.mu.
-func (e *Engine) cachePushLocked(k pushKey, diff []byte) {
-	if _, ok := e.pushCache[k]; ok {
-		return
+// cachePushesLocked caches the pushed diffs addressed to this node,
+// dropping duplicates and evicting oldest-first past the cap. validate
+// deletes the keys it uses from pushCache only; once pushOrder is twice
+// the cap, it is cut down to the keys still cached. Caller holds e.mu.
+func (e *Engine) cachePushesLocked(pushes []pushEntry) {
+	for _, pe := range pushes {
+		k := pushKey{node: pe.writer, seq: pe.seq, pg: pe.pg}
+		if _, ok := e.pushCache[k]; ok || pe.reader != e.rt.ID() || pe.writer == e.rt.ID() {
+			continue
+		}
+		e.pushCache[k] = pe.diff
+		e.pushOrder = append(e.pushOrder, k)
 	}
-	e.pushCache[k] = diff
-	e.pushOrder = append(e.pushOrder, k)
 	for len(e.pushCache) > pushCacheCap && len(e.pushOrder) > 0 {
-		old := e.pushOrder[0]
+		delete(e.pushCache, e.pushOrder[0])
 		e.pushOrder = e.pushOrder[1:]
-		delete(e.pushCache, old)
+	}
+	if len(e.pushOrder) > 2*pushCacheCap {
+		live := make([]pushKey, 0, len(e.pushCache))
+		for _, k := range e.pushOrder {
+			if _, ok := e.pushCache[k]; ok {
+				live = append(live, k)
+			}
+		}
+		e.pushOrder = live
 	}
 }

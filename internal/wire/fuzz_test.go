@@ -39,13 +39,15 @@ func fuzzSeeds() [][]byte {
 			cp[i] ^= 0xFF
 			seeds = append(seeds, cp)
 		}
-		// The kind byte's high bit, and the reserved kind.
+		// The kind byte's high bit, and the reserved kinds.
 		cp := append([]byte(nil), enc...)
 		cp[0] |= 0x80
 		seeds = append(seeds, cp)
-		cp = append([]byte(nil), enc...)
-		cp[0] = byte(kReserved)
-		seeds = append(seeds, cp)
+		for _, k := range []Kind{kReserved, kReservedPush} {
+			cp = append([]byte(nil), enc...)
+			cp[0] = byte(k)
+			seeds = append(seeds, cp)
+		}
 	}
 	seeds = append(seeds,
 		nil,
@@ -104,10 +106,12 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	hugeLen[headerSize-1] = 0xFF
 	cases["huge data length"] = hugeLen
 	// The high bit flagged an attempt byte before v5; the reserved
-	// kind was the confirmation. Both are unknown kinds now.
+	// kinds were the confirmation and, before v6, the diff push. All
+	// are unknown kinds now.
 	cases["high-bit kind"] = append([]byte{byte(KReadGrant) | 0x80}, good[1:]...)
 	cases["reserved kind"] = append([]byte{byte(kReserved)}, good[1:]...)
-	for _, name := range []string{"high-bit kind", "reserved kind"} {
+	cases["reserved push kind"] = append([]byte{byte(kReservedPush)}, good[1:]...)
+	for _, name := range []string{"high-bit kind", "reserved kind", "reserved push kind"} {
 		if _, err := Decode(cases[name]); err == nil || !strings.Contains(err.Error(), "unknown kind") {
 			t.Errorf("%s: err = %v, want an unknown kind", name, err)
 		}

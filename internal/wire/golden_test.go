@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestGoldenFrame pins the v5 frame byte for byte: a 45-byte header of
+// TestGoldenFrame pins the v6 frame byte for byte (the v3 layout): a 45-byte header of
 // kind, From, To, Req, Page, Lock, Arg, B and the payload length, all
 // little-endian, then the payload. Any change here is a wire format
 // change and needs a Version bump.
@@ -23,8 +23,8 @@ func TestGoldenFrame(t *testing.T) {
 	if hdr := len(got) - len(m.Data); hdr != 45 || hdr != m.EncodedSize()-len(m.Data) {
 		t.Errorf("header is %d bytes", hdr)
 	}
-	if Version != 5 {
-		t.Errorf("Version = %d: the frame above is v5", Version)
+	if Version != 6 {
+		t.Errorf("Version = %d: the frame above is v6", Version)
 	}
 }
 

@@ -31,7 +31,9 @@ import (
 // v5: no retransmission metadata. The kind byte's high bit no longer
 // flags an attempt byte, and the confirmation kind's number is
 // reserved: both are unknown kinds.
-const Version byte = 5
+// v6: an lrc lock grant may carry the granter's diffs after its write
+// notices, and the one-way diff push kind's number is reserved.
+const Version byte = 6
 
 // MaxEncodedSize caps one encoded message (64 MiB). Real-socket
 // transports reject longer frames before allocating, so a corrupt or
@@ -97,9 +99,9 @@ const (
 	KErcUpdAck   // reply
 
 	// Lazy release consistency (proto/lrc).
-	KDiffReq   // Page, Arg=first interval seq, B=last interval seq (at writer From->To)
-	KDiffReply // reply: Data=concatenated length-prefixed diffs
-	KDiffPush  // one-way: Arg=interval seq, Data=packed (page, diff) list
+	KDiffReq      // Page, Arg=first interval seq, B=last interval seq (at writer From->To)
+	KDiffReply    // reply: Data=concatenated length-prefixed diffs
+	kReservedPush // was KDiffPush (v5 and earlier); never sent, rejected by DecodeInto
 
 	// Batching (nodecore). A batch frame carries several complete
 	// encoded messages in Data (see PackBatch); the receiving runtime
@@ -152,7 +154,7 @@ var kindNames = [...]string{
 	KErcUpdAck:    "erc-upd-ack",
 	KDiffReq:      "diff-req",
 	KDiffReply:    "diff-reply",
-	KDiffPush:     "diff-push",
+	kReservedPush: "reserved",
 	KBatch:        "batch",
 }
 
@@ -184,6 +186,9 @@ var replyKind = map[Kind]bool{
 	KErcUpdAck:    true,
 	KDiffReply:    true,
 }
+
+// reserved reports a kind number that is no longer sent.
+func (k Kind) reserved() bool { return k == kReserved || k == kReservedPush }
 
 // IsReply reports whether k is a reply kind, routed to a waiting
 // caller by request id rather than to a handler.
@@ -263,7 +268,7 @@ func DecodeInto(m *Msg, buf []byte) error {
 	}
 	*m = Msg{}
 	m.Kind = Kind(buf[0])
-	if m.Kind == KInvalid || m.Kind == kReserved || m.Kind >= kindCount {
+	if m.Kind == KInvalid || m.Kind.reserved() || m.Kind >= kindCount {
 		return fmt.Errorf("wire: unknown kind %d", buf[0])
 	}
 	m.From = int32(binary.LittleEndian.Uint32(buf[1:]))

@@ -154,7 +154,7 @@ func TestRoundTripQuick(t *testing.T) {
 			Arg:  r.Uint64(),
 			B:    r.Uint64(),
 		}
-		if m.Kind == kReserved {
+		if m.Kind.reserved() {
 			m.Kind = KAck
 		}
 		if nd > 0 {
