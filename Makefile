@@ -59,7 +59,8 @@ test: vet smoke bench-alloc
 # access or single-page ReadAt/WriteAt on a valid page), and for
 # refreshing a twin in place; the
 # AllocBudget tests hold an uncontended self-managed lock pair, an lrc
-# release of one dirty page and the decode of a grant's interval list
+# release of one dirty page, the decode of a grant's interval list and
+# the diff of one written slot (one allocation, none for a clean page)
 # at their current counts. The
 # benchmarks print current numbers for the paths that clone by design
 # (receive-side decode), for a lock round trip (manager = self / = the
@@ -69,7 +70,7 @@ test: vet smoke bench-alloc
 # lock-free hit must not contend.
 bench-alloc:
 	$(GO) test -run 'ZeroAlloc|AllocBudget' -count=1 ./internal/wire/ ./internal/mem/ ./internal/nodecore/ ./internal/trace/ ./internal/kv/ ./internal/metrics/ ./internal/dsync/ ./internal/proto/lrc/
-	$(GO) test -run '^$$' -bench 'Encode|DecodeInto|PackBatch|AppendDiff|ApplyDiff|FrameRoundTrip|ReadHit|ReadHitParallel|WriteHit|EmitDisabled|EmitEnabled|AccessEmit|HistObserve|KVOpRecord|SampleOnce|PromWrite|LockLocal|LockRemoteSim|ReleaseOneDirtyPage|DiffReq' \
+	$(GO) test -run '^$$' -bench 'Encode|DecodeInto|PackBatch|AppendDiff|DiffOneSlot|ApplyDiff|FrameRoundTrip|ReadHit|ReadHitParallel|WriteHit|EmitDisabled|EmitEnabled|AccessEmit|HistObserve|KVOpRecord|SampleOnce|PromWrite|LockLocal|LockRemoteSim|ReleaseOneDirtyPage|DiffReq' \
 		-benchtime 1000x -benchmem -timeout 300s ./internal/wire/ ./internal/mem/ ./internal/nodecore/ ./internal/transport/tcp/ ./internal/trace/ ./internal/kv/ ./internal/metrics/ ./internal/dsync/ ./internal/proto/lrc/
 
 short:

@@ -48,7 +48,8 @@ type Hooks interface {
 	// last exclusive holder (or the manager for a never-held lock) — to
 	// build the grant payload for the given requester. A grant that
 	// needs no message is built by the acquirer for itself
-	// (to == its own id, reqPayload its own AcquirePayload).
+	// (to == its own id, reqPayload its own AcquirePayload, which LRC
+	// does not read: it answers with the empty interval list).
 	GrantPayload(lock int32, to transport.NodeID, mode Mode, reqPayload []byte) []byte
 	// OnGranted runs at the acquirer before Acquire returns.
 	OnGranted(lock int32, mode Mode, payload []byte)

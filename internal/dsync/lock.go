@@ -75,7 +75,7 @@ func (l lockRes) Grant(id int32, m *wire.Msg, mode Mode, _ bool) *wire.Msg {
 // Install completes an acquire. One that sent no message builds its
 // own grant, as an owner would, so each engine's OnGranted sees what
 // it expects: no new notices under LRC, a permission-only grant under
-// EC.
+// EC. A zero start (nothing queued or sent) adds no lock wait.
 func (l lockRes) Install(id int32, mode Mode, g *wire.Msg, start time.Time) {
 	s, st := l.s, l.s.rt.Stats()
 	from, payload := s.rt.ID(), []byte(nil)
@@ -86,11 +86,14 @@ func (l lockRes) Install(id int32, mode Mode, g *wire.Msg, start time.Time) {
 		from, payload = g.From, g.Data
 		st.GrantPayloadBytes.Add(int64(len(payload)))
 	}
-	wait := time.Since(start)
 	st.LockAcquires.Add(1)
-	st.LockWaitNs.Add(wait.Nanoseconds())
-	if st.Lat != nil {
-		st.Lat.LockWait.Observe(wait.Nanoseconds())
+	var wait time.Duration
+	if !start.IsZero() {
+		wait = time.Since(start)
+		st.LockWaitNs.Add(wait.Nanoseconds())
+		if st.Lat != nil {
+			st.Lat.LockWait.Observe(wait.Nanoseconds())
+		}
 	}
 	s.rt.Tracer().Emit(trace.EvLockGrant, int32(from), 0, -1, id, uint64(mode), wait)
 	s.hooks.OnGranted(id, mode, payload)

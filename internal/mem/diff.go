@@ -1,9 +1,12 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 )
 
 // Diff encoding: a sequence of runs, each
@@ -21,10 +24,20 @@ import (
 
 // CreateDiff encodes the byte ranges where cur differs from base
 // (the twin). The two slices must have equal length. A nil return
-// means the page is unchanged.
-func CreateDiff(base, cur []byte) []byte {
-	return AppendDiff(nil, base, cur)
+// means the page is unchanged. The diff is encoded into a pooled
+// buffer and copied out once at its final size (cap == len), so a
+// diff kept in a log costs one allocation and an unchanged page none.
+func CreateDiff(base, cur []byte) (diff []byte) {
+	buf := diffScratch.Get().(*[]byte)
+	if *buf = AppendDiff((*buf)[:0], base, cur); len(*buf) > 0 {
+		diff = make([]byte, len(*buf))
+		copy(diff, *buf)
+	}
+	diffScratch.Put(buf)
+	return diff
 }
+
+var diffScratch = sync.Pool{New: func() any { return new([]byte) }} // CreateDiff's encoding buffers
 
 // AppendDiff is CreateDiff in append form: the encoding is appended
 // to out (which may be a recycled buffer) and the extended slice
@@ -37,9 +50,22 @@ func AppendDiff(out, base, cur []byte) []byte {
 	i := 0
 	n := len(cur)
 	for i < n {
-		if base[i] == cur[i] {
+		// Skip unchanged bytes by 64-byte block (bytes.Equal is
+		// vectorised), then by word; the byte loop places run bounds.
+		for i+64 <= n && bytes.Equal(base[i:i+64], cur[i:i+64]) {
+			i += 64
+		}
+		for ; i+8 <= n; i += 8 {
+			if x := binary.LittleEndian.Uint64(base[i:]) ^ binary.LittleEndian.Uint64(cur[i:]); x != 0 {
+				i += bits.TrailingZeros64(x) >> 3
+				break
+			}
+		}
+		for i < n && base[i] == cur[i] {
 			i++
-			continue
+		}
+		if i == n {
+			break
 		}
 		start := i
 		for i < n && base[i] != cur[i] {

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"runtime/debug"
 	"testing"
 )
@@ -64,5 +65,59 @@ func TestDiffZeroAllocSteadyState(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("ApplyDiff allocates %.1f objects/op, want 0", n)
+	}
+}
+
+// oneSlotPage is kv_write_tcp's release: a 1 KiB page, twinned, with
+// one 32-byte slot written since.
+func oneSlotPage(t testing.TB) *Page {
+	tbl, err := NewTable(1024, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tbl.Page(0)
+	p.Lock()
+	p.SetProt(ReadWrite)
+	p.WriteFrom(bytes.Repeat([]byte{1}, 1024), 0)
+	p.MakeTwin()
+	p.WriteFrom(bytes.Repeat([]byte{2}, 32), 608)
+	p.Unlock()
+	return p
+}
+
+func BenchmarkDiffOneSlot(b *testing.B) {
+	p := oneSlotPage(b)
+	p.Lock()
+	defer p.Unlock()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		diffSink, _ = p.UnflushedDiff()
+	}
+}
+
+var diffSink []byte
+
+// TestUnflushedDiffAllocBudget pins the cost of the diff an lrc release
+// keeps: one allocation of exactly its length for a one-slot change,
+// none for a clean page or one stored back to its twin.
+func TestUnflushedDiffAllocBudget(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p := oneSlotPage(t)
+	p.Lock()
+	defer p.Unlock()
+	var d []byte
+	if n := testing.AllocsPerRun(200, func() { d, _ = p.UnflushedDiff() }); n != 1 {
+		t.Fatalf("the diff of one 32-byte slot allocates %.1f times, want 1", n)
+	}
+	if runs, err := DiffRanges(d); err != nil || len(runs) != 1 || runs[0] != [2]int{608, 32} || cap(d) != len(d) {
+		t.Fatalf("diff runs %v (%v), len %d cap %d: want one run [608 32], cap == len", runs, err, len(d), cap(d))
+	}
+	p.WriteFrom(bytes.Repeat([]byte{1}, 32), 608) // back to the twin's bytes: dirty, unchanged
+	if n := testing.AllocsPerRun(200, func() { d, _ = p.UnflushedDiff() }); n != 0 || d != nil {
+		t.Fatalf("an unchanged dirty page allocates %.1f times for diff %x, want 0 and nil", n, d)
+	}
+	p.RefreshTwin()
+	if n := testing.AllocsPerRun(200, func() { d, _ = p.UnflushedDiff() }); n != 0 {
+		t.Fatalf("a clean page allocates %.1f times, want 0", n)
 	}
 }

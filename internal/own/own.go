@@ -58,7 +58,8 @@ type Resource interface {
 	Grant(id int32, req *wire.Msg, mode Mode, hasCopy bool) *wire.Msg
 	// Install runs at the requester before the hold its grant starts
 	// is counted; grant is nil when the grant needed no message. start
-	// is when Acquire began.
+	// is when Acquire began, or zero for a grant that neither queued
+	// nor sent anything: that fast path reads no clock.
 	Install(id int32, mode Mode, grant *wire.Msg, start time.Time)
 	// Invalidation builds the owner's request that a reader end its
 	// copy of id: its kind and the field that carries id.
@@ -266,19 +267,17 @@ func (p *Protocol) apply(id int32, st *State, fx *effects) {
 // valid read copy is, else by a request; its grant is installed before
 // Acquire returns. The hold lasts until Release.
 func (p *Protocol) Acquire(st *State, id int32, mode Mode) error {
-	start := time.Now()
 	st.mu.Lock()
-	if len(st.q) == 0 {
-		if st.canHold(mode) {
-			st.hold(mode)
-			st.mu.Unlock()
-			p.res.Install(id, mode, nil, start)
-			return nil
-		}
-		if st.startAsk(mode) {
-			st.mu.Unlock()
-			return p.ask(st, id, mode, start)
-		}
+	if len(st.q) == 0 && st.canHold(mode) {
+		st.hold(mode)
+		st.mu.Unlock()
+		p.res.Install(id, mode, nil, time.Time{})
+		return nil
+	}
+	start := time.Now()
+	if len(st.q) == 0 && st.startAsk(mode) {
+		st.mu.Unlock()
+		return p.ask(st, id, mode, start)
 	}
 	w := waiter{mode: mode, wake: make(chan step, 1)}
 	st.q = append(st.q, w)

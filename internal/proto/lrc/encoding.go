@@ -33,6 +33,8 @@ func encodeIntervals(ivs []*interval) []byte {
 	return buf
 }
 
+var noIntervals = encodeIntervals(nil) // shared: readers never modify it
+
 func decodeIntervals(buf []byte) ([]*interval, error) {
 	if len(buf) == 0 {
 		return nil, nil

@@ -456,8 +456,13 @@ func (e *Engine) AcquirePayload(int32) []byte {
 // GrantPayload implements dsync.Hooks: ship the write notices of
 // every interval the acquirer has not seen, and this node's own diffs
 // in them of pages the acquirer has fetched from it before, at most
-// pushCacheCap of them (more would only be evicted on arrival).
+// pushCacheCap of them (more would only be evicted on arrival). A
+// grant to this node itself is the empty list without a look at the
+// log: a node has seen its own log, and interest never names it.
 func (e *Engine) GrantPayload(_ int32, to transport.NodeID, _ dsync.Mode, reqPayload []byte) []byte {
+	if to == e.rt.ID() {
+		return noIntervals
+	}
 	acqVC, _, err := vclock.Decode(reqPayload)
 	e.must(err, "acquire payload")
 	e.mu.Lock()
@@ -479,10 +484,13 @@ func (e *Engine) GrantPayload(_ int32, to transport.NodeID, _ dsync.Mode, reqPay
 
 // OnGranted implements dsync.Hooks: insert the received notices and
 // cache the granter's diffs under the same lock, so the acquirer's
-// first fault finds them.
+// first fault finds them. An empty grant takes no lock.
 func (e *Engine) OnGranted(_ int32, _ dsync.Mode, payload []byte) {
 	ivs, pushes, err := decodeGrant(payload)
 	e.must(err, "grant payload")
+	if len(ivs) == 0 && len(pushes) == 0 {
+		return
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, iv := range ivs {

@@ -573,3 +573,81 @@ func TestTokenRegrantCarriesNoNotices(t *testing.T) {
 		})
 	}
 }
+
+// TestSelfGrantRacesRemoteGrant: on node 1, one goroutine re-acquires
+// lock 0 over and over, each grant built locally, while another takes
+// lock 1, whose token comes from node 2 with node 2's write notices.
+// Node 1 installs each of node 2's intervals exactly once and reads
+// its values, and its own writes under lock 0 stay.
+func TestSelfGrantRacesRemoteGrant(t *testing.T) {
+	for _, proto := range []core.Protocol{core.LRC, core.HLRC} {
+		t.Run(proto.String(), func(t *testing.T) {
+			const rounds = 200
+			c, err := core.NewCluster(core.Config{Nodes: 3, Protocol: proto, PageSize: 256, HeapBytes: 1 << 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			local, remote := c.MustAlloc(256), c.MustAlloc(256) // one page each
+			n1, n2 := c.Node(1), c.Node(2)
+			locked := func(n *core.Node, lock int32, op func() error) error {
+				if err := n.Acquire(lock); err != nil {
+					return err
+				}
+				if err := op(); err != nil {
+					return err
+				}
+				return n.Release(lock)
+			}
+			started, done, last := make(chan struct{}), make(chan struct{}), make(chan uint64)
+			go func() {
+				v := uint64(0)
+				defer func() { last <- v }()
+				for {
+					if err := locked(n1, 0, func() error { return n1.WriteUint64(local, v+1) }); err != nil {
+						t.Error(err)
+						if v == 0 {
+							close(started)
+						}
+						return
+					}
+					if v++; v == 1 {
+						close(started) // lock 0's token is here: the rest are re-grants
+					}
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
+			}()
+			<-started
+			for r := uint64(1); r <= rounds && err == nil; r++ {
+				if err = locked(n2, 1, func() error { return n2.WriteUint64(remote, r) }); err == nil {
+					err = locked(n1, 1, func() error {
+						if v, err := n1.ReadUint64(remote); err != nil || v != r {
+							return fmt.Errorf("round %d: node 1 read %d (%v)", r, v, err)
+						}
+						return nil
+					})
+				}
+			}
+			close(done)
+			want := <-last
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := n1.Runtime().Stats().WriteNotices.Load(); got != rounds {
+				t.Fatalf("node 1 installed %d write notices, node 2 closed %d intervals", got, rounds)
+			}
+			if err := locked(n1, 0, func() error {
+				if v, err := n1.ReadUint64(local); err != nil || v != want {
+					return fmt.Errorf("node 1 reads %d (%v) under lock 0, its last write was %d", v, err, want)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -363,8 +363,9 @@ func BenchmarkReleaseOneDirtyPage(b *testing.B) {
 // TestReleaseOneDirtyPageAllocBudget pins what the op allocates: an
 // uncontended self-managed lock pair (nine, see dsync) plus the closed
 // interval — its record, clock copy and page list, the diff, the
-// written list, and the acquire's clock and empty grant. The twin is
-// refreshed in place. Raise the bound only with a reason.
+// written list, and the acquire's clock (the empty grant it builds for
+// itself is shared). The twin is refreshed in place. Raise the bound
+// only with a reason.
 func TestReleaseOneDirtyPageAllocBudget(t *testing.T) {
 	const budget = 21
 	n, addr := oneDirtyPageCluster(t, 1<<20)

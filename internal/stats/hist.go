@@ -208,7 +208,7 @@ func bucketBounds(i int) (lo, hi int64) {
 type LatHists struct {
 	Fault       Hist // page-fault service time (engine ReadFault/WriteFault)
 	RPC         Hist // request round-trip time (Call/CallT/CallBatched)
-	LockWait    Hist // lock and event-wait acquisition latency
+	LockWait    Hist // lock and event-wait acquisition latency; lock acquires that neither queued nor sent are not observed
 	BarrierWait Hist // barrier wait (arrive to release)
 	Op          Hist // application-level serving-op latency (kv Get/Put/Delete, open-loop: queueing delay included)
 }

@@ -76,7 +76,7 @@ type Node struct {
 	// Synchronization.
 	LockAcquires    atomic.Int64
 	LockLocalGrants atomic.Int64 // acquires served with no message (a cached token or read copy)
-	LockWaitNs      atomic.Int64
+	LockWaitNs      atomic.Int64 // summed over acquires that queued or sent a request; a local grant reads no clock
 	BarrierWaits    atomic.Int64
 	BarrierWaitNs   atomic.Int64
 
