@@ -47,9 +47,10 @@ type Hooks interface {
 	// GrantPayload runs at the granting node — the token's owner, the
 	// last exclusive holder (or the manager for a never-held lock) — to
 	// build the grant payload for the given requester. A grant that
-	// needs no message is built by the acquirer for itself
-	// (to == its own id, reqPayload its own AcquirePayload, which LRC
-	// does not read: it answers with the empty interval list).
+	// needs no message is built by the acquirer for itself with
+	// to == its own id and a nil reqPayload: an engine answers it from
+	// its own state without reading the payload (LRC with the empty
+	// interval list, EC with its own version, permission only).
 	GrantPayload(lock int32, to transport.NodeID, mode Mode, reqPayload []byte) []byte
 	// OnGranted runs at the acquirer before Acquire returns.
 	OnGranted(lock int32, mode Mode, payload []byte)

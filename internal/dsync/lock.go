@@ -73,15 +73,16 @@ func (l lockRes) Grant(id int32, m *wire.Msg, mode Mode, _ bool) *wire.Msg {
 }
 
 // Install completes an acquire. One that sent no message builds its
-// own grant, as an owner would, so each engine's OnGranted sees what
-// it expects: no new notices under LRC, a permission-only grant under
-// EC. A zero start (nothing queued or sent) adds no lock wait.
+// own grant, as an owner would but with no request payload, so each
+// engine's OnGranted sees what it expects: no new notices under LRC, a
+// permission-only grant under EC. A zero start (nothing queued or
+// sent) adds no lock wait.
 func (l lockRes) Install(id int32, mode Mode, g *wire.Msg, start time.Time) {
 	s, st := l.s, l.s.rt.Stats()
 	from, payload := s.rt.ID(), []byte(nil)
 	if g == nil {
 		st.LockLocalGrants.Add(1)
-		payload = s.hooks.GrantPayload(id, from, mode, s.hooks.AcquirePayload(id))
+		payload = s.hooks.GrantPayload(id, from, mode, nil)
 	} else {
 		from, payload = g.From, g.Data
 		st.GrantPayloadBytes.Add(int64(len(payload)))

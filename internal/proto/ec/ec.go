@@ -111,8 +111,12 @@ func (e *Engine) AcquirePayload(lock int32) []byte {
 // GrantPayload implements dsync.Hooks: ship version plus, if the
 // acquirer is stale, the current contents of every bound range read
 // from our local memory (we are the last releaser, so our copy is
-// authoritative).
-func (e *Engine) GrantPayload(lock int32, _ transport.NodeID, _ dsync.Mode, reqPayload []byte) []byte {
+// authoritative). A grant to this node itself is permission only: it
+// holds its own version.
+func (e *Engine) GrantPayload(lock int32, to transport.NodeID, _ dsync.Mode, reqPayload []byte) []byte {
+	if to == e.rt.ID() {
+		return binary.LittleEndian.AppendUint64(nil, e.version(lock))
+	}
 	var acqVer uint64
 	if len(reqPayload) >= 8 {
 		acqVer = binary.LittleEndian.Uint64(reqPayload)

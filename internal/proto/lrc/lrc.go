@@ -42,7 +42,9 @@
 package lrc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -212,13 +214,20 @@ func (e *Engine) WriteFault(pg mem.PageID) error {
 	return nil
 }
 
-// noticeDiff is a pending write notice being resolved: its interval's
-// clock orders the application; diff comes from the push cache or from
-// fetchDiffs.
+// noticeDiff is a pending write notice being resolved: the sum of its
+// interval's clock orders the application (byApplyOrder); diff comes
+// from the push cache or from fetchDiffs.
 type noticeDiff struct {
 	noticeRef
-	vc   vclock.VC
+	sum  uint64
 	diff []byte
+}
+
+// byApplyOrder orders notices in a linear extension of happens-before:
+// the sum of vector-clock components is monotone along causal edges,
+// and writer and interval number break ties, so the order is total.
+func byApplyOrder(a, b noticeDiff) int {
+	return cmp.Or(cmp.Compare(a.sum, b.sum), cmp.Compare(a.node, b.node), cmp.Compare(a.seq, b.seq))
 }
 
 // validate brings a page up to date with all locally known write
@@ -238,7 +247,7 @@ func (e *Engine) validate(pg mem.PageID) error {
 	var got, jobs []noticeDiff
 	var usedKeys []pushKey
 	for _, r := range refs {
-		nd := noticeDiff{noticeRef: r, vc: e.log[r.node][r.seq-1].vc}
+		nd := noticeDiff{noticeRef: r, sum: vcSum(e.log[r.node][r.seq-1].vc)}
 		k := pushKey{r.node, r.seq, pg}
 		if d, ok := e.pushCache[k]; ok {
 			nd.diff = d
@@ -259,18 +268,7 @@ func (e *Engine) validate(pg mem.PageID) error {
 	}
 	got = append(got, jobs...)
 
-	// Apply in a linear extension of happens-before: the sum of
-	// vector-clock components is monotone along causal edges.
-	sort.Slice(got, func(a, b int) bool {
-		sa, sb := vcSum(got[a].vc), vcSum(got[b].vc)
-		if sa != sb {
-			return sa < sb
-		}
-		if got[a].node != got[b].node {
-			return got[a].node < got[b].node
-		}
-		return got[a].seq < got[b].seq
-	})
+	slices.SortFunc(got, byApplyOrder)
 
 	p := e.rt.Table().Page(pg)
 	p.Lock()

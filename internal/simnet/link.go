@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/stats"
@@ -85,9 +86,8 @@ type link struct {
 	out      []outFrame // waiting for the drainer, in transmission order
 	ackOut   bool       // an ack frame is in out: its value is read when it leaves
 	draining bool       // a goroutine is transmitting out
-	timer    *time.Timer
-	due      time.Time // when the oldest frame in flight times out
 	est      rttEstimator
+	due      atomic.Int64 // set under mu: when the oldest frame in flight times out; 0: none is
 
 	rxMu    sync.Mutex
 	expect  uint64        // the next sequence number to deliver
@@ -111,15 +111,23 @@ type outFrame struct {
 	seq   uint64 // data frames only
 }
 
-// newLinks gives every directed pair of net its link.
+// newLinks gives every directed pair of net its link, and net the
+// clock that times them and the delivery queues.
 func newLinks(net *Net) {
+	c := &clock{epoch: time.Now(), wake: make(chan struct{}, 1), done: make(chan struct{})}
 	for i := range net.pairs {
 		for j := 0; j < i; j++ {
 			a := &link{net: net, from: NodeID(i), to: NodeID(j), nextTx: 1, cwnd: window, expect: 1}
 			b := &link{net: net, from: NodeID(j), to: NodeID(i), nextTx: 1, cwnd: window, expect: 1, rev: a}
 			a.rev, net.pairs[i][j].lk, net.pairs[j][i].lk = b, a, b
+			c.timers = append(c.timers, timer{&a.due, a.expire}, timer{&b.due, b.expire})
 		}
 	}
+	for _, q := range net.queues {
+		c.timers = append(c.timers, timer{&q.due, func() { q.due.Store(0); poke(q.wake) }})
+	}
+	net.clock = c
+	go c.run(net)
 }
 
 // send takes ownership of one encoded message and transmits it.
@@ -294,7 +302,7 @@ func (l *link) acked(upto uint64, nack bool, round uint32) {
 		l.nextTx = max(l.nextTx, upto+1)
 		l.cwnd = min(l.cwnd+n, window)
 		if rest == 0 || l.nextTx == l.unacked[0].seq {
-			l.timer.Stop() // nothing in flight
+			l.due.Store(0) // nothing in flight
 		} else {
 			l.arm(now)
 		}
@@ -306,17 +314,12 @@ func (l *link) acked(upto uint64, nack bool, round uint32) {
 	l.drain()
 }
 
-// expire is the timer: if the oldest frame in flight is due, back off
-// and go back to it.
+// expire runs on the clock: if the oldest frame in flight is due,
+// back off and go back to it.
 func (l *link) expire() {
 	l.mu.Lock()
-	if len(l.unacked) == 0 || l.net.isClosed() {
-		l.mu.Unlock()
-		return
-	}
 	now := time.Now()
-	if now.Before(l.due) {
-		l.timer.Reset(l.due.Sub(now))
+	if due := l.due.Load(); due == 0 || l.net.clock.since(now) < due || l.net.isClosed() {
 		l.mu.Unlock()
 		return
 	}
@@ -335,13 +338,70 @@ func (l *link) goBack() {
 
 // arm restarts the timer for the oldest frame in flight. Under l.mu.
 func (l *link) arm(now time.Time) {
-	d := l.est.rto()
-	l.due = now.Add(d)
-	if l.timer == nil {
-		l.timer = time.AfterFunc(d, l.expire)
-	} else {
-		l.timer.Reset(d)
+	l.net.clock.set(&l.due, now.Add(l.est.rto()))
+}
+
+// clock is the one timer of a network with a fault plan: a goroutine
+// that fires what is due among its links and delivery queues. Go's
+// timers fire about a millisecond late when every P is idle, hundreds
+// of simulated round trips; a sleeping thread wakes within tens of
+// microseconds. With nothing due the clock parks on wake.
+type clock struct {
+	epoch  time.Time // due times are nanoseconds since epoch
+	timers []timer
+	parked atomic.Bool
+	wake   chan struct{} // capacity one: a pending wake-up says "look again"
+	done   chan struct{} // closed when run returns
+}
+
+// timer is one thing the clock times; a zero due means nothing is due.
+type timer struct {
+	due  *atomic.Int64
+	fire func()
+}
+
+func (c *clock) since(t time.Time) int64 { return int64(t.Sub(c.epoch)) }
+
+// set makes at the due time of due, waking the clock if it is parked.
+func (c *clock) set(due *atomic.Int64, at time.Time) {
+	if due.Store(c.since(at)); c.parked.Load() {
+		poke(c.wake)
 	}
+}
+
+// run sleeps towards the next due time in slices no longer than
+// rtoFloor, so a time set meanwhile is overslept by at most a slice and
+// a timeout, never shorter, not at all. It announces parking before a
+// last look, and set stores before it looks: one sees the other.
+func (c *clock) run(n *Net) {
+	defer close(c.done)
+	for !n.isClosed() {
+		now, next := c.since(time.Now()), int64(0)
+		for _, t := range c.timers {
+			if due := t.due.Load(); due != 0 && due <= now {
+				t.fire()
+			} else if due != 0 && (next == 0 || due < next) {
+				next = due
+			}
+		}
+		if next != 0 {
+			c.parked.Store(false)
+			sleep(min(time.Duration(next-c.since(time.Now())), rtoFloor))
+		} else if c.parked.Swap(true) { // else one more look
+			select {
+			case <-c.wake:
+			case <-n.closed:
+			}
+			c.parked.Store(false)
+		}
+	}
+}
+
+// sleep blocks the calling goroutine's thread for d: a syscall, not a
+// runtime timer, for the precision the clock is there for.
+func sleep(d time.Duration) {
+	ts := syscall.NsecToTimespec(int64(d))
+	_ = syscall.Nanosleep(&ts, nil) // EINTR: waking early only means one more look
 }
 
 // LinkReport describes the sender's half of the link from this

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -209,9 +210,13 @@ func TestLinkPartitionHeals(t *testing.T) {
 }
 
 // TestLinkAbsentWithoutFaults: without a fault plan there is no link:
-// no header, no ack, no state; the counts are the messages' own.
+// no header, no ack, no state, no clock; the counts are the messages'
+// own.
 func TestLinkAbsentWithoutFaults(t *testing.T) {
 	n := newNet(t, Config{Nodes: 2})
+	if n.clock != nil {
+		t.Fatal("a clock runs without a fault plan")
+	}
 	for i := range n.pairs {
 		for j := range n.pairs[i] {
 			if n.pairs[i][j].lk != nil {
@@ -231,6 +236,108 @@ func TestLinkAbsentWithoutFaults(t *testing.T) {
 	want := stats.Snapshot{MsgsSent: 50, BytesSent: bytes, MsgsRecv: 50, BytesRecv: bytes}
 	if s := counted(n); s != want {
 		t.Fatalf("counted %v, want %v", s, want)
+	}
+}
+
+// TestLinkRecoversAtClockPrecision: on an idle zero-latency pair, a
+// message whose first copy was lost arrives a timeout after it was
+// sent, the granularity term plus the clock's lateness: well under the
+// millisecond a runtime timer fires late when every P is idle.
+func TestLinkRecoversAtClockPrecision(t *testing.T) {
+	n := newNet(t, Config{Nodes: 2, Seed: 3, Faults: &FaultPlan{DropProb: 0.2}})
+	a, lk := n.Endpoint(0), n.pairs[0][1].lk
+	arrived := make(chan time.Time, 1)
+	if err := a.Attach(func(*wire.Msg) {}, func() {}); err != nil { // its acks arrive there
+		t.Fatal(err)
+	}
+	if err := n.Endpoint(1).Attach(func(*wire.Msg) { arrived <- time.Now() }, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	const warm = 20 // until the estimator has the round trip
+	var lost []time.Duration
+	for i := 0; len(lost) < 25; i++ {
+		if i == 1000 {
+			t.Fatalf("only %d first copies lost in %d sends at 20%% loss", len(lost), i)
+		}
+		dropped := n.eps[0].st.MsgsDropped.Load()
+		start := time.Now()
+		if err := a.Send(&wire.Msg{Kind: wire.KAck, To: 1, Req: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		firstLost := n.eps[0].st.MsgsDropped.Load() > dropped // an idle link transmits inside Send
+		select {
+		case at := <-arrived:
+			if firstLost && i >= warm {
+				lost = append(lost, at.Sub(start))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message %d lost", i)
+		}
+		waitAcked(t, lk)
+	}
+	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
+	if med := lost[len(lost)/2]; med >= ms {
+		t.Fatalf("median send -> arrival of a message whose first copy was lost = %v, want < 1ms (%v)", med, lost)
+	}
+}
+
+// TestLinkClockParksWhenIdle: once traffic over lossy links stops and
+// every frame is acknowledged, the clock parks until a link arms again.
+func TestLinkClockParksWhenIdle(t *testing.T) {
+	const nodes, each = 3, 200
+	n := newNet(t, Config{Nodes: nodes, Seed: 5, Faults: &FaultPlan{DropProb: 0.3}})
+	var got atomic.Int64
+	for i := 0; i < nodes; i++ {
+		if err := n.Endpoint(NodeID(i)).Attach(func(*wire.Msg) { got.Add(1) }, func() {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < each; i++ {
+		for from := 0; from < nodes; from++ {
+			to := NodeID((from + 1) % nodes)
+			if err := n.Endpoint(NodeID(from)).Send(&wire.Msg{Kind: wire.KAck, To: to, Req: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s := settled(t, n); s.MsgsRecv != nodes*each || s.Retries == 0 {
+		t.Fatalf("delivered %d of %d, retries %d: want all, and some", s.MsgsRecv, nodes*each, s.Retries)
+	}
+	for deadline := time.Now().Add(time.Second); !n.clock.parked.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the clock is still running a second after the links went quiet")
+		}
+	}
+}
+
+// TestLinkClockStopsOnClose: Close returns once the clock has stopped,
+// sleeping towards a due link or not, and leaves no goroutine behind.
+func TestLinkClockStopsOnClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	n, err := New(Config{Nodes: 3, Faults: &FaultPlan{DropProb: 0.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := n.Endpoint(NodeID(i)).Attach(func(*wire.Msg) {}, func() {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // losses leave timeouts pending
+		if err := n.Endpoint(0).Send(&wire.Msg{Kind: wire.KAck, To: 1, Req: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Close()
+	select {
+	case <-n.clock.done:
+	default:
+		t.Fatal("Close returned with the clock running")
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines a second after Close, %d before New", runtime.NumGoroutine(), before)
+		}
 	}
 }
 

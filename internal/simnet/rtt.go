@@ -3,10 +3,10 @@ package simnet
 import "time"
 
 // rtoFloor is the shortest retransmission timeout, and the granularity
-// term of the timeout (RFC 6298's G). This repository's hosts wake
-// timers about a millisecond late, so anything finer buys little
-// recovery time and many spurious retransmissions.
-const rtoFloor = time.Millisecond
+// term of the timeout (RFC 6298's G): what the links' clock honours. It
+// wakes within about 60us of a due time and times simulated latency
+// too, so a loss-free round trip arrives well inside G.
+const rtoFloor = 100 * time.Microsecond
 
 // rttEstimator is one link's smoothed round trip, in the
 // Jacobson/Karels form TCP uses (RFC 6298: gains 1/8 and 1/4). It is

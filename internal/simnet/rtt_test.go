@@ -65,16 +65,20 @@ func TestRTTEstimator(t *testing.T) {
 	t.Run("floor and ceiling", func(t *testing.T) {
 		var e rttEstimator
 		feed(&e, 12*time.Microsecond, 20)
-		// 12us + the 1ms granularity term: no margin on top.
-		if got := e.rto(); got < rtoFloor || got > rtoFloor+20*time.Microsecond {
-			t.Fatalf("rto on a 12us round trip = %v, want just above the floor %v", got, rtoFloor)
+		// 12us + the granularity term: no margin on top.
+		steady := e.rto()
+		if steady < rtoFloor || steady > rtoFloor+20*time.Microsecond {
+			t.Fatalf("rto on a 12us round trip = %v, want just above the floor %v", steady, rtoFloor)
 		}
 		// Back-off doubles to the cap and stays there; a sample ends it.
-		want := []time.Duration{2, 4, 8, 16, 20, 20}
-		for i, w := range want {
+		for i, w, capped := 1, steady, 0; capped < 2; i++ {
+			w = min(2*w, rtoCap)
+			if w == rtoCap {
+				capped++
+			}
 			e.backoff()
-			if got := e.rto(); got < w*ms || got > w*ms*51/50 {
-				t.Fatalf("rto after %d back-offs = %v, want about %v", i+1, got, w*ms)
+			if got := e.rto(); got < w || got > w*51/50 {
+				t.Fatalf("rto after %d back-offs = %v, want about %v", i, got, w)
 			}
 		}
 		e.sample(12 * time.Microsecond)

@@ -130,6 +130,7 @@ type Net struct {
 	eps    []*Endpoint
 	queues []*dqueue
 	pairs  [][]pairState
+	clock  *clock // times the links and queues; nil without a fault plan
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -163,14 +164,14 @@ func New(cfg Config) (*Net, error) {
 			net.pairs[i][j].rng = uint64(cfg.Seed)*2654435761 + uint64(i*n+j)*0x9e3779b97f4a7c15 + 1
 		}
 	}
+	for i := 0; i < n; i++ {
+		ep := &Endpoint{net: net, id: NodeID(i), st: &stats.Node{}}
+		net.eps[i], net.queues[i] = ep, newDQueue(ep)
+	}
 	if cfg.Faults != nil {
 		newLinks(net)
 	}
-	for i := 0; i < n; i++ {
-		ep := &Endpoint{net: net, id: NodeID(i), st: &stats.Node{}}
-		net.eps[i] = ep
-		q := newDQueue(ep)
-		net.queues[i] = q
+	for _, q := range net.queues {
 		go q.run()
 	}
 	return net, nil
@@ -224,26 +225,18 @@ func (n *Net) StallNode(id NodeID, d time.Duration) {
 	n.eps[id].tr.Emit(trace.EvChaos, -1, 0, -1, -1, trace.ChaosStall, d)
 }
 
-// Close shuts the network down. Messages still in flight are
-// discarded; subsequent sends are dropped, and the links stop
-// retransmitting. Each endpoint's down runs once its deliveries in
-// progress have returned.
+// Close shuts the network down: messages in flight are discarded,
+// later sends dropped, and the links' clock stopped before it returns,
+// so no handler may call it. Each endpoint's down runs once its
+// deliveries in progress have returned.
 func (n *Net) Close() {
 	n.closeOnce.Do(func() {
 		close(n.closed)
 		for _, q := range n.queues {
 			q.stop()
 		}
-		for i := range n.pairs {
-			for j := range n.pairs[i] {
-				if l := n.pairs[i][j].lk; l != nil {
-					l.mu.Lock()
-					if l.timer != nil {
-						l.timer.Stop()
-					}
-					l.mu.Unlock()
-				}
-			}
+		if n.clock != nil {
+			<-n.clock.done
 		}
 	})
 }
@@ -423,6 +416,7 @@ type dqueue struct {
 	direct     uint64        // deliveries begun on senders' goroutines...
 	directDone atomic.Uint64 // ...and ended: both equal when none is in progress
 	stallUntil time.Time     // endpoint stall: nothing delivers before this instant
+	due        atomic.Int64  // run's wait on net.clock, if there is one
 }
 
 type item struct {
@@ -460,7 +454,7 @@ func (q *dqueue) push(now, at time.Time, from NodeID, raw []byte, buf *[]byte) {
 		}
 		q.directDone.Add(1)
 		if q.stopped.Load() {
-			q.poke() // run calls down after the last delivery
+			poke(q.wake) // run calls down after the last delivery
 		}
 		return
 	}
@@ -468,15 +462,16 @@ func (q *dqueue) push(now, at time.Time, from NodeID, raw []byte, buf *[]byte) {
 	it.seq = q.seq
 	heap.Push(&q.items, it)
 	if q.items[0].seq == it.seq { // new head: run may be waiting for a later one
-		q.poke()
+		poke(q.wake)
 	}
 	q.mu.Unlock()
 }
 
-// poke makes run look at the queue again.
-func (q *dqueue) poke() {
+// poke makes the goroutine waiting on wake, a queue's or the clock's,
+// look again.
+func poke(wake chan struct{}) {
 	select {
-	case q.wake <- struct{}{}:
+	case wake <- struct{}{}:
 	default:
 	}
 }
@@ -496,7 +491,7 @@ func (e *Endpoint) Attach(deliver func(*wire.Msg), down func()) error {
 	if exited {
 		down()
 	}
-	q.poke()
+	poke(q.wake)
 	return nil
 }
 
@@ -528,7 +523,7 @@ func (q *dqueue) stop() {
 	q.mu.Lock()
 	q.stopped.Store(true)
 	q.mu.Unlock()
-	q.poke()
+	poke(q.wake)
 }
 
 func (q *dqueue) stall(until time.Time) {
@@ -570,6 +565,11 @@ func (q *dqueue) run() {
 			// appear for this pair (per-pair times are monotonic) but
 			// can for another: its push (a new head) ends the wait.
 			q.mu.Unlock()
+			if c := q.ep.net.clock; c != nil { // punctual, for the links' round trips
+				c.set(&q.due, due)
+				<-q.wake
+				continue
+			}
 			timer := time.NewTimer(wait)
 			select {
 			case <-timer.C:
